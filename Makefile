@@ -30,10 +30,14 @@ test:
 # (SLO_front.json, uploaded as a CI artifact), and a 2-tenant overload
 # smoke (queue depth 2, 8-frame burst) replays it through the bounded
 # ingest queue with the selected operating point published on /healthz.
+# The benchmark package (perfbench/, its own Cargo workspace with path
+# dependencies on the crates) is built and unit-tested too, so a library
+# change that breaks the API it calls fails here.
 # Matches .github/workflows/ci.yml.
 verify:
 	cargo build --workspace --release --locked --offline
 	cargo test --workspace -q --locked --offline
+	cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 	ESCA_GEMM_BACKEND=scalar cargo test -q --locked --offline -p esca-sscn --test gemm_backends -p esca --test chaos_streaming -p esca-suite --test parallel_equivalence --test streaming_determinism --test observability --test snapshot_merge_laws
 	ESCA_GEMM_BACKEND=blocked cargo test -q --locked --offline -p esca-sscn --test gemm_backends -p esca --test chaos_streaming -p esca-suite --test parallel_equivalence --test streaming_determinism --test observability --test snapshot_merge_laws
 	ESCA_PLAN_CACHE=1 ESCA_GEMM_BACKEND=scalar cargo test -q --locked --offline -p esca-suite --test streaming_determinism --test geometry_plan

@@ -139,8 +139,7 @@ struct CacheInner {
 /// Shared behind an [`Arc`], one cache serves all layers of a network
 /// pass *and* all frames/workers of a streaming batch: the first request
 /// per geometry builds the artifact (a miss), every later request returns
-/// the shared [`Arc`] without touching a coordinate hash map again (a
-/// hit). Hit/miss counters are atomic, so rates can be read concurrently
+/// the shared [`Arc`] without rebuilding it (a hit). Hit/miss counters are atomic, so rates can be read concurrently
 /// with use. (The name predates the non-rulebook artifacts; the
 /// historical API — [`RulebookCache::get_or_build`] and the counters — is
 /// unchanged.)

@@ -74,16 +74,15 @@ impl BatchNorm {
                 got: t.channels(),
             });
         }
-        let ch = self.channels();
-        let mut out = SparseTensor::new(t.extent(), ch);
-        let mut buf = vec![0.0f32; ch];
-        for (c, f) in t.iter() {
-            for (i, &v) in f.iter().enumerate() {
-                buf[i] = v * self.scale[i] + self.shift[i];
-            }
-            out.insert(c, &buf)?;
+        let mut feats = Vec::with_capacity(t.features().len());
+        for f in t.features().chunks_exact(self.channels()) {
+            feats.extend(
+                f.iter()
+                    .zip(self.scale.iter().zip(&self.shift))
+                    .map(|(&v, (&scale, &shift))| v * scale + shift),
+            );
         }
-        Ok(out)
+        Ok(SparseTensor::from_template(t, self.channels(), feats)?)
     }
 
     /// Folds this normalization into the preceding convolution's weights
@@ -167,22 +166,22 @@ impl Linear {
                 got: t.channels(),
             });
         }
-        let mut out = SparseTensor::new(t.extent(), self.out_ch);
-        let mut buf = vec![0.0f32; self.out_ch];
-        for (c, f) in t.iter() {
-            buf.copy_from_slice(&self.b);
+        let mut feats = Vec::with_capacity(t.nnz() * self.out_ch);
+        for f in t.features().chunks_exact(self.in_ch) {
+            let start = feats.len();
+            feats.extend_from_slice(&self.b);
+            let dst = &mut feats[start..];
             for (ic, &a) in f.iter().enumerate() {
                 if a == 0.0 {
                     continue;
                 }
                 let ws = &self.w[ic * self.out_ch..(ic + 1) * self.out_ch];
-                for (dst, &w) in buf.iter_mut().zip(ws) {
-                    *dst += a * w;
+                for (d, &w) in dst.iter_mut().zip(ws) {
+                    *d += a * w;
                 }
             }
-            out.insert(c, &buf)?;
         }
-        Ok(out)
+        Ok(SparseTensor::from_template(t, self.out_ch, feats)?)
     }
 
     /// Per-site argmax of the layer output — class predictions for the
@@ -278,6 +277,68 @@ mod tests {
             assert!(t.contains(c));
             assert!(class < 3);
         }
+    }
+
+    /// A non-canonical input with a zero feature, for the layout tests.
+    fn shuffled(ch: usize) -> SparseTensor<f32> {
+        let mut t = SparseTensor::new(Extent3::cube(4), ch);
+        for (i, c) in [(3, 0, 2), (0, 1, 1), (2, 2, 0), (0, 0, 3)]
+            .into_iter()
+            .enumerate()
+        {
+            let f: Vec<f32> = (0..ch).map(|j| (i * ch + j) as f32 * 0.37 - 1.1).collect();
+            t.insert(Coord3::from(c), &f).unwrap();
+        }
+        t.feature_mut(Coord3::new(0, 1, 1)).unwrap()[0] = 0.0;
+        t
+    }
+
+    fn bits(t: &SparseTensor<f32>) -> Vec<u32> {
+        t.features().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn linear_output_keeps_sites_order_and_bits() {
+        let lin = Linear::seeded(3, 5, 4);
+        let t = shuffled(3);
+        let out = lin.apply(&t).unwrap();
+        // Reference: one insert per site, accumulating exactly as the
+        // layer does.
+        let mut want = SparseTensor::new(t.extent(), 5);
+        for (c, f) in t.iter() {
+            let mut buf = lin.b.clone();
+            for (ic, &a) in f.iter().enumerate() {
+                if a == 0.0 {
+                    continue;
+                }
+                for (d, &w) in buf.iter_mut().zip(&lin.w[ic * 5..(ic + 1) * 5]) {
+                    *d += a * w;
+                }
+            }
+            want.insert(c, &buf).unwrap();
+        }
+        assert_eq!(out.coords(), t.coords());
+        assert_eq!(bits(&out), bits(&want));
+        assert_eq!(
+            out.feature(Coord3::new(2, 2, 0)),
+            want.feature(Coord3::new(2, 2, 0))
+        );
+        assert_eq!(out.active_fingerprint(), t.active_fingerprint());
+    }
+
+    #[test]
+    fn batchnorm_output_keeps_sites_order_and_bits() {
+        let bn = BatchNorm::seeded(3, 9);
+        let t = shuffled(3);
+        let out = bn.apply(&t).unwrap();
+        let mut want = SparseTensor::new(t.extent(), 3);
+        for (c, f) in t.iter() {
+            let buf: Vec<f32> = (0..3).map(|i| f[i] * bn.scale[i] + bn.shift[i]).collect();
+            want.insert(c, &buf).unwrap();
+        }
+        assert_eq!(out.coords(), t.coords());
+        assert_eq!(bits(&out), bits(&want));
+        assert!(out.contains(Coord3::new(0, 0, 3)));
     }
 
     #[test]

@@ -27,21 +27,23 @@
 //! floating-point additions in the same order as the direct kernel
 //! followed by its trailing `canonicalize()`. The replay hot paths are
 //! pure index-array walks — no hash-map iteration or per-site hash
-//! probes (lint **L2**); coordinate hashing happens once, at build time.
+//! probes (lint **L2**) — and the builds hash no coordinate either: they
+//! derive the coarse active set by sort-and-dedup and find each site's
+//! row by binary search.
 
 use crate::error::SscnError;
 use crate::rulebook::Rulebook;
 use crate::sparse_ops::{downsampled_extent, StridedWeights};
 use crate::Result;
 use esca_telemetry::Registry;
-use esca_tensor::{ActiveSetFingerprint, Coord3, Extent3, SparseTensor};
+use esca_tensor::{ActiveSetFingerprint, Coord3, Extent3, SparseTensor, TensorError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-/// Sentinel in [`TransposeMap`]'s source array: the covering coarse site
-/// is inactive, so the output row stays zero.
-const NO_SOURCE: u32 = u32::MAX;
+/// Sentinel in [`TransposeMap::sources`]: the covering coarse site is
+/// inactive, so the output row stays zero.
+pub const NO_SOURCE: u32 = u32::MAX;
 
 /// The cached geometry of one strided (downsampling) convolution: for
 /// every input site (in storage order) the canonical output row it
@@ -65,43 +67,16 @@ pub struct StridedMap {
 }
 
 impl StridedMap {
-    /// Builds the map from an input geometry. This is the only place the
-    /// strided flat path touches a coordinate hash map.
+    /// Builds the map from an input geometry: the coarse active set by
+    /// sort-and-dedup, each site's canonical row by binary search.
     pub fn build<T: Copy>(input: &SparseTensor<T>, kd: u32) -> StridedMap {
         assert!(kd > 0, "stride must be nonzero");
-        let kd_i = kd as i32;
-        let out_extent = downsampled_extent(input.extent(), kd);
-        // First-touch row assignment, exactly as `strided_conv3d` performs
-        // it, followed by the canonical raster re-ranking its trailing
-        // `canonicalize()` would apply.
-        let mut first: HashMap<Coord3, u32> = HashMap::new();
-        let mut coarse: Vec<Coord3> = Vec::new();
-        let mut rows: Vec<u32> = Vec::with_capacity(input.nnz());
-        let mut taps: Vec<u32> = Vec::with_capacity(input.nnz());
-        for &c in input.coords() {
-            let q = Coord3::new(
-                c.x.div_euclid(kd_i),
-                c.y.div_euclid(kd_i),
-                c.z.div_euclid(kd_i),
-            );
-            let dx = c.x - q.x * kd_i;
-            let dy = c.y - q.y * kd_i;
-            let dz = c.z - q.z * kd_i;
-            let row = *first.entry(q).or_insert_with(|| {
-                coarse.push(q);
-                (coarse.len() - 1) as u32
-            });
-            rows.push(row);
-            taps.push(((dx * kd_i + dy) * kd_i + dz) as u32);
-        }
-        let (out_coords, rank) = canonical_rank(out_extent, &coarse);
-        for r in &mut rows {
-            *r = rank[*r as usize];
-        }
+        let (out_coords, rows) = coarse_rows(input.extent(), input.coords(), kd);
+        let taps = input.coords().iter().map(|&c| corner_tap(c, kd)).collect();
         StridedMap {
             kd,
             in_extent: input.extent(),
-            out_extent,
+            out_extent: downsampled_extent(input.extent(), kd),
             rows,
             taps,
             out_coords,
@@ -174,6 +149,16 @@ impl StridedMap {
         &self.out_coords
     }
 
+    /// Per input site (storage order): its row in [`StridedMap::out_coords`].
+    pub fn rows(&self) -> &[u32] {
+        &self.rows
+    }
+
+    /// Per input site (storage order): its corner-anchored tap index.
+    pub fn taps(&self) -> &[u32] {
+        &self.taps
+    }
+
     /// Heap bytes retained by the map's index arrays (the LRU currency).
     pub fn heap_bytes(&self) -> usize {
         self.rows.len() * 4 + self.taps.len() * 4 + self.out_coords.len() * size_of::<Coord3>()
@@ -226,42 +211,30 @@ impl TransposeMap {
                 ),
             });
         }
-        // Validate bounds/uniqueness and obtain the canonical target order
-        // through the same constructor + canonicalize the direct kernel
-        // uses, so error behavior and ordering cannot drift.
-        let mut probe = SparseTensor::<f32>::from_coord_features(
-            fine_extent,
-            1,
-            target.to_vec(),
-            vec![0.0; target.len()],
-        )
-        .map_err(SscnError::from)?;
-        probe.canonicalize();
-        let out_coords = probe.coords().to_vec();
-        let coarse_index: HashMap<Coord3, u32> = input
+        let out_coords = canonical_targets(fine_extent, target).map_err(SscnError::from)?;
+        // Coarse storage rows keyed by raster index, in raster order (no
+        // sort on canonical input): a binary search finds the site
+        // covering each target.
+        let coarse_extent = input.extent();
+        let mut by_key: Vec<(usize, u32)> = input
             .coords()
             .iter()
-            .enumerate()
-            .map(|(i, &c)| (c, i as u32))
+            .map(|&c| coarse_extent.linear_unchecked(c))
+            .zip(0u32..)
             .collect();
-        let kd_i = kd as i32;
+        if !input.is_canonical() {
+            by_key.sort_unstable();
+        }
         let mut src = Vec::with_capacity(out_coords.len());
         let mut taps = Vec::with_capacity(out_coords.len());
         for &p in &out_coords {
-            let q = Coord3::new(
-                p.x.div_euclid(kd_i),
-                p.y.div_euclid(kd_i),
-                p.z.div_euclid(kd_i),
-            );
-            match coarse_index.get(&q) {
-                Some(&row) => {
-                    let dx = p.x - q.x * kd_i;
-                    let dy = p.y - q.y * kd_i;
-                    let dz = p.z - q.z * kd_i;
-                    src.push(row);
-                    taps.push(((dx * kd_i + dy) * kd_i + dz) as u32);
+            let key = coarse_extent.linear_unchecked(parent(p, kd));
+            match by_key.binary_search_by_key(&key, |&(k, _)| k) {
+                Ok(pos) => {
+                    src.push(by_key[pos].1);
+                    taps.push(corner_tap(p, kd));
                 }
-                None => {
+                Err(_) => {
                     src.push(NO_SOURCE);
                     taps.push(0);
                 }
@@ -346,6 +319,22 @@ impl TransposeMap {
         self.out_coords.len()
     }
 
+    /// The fine target active set, raster-ordered.
+    pub fn out_coords(&self) -> &[Coord3] {
+        &self.out_coords
+    }
+
+    /// Per output row: the coarse storage row it gathers from, or
+    /// [`NO_SOURCE`].
+    pub fn sources(&self) -> &[u32] {
+        &self.src
+    }
+
+    /// Per output row: its corner-anchored tap index (0 without a source).
+    pub fn taps(&self) -> &[u32] {
+        &self.taps
+    }
+
     /// Heap bytes retained by the map's index arrays.
     pub fn heap_bytes(&self) -> usize {
         self.src.len() * 4 + self.taps.len() * 4 + self.out_coords.len() * size_of::<Coord3>()
@@ -366,34 +355,15 @@ pub struct PoolMap {
 }
 
 impl PoolMap {
-    /// Builds the map from an input geometry.
+    /// Builds the map from an input geometry, as [`StridedMap::build`]
+    /// does.
     pub fn build<T: Copy>(input: &SparseTensor<T>, kd: u32) -> PoolMap {
         assert!(kd > 0, "pool window must be nonzero");
-        let kd_i = kd as i32;
-        let out_extent = downsampled_extent(input.extent(), kd);
-        let mut first: HashMap<Coord3, u32> = HashMap::new();
-        let mut coarse: Vec<Coord3> = Vec::new();
-        let mut rows: Vec<u32> = Vec::with_capacity(input.nnz());
-        for &c in input.coords() {
-            let q = Coord3::new(
-                c.x.div_euclid(kd_i),
-                c.y.div_euclid(kd_i),
-                c.z.div_euclid(kd_i),
-            );
-            let row = *first.entry(q).or_insert_with(|| {
-                coarse.push(q);
-                (coarse.len() - 1) as u32
-            });
-            rows.push(row);
-        }
-        let (out_coords, rank) = canonical_rank(out_extent, &coarse);
-        for r in &mut rows {
-            *r = rank[*r as usize];
-        }
+        let (out_coords, rows) = coarse_rows(input.extent(), input.coords(), kd);
         PoolMap {
             kd,
             in_extent: input.extent(),
-            out_extent,
+            out_extent: downsampled_extent(input.extent(), kd),
             rows,
             out_coords,
         }
@@ -443,24 +413,92 @@ impl PoolMap {
         self.rows.len()
     }
 
+    /// The coarse (output) active set, raster-ordered.
+    pub fn out_coords(&self) -> &[Coord3] {
+        &self.out_coords
+    }
+
+    /// Per input site (storage order): its row in [`PoolMap::out_coords`].
+    pub fn rows(&self) -> &[u32] {
+        &self.rows
+    }
+
     /// Heap bytes retained by the map's index arrays.
     pub fn heap_bytes(&self) -> usize {
         self.rows.len() * 4 + self.out_coords.len() * size_of::<Coord3>()
     }
 }
 
-/// Sorts a unique coarse coordinate list into raster order (exactly the
-/// comparator of [`SparseTensor::canonicalize`]) and returns the sorted
-/// list plus the old-row → canonical-row rank table.
-fn canonical_rank(extent: Extent3, coords: &[Coord3]) -> (Vec<Coord3>, Vec<u32>) {
-    let mut order: Vec<u32> = (0..coords.len() as u32).collect();
-    order.sort_by_key(|&i| extent.linear_unchecked(coords[i as usize]));
-    let mut rank = vec![0u32; coords.len()];
-    for (pos, &old) in order.iter().enumerate() {
-        rank[old as usize] = pos as u32;
+/// The coarse site covering fine site `c` under window `kd`.
+fn parent(c: Coord3, kd: u32) -> Coord3 {
+    let kd = kd as i32;
+    Coord3::new(c.x.div_euclid(kd), c.y.div_euclid(kd), c.z.div_euclid(kd))
+}
+
+/// The corner-anchored tap (dz fastest) of fine site `c` within its
+/// window, as [`StridedWeights::tap`] numbers it.
+fn corner_tap(c: Coord3, kd: u32) -> u32 {
+    let kd = kd as i32;
+    ((c.x.rem_euclid(kd) * kd + c.y.rem_euclid(kd)) * kd + c.z.rem_euclid(kd)) as u32
+}
+
+/// The coarse active set of `coords` (sites on `extent`) under window
+/// `kd` in raster order, and each site's row in it — the first-touch rows
+/// of the direct kernels after their trailing `canonicalize()`, without a
+/// hash map. Parents are sorted and searched by their raster index, which
+/// orders exactly as the coordinates do.
+fn coarse_rows(extent: Extent3, coords: &[Coord3], kd: u32) -> (Vec<Coord3>, Vec<u32>) {
+    let coarse_extent = downsampled_extent(extent, kd);
+    let keys: Vec<usize> = coords
+        .iter()
+        .map(|&c| coarse_extent.linear_unchecked(parent(c, kd)))
+        .collect();
+    let mut coarse = keys.clone();
+    coarse.sort_unstable();
+    coarse.dedup();
+    let rows = keys
+        .iter()
+        .map(|k| {
+            let row = coarse.binary_search(k);
+            row.expect("every site's parent is in the coarse set") as u32
+        })
+        .collect();
+    let coarse = coarse
+        .into_iter()
+        .map(|k| coarse_extent.delinear(k))
+        .collect();
+    (coarse, rows)
+}
+
+/// `target` in raster order, validated as
+/// [`SparseTensor::from_coord_features`] validates coordinates: the first
+/// failing position in `target` order decides the error, out of bounds
+/// before repeated.
+fn canonical_targets(extent: Extent3, target: &[Coord3]) -> esca_tensor::Result<Vec<Coord3>> {
+    let oob = target.iter().position(|&c| !extent.contains(c));
+    if oob.is_none() && target.windows(2).all(|w| w[0] < w[1]) {
+        return Ok(target.to_vec());
     }
-    let sorted = order.iter().map(|&i| coords[i as usize]).collect();
-    (sorted, rank)
+    // Only positions before the first out-of-bounds one are checked for
+    // repeats; a repeat is any position holding an earlier coordinate.
+    let checked = &target[..oob.unwrap_or(target.len())];
+    let mut sorted: Vec<(Coord3, u32)> = checked.iter().copied().zip(0u32..).collect();
+    sorted.sort_unstable();
+    let first_repeat = sorted
+        .windows(2)
+        .filter(|w| w[0].0 == w[1].0)
+        .map(|w| w[1].1 as usize)
+        .min();
+    if let Some(i) = first_repeat {
+        return Err(TensorError::DuplicateCoord { coord: target[i] });
+    }
+    if let Some(i) = oob {
+        return Err(TensorError::OutOfBounds {
+            coord: target[i],
+            extent,
+        });
+    }
+    Ok(sorted.into_iter().map(|(c, _)| c).collect())
 }
 
 /// One geometry artifact in a [`GeometryPlan`], in network execution

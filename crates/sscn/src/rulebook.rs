@@ -12,7 +12,7 @@
 use crate::error::SscnError;
 use crate::weights::ConvWeights;
 use crate::Result;
-use esca_tensor::{KernelOffsets, SparseTensor};
+use esca_tensor::{KernelOffsets, LineRuns, SparseTensor};
 use serde::{Deserialize, Serialize};
 
 /// One tap's gather/scatter list.
@@ -49,26 +49,75 @@ pub struct Rulebook {
 impl Rulebook {
     /// Builds the rulebook of a K×K×K submanifold convolution over
     /// `input`'s active set.
+    ///
+    /// Matching is hash-free, the way the SDMU walks z-lines (§III-C):
+    /// the sites are grouped into per-(x, y) z-runs ([`LineRuns`]), and
+    /// each line is matched against its K×K neighbouring lines by merging
+    /// their sorted z-runs. Each tap's pairs are listed in the order of
+    /// their output's storage position, with at most one pair per
+    /// `(tap, output)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is even or zero.
     pub fn build<T: Copy>(input: &SparseTensor<T>, k: u32) -> Self {
         let offsets = KernelOffsets::new(k);
+        let r = offsets.radius();
+        let k = k as usize;
         let mut taps = vec![TapRules::default(); offsets.len()];
-        // Entry index by coordinate, in the tensor's storage order.
-        let index: std::collections::HashMap<_, _> = input
-            .coords()
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (c, i as u32))
-            .collect();
-        for (out_idx, (centre, _)) in input.iter().enumerate() {
-            for (tap, &off) in offsets.offsets().iter().enumerate() {
-                if let Some(&in_idx) = index.get(&(centre + off)) {
-                    taps[tap].input.push(in_idx);
-                    taps[tap].output.push(out_idx as u32);
+        let runs = LineRuns::new(input.coords());
+        let (lines, zs, order) = (runs.lines(), runs.zs(), runs.order());
+        // One cursor per (dx, dy) column: the neighbouring line at a fixed
+        // offset only moves forward as the centre line advances in raster
+        // order, so every column's search is a single forward sweep.
+        let mut cursors = vec![0usize; k * k];
+        for (centre, &(x, y)) in lines.iter().enumerate() {
+            let outs = runs.line(centre);
+            for (col, cursor) in cursors.iter_mut().enumerate() {
+                let want = (x + (col / k) as i32 - r, y + (col % k) as i32 - r);
+                while *cursor < lines.len() && lines[*cursor] < want {
+                    *cursor += 1;
+                }
+                if lines.get(*cursor) != Some(&want) {
+                    continue;
+                }
+                let nbr = runs.line(*cursor);
+                let nbr_zs = &zs[nbr.clone()];
+                let col_taps = &mut taps[col * k..(col + 1) * k];
+                // Merge: `lo` is the first neighbour with z' >= z - r.
+                let mut lo = 0;
+                for out in outs.clone() {
+                    let z = zs[out];
+                    while lo < nbr_zs.len() && nbr_zs[lo] < z - r {
+                        lo += 1;
+                    }
+                    for (j, &zn) in nbr_zs.iter().enumerate().skip(lo) {
+                        if zn > z + r {
+                            break;
+                        }
+                        let tap = &mut col_taps[(zn - z + r) as usize];
+                        tap.input.push(order[nbr.start + j]);
+                        tap.output.push(order[out]);
+                    }
                 }
             }
         }
+        // Pairs were emitted in raster order of their output; restore
+        // storage order when the two differ.
+        if !runs.is_identity() {
+            for t in &mut taps {
+                let mut pairs: Vec<(u32, u32)> = t
+                    .output
+                    .iter()
+                    .copied()
+                    .zip(t.input.iter().copied())
+                    .collect();
+                pairs.sort_unstable();
+                (t.output, t.input) = pairs.into_iter().unzip();
+            }
+        }
         Rulebook {
-            k,
+            k: offsets.k(),
             taps,
             sites: input.nnz(),
         }

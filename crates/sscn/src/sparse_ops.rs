@@ -206,12 +206,28 @@ pub fn transpose_conv3d(
 }
 
 /// Concatenates the channels of two tensors defined on the same active set
-/// (the U-Net skip connection join).
+/// (the U-Net skip connection join). The output keeps `a`'s storage order.
+/// When both operands store the same coordinate sequence — the U-Net's
+/// case, since the transpose convolution restores the skip's canonical set
+/// — rows are interleaved onto `a`'s active set with no coordinate lookup.
 ///
 /// # Errors
 ///
 /// Returns [`SscnError::InvalidConfig`] when extents or active sets differ.
 pub fn concat_channels(a: &SparseTensor<f32>, b: &SparseTensor<f32>) -> Result<SparseTensor<f32>> {
+    if a.extent() == b.extent() && a.coords() == b.coords() {
+        let (ca, cb) = (a.channels(), b.channels());
+        let mut feats = Vec::with_capacity(a.nnz() * (ca + cb));
+        for (fa, fb) in a
+            .features()
+            .chunks_exact(ca)
+            .zip(b.features().chunks_exact(cb))
+        {
+            feats.extend_from_slice(fa);
+            feats.extend_from_slice(fb);
+        }
+        return SparseTensor::from_template(a, ca + cb, feats).map_err(SscnError::from);
+    }
     if a.extent() != b.extent() || !a.same_active_set(b) {
         return Err(SscnError::InvalidConfig {
             reason: "concat requires identical extents and active sets".into(),
@@ -362,6 +378,35 @@ mod tests {
         let out = concat_channels(&a, &b).unwrap();
         assert_eq!(out.channels(), 2);
         assert_eq!(out.feature(Coord3::new(1, 1, 1)), Some(&[1.0, 2.0][..]));
+    }
+
+    #[test]
+    fn concat_fast_path_matches_the_general_path_bit_for_bit() {
+        let a = input_with(
+            &[
+                (Coord3::new(3, 0, 1), -1.5),
+                (Coord3::new(0, 2, 2), 2.25),
+                (Coord3::new(1, 1, 1), 0.0),
+            ],
+            4,
+        );
+        let b = a.map(|v| v * 3.0 + 0.5);
+        let fast = concat_channels(&a, &b).unwrap();
+        // A reordered copy of `b` shares the active set but not the
+        // coordinate sequence, so it takes the general path.
+        let mut shuffled = SparseTensor::new(b.extent(), 1);
+        for (c, f) in b.iter().collect::<Vec<_>>().into_iter().rev() {
+            shuffled.insert(c, f).unwrap();
+        }
+        assert_ne!(shuffled.coords(), b.coords());
+        let general = concat_channels(&a, &shuffled).unwrap();
+        assert_eq!(fast.coords(), a.coords());
+        assert_eq!(fast.coords(), general.coords());
+        let bits =
+            |t: &SparseTensor<f32>| t.features().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fast), bits(&general));
+        assert_eq!(fast.feature(Coord3::new(0, 2, 2)), Some(&[2.25, 7.25][..]));
+        assert_eq!(fast.active_fingerprint(), a.active_fingerprint());
     }
 
     #[test]

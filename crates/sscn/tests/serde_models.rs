@@ -59,13 +59,49 @@ fn rulebook_roundtrip() {
 
 #[test]
 fn sparse_tensor_serde_rebuilds_index() {
-    // SparseTensor skips its hash index during (de)serialization; lookups
-    // must still work after a round-trip... via re-canonicalization.
+    // SparseTensor skips its hash index during (de)serialization; the
+    // decoder rebuilds it, so lookups work straight after a round-trip.
     let mut t = SparseTensor::<f32>::new(Extent3::cube(4), 1);
     t.insert(Coord3::new(1, 2, 3), &[5.0]).unwrap();
+    t.insert(Coord3::new(0, 0, 1), &[6.0]).unwrap();
     let json = serde_json::to_string(&t).unwrap();
     let mut back: SparseTensor<f32> = serde_json::from_str(&json).unwrap();
-    back.canonicalize(); // rebuilds the skipped index
+    assert_eq!(back.coords(), t.coords(), "storage order is preserved");
     assert_eq!(back.feature(Coord3::new(1, 2, 3)), Some(&[5.0][..]));
+    assert!(back.contains(Coord3::new(0, 0, 1)));
     assert!(back.same_content(&t));
+    assert_eq!(back.active_fingerprint(), t.active_fingerprint());
+    // Re-inserting a decoded coordinate overwrites instead of appending a
+    // duplicate site.
+    back.insert(Coord3::new(1, 2, 3), &[7.0]).unwrap();
+    assert_eq!(back.nnz(), 2);
+    assert_eq!(back.feature(Coord3::new(1, 2, 3)), Some(&[7.0][..]));
+}
+
+#[test]
+fn sparse_tensor_decode_rejects_inconsistent_payloads() {
+    let decode = |json: &str| serde_json::from_str::<SparseTensor<f32>>(json);
+    let extent = r#""extent":{"x":4,"y":4,"z":4}"#;
+    let ok =
+        format!(r#"{{{extent},"channels":1,"coords":[{{"x":1,"y":1,"z":1}}],"features":[1.0]}}"#);
+    assert!(decode(&ok).is_ok());
+    let cases = [
+        (
+            "out of bounds",
+            r#""channels":1,"coords":[{"x":4,"y":0,"z":0}],"features":[1.0]"#,
+        ),
+        (
+            "duplicate",
+            r#""channels":1,"coords":[{"x":1,"y":1,"z":1},{"x":1,"y":1,"z":1}],"features":[1.0,2.0]"#,
+        ),
+        (
+            "short features",
+            r#""channels":2,"coords":[{"x":1,"y":1,"z":1}],"features":[1.0]"#,
+        ),
+        ("zero channels", r#""channels":0,"coords":[],"features":[]"#),
+    ];
+    for (what, body) in cases {
+        let json = format!("{{{extent},{body}}}");
+        assert!(decode(&json).is_err(), "{what} payload must be rejected");
+    }
 }

@@ -23,7 +23,8 @@
 //!   This is precisely the *valid data* layout that makes the SDMU's
 //!   `(A, B)` state-index addressing work: within a line, the nonzeros of
 //!   any sliding window form a contiguous address fragment `(A−B, A]`
-//!   (§III-C);
+//!   (§III-C); [`LineRuns`] is the same layout over a bare coordinate set,
+//!   the index the hash-free geometry builders merge over;
 //! * [`fixed`] — INT8 weight / INT16 activation fixed-point arithmetic with
 //!   32-bit accumulation, matching the paper's quantization scheme (§IV-A).
 //!
@@ -62,7 +63,7 @@ pub use coord::{Coord3, Extent3, KernelOffsets};
 pub use dense::Dense3;
 pub use error::TensorError;
 pub use fixed::{requantize, requantize_i64, Acc32, QuantParams, Q16, Q8};
-pub use line::{LineCsr, LineWindow};
+pub use line::{LineCsr, LineRuns, LineWindow};
 pub use mask::OccupancyMask;
 pub use sparse::{ActiveSetFingerprint, SparseTensor};
 pub use tile::{TileGrid, TileInfo, TileReport, TileShape};

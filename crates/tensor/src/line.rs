@@ -208,6 +208,102 @@ impl<T: Copy> LineCsr<T> {
     }
 }
 
+/// The [`LineCsr`] layout of a bare coordinate set, without features and
+/// without per-line offsets for empty lines: the non-empty `(x, y)` lines
+/// in raster order, each a run of entries with ascending z. Memory is
+/// O(nnz), independent of the grid extent.
+///
+/// This is the index the hash-free geometry builders merge over: matching
+/// a site against a neighbouring line is a walk along two sorted z-runs,
+/// as the SDMU does it (§III-C).
+///
+/// # Example
+///
+/// ```
+/// use esca_tensor::line::LineRuns;
+/// use esca_tensor::Coord3;
+///
+/// let coords = [Coord3::new(2, 3, 6), Coord3::new(0, 0, 0), Coord3::new(2, 3, 1)];
+/// let runs = LineRuns::new(&coords);
+/// assert_eq!(runs.lines(), &[(0, 0), (2, 3)]);
+/// assert_eq!(&runs.zs()[runs.line(1)], &[1, 6]);
+/// assert_eq!(&runs.order()[runs.line(1)], &[2, 0]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct LineRuns {
+    /// Storage position of each entry, entries in raster order.
+    order: Vec<u32>,
+    /// z of each entry, ascending within a line.
+    zs: Vec<i32>,
+    /// `(x, y)` of each non-empty line, in raster order.
+    lines: Vec<(i32, i32)>,
+    /// Entry offset of each line, plus the total at the end.
+    starts: Vec<u32>,
+}
+
+impl LineRuns {
+    /// Indexes a set of distinct coordinates given in any storage order.
+    /// Coordinates already in raster order cost one check and no sort.
+    pub fn new(coords: &[Coord3]) -> LineRuns {
+        let mut order: Vec<u32> = (0..coords.len() as u32).collect();
+        if !coords.windows(2).all(|w| w[0] < w[1]) {
+            order.sort_unstable_by_key(|&i| coords[i as usize]);
+        }
+        let mut zs = Vec::with_capacity(order.len());
+        let mut lines = Vec::new();
+        let mut starts = Vec::new();
+        for (i, &pos) in order.iter().enumerate() {
+            let c = coords[pos as usize];
+            if lines.last() != Some(&(c.x, c.y)) {
+                lines.push((c.x, c.y));
+                starts.push(i as u32);
+            }
+            zs.push(c.z);
+        }
+        starts.push(order.len() as u32);
+        LineRuns {
+            order,
+            zs,
+            lines,
+            starts,
+        }
+    }
+
+    /// The non-empty lines' `(x, y)`, in raster order.
+    #[inline]
+    pub fn lines(&self) -> &[(i32, i32)] {
+        &self.lines
+    }
+
+    /// Entry range of line `l` (an index into [`LineRuns::lines`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l >= lines().len()`.
+    #[inline]
+    pub fn line(&self, l: usize) -> Range<usize> {
+        self.starts[l] as usize..self.starts[l + 1] as usize
+    }
+
+    /// z of every entry, line-major and ascending within a line.
+    #[inline]
+    pub fn zs(&self) -> &[i32] {
+        &self.zs
+    }
+
+    /// Storage position of every entry, in entry order.
+    #[inline]
+    pub fn order(&self) -> &[u32] {
+        &self.order
+    }
+
+    /// Whether entry order equals storage order (the set was given in
+    /// raster order).
+    pub fn is_identity(&self) -> bool {
+        self.order.iter().zip(0u32..).all(|(&p, i)| p == i)
+    }
+}
+
 /// A contiguous run of [`LineCsr`] entries inside one sliding window —
 /// the address fragment `(A−B, A]` of one SDMU column.
 #[derive(Debug, Clone)]
@@ -355,6 +451,47 @@ mod tests {
         assert_eq!(csr.len(), 5);
         assert!(!csr.is_empty());
         assert_eq!(csr.channels(), 2);
+    }
+
+    #[test]
+    fn line_runs_group_z_runs_in_raster_order() {
+        let coords = [
+            Coord3::new(2, 3, 6),
+            Coord3::new(2, 3, 1),
+            Coord3::new(7, 7, 7),
+            Coord3::new(0, 0, 0),
+            Coord3::new(2, 3, 4),
+        ];
+        let runs = LineRuns::new(&coords);
+        assert_eq!(runs.lines(), &[(0, 0), (2, 3), (7, 7)]);
+        assert_eq!(&runs.zs()[runs.line(1)], &[1, 4, 6]);
+        assert_eq!(runs.order(), &[3, 1, 4, 0, 2]);
+        assert!(!runs.is_identity());
+        // Agrees with the feature-carrying layout line by line.
+        let mut t = SparseTensor::<f32>::new(Extent3::cube(8), 1);
+        for &c in &coords {
+            t.insert(c, &[0.0]).unwrap();
+        }
+        let csr = LineCsr::from_sparse(&t);
+        for (l, &(x, y)) in runs.lines().iter().enumerate() {
+            assert_eq!(&runs.zs()[runs.line(l)], &csr.zs()[csr.line_range(x, y)]);
+        }
+    }
+
+    #[test]
+    fn line_runs_of_sorted_and_empty_sets() {
+        let sorted = [
+            Coord3::new(0, 0, 1),
+            Coord3::new(0, 1, 0),
+            Coord3::new(1, 0, 0),
+        ];
+        let runs = LineRuns::new(&sorted);
+        assert!(runs.is_identity());
+        assert_eq!(runs.order(), &[0, 1, 2]);
+        assert_eq!(runs.lines().len(), 3);
+        let empty = LineRuns::new(&[]);
+        assert!(empty.lines().is_empty() && empty.zs().is_empty());
+        assert!(empty.is_identity());
     }
 
     #[test]

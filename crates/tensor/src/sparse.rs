@@ -11,8 +11,9 @@ use crate::dense::Dense3;
 use crate::error::TensorError;
 use crate::mask::OccupancyMask;
 use crate::Result;
-use serde::{Deserialize, Serialize};
+use serde::{Content, Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// A sparse 3-D tensor: a set of active sites with `channels` features each.
 ///
@@ -28,6 +29,11 @@ use std::collections::HashMap;
 /// but different storage order compare equal under
 /// [`SparseTensor::same_content`].
 ///
+/// Deserialization goes through [`SparseTensor::from_coord_features`], so
+/// a decoded tensor has a working index, and a payload with an
+/// out-of-bounds or repeated coordinate or a wrong feature length is
+/// rejected.
+///
 /// # Example
 ///
 /// ```
@@ -40,7 +46,7 @@ use std::collections::HashMap;
 /// assert_eq!(t.feature(Coord3::new(0, 0, 0)), None);
 /// # Ok::<(), esca_tensor::TensorError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SparseTensor<T = f32> {
     extent: Extent3,
     channels: usize,
@@ -48,6 +54,30 @@ pub struct SparseTensor<T = f32> {
     features: Vec<T>,
     #[serde(skip)]
     index: HashMap<Coord3, usize>,
+    /// Memo of [`SparseTensor::active_fingerprint`]. Tensors built on the
+    /// same coordinate sequence inherit it; adding a coordinate or
+    /// reordering storage clears it.
+    #[serde(skip)]
+    fingerprint: OnceLock<ActiveSetFingerprint>,
+}
+
+impl<T: Copy + Deserialize> Deserialize for SparseTensor<T> {
+    fn from_content(content: &Content) -> std::result::Result<Self, serde::Error> {
+        /// The serialized fields; the index and the memo are rebuilt.
+        #[derive(Deserialize)]
+        struct Wire<T> {
+            extent: Extent3,
+            channels: usize,
+            coords: Vec<Coord3>,
+            features: Vec<T>,
+        }
+        let w = Wire::<T>::from_content(content)?;
+        if w.channels == 0 {
+            return Err(serde::Error::custom("channel count must be nonzero"));
+        }
+        SparseTensor::from_coord_features(w.extent, w.channels, w.coords, w.features)
+            .map_err(serde::Error::custom)
+    }
 }
 
 /// An order-sensitive identity of a tensor's active set: extent, site
@@ -82,23 +112,25 @@ impl ActiveSetFingerprint {
     /// active set, which arrives as a plain `&[Coord3]` skip-connection
     /// slice.
     pub fn of_coords(extent: Extent3, coords: &[Coord3]) -> ActiveSetFingerprint {
+        let (digest_lo, digest_hi) = fnv1a_coords(extent, coords);
         ActiveSetFingerprint {
             extent,
             nnz: coords.len(),
-            digest_lo: fnv1a_coords(0xcbf2_9ce4_8422_2325, extent, coords),
-            digest_hi: fnv1a_coords(0x6c62_272e_07bb_0142, extent, coords),
+            digest_lo,
+            digest_hi,
         }
     }
 }
 
-/// One FNV-1a lane over the coordinate stream.
-fn fnv1a_coords(basis: u64, extent: Extent3, coords: &[Coord3]) -> u64 {
+/// Both FNV-1a lanes over the coordinate stream, in one pass: the lanes'
+/// multiply chains are independent, so the CPU overlaps them.
+fn fnv1a_coords(extent: Extent3, coords: &[Coord3]) -> (u64, u64) {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = basis;
+    let (mut lo, mut hi) = (0xcbf2_9ce4_8422_2325u64, 0x6c62_272e_07bb_0142u64);
     let mut eat = |v: i64| {
         for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
+            lo = (lo ^ u64::from(b)).wrapping_mul(PRIME);
+            hi = (hi ^ u64::from(b)).wrapping_mul(PRIME);
         }
     };
     eat(i64::from(extent.x));
@@ -109,7 +141,7 @@ fn fnv1a_coords(basis: u64, extent: Extent3, coords: &[Coord3]) -> u64 {
         eat(i64::from(c.y));
         eat(i64::from(c.z));
     }
-    h
+    (lo, hi)
 }
 
 impl<T: Copy> SparseTensor<T> {
@@ -126,6 +158,7 @@ impl<T: Copy> SparseTensor<T> {
             coords: Vec::new(),
             features: Vec::new(),
             index: HashMap::new(),
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -191,14 +224,16 @@ impl<T: Copy> SparseTensor<T> {
             coords,
             features,
             index,
+            fingerprint: OnceLock::new(),
         })
     }
 
     /// Builds a tensor on `template`'s active set — same extent, same
     /// coordinates in the same storage order — carrying new flat features
     /// (`template.nnz() * channels` elements, site-major). The coordinate
-    /// index is cloned from the template instead of being re-hashed, so
-    /// this is the cheap output-assembly path for submanifold kernels.
+    /// index and the fingerprint memo are cloned from the template instead
+    /// of being recomputed, so this is the cheap output-assembly path for
+    /// submanifold kernels.
     ///
     /// # Errors
     ///
@@ -220,31 +255,23 @@ impl<T: Copy> SparseTensor<T> {
                 got: features.len(),
             });
         }
-        // A deserialized tensor has an empty index (serde skips it);
-        // rebuild rather than propagate the inconsistency.
-        let index = if template.index.len() == template.coords.len() {
-            template.index.clone()
-        } else {
-            template
-                .coords
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| (c, i))
-                .collect()
-        };
         Ok(SparseTensor {
             extent: template.extent,
             channels,
             coords: template.coords.clone(),
             features,
-            index,
+            index: template.index.clone(),
+            fingerprint: template.fingerprint.clone(),
         })
     }
 
     /// The order-sensitive [`ActiveSetFingerprint`] of this tensor's
-    /// active set — the matching-reuse cache key. O(nnz).
+    /// active set — the matching-reuse cache key. O(nnz) on first use,
+    /// then memoized until the coordinate sequence changes.
     pub fn active_fingerprint(&self) -> ActiveSetFingerprint {
-        ActiveSetFingerprint::of_coords(self.extent, &self.coords)
+        *self
+            .fingerprint
+            .get_or_init(|| ActiveSetFingerprint::of_coords(self.extent, &self.coords))
     }
 
     /// Grid extent.
@@ -324,12 +351,24 @@ impl<T: Copy> SparseTensor<T> {
             self.coords.push(c);
             self.features.extend_from_slice(features);
             self.index.insert(c, i);
+            self.fingerprint.take();
         }
         Ok(())
     }
 
-    /// Sorts entries into raster order (z fastest). Idempotent.
+    /// Whether storage order is raster order (z fastest), i.e. whether
+    /// [`SparseTensor::canonicalize`] would leave the tensor unchanged.
+    pub fn is_canonical(&self) -> bool {
+        self.coords.windows(2).all(|w| w[0] < w[1])
+    }
+
+    /// Sorts entries into raster order (z fastest). Idempotent: an
+    /// already canonical tensor is left untouched.
     pub fn canonicalize(&mut self) {
+        if self.is_canonical() {
+            return;
+        }
+        self.fingerprint.take();
         let e = self.extent;
         let mut order: Vec<usize> = (0..self.coords.len()).collect();
         order.sort_by_key(|&i| e.linear_unchecked(self.coords[i]));
@@ -391,6 +430,7 @@ impl<T: Copy> SparseTensor<T> {
             coords: self.coords.clone(),
             features: self.features.iter().map(|&v| f(v)).collect(),
             index: self.index.clone(),
+            fingerprint: self.fingerprint.clone(),
         }
     }
 
@@ -658,6 +698,74 @@ mod tests {
             e.insert(c, f).unwrap();
         }
         assert_ne!(t.active_fingerprint(), e.active_fingerprint());
+    }
+
+    /// The memo must always equal a fresh digest of the coordinates.
+    fn memo_is_fresh<T: Copy>(t: &SparseTensor<T>) {
+        assert_eq!(
+            t.active_fingerprint(),
+            ActiveSetFingerprint::of_coords(t.extent(), t.coords())
+        );
+    }
+
+    #[test]
+    fn fingerprint_memo_tracks_every_coordinate_change() {
+        let mut t = SparseTensor::<f32>::new(Extent3::cube(4), 2);
+        memo_is_fresh(&t);
+        for c in [
+            Coord3::new(3, 0, 0),
+            Coord3::new(0, 0, 1),
+            Coord3::new(0, 0, 0),
+        ] {
+            t.insert(c, &[1.0, 2.0]).unwrap();
+            memo_is_fresh(&t);
+        }
+        // An overwrite keeps the set and the memo.
+        let before = t.active_fingerprint();
+        t.insert(Coord3::new(0, 0, 1), &[9.0, 9.0]).unwrap();
+        assert_eq!(t.active_fingerprint(), before);
+        memo_is_fresh(&t);
+        t.canonicalize();
+        assert_ne!(t.active_fingerprint(), before, "order changed");
+        memo_is_fresh(&t);
+        t.canonicalize();
+        memo_is_fresh(&t);
+        // Derived tensors inherit a memo that stays correct.
+        let u: SparseTensor<f32> = SparseTensor::from_template(&t, 1, vec![0.0; 3]).unwrap();
+        memo_is_fresh(&u);
+        memo_is_fresh(&t.map(|v| v as i32));
+        let mut c = t.clone();
+        memo_is_fresh(&c);
+        c.insert(Coord3::new(2, 2, 2), &[0.0, 0.0]).unwrap();
+        memo_is_fresh(&c);
+        memo_is_fresh(&t);
+    }
+
+    #[test]
+    fn fingerprint_lanes_equal_separate_fnv1a_passes() {
+        // The digest as two independent byte-wise FNV-1a passes; the fused
+        // single-pass form must give the same cache keys.
+        fn lane(mut h: u64, extent: Extent3, coords: &[Coord3]) -> u64 {
+            let dims = [extent.x, extent.y, extent.z].map(i64::from);
+            let stream = coords.iter().flat_map(|c| [c.x, c.y, c.z].map(i64::from));
+            for v in dims.into_iter().chain(stream) {
+                for b in v.to_le_bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            h
+        }
+        let t = tiny();
+        let fp = t.active_fingerprint();
+        assert_eq!(
+            fp.digest_lo,
+            lane(0xcbf2_9ce4_8422_2325, t.extent(), t.coords())
+        );
+        assert_eq!(
+            fp.digest_hi,
+            lane(0x6c62_272e_07bb_0142, t.extent(), t.coords())
+        );
+        assert_eq!(fp.nnz, 3);
     }
 
     #[test]
