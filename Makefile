@@ -16,9 +16,9 @@ test:
 # campaign on the resilient streaming path (replayable summary lands in
 # chaos.json). The backend-equivalence suites re-run once per GEMM
 # backend with ESCA_GEMM_BACKEND pinned, so every env-driven default
-# path is exercised under both tiers, and the streaming determinism
-# suite re-runs with the whole-network plan cache enabled
-# (ESCA_PLAN_CACHE=1) under both backends — plan replay must keep
+# path is exercised under both tiers, and the streaming determinism and
+# matching-reuse suites (streaming_determinism, geometry_plan) re-run
+# under both backends — cached replay and matching residency must keep
 # outputs and cycle telemetry byte-identical. The observability plane is
 # gated end to end: the live-scrape/flight/span suites run under both
 # backends, and a smoke stream starts `--serve` on loopback, self-scrapes
@@ -40,8 +40,8 @@ verify:
 	cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 	ESCA_GEMM_BACKEND=scalar cargo test -q --locked --offline -p esca-sscn --test gemm_backends -p esca --test chaos_streaming -p esca-suite --test parallel_equivalence --test streaming_determinism --test observability --test snapshot_merge_laws
 	ESCA_GEMM_BACKEND=blocked cargo test -q --locked --offline -p esca-sscn --test gemm_backends -p esca --test chaos_streaming -p esca-suite --test parallel_equivalence --test streaming_determinism --test observability --test snapshot_merge_laws
-	ESCA_PLAN_CACHE=1 ESCA_GEMM_BACKEND=scalar cargo test -q --locked --offline -p esca-suite --test streaming_determinism --test geometry_plan
-	ESCA_PLAN_CACHE=1 ESCA_GEMM_BACKEND=blocked cargo test -q --locked --offline -p esca-suite --test streaming_determinism --test geometry_plan
+	ESCA_GEMM_BACKEND=scalar cargo test -q --locked --offline -p esca-suite --test streaming_determinism --test geometry_plan
+	ESCA_GEMM_BACKEND=blocked cargo test -q --locked --offline -p esca-suite --test streaming_determinism --test geometry_plan
 	cargo clippy --workspace --all-targets --locked --offline -- -D warnings
 	cargo run -q -p esca-analyze --locked --offline -- --fail-stale
 	cargo run --release -q -p esca-bench --bin sscn_engine --locked --offline -- --smoke

@@ -9,10 +9,9 @@
 //!   path that re-derives coordinate matching in every layer;
 //! * **flat cold** — `SsUNet::forward_engine` with a fresh engine per
 //!   pass: flat kernels, rulebooks built once per resolution level;
-//! * **flat cached** — a persistent engine with a whole-network
-//!   [`PlanCache`] across passes: warm-up records one GeometryPlan per
-//!   sample geometry, every measured pass replays it with a single cache
-//!   probe and zero per-layer rulebook lookups.
+//! * **flat cached** — a persistent engine across passes: warm-up builds
+//!   every rulebook and site map once per sample geometry, every measured
+//!   pass replays them from the per-op cache with zero matching work.
 //!
 //! The flat modes run once per [`GemmBackendKind`]: `scalar-ref` outputs
 //! are asserted bit-identical to the direct path, `blocked` outputs
@@ -21,10 +20,9 @@
 //! widths, and the streaming section checks the quantized golden path is
 //! bit-identical across backends (integer accumulation is exact).
 //!
-//! A geometry-plan section exercises the whole-network [`PlanCache`] over
-//! a static scene on both the golden path (per-op rulebook caching vs
-//! one-probe plan replay, bit-identical) and the cycle model (every frame
-//! after the first matching-resident with zero match cycles).
+//! A matching-reuse section runs the cycle model over a static scene with
+//! the session's matching reuse off and on: with reuse on, every frame
+//! after the first goes matching-resident with zero match cycles.
 //!
 //! Results are written machine-readably to `BENCH_sscn.json` in the
 //! working directory and mirrored under `target/esca-reports/`. Modes:
@@ -42,7 +40,6 @@ use esca::{Esca, EscaConfig};
 use esca_bench::{report, workloads};
 use esca_sscn::engine::{FlatEngine, RulebookCache};
 use esca_sscn::gemm::GemmBackendKind;
-use esca_sscn::plan::PlanCache;
 use esca_sscn::rulebook::TapRules;
 use serde::Serialize;
 use std::sync::Arc;
@@ -79,13 +76,10 @@ struct BackendJson {
     /// Best-of-reps ratio (per-sample minima on both sides): the
     /// noise-robust companion statistic to the mean the gate checks.
     speedup_cached_best: f64,
-    /// Persistent-engine per-op rulebook-cache counters over warm-up +
-    /// measured passes. With the plan cache attached, measured passes
-    /// replay whole plans, so these freeze after warm-up.
+    /// Persistent-engine per-op geometry-cache counters over warm-up +
+    /// measured passes: misses freeze after warm-up, every measured
+    /// request hits.
     cache: CacheJson,
-    /// Whole-network GeometryPlan cache counters: one miss per distinct
-    /// sample geometry, one hit per replayed pass.
-    plan: CacheJson,
 }
 
 #[derive(Debug, Serialize)]
@@ -99,24 +93,15 @@ struct StreamingJson {
     hit_rate: f64,
 }
 
-/// Whole-network GeometryPlan cache section: per-op rulebook caching vs
-/// one-probe plan replay on the golden path, plus the cycle model's
-/// matching-resident collapse over the same static scene.
+/// Matching-reuse section: the cycle model's match cycles over a static
+/// scene without and with the session's matching reuse.
 #[derive(Debug, Serialize)]
-struct PlanJson {
+struct MatchingReuseJson {
     frames: usize,
     layers: usize,
-    backend: &'static str,
-    per_op_cached_ms: f64,
-    planned_ms: f64,
-    speedup: f64,
-    plan_hits: u64,
-    plan_misses: u64,
-    plan_hit_rate: f64,
-    plan_resident_bytes: u64,
     resident_frames: u64,
-    match_cycles_baseline: u64,
-    match_cycles_planned: u64,
+    match_cycles_without_reuse: u64,
+    match_cycles_with_reuse: u64,
 }
 
 #[derive(Debug, Serialize)]
@@ -132,7 +117,7 @@ struct GridJson {
     backends: Vec<BackendJson>,
     per_level: Vec<LevelJson>,
     streaming: StreamingJson,
-    geometry_plan: PlanJson,
+    matching_reuse: MatchingReuseJson,
 }
 
 #[derive(Debug, Serialize)]
@@ -233,16 +218,13 @@ fn bench_grid(grid_side: u32, n_samples: usize, reps: usize, smoke: bool) -> Gri
         samples.len() * reps
     );
 
-    // Persistent (cached-mode) engines with a whole-network plan cache,
-    // warmed first so the steady state is measured: the warm-up pass per
-    // geometry pays the rulebook/map builds and records a GeometryPlan,
-    // every measured pass then replays the plan — one cache probe per
-    // pass, zero per-layer lookups.
+    // Persistent (cached-mode) engines, warmed first so the steady state
+    // is measured: the warm-up pass per geometry pays the rulebook/map
+    // builds, every measured pass then replays them from the per-op cache.
     let mut cached_engines: Vec<FlatEngine> = GemmBackendKind::ALL
         .iter()
         .map(|&kind| {
-            let mut engine =
-                FlatEngine::with_backend(kind).with_plan_cache(Some(Arc::new(PlanCache::new())));
+            let mut engine = FlatEngine::with_backend(kind);
             for s in &samples {
                 let _ = net.forward_engine(s, &mut engine).expect("runs");
             }
@@ -329,16 +311,6 @@ fn bench_grid(grid_side: u32, n_samples: usize, reps: usize, smoke: bool) -> Gri
                 hits: engine.cache().hits(),
                 hit_rate: engine.cache().hit_rate(),
             },
-            plan: {
-                let plans = engine
-                    .plan_cache()
-                    .expect("cached engines carry a plan cache");
-                CacheJson {
-                    misses: plans.misses(),
-                    hits: plans.hits(),
-                    hit_rate: plans.hit_rate(),
-                }
-            },
         });
     }
 
@@ -385,7 +357,7 @@ fn bench_grid(grid_side: u32, n_samples: usize, reps: usize, smoke: bool) -> Gri
     }
 
     let streaming = bench_streaming(grid_side, &seeds, smoke);
-    let geometry_plan = bench_plan(grid_side, &seeds, smoke);
+    let matching_reuse = bench_matching_reuse(grid_side, &seeds, smoke);
 
     GridJson {
         grid_side,
@@ -399,7 +371,7 @@ fn bench_grid(grid_side: u32, n_samples: usize, reps: usize, smoke: bool) -> Gri
         backends,
         per_level,
         streaming,
-        geometry_plan,
+        matching_reuse,
     }
 }
 
@@ -465,61 +437,28 @@ fn bench_streaming(grid_side: u32, seeds: &[u64], smoke: bool) -> StreamingJson 
     }
 }
 
-/// Whole-network GeometryPlan cache over a static scene: the golden path
-/// with only the per-op rulebook cache vs plan replay (one cache probe
-/// per frame, zero per-layer lookups), asserted bit-identical; then the
-/// cycle model with the plan cache attached, asserting every frame after
-/// the first goes matching-resident with zero match cycles.
-fn bench_plan(grid_side: u32, seeds: &[u64], smoke: bool) -> PlanJson {
+/// Matching reuse over a static scene in the cycle model: the same batch
+/// with the session's matching reuse off and on, asserting every frame
+/// after the first goes matching-resident with zero match cycles.
+fn bench_matching_reuse(grid_side: u32, seeds: &[u64], smoke: bool) -> MatchingReuseJson {
     let stack = workloads::streaming_stack(3);
     let n_frames = if smoke { 4 } else { 8 };
     let frames: Vec<_> = {
         let f = workloads::streaming_frames(seeds[0], 1, grid_side, &stack);
         (0..n_frames).map(|_| f[0].clone()).collect()
     };
-
-    // Golden path, per-op rulebook cache only (plan cache detached).
-    let esca = Esca::new(EscaConfig::default()).expect("valid config");
-    let baseline = StreamingSession::new(esca, stack.clone(), 1)
-        .with_gemm_backend(GemmBackendKind::Blocked)
-        .with_plan_cache(None);
-    let _ = baseline.run_golden_batch(&frames).expect("runs"); // warm
-    let t0 = Instant::now();
-    let base_out = baseline.run_golden_batch(&frames).expect("runs");
-    let per_op_cached_ms = t0.elapsed().as_secs_f64() * 1e3 / n_frames as f64;
-
-    // Golden path with the whole-network plan cache: the warm batch
-    // records one GeometryPlan, the measured batch replays it per frame.
-    let plans = Arc::new(PlanCache::new());
-    let esca = Esca::new(EscaConfig::default()).expect("valid config");
-    let planned = StreamingSession::new(esca, stack.clone(), 1)
-        .with_gemm_backend(GemmBackendKind::Blocked)
-        .with_plan_cache(Some(plans.clone()));
-    let _ = planned.run_golden_batch(&frames).expect("runs"); // record + warm
-    let t0 = Instant::now();
-    let plan_out = planned.run_golden_batch(&frames).expect("runs");
-    let planned_ms = t0.elapsed().as_secs_f64() * 1e3 / n_frames as f64;
-    for (b, p) in base_out.iter().zip(&plan_out) {
-        assert_eq!(b.coords(), p.coords());
-        assert_eq!(
-            b.features(),
-            p.features(),
-            "plan replay diverged from the per-op cached golden path"
-        );
-    }
-    assert_eq!(plans.misses(), 1, "one plan build for one static geometry");
-
-    // Cycle model: with the plan cache attached, every frame after the
-    // first is matching-resident and charges zero match cycles.
-    let esca = Esca::new(EscaConfig::default()).expect("valid config");
-    let cold = StreamingSession::new(esca, stack.clone(), 1).with_plan_cache(None);
-    let cold_report = cold.run_batch(&frames).expect("runs");
-    let esca = Esca::new(EscaConfig::default()).expect("valid config");
-    let resident = StreamingSession::new(esca, stack.clone(), 1)
-        .with_plan_cache(Some(Arc::new(PlanCache::new())));
-    let resident_report = resident.run_batch(&frames).expect("runs");
-    let match_cycles_baseline: u64 = cold_report.per_frame.iter().map(|s| s.match_cycles).sum();
-    let match_cycles_planned: u64 = resident_report
+    let run_batch = |reuse: bool| {
+        let esca = Esca::new(EscaConfig::default()).expect("valid config");
+        StreamingSession::new(esca, stack.clone(), 1)
+            .with_matching_reuse(reuse)
+            .run_batch(&frames)
+            .expect("runs")
+    };
+    let cold_report = run_batch(false);
+    let resident_report = run_batch(true);
+    let match_cycles_without_reuse: u64 =
+        cold_report.per_frame.iter().map(|s| s.match_cycles).sum();
+    let match_cycles_with_reuse: u64 = resident_report
         .per_frame
         .iter()
         .map(|s| s.match_cycles)
@@ -542,29 +481,18 @@ fn bench_plan(grid_side: u32, seeds: &[u64], smoke: bool) -> PlanJson {
     }
 
     println!(
-        "  geometry plan, {n_frames} static frames x {} layers: \
-         {per_op_cached_ms:.2} ms/frame per-op cache -> {planned_ms:.2} ms/frame plan replay \
-         ({:.2}x, plan hit rate {:.2}); match cycles {match_cycles_baseline} -> \
-         {match_cycles_planned} ({resident_frames} resident frames)",
+        "  matching reuse, {n_frames} static frames x {} layers: match cycles \
+         {match_cycles_without_reuse} -> {match_cycles_with_reuse} \
+         ({resident_frames} resident frames)",
         stack.len(),
-        per_op_cached_ms / planned_ms,
-        plans.hit_rate(),
     );
 
-    PlanJson {
+    MatchingReuseJson {
         frames: n_frames,
         layers: stack.len(),
-        backend: GemmBackendKind::Blocked.label(),
-        per_op_cached_ms,
-        planned_ms,
-        speedup: per_op_cached_ms / planned_ms,
-        plan_hits: plans.hits(),
-        plan_misses: plans.misses(),
-        plan_hit_rate: plans.hit_rate(),
-        plan_resident_bytes: plans.bytes() as u64,
         resident_frames,
-        match_cycles_baseline,
-        match_cycles_planned,
+        match_cycles_without_reuse,
+        match_cycles_with_reuse,
     }
 }
 
@@ -669,8 +597,7 @@ fn main() {
     let mirrored = report::write_json("BENCH_sscn", &json).expect("report dir writable");
     println!("wrote BENCH_sscn.json (mirrored at {})", mirrored.display());
 
-    // The ROADMAP gate: blocked flat-cached ≥ 4.5x over direct on 192³
-    // (lifted from 4x once the whole-network plan cache landed).
+    // The ROADMAP gate: blocked flat-cached ≥ 4.5x over direct on 192³.
     if !smoke {
         let target = json
             .grids

@@ -12,7 +12,6 @@ use esca::{CycleStats, Esca, EscaConfig, LayerTelemetry};
 use esca_bench::{paper, tables, workloads};
 use esca_pointcloud::{io, synthetic, voxelize, PointCloud};
 use esca_sscn::gemm::GemmBackendKind;
-use esca_sscn::plan::PlanCache;
 use esca_sscn::quant::{quantize_tensor, QuantizedWeights};
 use esca_telemetry::serve::{http_get, MetricsServer, ObservabilityHub, OperatingPoint};
 use esca_telemetry::{Registry, TelemetrySnapshot};
@@ -307,7 +306,7 @@ fn parse_tenants(spec: &str) -> Result<Vec<TenantQuota>, CliError> {
 
 /// `esca stream [--frames 8] [--workers 4] [--layers 3] [--grid 192]
 /// [--seed N] [--engines N] [--shards 1] [--gemm-backend blocked|scalar]
-/// [--json] [--trace-out FILE] [--metrics-out FILE] [--prom-out FILE]
+/// [--reuse-matching] [--static-scene] [--matching-resident] [--json] [--trace-out FILE] [--metrics-out FILE] [--prom-out FILE]
 /// [--serve ADDR] [--serve-scrape] [--flight-out FILE]
 /// [--faults] [--fault-seed N] [--chaos-out FILE]`
 ///
@@ -315,13 +314,14 @@ fn parse_tenants(spec: &str) -> Result<Vec<TenantQuota>, CliError> {
 /// golden and resilient paths (default: `ESCA_GEMM_BACKEND` env, then
 /// `blocked`). Quantized streaming outputs are bit-identical either way.
 ///
-/// `--plan-cache` attaches a fresh whole-network [`PlanCache`] to the
-/// session (the `ESCA_PLAN_CACHE` env default still applies without the
-/// flag): repeated frame geometries replay their cached GeometryPlan and
-/// go matching-resident in the cycle model. `--static-scene` freezes the
-/// rotating object so every frame shares one geometry — the steady-state
-/// demo for the plan cache. `--matching-resident` forces the resident
-/// cycle accounting on for every frame regardless of the cache.
+/// `--reuse-matching` turns on the session's matching reuse
+/// ([`StreamingSession::with_matching_reuse`]): a frame whose geometry is
+/// already resident — seen earlier in the batch, or held by the session's
+/// rulebook cache — goes matching-resident in the cycle model.
+/// `--static-scene` freezes the rotating object so every frame shares one
+/// geometry — the steady-state demo for matching reuse.
+/// `--matching-resident` forces the resident cycle accounting on for
+/// every frame regardless of the cache.
 ///
 /// With `--faults`, the batch runs under the seeded chaos campaign
 /// ([`FaultConfig::campaign`]) on the resilient path instead: per-frame
@@ -375,10 +375,8 @@ pub fn stream(args: &Args) -> Result<(), CliError> {
     let clock = esca.config().clock_mhz;
     let mut session = StreamingSession::new(esca, stack, workers)
         .with_layer_shards(shards)
-        .with_gemm_backend(gemm_backend);
-    if args.flag("plan-cache") {
-        session = session.with_plan_cache(Some(Arc::new(PlanCache::new())));
-    }
+        .with_gemm_backend(gemm_backend)
+        .with_matching_reuse(args.flag("reuse-matching"));
 
     let mut operating_point = None;
     if let Some(path) = args.get("slo-front") {
@@ -613,7 +611,7 @@ pub fn stream(args: &Args) -> Result<(), CliError> {
         .map(|c| c.value);
     if let Some(resident) = resident {
         println!(
-            "  plan cache:  {resident}/{} frames matching-resident",
+            "  matching reuse: {resident}/{} frames matching-resident",
             report.frames()
         );
     }
@@ -757,7 +755,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_static_scene_runs_with_plan_cache() {
+    fn stream_static_scene_runs_with_matching_reuse() {
         let a = parse(&[
             "stream",
             "--frames",
@@ -769,7 +767,7 @@ mod tests {
             "--grid",
             "48",
             "--static-scene",
-            "--plan-cache",
+            "--reuse-matching",
         ]);
         stream(&a).unwrap();
     }

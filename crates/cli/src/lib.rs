@@ -17,10 +17,9 @@
 //!   (`--trace-out`), a telemetry snapshot (`--metrics-out`) and a
 //!   Prometheus text exposition (`--prom-out`); `--faults` runs the
 //!   seeded chaos campaign on the resilient path instead and
-//!   `--chaos-out` exports its replayable JSON summary; `--plan-cache`,
-//!   `--static-scene` and `--matching-resident` exercise the
-//!   whole-network GeometryPlan cache and its matching-resident
-//!   steady state; `--serve ADDR` starts the live observability plane
+//!   `--chaos-out` exports its replayable JSON summary;
+//!   `--reuse-matching`, `--static-scene` and `--matching-resident`
+//!   exercise matching reuse and its matching-resident steady state; `--serve ADDR` starts the live observability plane
 //!   (`/metrics`, `/healthz`, `/snapshot`, `/flight`), `--serve-scrape`
 //!   self-scrapes it with the std-only client, `--flight-out` dumps the
 //!   per-frame flight ring and `--span-trace-out` exports the nested
@@ -75,7 +74,7 @@ COMMANDS:
     generate   synthesize a point cloud        --dataset shapenet|nyu --seed N --out FILE.xyz
     voxelize   voxelize + tile analysis        --input FILE.xyz | --dataset ... --seed N [--grid 192]
     run        SS U-Net on the accelerator     --seed N [--tile 8] [--ic 16] [--oc 16] [--json] [--metrics-out FILE] [--prom-out FILE]
-    stream     parallel multi-frame streaming  [--frames 8] [--workers 4] [--layers 3] [--grid 192] [--engines 8] [--shards 1] [--gemm-backend blocked|scalar] [--plan-cache] [--static-scene] [--matching-resident] [--json] [--trace-out FILE] [--span-trace-out FILE] [--metrics-out FILE] [--prom-out FILE] [--serve ADDR] [--serve-scrape] [--flight-out FILE] [--faults] [--fault-seed N] [--chaos-out FILE] [--tenants CPT/BURST/PRIO,...] [--queue-depth N] [--drain-cycles N] [--arrival-period N] [--degrade-pct P] [--slo-front FILE] [--slo-availability-ppm N] [--slo-p99-cycles N]
+    stream     parallel multi-frame streaming  [--frames 8] [--workers 4] [--layers 3] [--grid 192] [--engines 8] [--shards 1] [--gemm-backend blocked|scalar] [--reuse-matching] [--static-scene] [--matching-resident] [--json] [--trace-out FILE] [--span-trace-out FILE] [--metrics-out FILE] [--prom-out FILE] [--serve ADDR] [--serve-scrape] [--flight-out FILE] [--faults] [--fault-seed N] [--chaos-out FILE] [--tenants CPT/BURST/PRIO,...] [--queue-depth N] [--drain-cycles N] [--arrival-period N] [--degrade-pct P] [--slo-front FILE] [--slo-availability-ppm N] [--slo-p99-cycles N]
     bench      run workload + metrics export   [--seed N] [--metrics-out metrics.json] [--prom-out FILE]
     tables     regenerate paper tables         [--only 1|2|3|fig10]
     dse        design-space exploration        [--seed N]

@@ -33,7 +33,7 @@ fn usage_mentions_every_command() {
         "--trace-out",
         "--metrics-out",
         "--prom-out",
-        "--plan-cache",
+        "--reuse-matching",
         "--static-scene",
         "--matching-resident",
     ] {

@@ -20,7 +20,6 @@ use crate::zero_removing::ZeroRemovingUnit;
 use crate::Result;
 use esca_sscn::engine::{FlatEngine, RulebookCache};
 use esca_sscn::gemm::GemmBackendKind;
-use esca_sscn::plan::PlanCache;
 use esca_sscn::quant::QuantizedWeights;
 use esca_tensor::{SparseTensor, Q16};
 use std::collections::VecDeque;
@@ -35,7 +34,7 @@ pub struct LayerOpts {
     pub load_weights: bool,
     /// Run the layer **matching-resident**: the geometry metadata (the
     /// SDMU's matching work product) is already resident from an earlier
-    /// pass over the same active set — a whole-network geometry-plan hit —
+    /// pass over the same active set — its rulebook is cache-resident —
     /// so the scan/fetch stages and the zero-removing pre-pass charge
     /// zero cycles; only the computing-array stage runs. Outputs are
     /// bit-identical to the normal mode; only timing collapses. Also
@@ -144,8 +143,8 @@ impl Esca {
     }
 
     /// [`Esca::run_layer`] with full [`LayerOpts`] control, including
-    /// **matching-resident** execution: on a whole-network geometry-plan
-    /// hit the SDMU's matching work product is already resident, so the
+    /// **matching-resident** execution: when the frame's geometry is
+    /// already resident, the SDMU's matching work product is already resident, so the
     /// mask-scan/fetch stages and the zero-removing pre-pass charge zero
     /// cycles and zero scan-side activity (`scanned_sites`,
     /// `mask_bits_read`, `fifo_pushes` stay 0); only the computing-array
@@ -717,7 +716,7 @@ impl Esca {
 
         // Resident tiles pay only for the compute-active cycles; the
         // scan-side activity (site scans, mask reads, FIFO traffic)
-        // happened on the frame that built the plan, not this one.
+        // happened on the frame that first built the geometry, not this one.
         stats.pipeline_cycles += if resident { compute_cycles } else { cycle };
         stats.act_reads += sdmu.act_reads();
         if !resident {
@@ -817,27 +816,6 @@ impl Esca {
         cache: &Arc<RulebookCache>,
         backend: GemmBackendKind,
     ) -> Result<SparseTensor<Q16>> {
-        self.run_network_golden_planned(input, layers, cache, backend, None)
-    }
-
-    /// [`Esca::run_network_golden_with`] with an optional whole-network
-    /// [`PlanCache`]: when `plans` is given, the flat engine records the
-    /// stack's geometry plan on the first frame over an active set and
-    /// replays it — zero per-layer cache probes, zero matching — on every
-    /// later frame with the same fingerprint. Output stays bit-identical
-    /// in all cases.
-    ///
-    /// # Errors
-    ///
-    /// As [`Esca::run_network_golden`].
-    pub fn run_network_golden_planned(
-        &self,
-        input: &SparseTensor<Q16>,
-        layers: &[(QuantizedWeights, bool)],
-        cache: &Arc<RulebookCache>,
-        backend: GemmBackendKind,
-        plans: Option<Arc<PlanCache>>,
-    ) -> Result<SparseTensor<Q16>> {
         for (w, _) in layers {
             if w.k() != self.cfg.kernel {
                 return Err(EscaError::Config {
@@ -858,11 +836,9 @@ impl Esca {
         // geometry for every caller).
         let mut x = input.clone();
         x.canonicalize();
-        let mut engine = FlatEngine::with_cache_and_backend(Arc::clone(cache), backend);
-        if let Some(plans) = plans {
-            engine = engine.with_plan_cache(Some(plans));
-        }
-        engine.run_stack_q(&x, layers).map_err(EscaError::from)
+        FlatEngine::with_cache_and_backend(Arc::clone(cache), backend)
+            .run_stack_q(&x, layers)
+            .map_err(EscaError::from)
     }
 
     /// Streaming inference: runs the same layer stack over a sequence of
@@ -1112,35 +1088,6 @@ mod tests {
                 .unwrap();
             assert!(n.output.same_content(&one.output), "workers={workers}");
             assert_eq!(n.stats, one.stats, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn planned_golden_replays_with_zero_rulebook_probes() {
-        let qin = random_qinput(23, 14, 2, 50);
-        let w1 = QuantizedWeights::auto(&ConvWeights::seeded(3, 2, 6, 40), 8, 10).unwrap();
-        let w2 = QuantizedWeights::auto(&ConvWeights::seeded(3, 6, 3, 41), 8, 10).unwrap();
-        let stack = vec![(w1, true), (w2, false)];
-        let acc = esca();
-        let baseline = acc
-            .run_network_golden(&qin, &stack, &Arc::new(RulebookCache::new()))
-            .unwrap();
-        for backend in GemmBackendKind::ALL {
-            let cache = Arc::new(RulebookCache::new());
-            let plans = Arc::new(PlanCache::new());
-            let first = acc
-                .run_network_golden_planned(&qin, &stack, &cache, backend, Some(Arc::clone(&plans)))
-                .unwrap();
-            assert_eq!(first.features(), baseline.features());
-            assert_eq!((plans.misses(), plans.hits()), (1, 0));
-            let probes = (cache.hits(), cache.misses());
-            let again = acc
-                .run_network_golden_planned(&qin, &stack, &cache, backend, Some(Arc::clone(&plans)))
-                .unwrap();
-            assert_eq!(again.features(), baseline.features());
-            assert_eq!(plans.hits(), 1);
-            // The replay never touched the per-layer geometry cache.
-            assert_eq!((cache.hits(), cache.misses()), probes);
         }
     }
 

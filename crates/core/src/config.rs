@@ -48,8 +48,8 @@ pub struct EscaConfig {
     pub weight_load_overlap: bool,
     /// **Matching-resident** mode: the layer's matching metadata (the
     /// SDMU's rulebook / site maps) is already resident from an earlier
-    /// pass over the same geometry — e.g. a whole-network geometry-plan
-    /// hit on a static-scene stream — so the scan/fetch/match pipeline
+    /// pass over the same geometry — e.g. every frame after the first of
+    /// a static-scene stream — so the scan/fetch/match pipeline
     /// stages charge zero cycles and only the computing-array stage runs.
     /// Mirrors [`EscaConfig::weight_load_overlap`] for the weight path.
     /// Deserialization defaults to `false`, keeping older configs valid.

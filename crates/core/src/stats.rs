@@ -28,7 +28,7 @@ pub struct CycleStats {
     pub zero_removing_cycles: u64,
     /// Of the pipeline cycles, how many the **matching** stages (mask
     /// scan + activation fetch) were busy — the work that collapses to
-    /// zero when the layer runs matching-resident (a geometry-plan hit).
+    /// zero when the layer runs matching-resident (its geometry is cached).
     /// Deserialization defaults to 0, keeping older snapshots valid.
     #[serde(default)]
     pub match_cycles: u64,

@@ -18,9 +18,8 @@ use crate::system::{run_unet, HostModel, SystemRun};
 use crate::telemetry::{LayerSpan, LayerTelemetry};
 use crate::Result;
 use crossbeam::channel;
-use esca_sscn::engine::{stack_network_digest, RulebookCache};
+use esca_sscn::engine::RulebookCache;
 use esca_sscn::gemm::GemmBackendKind;
-use esca_sscn::plan::{PlanCache, PlanKey};
 use esca_sscn::quant::QuantizedWeights;
 use esca_sscn::unet::SsUNet;
 use esca_telemetry::serve::{HealthReport, ObservabilityHub, OperatingPoint};
@@ -162,7 +161,7 @@ pub struct StreamingSession {
     pub(crate) layer_shards: usize,
     pub(crate) rulebook_cache: Arc<RulebookCache>,
     pub(crate) gemm_backend: GemmBackendKind,
-    pub(crate) plan_cache: Option<Arc<PlanCache>>,
+    pub(crate) matching_reuse: bool,
     pub(crate) hub: Option<Arc<ObservabilityHub>>,
     pub(crate) operating_point: Option<OperatingPoint>,
 }
@@ -220,7 +219,7 @@ impl StreamingSession {
             layer_shards: 1,
             rulebook_cache: Arc::new(RulebookCache::new()),
             gemm_backend: GemmBackendKind::from_env(),
-            plan_cache: PlanCache::from_env(),
+            matching_reuse: false,
             hub: None,
             operating_point: None,
         }
@@ -319,47 +318,41 @@ impl StreamingSession {
         &self.rulebook_cache
     }
 
-    /// Attaches (or detaches, with `None`) a whole-network geometry
-    /// [`PlanCache`]. With a plan cache, the golden path
-    /// ([`StreamingSession::run_golden_batch`]) records each distinct
-    /// frame geometry's whole-stack plan once and replays it with zero
-    /// per-layer cache probes afterwards, and the cycle-model path
-    /// ([`StreamingSession::run_batch`]) runs repeated geometries
+    /// Turns matching reuse in the cycle model on or off (default off).
+    /// With reuse on, [`StreamingSession::run_batch`] runs a frame
     /// **matching-resident** (see
-    /// [`crate::config::EscaConfig::matching_resident`]). Defaults to
-    /// [`PlanCache::from_env`] (`ESCA_PLAN_CACHE=1` enables, with an
-    /// optional `ESCA_PLAN_CACHE_BYTES` budget).
-    pub fn with_plan_cache(mut self, plans: Option<Arc<PlanCache>>) -> Self {
-        self.plan_cache = plans;
+    /// [`crate::config::EscaConfig::matching_resident`]) when its geometry
+    /// is already resident: an earlier frame of the batch has the same
+    /// active set, or the session's [`RulebookCache`] holds the frame's
+    /// Sub-Conv rulebook for every kernel size in the stack. Outputs never
+    /// change; only match cycles collapse.
+    pub fn with_matching_reuse(mut self, on: bool) -> Self {
+        self.matching_reuse = on;
         self
     }
 
-    /// The session's whole-network plan cache, if enabled.
-    pub fn plan_cache(&self) -> Option<&Arc<PlanCache>> {
-        self.plan_cache.as_ref()
-    }
-
-    /// Deterministic per-frame matching-residency hints for a batch: a
-    /// frame runs matching-resident exactly when its whole-network
-    /// geometry plan already exists — because an earlier frame in this
-    /// batch has the same active-set fingerprint, or a previous batch
-    /// left the plan resident in the session's [`PlanCache`]. Pure
-    /// function of the frame sequence and the cache's pre-batch contents
-    /// (probed without touching hit/miss counters), so the hints — and
-    /// every cycle statistic derived from them — are byte-identical
-    /// across worker and shard counts. Without a plan cache every hint
-    /// is `false`.
+    /// Deterministic per-frame matching-residency hints for a batch (the
+    /// rule of [`StreamingSession::with_matching_reuse`]). Pure function
+    /// of the frame sequence and the cache's pre-batch contents (probed
+    /// with [`RulebookCache::contains_rulebook`], which touches no
+    /// counter), so the hints — and every cycle statistic derived from
+    /// them — are byte-identical across worker and shard counts. With
+    /// reuse off every hint is `false` and no fingerprint is computed.
     fn residency_hints(&self, frames: &[SparseTensor<Q16>]) -> Vec<bool> {
-        let Some(plans) = &self.plan_cache else {
+        if !self.matching_reuse {
             return vec![false; frames.len()];
-        };
-        let network = stack_network_digest(&self.layers);
+        }
+        let mut kernels: Vec<u32> = self.layers.iter().map(|(w, _)| w.k()).collect();
+        kernels.sort_unstable();
+        kernels.dedup();
+        let cache = &self.rulebook_cache;
         let mut seen = std::collections::HashSet::new();
         frames
             .iter()
             .map(|f| {
-                let frame = f.active_fingerprint();
-                !seen.insert(frame) || plans.contains(&PlanKey { network, frame })
+                !seen.insert(f.active_fingerprint())
+                    || (!kernels.is_empty()
+                        && kernels.iter().all(|&k| cache.contains_rulebook(f, k)))
             })
             .collect()
     }
@@ -547,16 +540,12 @@ impl StreamingSession {
         let mut cycle_reg = Registry::new();
         let mut host_reg = Registry::new();
         // Residency hints are deterministic, so this count is part of the
-        // cycle domain; the plan cache's own hit/miss counters are host
-        // scheduling facts and stay in the host registry.
+        // cycle domain.
         cycle_reg.counter_add(
             "esca_stream_resident_frames_total",
             &[],
             hints.iter().filter(|&&h| h).count() as u64,
         );
-        if let Some(plans) = &self.plan_cache {
-            plans.record_metrics(&mut host_reg);
-        }
         host_reg.gauge_max("esca_stream_workers", &[], self.pool.workers() as u64);
         host_reg.gauge_max("esca_stream_queue_depth", &[], expected as u64);
         // Always zero unless the collector was unwound mid-batch; surfaced
@@ -627,9 +616,7 @@ impl StreamingSession {
     /// session's shared [`RulebookCache`] across frames *and* workers.
     /// Static-geometry streams (the paper's AR/VR deployment re-infers the
     /// same voxelized scene as weights or late fusion inputs change) pay
-    /// for coordinate matching exactly once for the whole batch — and with
-    /// a session [`PlanCache`] attached, repeated geometries replay one
-    /// whole-network plan with zero per-layer cache probes. Outputs are
+    /// for coordinate matching exactly once for the whole batch. Outputs are
     /// bit-identical to [`StreamingSession::run_batch`]'s, in frame
     /// order; no cycle model runs.
     ///
@@ -648,30 +635,13 @@ impl StreamingSession {
             let tx = tx.clone();
             let undelivered = Arc::clone(&undelivered);
             let backend = self.gemm_backend;
-            let plans = self.plan_cache.clone();
             self.pool.execute(move |_worker| {
-                let result =
-                    esca.run_network_golden_planned(&frame, &layers, &cache, backend, plans);
+                let result = esca.run_network_golden_with(&frame, &layers, &cache, backend);
                 deliver(&tx, &undelivered, (idx, result));
             })?;
         }
         drop(tx);
-        let mut slots: Vec<Option<SparseTensor<Q16>>> = (0..frames.len()).map(|_| None).collect();
-        let mut errors: Vec<(usize, crate::EscaError)> = Vec::new();
-        for _ in 0..frames.len() {
-            let (idx, result) = rx.recv().expect("worker dropped a frame result");
-            match result {
-                Ok(out) => slots[idx] = Some(out),
-                Err(e) => errors.push((idx, e)),
-            }
-        }
-        if let Some((_, e)) = errors.into_iter().min_by_key(|(idx, _)| *idx) {
-            return Err(e);
-        }
-        Ok(slots
-            .into_iter()
-            .map(|s| s.expect("every frame reported"))
-            .collect())
+        collect_ordered(&rx, frames.len())
     }
 
     /// Runs a batch of float frames through a full SS U-Net system
@@ -705,23 +675,30 @@ impl StreamingSession {
             })?;
         }
         drop(tx);
-        let mut slots: Vec<Option<SystemRun>> = (0..frames.len()).map(|_| None).collect();
-        let mut errors: Vec<(usize, crate::EscaError)> = Vec::new();
-        for _ in 0..frames.len() {
-            let (idx, result) = rx.recv().expect("worker dropped a frame result");
-            match result {
-                Ok(run) => slots[idx] = Some(run),
-                Err(e) => errors.push((idx, e)),
-            }
-        }
-        if let Some((_, e)) = errors.into_iter().min_by_key(|(idx, _)| *idx) {
-            return Err(e);
-        }
-        Ok(slots
-            .into_iter()
-            .map(|s| s.expect("every frame reported"))
-            .collect())
+        collect_ordered(&rx, frames.len())
     }
+}
+
+/// Collects `n` per-frame results into frame order. A job that panics
+/// drops its sender without reporting, so collection stops once every
+/// sender is gone; the lowest frame that failed or never reported then
+/// decides the error — [`crate::EscaError::WorkerPanic`] for a silent
+/// one — and the caller gets a typed error instead of a panic.
+///
+/// # Errors
+///
+/// The lowest-indexed frame's error, as above.
+fn collect_ordered<T>(rx: &channel::Receiver<(usize, Result<T>)>, n: usize) -> Result<Vec<T>> {
+    let mut slots: Vec<Option<Result<T>>> = (0..n).map(|_| None).collect();
+    for _ in 0..n {
+        let Ok((idx, result)) = rx.recv() else { break };
+        slots[idx] = Some(result);
+    }
+    slots
+        .into_iter()
+        .enumerate()
+        .map(|(frame, slot)| slot.unwrap_or(Err(crate::EscaError::WorkerPanic { frame })))
+        .collect()
 }
 
 /// One frame's slot in a modeled multi-engine schedule (see
@@ -1154,12 +1131,10 @@ mod tests {
         // Static geometry: every frame carries the same active set, so the
         // whole batch costs one rulebook build. One worker keeps the
         // hit/miss split deterministic (concurrent first lookups may race
-        // to build). Plan cache explicitly detached: this test pins the
-        // per-layer probe counts, which a plan replay would (by design)
-        // freeze after the first frame.
+        // to build).
         let frames: Vec<_> = (0..4).map(|_| frame(123)).collect();
         let esca = Esca::new(EscaConfig::default()).unwrap();
-        let session = StreamingSession::new(esca, layers(), 1).with_plan_cache(None);
+        let session = StreamingSession::new(esca, layers(), 1);
         let out = session.run_golden_batch(&frames).unwrap();
         assert_eq!(out.len(), 4);
         let cache = session.rulebook_cache();
@@ -1167,9 +1142,8 @@ mod tests {
         assert_eq!(cache.hits(), 7);
         // A pre-warmed shared cache carries over into another session.
         let esca2 = Esca::new(EscaConfig::default()).unwrap();
-        let session2 = StreamingSession::new(esca2, layers(), 2)
-            .with_rulebook_cache(Arc::clone(cache))
-            .with_plan_cache(None);
+        let session2 =
+            StreamingSession::new(esca2, layers(), 2).with_rulebook_cache(Arc::clone(cache));
         let out2 = session2.run_golden_batch(&frames[..1]).unwrap();
         assert_eq!(out2[0].features(), out[0].features());
         assert_eq!(session2.rulebook_cache().misses(), 1, "no new builds");
@@ -1177,17 +1151,15 @@ mod tests {
 
     #[test]
     fn static_scene_batch_goes_matching_resident_after_frame_zero() {
-        // 6 frames of identical geometry: with a plan cache attached,
+        // 6 frames of identical geometry: with matching reuse on,
         // frame 0 pays the matching pass and every later frame runs
         // matching-resident — zero match cycles, zero scan work.
         let frames: Vec<_> = (0..6).map(|_| frame(321)).collect();
         let esca = Esca::new(EscaConfig::default()).unwrap();
         let baseline = StreamingSession::new(esca.clone(), layers(), 2)
-            .with_plan_cache(None)
             .run_batch(&frames)
             .unwrap();
-        let session = StreamingSession::new(esca, layers(), 2)
-            .with_plan_cache(Some(Arc::new(PlanCache::new())));
+        let session = StreamingSession::new(esca, layers(), 2).with_matching_reuse(true);
         let report = session.run_batch(&frames).unwrap();
         // Outputs are bit-identical with and without residency.
         for (a, b) in report.outputs.iter().zip(&baseline.outputs) {
@@ -1212,18 +1184,11 @@ mod tests {
             .counters
             .iter()
             .any(|c| c.name == "esca_stream_resident_frames_total" && c.value == 5));
-        // A fresh batch over the same session starts resident immediately:
-        // the hint probe sees the plans left by run_golden_batch.
-        let golden = session.run_golden_batch(&frames[..1]).unwrap();
-        assert_eq!(golden[0].features(), report.outputs[0].features());
-        let warm = session.run_batch(&frames[..2]).unwrap();
-        assert!(warm.per_frame[0].matching_resident, "warm plan not probed");
-        assert!(warm.per_frame[1].matching_resident);
     }
 
     #[test]
     fn resident_cycle_telemetry_is_identical_across_worker_and_shard_splits() {
-        // The plan-cache residency hints are derived before scheduling, so
+        // The residency hints are derived before scheduling, so
         // the cycle-domain snapshot stays byte-identical for every
         // (workers, layer_shards) split even though resident frames take a
         // different accounting path.
@@ -1233,7 +1198,7 @@ mod tests {
             let esca = Esca::new(EscaConfig::default()).unwrap();
             let session = StreamingSession::new(esca, layers(), workers)
                 .with_layer_shards(shards)
-                .with_plan_cache(Some(Arc::new(PlanCache::new())));
+                .with_matching_reuse(true);
             let report = session.run_batch(&frames).unwrap();
             snapshots.push(report.telemetry.cycle);
         }
@@ -1242,25 +1207,25 @@ mod tests {
     }
 
     #[test]
-    fn golden_batch_replays_whole_network_plans() {
-        // Static scene, one worker: frame 0 records the whole-network
-        // plan, frames 1..N replay it with zero per-layer cache probes.
-        let frames: Vec<_> = (0..4).map(|_| frame(123)).collect();
-        let esca = Esca::new(EscaConfig::default()).unwrap();
-        let plans = Arc::new(PlanCache::new());
-        let session =
-            StreamingSession::new(esca, layers(), 1).with_plan_cache(Some(Arc::clone(&plans)));
-        let out = session.run_golden_batch(&frames).unwrap();
-        assert_eq!((plans.misses(), plans.hits()), (1, 3));
-        assert!((plans.hit_rate() - 0.75).abs() < 1e-12);
-        // Recording frame 0 probed the per-layer cache once per layer;
-        // the three replays added nothing.
-        let cache = session.rulebook_cache();
-        assert_eq!(cache.misses() + cache.hits(), 2, "replays probed the cache");
-        // Replayed outputs are bit-identical to the recorded frame's.
-        for o in &out[1..] {
-            assert_eq!(o.features(), out[0].features());
+    fn collector_returns_a_typed_error_for_a_frame_that_never_reported() {
+        let (tx, rx) = channel::unbounded::<(usize, Result<u32>)>();
+        // Frame 2 of 4 never reports: its job panicked and dropped its
+        // sender.
+        for idx in [3usize, 0, 1] {
+            tx.send((idx, Ok(idx as u32))).unwrap();
         }
+        drop(tx);
+        assert!(matches!(
+            collect_ordered(&rx, 4),
+            Err(crate::EscaError::WorkerPanic { frame: 2 })
+        ));
+        // A complete batch comes back in frame order.
+        let (tx, rx) = channel::unbounded::<(usize, Result<u32>)>();
+        for idx in [2usize, 0, 1] {
+            tx.send((idx, Ok(idx as u32 * 10))).unwrap();
+        }
+        drop(tx);
+        assert_eq!(collect_ordered(&rx, 3).unwrap(), vec![0, 10, 20]);
     }
 
     #[test]

@@ -10,7 +10,6 @@ use crate::stats::CycleStats;
 use crate::Result;
 use esca_sscn::engine::{FlatEngine, RulebookCache};
 use esca_sscn::gemm::GemmBackendKind;
-use esca_sscn::plan::PlanCache;
 use esca_sscn::quant::{dequantize_tensor, quantize_tensor, QuantizedWeights};
 use esca_sscn::unet::SsUNet;
 use esca_telemetry::{MetricsSnapshot, Registry};
@@ -200,36 +199,11 @@ pub fn run_unet_golden_with(
     cache: &Arc<RulebookCache>,
     backend: GemmBackendKind,
 ) -> Result<GoldenUnetRun> {
-    run_unet_golden_planned(net, input, cache, backend, None)
-}
-
-/// [`run_unet_golden_with`] with an optional whole-network geometry
-/// [`PlanCache`]: when given, the engine records the U-Net's full
-/// geometry plan (every level's rulebooks, strided/transpose maps) under
-/// the frame fingerprint on the first pass and replays it — zero
-/// per-layer cache probes — on every later frame with the same active
-/// set. The plan cache's hit/miss/eviction/resident-bytes counters join
-/// the returned metrics snapshot.
-///
-/// # Errors
-///
-/// As [`run_unet_golden`].
-pub fn run_unet_golden_planned(
-    net: &SsUNet,
-    input: &SparseTensor<f32>,
-    cache: &Arc<RulebookCache>,
-    backend: GemmBackendKind,
-    plans: Option<Arc<PlanCache>>,
-) -> Result<GoldenUnetRun> {
-    let mut engine =
-        FlatEngine::with_cache_and_backend(Arc::clone(cache), backend).with_plan_cache(plans);
+    let mut engine = FlatEngine::with_cache_and_backend(Arc::clone(cache), backend);
     let logits = net.forward_engine(input, &mut engine)?;
     let mut reg = Registry::new();
     cache.record_metrics(&mut reg);
     engine.record_gemm_metrics(&mut reg);
-    if let Some(plans) = engine.plan_cache() {
-        plans.record_metrics(&mut reg);
-    }
     Ok(GoldenUnetRun {
         logits,
         cache_metrics: reg.snapshot(),
@@ -390,55 +364,6 @@ mod tests {
             macs(&blocked, "blocked"),
             "GEMM work totals must not depend on the backend"
         );
-    }
-
-    #[test]
-    fn planned_golden_unet_replays_and_reports_plan_metrics() {
-        let net = small_net();
-        let input = blob();
-        let cache = Arc::new(RulebookCache::new());
-        let baseline = run_unet_golden(&net, &input, &cache).unwrap();
-        let plan_cache = Arc::new(RulebookCache::new());
-        let plans = Arc::new(PlanCache::new());
-        let first = run_unet_golden_planned(
-            &net,
-            &input,
-            &plan_cache,
-            GemmBackendKind::ScalarRef,
-            Some(Arc::clone(&plans)),
-        )
-        .unwrap();
-        assert_eq!(first.logits.features(), baseline.logits.features());
-        assert_eq!((plans.misses(), plans.hits()), (1, 0));
-        let probes = (plan_cache.hits(), plan_cache.misses());
-        let second = run_unet_golden_planned(
-            &net,
-            &input,
-            &plan_cache,
-            GemmBackendKind::ScalarRef,
-            Some(Arc::clone(&plans)),
-        )
-        .unwrap();
-        assert_eq!(second.logits.features(), baseline.logits.features());
-        assert_eq!(plans.hits(), 1);
-        // The replay never probed the per-layer geometry cache.
-        assert_eq!((plan_cache.hits(), plan_cache.misses()), probes);
-        // Plan-cache counters travel with the snapshot.
-        let counter = |name: &str| {
-            second
-                .cache_metrics
-                .counters
-                .iter()
-                .find(|c| c.name == name)
-                .map(|c| c.value)
-        };
-        assert_eq!(counter("esca_plan_cache_hits_total"), Some(1));
-        assert_eq!(counter("esca_plan_cache_misses_total"), Some(1));
-        assert!(second
-            .cache_metrics
-            .gauges
-            .iter()
-            .any(|g| g.name == "esca_plan_cache_resident_bytes" && g.value > 0));
     }
 
     #[test]

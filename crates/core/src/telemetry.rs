@@ -237,7 +237,7 @@ impl CycleStats {
         }
         // Match-stage cycles carry the residency label so a static-scene
         // stream shows the series collapsing to zero (with
-        // matching_resident="true") on geometry-plan hits.
+        // matching_resident="true") once the geometry is resident.
         reg.counter_add(
             "esca_match_cycles_total",
             &[(

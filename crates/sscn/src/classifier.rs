@@ -141,11 +141,8 @@ impl SscnClassifier {
     /// bit-identical to [`SscnClassifier::forward`] under the scalar
     /// reference tier, epsilon-bounded under the default blocked tier.
     ///
-    /// With a [`crate::plan::PlanCache`] attached to the engine, the full
-    /// geometry sequence — rulebooks and pooling maps of every stage — is
-    /// recorded as one [`crate::plan::GeometryPlan`] under the frame's
-    /// fingerprint and replayed on later passes with zero matching work
-    /// and zero per-layer cache probes.
+    /// A repeated frame geometry replays every stage's rulebook and
+    /// pooling map from the engine's per-op cache with zero matching work.
     ///
     /// # Errors
     ///
@@ -155,33 +152,14 @@ impl SscnClassifier {
         input: &SparseTensor<f32>,
         engine: &mut FlatEngine,
     ) -> Result<Vec<f32>> {
-        if engine.plan_cache().is_some() {
-            let digest = crate::plan::digest_u64s(
-                crate::plan::NET_TAG_CLASSIFIER,
-                [u64::from(self.cfg.kernel), self.cfg.stages as u64],
-            );
-            engine.begin_plan(digest, input.active_fingerprint());
-        }
-        let run = self.run_engine(input, engine);
-        engine.end_plan(run.is_ok());
-        run
-    }
-
-    /// The engine walk behind [`SscnClassifier::forward_engine`]: the
-    /// same layer sequence as [`SscnClassifier::forward_with`], with
-    /// Sub-Conv layers and inter-stage pooling routed through the engine
-    /// so one plan session covers the whole pass.
-    fn run_engine(&self, input: &SparseTensor<f32>, engine: &mut FlatEngine) -> Result<Vec<f32>> {
-        let mut x = input.clone();
-        let mut next = 0usize;
-        for s in 0..self.cfg.stages {
-            for _ in 0..2 {
-                x = engine.subconv(&x, &self.subconvs[next].1, true)?;
-                next += 1;
-            }
-            if s < self.cfg.stages - 1 {
+        // Two Sub-Conv layers per stage, pooling between stages: before
+        // every even-indexed layer but the first.
+        let mut x = engine.subconv(input, &self.subconvs[0].1, true)?;
+        for (i, (_, w)) in self.subconvs.iter().enumerate().skip(1) {
+            if i % 2 == 0 {
                 x = engine.max_pool(&x, 2)?;
             }
+            x = engine.subconv(&x, w, true)?;
         }
         let pooled = global_avg_pool(&x);
         let mut wrapped = SparseTensor::new(esca_tensor::Extent3::cube(1), pooled.len());
@@ -351,24 +329,6 @@ mod tests {
         for (x, y) in blocked.iter().zip(&direct) {
             assert!((x - y).abs() <= 1e-4 * y.abs().max(1.0));
         }
-    }
-
-    #[test]
-    fn engine_forward_replays_whole_network_plan() {
-        use crate::plan::PlanCache;
-        use std::sync::Arc;
-        let net = small();
-        let input = blob(3);
-        let plans = Arc::new(PlanCache::new());
-        let mut engine = FlatEngine::with_backend(GemmBackendKind::ScalarRef)
-            .with_plan_cache(Some(Arc::clone(&plans)));
-        let cold = net.forward_engine(&input, &mut engine).unwrap();
-        assert_eq!((plans.hits(), plans.misses()), (0, 1));
-        let (h0, m0) = (engine.cache().hits(), engine.cache().misses());
-        let warm = net.forward_engine(&input, &mut engine).unwrap();
-        assert_eq!(warm, cold, "plan replay must be bit-identical");
-        assert_eq!((plans.hits(), plans.misses()), (1, 1));
-        assert_eq!((engine.cache().hits(), engine.cache().misses()), (h0, m0));
     }
 
     #[test]

@@ -21,11 +21,11 @@
 //! the op kind, the stride/kernel parameter and (for transpose) the
 //! target set's fingerprint alongside the input fingerprint: a
 //! downsampled level can never alias a same-coordinate tensor from
-//! another level, parameter or op. On top of the per-op cache sits the
-//! whole-network plan layer ([`crate::plan`]): a [`FlatEngine`] given a
-//! [`PlanCache`] records the geometry sequence of one network pass on the
-//! first frame and replays it on later frames with **zero** matching work
-//! and zero per-layer cache probes.
+//! another level, parameter or op. This per-op cache is the only geometry
+//! cache: a repeated frame replays every layer's artifact from it with
+//! zero matching work, and the cycle model's matching-residency hints are
+//! derived from it ([`RulebookCache::contains_rulebook`]). Artifacts
+//! depend only on geometry and kernel size, never on which network asks.
 //!
 //! The per-tap GEMM at the core of the flat kernels is **pluggable**
 //! ([`crate::gemm`]): [`apply_rulebook_flat`] and [`apply_rulebook_flat_q`]
@@ -42,7 +42,7 @@
 
 use crate::error::SscnError;
 use crate::gemm::{GemmBackend, GemmBackendKind, ScalarRef};
-use crate::plan::{GeometryPlan, PlanCache, PlanKey, PlanStep, PoolMap, StridedMap, TransposeMap};
+use crate::plan::{PoolMap, StridedMap, TransposeMap};
 use crate::quant::QuantizedWeights;
 use crate::rulebook::Rulebook;
 use crate::sparse_ops::StridedWeights;
@@ -232,16 +232,35 @@ impl RulebookCache {
         Ok(geo)
     }
 
-    /// Returns the rulebook for `input`'s active set under a K×K×K
-    /// submanifold kernel, building and caching it on first use.
-    pub fn get_or_build<T: Copy>(&self, input: &SparseTensor<T>, k: u32) -> Arc<Rulebook> {
-        let key = GeometryKey {
+    /// The key of `input`'s Sub-Conv rulebook under a K×K×K kernel.
+    fn rulebook_key<T: Copy>(input: &SparseTensor<T>, k: u32) -> GeometryKey {
+        GeometryKey {
             op: GeometryOp::SubConv,
             param: k,
             set: input.active_fingerprint(),
             aux_lo: 0,
             aux_hi: 0,
-        };
+        }
+    }
+
+    /// Whether `input`'s Sub-Conv rulebook under a K×K×K kernel is
+    /// resident, **without** counting a hit or miss or touching its LRU
+    /// timestamp. This is the probe the cycle-model streaming path derives
+    /// deterministic matching-residency hints from — it must not perturb
+    /// the host-domain accounting of the golden path.
+    pub fn contains_rulebook<T: Copy>(&self, input: &SparseTensor<T>, k: u32) -> bool {
+        let key = RulebookCache::rulebook_key(input, k);
+        self.inner
+            .read()
+            .expect("cache lock")
+            .books
+            .contains_key(&key)
+    }
+
+    /// Returns the rulebook for `input`'s active set under a K×K×K
+    /// submanifold kernel, building and caching it on first use.
+    pub fn get_or_build<T: Copy>(&self, input: &SparseTensor<T>, k: u32) -> Arc<Rulebook> {
+        let key = RulebookCache::rulebook_key(input, k);
         let geo = self
             .get_or_insert(key, || {
                 Ok(CachedGeometry::Book(Arc::new(Rulebook::build(input, k))))
@@ -619,29 +638,6 @@ pub struct FlatEngine {
     backend: GemmBackendKind,
     gemm_rows: u64,
     gemm_macs: u64,
-    /// Whole-network plan cache; `None` (the default) disables planning
-    /// and every geometry request goes through the per-op cache.
-    plans: Option<Arc<PlanCache>>,
-    /// The in-flight plan session, advanced by the `next_*` requests.
-    session: PlanSession,
-}
-
-/// The engine's in-flight whole-network plan session.
-#[derive(Debug, Default)]
-enum PlanSession {
-    /// No session (plan cache absent, or between passes): geometry
-    /// requests go through the per-op cache.
-    #[default]
-    Off,
-    /// First pass over this (network, frame): requests go through the
-    /// per-op cache *and* are recorded, to be committed on success.
-    Record { key: PlanKey, steps: Vec<PlanStep> },
-    /// Plan hit: requests are served from the plan in order, with zero
-    /// cache probes and zero coordinate hashing.
-    Replay {
-        plan: Arc<GeometryPlan>,
-        cursor: usize,
-    },
 }
 
 impl Default for FlatEngine {
@@ -678,175 +674,6 @@ impl FlatEngine {
             backend,
             gemm_rows: 0,
             gemm_macs: 0,
-            plans: None,
-            session: PlanSession::Off,
-        }
-    }
-
-    /// Attaches (or detaches, with `None`) a shared whole-network
-    /// [`PlanCache`]. With a plan cache attached, plan-aware entry points
-    /// ([`FlatEngine::run_stack_q`], the networks' `forward_engine`)
-    /// record one [`GeometryPlan`] per (network, frame fingerprint) and
-    /// replay it on every later pass with zero matching work.
-    pub fn with_plan_cache(mut self, plans: Option<Arc<PlanCache>>) -> Self {
-        self.plans = plans;
-        self
-    }
-
-    /// The engine's plan cache, if one is attached.
-    pub fn plan_cache(&self) -> Option<&Arc<PlanCache>> {
-        self.plans.as_ref()
-    }
-
-    /// Whether the engine is currently replaying a cached plan (true
-    /// between a hitting [`FlatEngine::begin_plan`] and the matching
-    /// [`FlatEngine::end_plan`]).
-    pub fn replaying_plan(&self) -> bool {
-        matches!(self.session, PlanSession::Replay { .. })
-    }
-
-    /// Opens a whole-network plan session for one pass of the network
-    /// identified by `network` ([`crate::plan::digest_u64s`]) over a frame
-    /// with fingerprint `frame`. Returns whether a cached plan was hit
-    /// (the pass will replay with zero matching work). Without an attached
-    /// plan cache this is a no-op returning `false`.
-    pub fn begin_plan(&mut self, network: u64, frame: ActiveSetFingerprint) -> bool {
-        let Some(plans) = &self.plans else {
-            self.session = PlanSession::Off;
-            return false;
-        };
-        let key = PlanKey { network, frame };
-        match plans.get(&key) {
-            Some(plan) => {
-                self.session = PlanSession::Replay { plan, cursor: 0 };
-                true
-            }
-            None => {
-                self.session = PlanSession::Record {
-                    key,
-                    steps: Vec::new(),
-                };
-                false
-            }
-        }
-    }
-
-    /// Closes the current plan session. A recording session commits its
-    /// plan to the cache only when `commit` is true (pass `false` after a
-    /// failed pass so a partial plan is never published).
-    pub fn end_plan(&mut self, commit: bool) {
-        match std::mem::take(&mut self.session) {
-            PlanSession::Record { key, steps } if commit => {
-                if let Some(plans) = &self.plans {
-                    plans.insert(key, GeometryPlan::new(steps));
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// The next Sub-Conv rulebook in the current session: replayed from
-    /// the plan, or fetched from the per-op cache (and recorded).
-    ///
-    /// # Errors
-    ///
-    /// [`SscnError::InvalidConfig`] when a replayed plan's next step is
-    /// not a Sub-Conv rulebook (a stale or mis-keyed plan).
-    fn next_rulebook<T: Copy>(&mut self, x: &SparseTensor<T>, k: u32) -> Result<Arc<Rulebook>> {
-        match &mut self.session {
-            PlanSession::Replay { plan, cursor } => {
-                let step = plan.steps().get(*cursor);
-                *cursor += 1;
-                match step {
-                    Some(PlanStep::SubConv(b)) => Ok(Arc::clone(b)),
-                    _ => Err(plan_step_mismatch("sub-conv rulebook")),
-                }
-            }
-            PlanSession::Record { steps, .. } => {
-                let rb = self.cache.get_or_build(x, k);
-                steps.push(PlanStep::SubConv(Arc::clone(&rb)));
-                Ok(rb)
-            }
-            PlanSession::Off => Ok(self.cache.get_or_build(x, k)),
-        }
-    }
-
-    /// The next strided-convolution site map in the current session.
-    ///
-    /// # Errors
-    ///
-    /// As [`FlatEngine::next_rulebook`].
-    fn next_strided<T: Copy>(&mut self, x: &SparseTensor<T>, kd: u32) -> Result<Arc<StridedMap>> {
-        match &mut self.session {
-            PlanSession::Replay { plan, cursor } => {
-                let step = plan.steps().get(*cursor);
-                *cursor += 1;
-                match step {
-                    Some(PlanStep::Strided(m)) => Ok(Arc::clone(m)),
-                    _ => Err(plan_step_mismatch("strided map")),
-                }
-            }
-            PlanSession::Record { steps, .. } => {
-                let m = self.cache.strided_map(x, kd);
-                steps.push(PlanStep::Strided(Arc::clone(&m)));
-                Ok(m)
-            }
-            PlanSession::Off => Ok(self.cache.strided_map(x, kd)),
-        }
-    }
-
-    /// The next transpose-convolution gather map in the current session.
-    ///
-    /// # Errors
-    ///
-    /// As [`FlatEngine::next_rulebook`], plus [`TransposeMap::build`]'s
-    /// errors on a miss.
-    fn next_transpose<T: Copy>(
-        &mut self,
-        x: &SparseTensor<T>,
-        kd: u32,
-        fine_extent: Extent3,
-        target: &[Coord3],
-    ) -> Result<Arc<TransposeMap>> {
-        match &mut self.session {
-            PlanSession::Replay { plan, cursor } => {
-                let step = plan.steps().get(*cursor);
-                *cursor += 1;
-                match step {
-                    Some(PlanStep::Transpose(m)) => Ok(Arc::clone(m)),
-                    _ => Err(plan_step_mismatch("transpose map")),
-                }
-            }
-            PlanSession::Record { steps, .. } => {
-                let m = self.cache.transpose_map(x, kd, fine_extent, target)?;
-                steps.push(PlanStep::Transpose(Arc::clone(&m)));
-                Ok(m)
-            }
-            PlanSession::Off => self.cache.transpose_map(x, kd, fine_extent, target),
-        }
-    }
-
-    /// The next max-pooling reduction map in the current session.
-    ///
-    /// # Errors
-    ///
-    /// As [`FlatEngine::next_rulebook`].
-    fn next_pool<T: Copy>(&mut self, x: &SparseTensor<T>, kd: u32) -> Result<Arc<PoolMap>> {
-        match &mut self.session {
-            PlanSession::Replay { plan, cursor } => {
-                let step = plan.steps().get(*cursor);
-                *cursor += 1;
-                match step {
-                    Some(PlanStep::Pool(m)) => Ok(Arc::clone(m)),
-                    _ => Err(plan_step_mismatch("pool map")),
-                }
-            }
-            PlanSession::Record { steps, .. } => {
-                let m = self.cache.pool_map(x, kd);
-                steps.push(PlanStep::Pool(Arc::clone(&m)));
-                Ok(m)
-            }
-            PlanSession::Off => Ok(self.cache.pool_map(x, kd)),
         }
     }
 
@@ -908,7 +735,7 @@ impl FlatEngine {
         w: &ConvWeights,
         relu: bool,
     ) -> Result<SparseTensor<f32>> {
-        let rb = self.next_rulebook(x, w.k())?;
+        let rb = self.cache.get_or_build(x, w.k());
         let out = apply_rulebook_flat_with(x, &rb, w, relu, self.backend.backend())?;
         self.note_gemm(&rb, w.in_ch(), w.out_ch());
         Ok(out)
@@ -921,14 +748,13 @@ impl FlatEngine {
     ///
     /// # Errors
     ///
-    /// As [`StridedMap::apply`], plus a plan-step mismatch on a stale
-    /// replay.
+    /// As [`StridedMap::apply`].
     pub fn strided(
         &mut self,
         x: &SparseTensor<f32>,
         w: &StridedWeights,
     ) -> Result<SparseTensor<f32>> {
-        let map = self.next_strided(x, w.kd())?;
+        let map = self.cache.strided_map(x, w.kd());
         let out = map.apply(x, w)?;
         let rows = map.sites() as u64;
         self.gemm_rows += rows;
@@ -942,8 +768,7 @@ impl FlatEngine {
     ///
     /// # Errors
     ///
-    /// As [`TransposeMap::apply`] / [`TransposeMap::build`], plus a
-    /// plan-step mismatch on a stale replay.
+    /// As [`TransposeMap::apply`] / [`TransposeMap::build`].
     pub fn transpose(
         &mut self,
         x: &SparseTensor<f32>,
@@ -951,7 +776,7 @@ impl FlatEngine {
         fine_extent: Extent3,
         target: &[Coord3],
     ) -> Result<SparseTensor<f32>> {
-        let map = self.next_transpose(x, w.kd(), fine_extent, target)?;
+        let map = self.cache.transpose_map(x, w.kd(), fine_extent, target)?;
         let out = map.apply(x, w)?;
         let rows = map.sites() as u64;
         self.gemm_rows += rows;
@@ -964,9 +789,9 @@ impl FlatEngine {
     ///
     /// # Errors
     ///
-    /// As [`PoolMap::apply`], plus a plan-step mismatch on a stale replay.
+    /// As [`PoolMap::apply`].
     pub fn max_pool(&mut self, x: &SparseTensor<f32>, kd: u32) -> Result<SparseTensor<f32>> {
-        let map = self.next_pool(x, kd)?;
+        let map = self.cache.pool_map(x, kd);
         map.apply(x)
     }
 
@@ -984,7 +809,7 @@ impl FlatEngine {
         w: &QuantizedWeights,
         relu: bool,
     ) -> Result<SparseTensor<Q16>> {
-        let rb = self.next_rulebook(x, w.k())?;
+        let rb = self.cache.get_or_build(x, w.k());
         let out =
             apply_rulebook_flat_q_with(x, &rb, w, relu, &mut self.scratch, self.backend.backend())?;
         self.note_gemm(&rb, w.in_ch(), w.out_ch());
@@ -1032,9 +857,8 @@ impl FlatEngine {
     /// host-side golden execution of a streaming layer stack. Every layer
     /// shares the frame's single rulebook (submanifold layers preserve
     /// the active set *and* its storage order), so an N-layer stack costs
-    /// one matching pass at most — and with a [`PlanCache`] attached, a
-    /// repeated frame geometry costs **zero** matching passes: the whole
-    /// stack replays one cached plan, without per-layer cache probes.
+    /// one matching pass at most, and a repeated frame geometry costs
+    /// **zero**: every layer hits the per-op cache.
     ///
     /// # Errors
     ///
@@ -1044,40 +868,11 @@ impl FlatEngine {
         frame: &SparseTensor<Q16>,
         layers: &[(QuantizedWeights, bool)],
     ) -> Result<SparseTensor<Q16>> {
-        if self.plans.is_some() {
-            self.begin_plan(stack_network_digest(layers), frame.active_fingerprint());
+        let mut x = frame.clone();
+        for (w, relu) in layers {
+            x = self.subconv_q(&x, w, *relu)?;
         }
-        let run = (|| {
-            let mut x = frame.clone();
-            for (w, relu) in layers {
-                x = self.subconv_q(&x, w, *relu)?;
-            }
-            Ok(x)
-        })();
-        self.end_plan(run.is_ok());
-        run
-    }
-}
-
-/// The network-identity digest [`FlatEngine::run_stack_q`] keys its
-/// whole-network plans under: the geometry-relevant architecture of a
-/// resident quantized Sub-Conv stack (layer count and per-layer kernel
-/// sizes). Exposed so streaming hosts can form the same [`PlanKey`] for
-/// residency probes without running the engine.
-pub fn stack_network_digest(layers: &[(QuantizedWeights, bool)]) -> u64 {
-    crate::plan::digest_u64s(
-        crate::plan::NET_TAG_STACK,
-        std::iter::once(layers.len() as u64).chain(layers.iter().map(|(w, _)| u64::from(w.k()))),
-    )
-}
-
-/// The error a plan replay raises when the recorded step sequence does
-/// not line up with the network's requests — a stale or mis-keyed plan.
-/// Replays also re-validate shapes inside each map's `apply`, so a
-/// corrupt plan fails loudly instead of corrupting output.
-fn plan_step_mismatch(expected: &str) -> SscnError {
-    SscnError::InvalidConfig {
-        reason: format!("geometry plan step mismatch: expected a {expected}"),
+        Ok(x)
     }
 }
 
@@ -1362,31 +1157,6 @@ mod tests {
         big.canonicalize();
         let _ = cache.pool_map(&big, 3);
         assert_eq!(cache.len(), 7, "extent must separate same-coord sets");
-    }
-
-    #[test]
-    fn stack_plan_replays_bit_identically_with_zero_cache_probes() {
-        let frame = random_input(12, 10, 2, 45);
-        let w1 = QuantizedWeights::auto(&ConvWeights::seeded(3, 2, 6, 91), 8, 10).unwrap();
-        let w2 = QuantizedWeights::auto(&ConvWeights::seeded(3, 6, 3, 92), 8, 10).unwrap();
-        let qframe = quantize_tensor(&frame, w1.quant().act);
-        let stack = vec![(w1, true), (w2, false)];
-        let plans = Arc::new(crate::plan::PlanCache::new());
-        let mut eng = FlatEngine::new().with_plan_cache(Some(Arc::clone(&plans)));
-        let cold = eng.run_stack_q(&qframe, &stack).unwrap();
-        assert_eq!((plans.hits(), plans.misses()), (0, 1));
-        let (h0, m0) = (eng.cache().hits(), eng.cache().misses());
-        let warm = eng.run_stack_q(&qframe, &stack).unwrap();
-        assert_eq!((plans.hits(), plans.misses()), (1, 1));
-        // The replay never touched the per-op cache.
-        assert_eq!((eng.cache().hits(), eng.cache().misses()), (h0, m0));
-        assert_eq!(warm.coords(), cold.coords());
-        assert_eq!(warm.features(), cold.features());
-        // A different stack shape under the same frame is a distinct plan.
-        let shorter = &stack[..1];
-        let _ = eng.run_stack_q(&qframe, shorter).unwrap();
-        assert_eq!(plans.misses(), 2);
-        assert_eq!(plans.len(), 2);
     }
 
     #[test]

@@ -24,11 +24,10 @@
 //! * [`engine`] — the matching-reuse execution engine: a thread-safe
 //!   geometry cache keyed by active-set identity plus flat
 //!   gather → per-tap GEMM → scatter kernels;
-//! * [`plan`] — whole-network **geometry plans**: cached replayable maps
-//!   for strided/transpose convolution and pooling, aggregated per frame
-//!   fingerprint into one [`plan::GeometryPlan`] shared through a
-//!   [`plan::PlanCache`], so a static-scene stream does zero matching
-//!   work after its first frame;
+//! * [`plan`] — replayable **geometry maps** for strided/transpose
+//!   convolution and pooling, stored in the engine's per-op cache beside
+//!   the rulebooks, so a static-scene stream does zero matching work
+//!   after its first frame;
 //! * [`gemm`] — pluggable per-tap GEMM backends behind the flat engine:
 //!   the bit-exact [`gemm::ScalarRef`] reference tier and the
 //!   cache-blocked [`gemm::Blocked`] throughput tier (epsilon-bounded on

@@ -1,12 +1,12 @@
-//! Whole-network **geometry plans**: cached, replayable forms of every
-//! geometry-determined mapping a sparse network performs.
+//! Replayable **geometry maps** for the non-submanifold ops a sparse
+//! network performs.
 //!
 //! PointAcc's observation (PAPERS.md) is that once the MACs are fast,
 //! *mapping* operations — neighbor search, rulebook construction, pooling
 //! maps — dominate sparse point-cloud inference. The submanifold layers
-//! already reuse rulebooks through the [`crate::engine::RulebookCache`];
-//! this module extends the same idea to the remaining geometry ops and
-//! then aggregates a full network pass into **one** cache entry:
+//! reuse rulebooks through the [`crate::engine::RulebookCache`]; this
+//! module gives the remaining geometry ops the same treatment, as
+//! artifacts the same per-op cache stores:
 //!
 //! * [`StridedMap`] — the in→out site map of
 //!   [`crate::sparse_ops::strided_conv3d`] (which fine site feeds which
@@ -14,11 +14,7 @@
 //! * [`TransposeMap`] — the out→in gather map of
 //!   [`crate::sparse_ops::transpose_conv3d`];
 //! * [`PoolMap`] — the in→out reduction map of
-//!   [`crate::pool::sparse_max_pool`];
-//! * [`GeometryPlan`] — the ordered sequence of every geometry artifact
-//!   ([`PlanStep`]) one network forward pass consumes, keyed by
-//!   [`PlanKey`] (network-identity digest × frame fingerprint) and shared
-//!   through a [`PlanCache`].
+//!   [`crate::pool::sparse_max_pool`].
 //!
 //! **Bit-identity contract.** Replaying a cached map reproduces the
 //! direct kernel's output *bit for bit*: each map stores canonical
@@ -32,14 +28,9 @@
 //! row by binary search.
 
 use crate::error::SscnError;
-use crate::rulebook::Rulebook;
 use crate::sparse_ops::{downsampled_extent, StridedWeights};
 use crate::Result;
-use esca_telemetry::Registry;
-use esca_tensor::{ActiveSetFingerprint, Coord3, Extent3, SparseTensor, TensorError};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use esca_tensor::{Coord3, Extent3, SparseTensor, TensorError};
 
 /// Sentinel in [`TransposeMap::sources`]: the covering coarse site is
 /// inactive, so the output row stays zero.
@@ -501,335 +492,6 @@ fn canonical_targets(extent: Extent3, target: &[Coord3]) -> esca_tensor::Result<
     Ok(sorted.into_iter().map(|(c, _)| c).collect())
 }
 
-/// One geometry artifact in a [`GeometryPlan`], in network execution
-/// order. Steps hold [`Arc`]s, so a plan shares storage with the
-/// per-op geometry cache rather than duplicating rule lists.
-#[derive(Debug, Clone)]
-pub enum PlanStep {
-    /// A submanifold Sub-Conv layer's rulebook.
-    SubConv(Arc<Rulebook>),
-    /// A strided (downsampling) convolution's site map.
-    Strided(Arc<StridedMap>),
-    /// A transpose (upsampling) convolution's gather map.
-    Transpose(Arc<TransposeMap>),
-    /// A strided max pooling's reduction map.
-    Pool(Arc<PoolMap>),
-}
-
-impl PlanStep {
-    /// Heap bytes of the underlying artifact.
-    pub fn heap_bytes(&self) -> usize {
-        match self {
-            PlanStep::SubConv(b) => b.heap_bytes(),
-            PlanStep::Strided(m) => m.heap_bytes(),
-            PlanStep::Transpose(m) => m.heap_bytes(),
-            PlanStep::Pool(m) => m.heap_bytes(),
-        }
-    }
-}
-
-/// A whole-network geometry plan: the ordered sequence of every geometry
-/// artifact one forward pass of a fixed network consumes over a fixed
-/// frame geometry. Built once on the first pass (through the per-op
-/// geometry cache), replayed on every later pass with **zero** matching
-/// work and no per-layer cache lookups — one [`PlanCache`] probe covers
-/// the whole frame.
-#[derive(Debug, Clone, Default)]
-pub struct GeometryPlan {
-    steps: Vec<PlanStep>,
-}
-
-impl GeometryPlan {
-    /// Wraps an ordered step sequence.
-    pub fn new(steps: Vec<PlanStep>) -> GeometryPlan {
-        GeometryPlan { steps }
-    }
-
-    /// The steps in network execution order.
-    pub fn steps(&self) -> &[PlanStep] {
-        &self.steps
-    }
-
-    /// Number of geometry steps.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Whether the plan has no steps.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
-    /// Sum of the steps' heap bytes (the plan-cache LRU currency; shared
-    /// `Arc` storage is counted per plan, modeling a deployment that
-    /// keeps each plan's artifacts resident).
-    pub fn heap_bytes(&self) -> usize {
-        self.steps.iter().map(PlanStep::heap_bytes).sum()
-    }
-}
-
-/// Cache key of a whole-network plan: a network-identity digest (the
-/// geometry-relevant architecture parameters, see [`digest_u64s`]) plus
-/// the frame's active-set fingerprint. Two frames share a plan exactly
-/// when the same network sees the same geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PlanKey {
-    /// Network-identity digest ([`digest_u64s`] over the architecture
-    /// parameters that determine the geometry-op sequence).
-    pub network: u64,
-    /// The frame's active-set fingerprint.
-    pub frame: ActiveSetFingerprint,
-}
-
-/// Network-identity digest tag for resident quantized Sub-Conv stacks
-/// ([`crate::engine::FlatEngine::run_stack_q`]).
-pub const NET_TAG_STACK: u64 = 0x5354_4143_4b30_3031; // "STACK001"-ish
-/// Network-identity digest tag for the SS U-Net
-/// (`SsUNet::forward_engine`).
-pub const NET_TAG_UNET: u64 = 0x554e_4554_3030_3031;
-/// Network-identity digest tag for the SSCN classifier
-/// (`SscnClassifier::forward_engine`).
-pub const NET_TAG_CLASSIFIER: u64 = 0x434c_5346_3030_3031;
-
-/// Stable FNV-1a fold of a `u64` stream under a caller-chosen tag —
-/// the helper network types use to derive [`PlanKey::network`] digests.
-/// Distinct tags keep different network families (U-Net, classifier,
-/// resident stacks) from ever colliding on a digest.
-pub fn digest_u64s<I: IntoIterator<Item = u64>>(tag: u64, vals: I) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in std::iter::once(tag).chain(vals) {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    }
-    h
-}
-
-/// One cached plan plus the bookkeeping the LRU budget needs.
-#[derive(Debug)]
-struct PlanEntry {
-    plan: Arc<GeometryPlan>,
-    bytes: usize,
-    last_used: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct PlanInner {
-    plans: HashMap<PlanKey, PlanEntry>,
-    bytes: usize,
-}
-
-/// A thread-safe cache of whole-network [`GeometryPlan`]s keyed by
-/// [`PlanKey`]. Shared behind an [`Arc`] across frames, sessions and
-/// worker threads; the steady state of a static-scene stream is one
-/// [`PlanCache::get`] hit per frame and **zero** geometry construction.
-///
-/// Mirrors [`crate::engine::RulebookCache`]'s behavior: atomic hit/miss/
-/// eviction counters readable concurrently with use, an optional byte
-/// budget with deterministic unique-timestamp LRU eviction (eviction can
-/// only force a rebuild, never change an output), and a division-safe
-/// [`PlanCache::hit_rate`].
-#[derive(Debug, Default)]
-pub struct PlanCache {
-    inner: RwLock<PlanInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    tick: AtomicU64,
-    cap_bytes: Option<usize>,
-}
-
-impl PlanCache {
-    /// Creates an empty, unbounded plan cache.
-    pub fn new() -> Self {
-        PlanCache::default()
-    }
-
-    /// Creates an empty cache that retains at most `cap` bytes of plan
-    /// artifacts (as counted by [`GeometryPlan::heap_bytes`]), evicting
-    /// least-recently-used plans past the budget. The plan being inserted
-    /// is never evicted.
-    pub fn with_capacity_bytes(cap: usize) -> Self {
-        PlanCache {
-            cap_bytes: Some(cap),
-            ..PlanCache::default()
-        }
-    }
-
-    /// Builds a shared cache from the process environment:
-    /// `ESCA_PLAN_CACHE=1|true|on` enables it (optionally bounded by
-    /// `ESCA_PLAN_CACHE_BYTES`), anything else returns `None`.
-    pub fn from_env() -> Option<Arc<PlanCache>> {
-        let enabled = std::env::var("ESCA_PLAN_CACHE")
-            .map(|v| matches!(v.trim(), "1" | "true" | "on"))
-            .unwrap_or(false);
-        if !enabled {
-            return None;
-        }
-        let cache = match std::env::var("ESCA_PLAN_CACHE_BYTES")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            Some(cap) => PlanCache::with_capacity_bytes(cap),
-            None => PlanCache::new(),
-        };
-        Some(Arc::new(cache))
-    }
-
-    /// Whether a plan for `key` is resident, **without** counting a hit
-    /// or miss or touching its LRU timestamp. This is the probe the
-    /// cycle-model streaming path uses to derive deterministic
-    /// matching-residency hints — it must not perturb the host-domain
-    /// hit/miss accounting of the golden path.
-    pub fn contains(&self, key: &PlanKey) -> bool {
-        self.inner
-            .read()
-            .expect("plan cache lock")
-            .plans
-            .contains_key(key)
-    }
-
-    /// Looks the key up, counting a hit or a miss. A miss is expected to
-    /// be followed by a build + [`PlanCache::insert`].
-    pub fn get(&self, key: &PlanKey) -> Option<Arc<GeometryPlan>> {
-        if let Some(entry) = self.inner.read().expect("plan cache lock").plans.get(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            entry
-                .last_used
-                .store(self.tick.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
-            return Some(Arc::clone(&entry.plan));
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
-    }
-
-    /// Inserts a freshly built plan. Two concurrent first builds may
-    /// race; the first insert wins and both callers' plans are
-    /// structurally equal (plans are pure functions of the key). Returns
-    /// the resident plan.
-    pub fn insert(&self, key: PlanKey, plan: GeometryPlan) -> Arc<GeometryPlan> {
-        let mut inner = self.inner.write().expect("plan cache lock");
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        match inner.plans.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                e.get().last_used.store(tick, Ordering::Relaxed);
-                Arc::clone(&e.get().plan)
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let bytes = plan.heap_bytes();
-                let plan = Arc::clone(
-                    &v.insert(PlanEntry {
-                        plan: Arc::new(plan),
-                        bytes,
-                        last_used: AtomicU64::new(tick),
-                    })
-                    .plan,
-                );
-                inner.bytes += bytes;
-                if let Some(cap) = self.cap_bytes {
-                    self.evict_to_cap(&mut inner, cap, &key);
-                }
-                plan
-            }
-        }
-    }
-
-    /// Evicts least-recently-used plans (never `keep`) until the byte
-    /// budget is met or only `keep` remains. Deterministic: `last_used`
-    /// timestamps are unique.
-    fn evict_to_cap(&self, inner: &mut PlanInner, cap: usize, keep: &PlanKey) {
-        while inner.bytes > cap && inner.plans.len() > 1 {
-            let victim = inner
-                .plans
-                .iter()
-                .filter(|(k, _)| *k != keep)
-                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                .map(|(k, _)| *k);
-            let Some(victim) = victim else { break };
-            if let Some(e) = inner.plans.remove(&victim) {
-                inner.bytes -= e.bytes;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Number of plan hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of plan misses (whole-network builds) so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Number of plans evicted by the byte budget so far.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Hits over total lookups, in [0, 1]; zero before any lookup
-    /// (division-safe — never NaN).
-    pub fn hit_rate(&self) -> f64 {
-        let h = self.hits() as f64;
-        let m = self.misses() as f64;
-        if h + m == 0.0 {
-            0.0
-        } else {
-            h / (h + m)
-        }
-    }
-
-    /// Number of whole-network plans resident.
-    pub fn len(&self) -> usize {
-        self.inner.read().expect("plan cache lock").plans.len()
-    }
-
-    /// Whether no plan is resident.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total plan heap bytes currently retained.
-    pub fn bytes(&self) -> usize {
-        self.inner.read().expect("plan cache lock").bytes
-    }
-
-    /// The byte budget, or `None` for the unbounded default.
-    pub fn capacity_bytes(&self) -> Option<usize> {
-        self.cap_bytes
-    }
-
-    /// Emits the cache's point-in-time totals into a telemetry registry
-    /// (`esca_plan_cache_*`). Counters carry lifetime totals — record
-    /// into a fresh registry. Like the rulebook-cache series, the
-    /// hit/miss split is a host scheduling fact and belongs in a
-    /// **host-domain** registry; counter merges are plain sums, so
-    /// recording is commutative across caches.
-    pub fn record_metrics(&self, reg: &mut Registry) {
-        reg.counter_add("esca_plan_cache_hits_total", &[], self.hits());
-        reg.counter_add("esca_plan_cache_misses_total", &[], self.misses());
-        reg.counter_add("esca_plan_cache_evictions_total", &[], self.evictions());
-        reg.gauge_max("esca_plan_cache_resident_bytes", &[], self.bytes() as u64);
-        reg.gauge_max("esca_plan_cache_entries", &[], self.len() as u64);
-        if let Some(cap) = self.capacity_bytes() {
-            reg.gauge_max("esca_plan_cache_capacity_bytes", &[], cap as u64);
-        }
-    }
-
-    /// Drops every cached plan and resets the counters.
-    pub fn clear(&self) {
-        let mut inner = self.inner.write().expect("plan cache lock");
-        inner.plans.clear();
-        inner.bytes = 0;
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -939,103 +601,5 @@ mod tests {
         assert!(out.is_empty());
         let pooled = PoolMap::build(&t, 2).apply(&t).unwrap();
         assert!(pooled.is_empty());
-    }
-
-    #[test]
-    fn plan_cache_counts_hits_misses_and_is_division_safe() {
-        let cache = PlanCache::new();
-        assert_eq!(cache.hit_rate(), 0.0, "empty cache hit rate must be 0");
-        let key = PlanKey {
-            network: digest_u64s(1, [3u64]),
-            frame: random_input(50, 8, 1, 10).active_fingerprint(),
-        };
-        assert!(cache.get(&key).is_none());
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        let plan = GeometryPlan::new(vec![PlanStep::Pool(Arc::new(PoolMap::build(
-            &random_input(50, 8, 1, 10),
-            2,
-        )))]);
-        let resident = cache.insert(key, plan);
-        assert!(!resident.is_empty());
-        assert!(cache.bytes() > 0);
-        assert!(cache.get(&key).is_some());
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!((cache.hits(), cache.misses()), (0, 0));
-    }
-
-    #[test]
-    fn plan_cache_metrics_record_and_merge_commutatively() {
-        let a = PlanCache::new();
-        let b = PlanCache::new();
-        let key = PlanKey {
-            network: 7,
-            frame: random_input(51, 8, 1, 12).active_fingerprint(),
-        };
-        let _ = a.get(&key);
-        a.insert(key, GeometryPlan::default());
-        let _ = a.get(&key);
-        let _ = b.get(&key);
-        let mut ab = Registry::new();
-        a.record_metrics(&mut ab);
-        b.record_metrics(&mut ab);
-        let mut ba = Registry::new();
-        b.record_metrics(&mut ba);
-        a.record_metrics(&mut ba);
-        assert_eq!(ab, ba, "record_metrics must merge commutatively");
-        assert_eq!(ab.counter("esca_plan_cache_hits_total", &[]), Some(1));
-        assert_eq!(ab.counter("esca_plan_cache_misses_total", &[]), Some(2));
-    }
-
-    #[test]
-    fn plan_cache_lru_evicts_to_budget_and_never_the_insert() {
-        let frame_a = random_input(60, 10, 1, 40);
-        let frame_b = random_input(61, 10, 1, 40);
-        let plan_of = |f: &SparseTensor<f32>| {
-            GeometryPlan::new(vec![PlanStep::Strided(Arc::new(StridedMap::build(f, 2)))])
-        };
-        let one = plan_of(&frame_a)
-            .heap_bytes()
-            .max(plan_of(&frame_b).heap_bytes());
-        let cache = PlanCache::with_capacity_bytes(one);
-        let key_a = PlanKey {
-            network: 1,
-            frame: frame_a.active_fingerprint(),
-        };
-        let key_b = PlanKey {
-            network: 1,
-            frame: frame_b.active_fingerprint(),
-        };
-        cache.insert(key_a, plan_of(&frame_a));
-        assert_eq!(cache.len(), 1);
-        cache.insert(key_b, plan_of(&frame_b));
-        // The older plan was evicted; the fresh insert survived.
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.evictions(), 1);
-        assert!(cache.get(&key_b).is_some());
-        assert!(cache.bytes() <= one);
-    }
-
-    #[test]
-    fn digests_are_stable_and_tag_separated() {
-        let a = digest_u64s(1, [3u64, 2, 1]);
-        let b = digest_u64s(1, [3u64, 2, 1]);
-        let c = digest_u64s(2, [3u64, 2, 1]);
-        let d = digest_u64s(1, [3u64, 2, 2]);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_ne!(a, d);
-    }
-
-    #[test]
-    fn from_env_respects_the_switch() {
-        // The test process may or may not define the variable; only the
-        // parsing contract is checked here, via explicit construction.
-        let unbounded = PlanCache::new();
-        assert_eq!(unbounded.capacity_bytes(), None);
-        let bounded = PlanCache::with_capacity_bytes(1024);
-        assert_eq!(bounded.capacity_bytes(), Some(1024));
     }
 }

@@ -245,43 +245,13 @@ impl SsUNet {
     /// scalar reference tier, epsilon-bounded (and still deterministic)
     /// under the default blocked tier.
     ///
-    /// With a [`crate::plan::PlanCache`] attached to the engine, the full
-    /// geometry sequence of the pass — rulebooks and site maps for every
-    /// level — is recorded as one [`crate::plan::GeometryPlan`] under the
-    /// frame's fingerprint and replayed on every later pass over the same
-    /// geometry with **zero** matching work and zero per-layer cache
-    /// probes.
+    /// A repeated frame geometry replays every level's rulebook and site
+    /// maps from the engine's per-op cache with **zero** matching work.
     ///
     /// # Errors
     ///
     /// As [`SsUNet::forward`].
     pub fn forward_engine(
-        &self,
-        input: &SparseTensor<f32>,
-        engine: &mut FlatEngine,
-    ) -> Result<SparseTensor<f32>> {
-        if engine.plan_cache().is_some() {
-            let cfg = &self.cfg;
-            let digest = crate::plan::digest_u64s(
-                crate::plan::NET_TAG_UNET,
-                [
-                    u64::from(cfg.kernel),
-                    cfg.levels as u64,
-                    cfg.blocks_per_level as u64,
-                ],
-            );
-            engine.begin_plan(digest, input.active_fingerprint());
-        }
-        let run = self.run_engine(input, engine);
-        engine.end_plan(run.is_ok());
-        run
-    }
-
-    /// The engine walk behind [`SsUNet::forward_engine`]: the same layer
-    /// sequence as [`SsUNet::forward_with`], with every geometry-bearing
-    /// op (Sub-Conv, strided down, transpose up) routed through the
-    /// engine so one plan session covers the whole pass.
-    fn run_engine(
         &self,
         input: &SparseTensor<f32>,
         engine: &mut FlatEngine,
@@ -299,8 +269,8 @@ impl SsUNet {
                 next += 1;
             }
             if l < cfg.levels - 1 {
-                skips.push(x.clone());
-                x = engine.strided(&x, &self.downs[l])?;
+                let down = engine.strided(&x, &self.downs[l])?;
+                skips.push(std::mem::replace(&mut x, down));
             }
         }
         // Decoder.
@@ -629,33 +599,5 @@ mod tests {
         let input = SparseTensor::new(Extent3::cube(8), 1);
         let out = net.forward(&input).unwrap();
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn engine_forward_replays_whole_network_plan() {
-        use crate::plan::PlanCache;
-        use std::sync::Arc;
-        let net = SsUNet::new(small_cfg()).unwrap();
-        let input = blob_input(6, 16, 50);
-        let plans = Arc::new(PlanCache::new());
-        let mut engine = FlatEngine::with_backend(GemmBackendKind::ScalarRef)
-            .with_plan_cache(Some(Arc::clone(&plans)));
-        let cold = net.forward_engine(&input, &mut engine).unwrap();
-        assert_eq!((plans.hits(), plans.misses()), (0, 1));
-        let (h0, m0) = (engine.cache().hits(), engine.cache().misses());
-        // Frames 2..: one plan probe each, zero per-op cache traffic,
-        // byte-identical output.
-        for _ in 0..3 {
-            let warm = net.forward_engine(&input, &mut engine).unwrap();
-            assert_eq!(warm.coords(), cold.coords());
-            assert_eq!(warm.features(), cold.features());
-        }
-        assert_eq!((plans.hits(), plans.misses()), (3, 1));
-        assert_eq!((engine.cache().hits(), engine.cache().misses()), (h0, m0));
-        // A different frame geometry records its own plan.
-        let other = blob_input(7, 16, 55);
-        let _ = net.forward_engine(&other, &mut engine).unwrap();
-        assert_eq!(plans.misses(), 2);
-        assert_eq!(plans.len(), 2);
     }
 }

@@ -55,8 +55,9 @@ pub struct FlightEvent {
     pub fell_back: bool,
     /// Whether an undetected fault may have corrupted the output.
     pub silent_corruption: bool,
-    /// Whether the frame ran matching-resident off a cached geometry
-    /// plan.
+    /// Whether the frame ran matching-resident (its geometry was already
+    /// resident). The field keeps its historical name so the `/flight`
+    /// wire format stays stable.
     pub plan_resident: bool,
     /// GEMM backend label the session ran with.
     pub backend: String,

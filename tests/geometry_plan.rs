@@ -1,24 +1,25 @@
-//! Suite-level invariants of the whole-network GeometryPlan cache (see
-//! DESIGN.md §7.2 "GeometryPlan contract"):
+//! Suite-level replay and residency invariants of the per-op geometry
+//! cache (see DESIGN.md §7.2 "Matching-reuse contract"):
 //!
 //! * a 16-frame static-scene stream builds its geometry exactly once —
-//!   every frame after the first replays the recorded plan (100% plan
-//!   hit rate) with zero rulebook probes and zero map construction;
+//!   every frame after the first replays the cached rulebook with zero
+//!   matching work;
 //! * the same holds for the full networks that carry strided/transpose
 //!   site maps (SS U-Net) and pooling maps (SSCN classifier);
-//! * with the plan cache enabled, the cycle-domain telemetry snapshot
-//!   stays byte-identical across (workers, shards) splits and GEMM
-//!   backends, with every static frame after the first matching-resident
-//!   at zero match cycles;
-//! * an LRU-evicting, byte-budgeted cache changes throughput only —
-//!   never an output byte.
+//! * with matching reuse on, the cycle-domain telemetry snapshot stays
+//!   byte-identical across (workers, shards) splits and GEMM backends,
+//!   with every static frame after the first matching-resident at zero
+//!   match cycles;
+//! * residency is read from the cache without disturbing it, carries
+//!   across batches, and follows eviction;
+//! * an LRU-evicting, byte-budgeted cache changes reuse only — never an
+//!   output byte.
 
 use esca::streaming::StreamingSession;
 use esca::{Esca, EscaConfig};
 use esca_sscn::classifier::{ClassifierConfig, SscnClassifier};
-use esca_sscn::engine::FlatEngine;
+use esca_sscn::engine::{FlatEngine, RulebookCache};
 use esca_sscn::gemm::GemmBackendKind;
-use esca_sscn::plan::PlanCache;
 use esca_sscn::quant::{quantize_tensor, QuantizedWeights};
 use esca_sscn::unet::{SsUNet, UNetConfig};
 use esca_sscn::weights::ConvWeights;
@@ -60,39 +61,51 @@ fn stack() -> Vec<(QuantizedWeights, bool)> {
     ]
 }
 
+/// A session over the test stack with matching reuse as given.
+fn new_session(reuse: bool) -> StreamingSession {
+    let esca = Esca::new(EscaConfig::default()).unwrap();
+    StreamingSession::new(esca, stack(), 1).with_matching_reuse(reuse)
+}
+
+/// The golden outputs of each frame run alone through a fresh cache: no
+/// reuse of any kind.
+fn fresh_outputs(frames: &[SparseTensor<Q16>]) -> Vec<SparseTensor<Q16>> {
+    let esca = Esca::new(EscaConfig::default()).unwrap();
+    frames
+        .iter()
+        .map(|f| {
+            esca.run_network_golden(f, &stack(), &Arc::new(RulebookCache::new()))
+                .unwrap()
+        })
+        .collect()
+}
+
+fn assert_same_outputs(want: &[SparseTensor<Q16>], got: &[SparseTensor<Q16>], what: &str) {
+    assert_eq!(want.len(), got.len());
+    for (w, g) in want.iter().zip(got) {
+        assert_eq!(w.coords(), g.coords(), "{what}");
+        assert_eq!(w.features(), g.features(), "{what}");
+    }
+}
+
 #[test]
 fn static_scene_stream_replays_the_plan_for_every_frame_after_the_first() {
     let frames: Vec<_> = vec![frame_q(0x9137); 16];
+    let want = fresh_outputs(&frames);
 
-    // Reference: per-op rulebook caching only.
-    let esca = Esca::new(EscaConfig::default()).unwrap();
-    let reference = StreamingSession::new(esca, stack(), 1).with_plan_cache(None);
-    let want = reference.run_golden_batch(&frames).unwrap();
-
-    // How much rulebook-cache traffic one frame generates (record pass).
-    let esca = Esca::new(EscaConfig::default()).unwrap();
-    let one =
-        StreamingSession::new(esca, stack(), 1).with_plan_cache(Some(Arc::new(PlanCache::new())));
-    let _ = one.run_golden_batch(&frames[..1]).unwrap();
-    let probes_one_frame = one.rulebook_cache().hits() + one.rulebook_cache().misses();
-
-    let plans = Arc::new(PlanCache::new());
-    let esca = Esca::new(EscaConfig::default()).unwrap();
-    let session = StreamingSession::new(esca, stack(), 1).with_plan_cache(Some(Arc::clone(&plans)));
+    let session = new_session(false);
+    let _ = session.run_golden_batch(&frames[..1]).unwrap();
+    let cache = session.rulebook_cache();
+    let misses_one_frame = cache.misses();
     let got = session.run_golden_batch(&frames).unwrap();
-    for (w, g) in want.iter().zip(&got) {
-        assert_eq!(w.coords(), g.coords());
-        assert_eq!(w.features(), g.features(), "plan replay changed an output");
-    }
+    assert_same_outputs(&want, &got, "cached replay changed an output");
 
-    // Frame 0 misses and records; frames 1..=15 all hit: 100% hit rate
-    // past the first frame, and zero rulebook construction or probes —
-    // the 16-frame batch generates exactly one frame's worth of traffic.
-    assert_eq!((plans.misses(), plans.hits()), (1, 15));
+    // Frame 0 builds the geometry; 16 further frames build nothing.
+    assert_eq!(misses_one_frame, 1);
     assert_eq!(
-        session.rulebook_cache().hits() + session.rulebook_cache().misses(),
-        probes_one_frame,
-        "frames >= 2 must not touch the per-op rulebook cache"
+        cache.misses(),
+        misses_one_frame,
+        "repeat frames must not rebuild geometry"
     );
 }
 
@@ -110,27 +123,23 @@ fn unet_and_classifier_build_no_geometry_after_the_first_pass() {
     })
     .unwrap();
     let input = geometry(0xA11CE, 24, 250, 1);
-    let plans = Arc::new(PlanCache::new());
-    let mut engine = FlatEngine::with_backend(GemmBackendKind::ScalarRef)
-        .with_plan_cache(Some(Arc::clone(&plans)));
+    let mut engine = FlatEngine::with_backend(GemmBackendKind::ScalarRef);
     let first = net.forward_engine(&input, &mut engine).unwrap();
-    let probes = engine.cache().hits() + engine.cache().misses();
-    let bytes = plans.bytes();
+    let (misses, bytes) = (engine.cache().misses(), engine.cache().bytes());
     for _ in 1..16 {
         let again = net.forward_engine(&input, &mut engine).unwrap();
         assert_eq!(again.coords(), first.coords());
         assert_eq!(again.features(), first.features(), "replay diverged");
     }
-    assert_eq!((plans.misses(), plans.hits()), (1, 15));
     assert_eq!(
-        engine.cache().hits() + engine.cache().misses(),
-        probes,
-        "replay passes must not probe the per-op caches"
+        engine.cache().misses(),
+        misses,
+        "repeat passes must not rebuild rulebooks or site maps"
     );
     assert_eq!(
-        plans.bytes(),
+        engine.cache().bytes(),
         bytes,
-        "replay passes must not grow the cache"
+        "repeat passes must not grow the cache"
     );
 
     // SSCN classifier: the same contract over its pooling maps.
@@ -144,29 +153,27 @@ fn unet_and_classifier_build_no_geometry_after_the_first_pass() {
     })
     .unwrap();
     let input = geometry(0xB0B, 16, 60, 1);
-    let plans = Arc::new(PlanCache::new());
-    let mut engine = FlatEngine::with_backend(GemmBackendKind::ScalarRef)
-        .with_plan_cache(Some(Arc::clone(&plans)));
+    let mut engine = FlatEngine::with_backend(GemmBackendKind::ScalarRef);
     let first = net.forward_engine(&input, &mut engine).unwrap();
-    let probes = engine.cache().hits() + engine.cache().misses();
+    let (misses, bytes) = (engine.cache().misses(), engine.cache().bytes());
     for _ in 1..16 {
         let again = net.forward_engine(&input, &mut engine).unwrap();
         assert_eq!(again, first, "classifier replay diverged");
     }
-    assert_eq!((plans.misses(), plans.hits()), (1, 15));
     assert_eq!(
-        engine.cache().hits() + engine.cache().misses(),
-        probes,
-        "pooling maps must come from the plan, not fresh builds"
+        engine.cache().misses(),
+        misses,
+        "pooling maps must come from the cache, not fresh builds"
     );
+    assert_eq!(engine.cache().bytes(), bytes);
 }
 
 #[test]
 fn plan_hit_cycle_telemetry_is_byte_identical_across_splits_and_backends() {
     // The cycle model derives matching-residency hints before any frame
-    // is submitted, so plan hits must not cost a byte of cycle-domain
-    // determinism: same snapshot for every (workers, shards) split and
-    // every GEMM backend.
+    // is submitted, so resident frames must not cost a byte of
+    // cycle-domain determinism: same snapshot for every (workers, shards)
+    // split and every GEMM backend.
     let frames: Vec<_> = vec![frame_q(0xD15C); 8];
     let mut snapshots: Vec<String> = Vec::new();
     for kind in GemmBackendKind::ALL {
@@ -175,7 +182,7 @@ fn plan_hit_cycle_telemetry_is_byte_identical_across_splits_and_backends() {
             let session = StreamingSession::new(esca, stack(), workers)
                 .with_layer_shards(shards)
                 .with_gemm_backend(kind)
-                .with_plan_cache(Some(Arc::new(PlanCache::new())));
+                .with_matching_reuse(true);
             let report = session.run_batch(&frames).unwrap();
             // Zero-matching steady state: every frame after the first is
             // matching-resident and charges no match cycles.
@@ -193,7 +200,7 @@ fn plan_hit_cycle_telemetry_is_byte_identical_across_splits_and_backends() {
     for (i, s) in snapshots.iter().enumerate().skip(1) {
         assert_eq!(
             s, &snapshots[0],
-            "cycle snapshot of run {i} differs under plan-cached streaming"
+            "cycle snapshot of run {i} differs under matching reuse"
         );
     }
 }
@@ -201,46 +208,131 @@ fn plan_hit_cycle_telemetry_is_byte_identical_across_splits_and_backends() {
 #[test]
 fn evicting_plan_cache_changes_throughput_only_never_outputs() {
     // Alternate two geometries through a cache that can hold only one
-    // plan: constant LRU eviction, zero result drift.
+    // rulebook: constant LRU eviction, zero result drift.
     let a = frame_q(0xAAAA);
     let b = frame_q(0xBBBB);
     let frames: Vec<_> = (0..8)
         .map(|i| if i % 2 == 0 { a.clone() } else { b.clone() })
         .collect();
+    let want = fresh_outputs(&frames);
 
-    let esca = Esca::new(EscaConfig::default()).unwrap();
-    let reference = StreamingSession::new(esca, stack(), 1).with_plan_cache(None);
-    let want = reference.run_golden_batch(&frames).unwrap();
-
-    let tiny = Arc::new(PlanCache::with_capacity_bytes(1));
-    let esca = Esca::new(EscaConfig::default()).unwrap();
-    let session = StreamingSession::new(esca, stack(), 1).with_plan_cache(Some(Arc::clone(&tiny)));
+    let tiny = Arc::new(RulebookCache::with_capacity_bytes(1));
+    let session = new_session(false).with_rulebook_cache(Arc::clone(&tiny));
     let got = session.run_golden_batch(&frames).unwrap();
-    for (w, g) in want.iter().zip(&got) {
-        assert_eq!(w.coords(), g.coords());
-        assert_eq!(w.features(), g.features(), "eviction changed an output");
-    }
+    assert_same_outputs(&want, &got, "eviction changed an output");
     assert!(
         tiny.evictions() > 0,
         "the 1-byte budget must actually evict"
     );
     assert!(
         tiny.bytes() > 0 && tiny.len() == 1,
-        "one plan stays resident"
+        "one rulebook stays resident"
     );
 
     // Unbounded cache over the same batch: same bytes out, better reuse.
-    let roomy = Arc::new(PlanCache::new());
-    let esca = Esca::new(EscaConfig::default()).unwrap();
-    let session = StreamingSession::new(esca, stack(), 1).with_plan_cache(Some(Arc::clone(&roomy)));
+    let roomy = Arc::new(RulebookCache::new());
+    let session = new_session(false).with_rulebook_cache(Arc::clone(&roomy));
     let got = session.run_golden_batch(&frames).unwrap();
-    for (w, g) in want.iter().zip(&got) {
-        assert_eq!(w.features(), g.features());
-    }
-    assert_eq!((roomy.misses(), roomy.hits()), (2, 6));
+    assert_same_outputs(&want, &got, "unbounded cache changed an output");
+    assert_eq!((roomy.misses(), roomy.hits()), (2, 14));
     assert_eq!(roomy.evictions(), 0);
     assert!(
         roomy.hits() > tiny.hits(),
         "the budget must only cost reuse"
+    );
+}
+
+#[test]
+fn residency_probe_leaves_counters_and_lru_order_unchanged() {
+    // Three translates of one shape: equal-sized rulebooks, so a budget
+    // of exactly two entries evicts exactly one on the third insert.
+    let shape = geometry(0xC0DE, 8, 40, 1);
+    let shifted = |dx: i32| {
+        let mut t = SparseTensor::<f32>::new(Extent3::cube(24), 1);
+        for (c, f) in shape.iter() {
+            t.insert(Coord3::new(c.x + dx, c.y, c.z), f).unwrap();
+        }
+        t.canonicalize();
+        t
+    };
+    let (a, b, c) = (shifted(0), shifted(8), shifted(16));
+    let one = RulebookCache::new();
+    let _ = one.get_or_build(&a, 3);
+    let cache = RulebookCache::with_capacity_bytes(2 * one.bytes());
+    let _ = cache.get_or_build(&a, 3);
+    let _ = cache.get_or_build(&b, 3);
+    assert_eq!(
+        cache.bytes(),
+        2 * one.bytes(),
+        "translates must be equal-sized"
+    );
+
+    // Probing `a` — the least recently used entry — counts nothing and
+    // does not refresh it.
+    let counts = (cache.hits(), cache.misses(), cache.evictions());
+    for _ in 0..3 {
+        assert!(cache.contains_rulebook(&a, 3));
+        assert!(
+            !cache.contains_rulebook(&a, 5),
+            "kernel size is part of the key"
+        );
+        assert!(!cache.contains_rulebook(&c, 3));
+    }
+    assert_eq!((cache.hits(), cache.misses(), cache.evictions()), counts);
+
+    // So the next insert still evicts `a`, not `b`.
+    let _ = cache.get_or_build(&c, 3);
+    assert_eq!(cache.evictions(), 1);
+    assert!(
+        !cache.contains_rulebook(&a, 3),
+        "probe refreshed the LRU clock"
+    );
+    assert!(cache.contains_rulebook(&b, 3));
+    assert!(cache.contains_rulebook(&c, 3));
+}
+
+#[test]
+fn golden_batch_leaves_the_next_batch_resident_from_frame_zero() {
+    let frames: Vec<_> = vec![frame_q(0x5EED); 3];
+    let reference = new_session(false).run_batch(&frames).unwrap();
+
+    let session = new_session(true);
+    let golden = session.run_golden_batch(&frames[..1]).unwrap();
+    assert_same_outputs(&reference.outputs[..1], &golden, "golden path diverged");
+    let warm = session.run_batch(&frames).unwrap();
+    assert_same_outputs(
+        &reference.outputs,
+        &warm.outputs,
+        "residency changed an output",
+    );
+    for (i, s) in warm.per_frame.iter().enumerate() {
+        assert!(s.matching_resident, "frame {i} not matching-resident");
+        assert_eq!(s.match_cycles, 0, "frame {i} charged match cycles");
+    }
+}
+
+#[test]
+fn evicted_geometry_is_not_resident_in_the_next_batch() {
+    let a = frame_q(0xE1);
+    let b = frame_q(0xE2);
+    let frames = vec![a.clone(), b.clone()];
+    let reference = new_session(false).run_batch(&frames).unwrap();
+
+    // The 1-byte budget keeps only the last geometry built: `b`.
+    let tiny = Arc::new(RulebookCache::with_capacity_bytes(1));
+    let session = new_session(true).with_rulebook_cache(Arc::clone(&tiny));
+    let _ = session.run_golden_batch(&frames).unwrap();
+    let report = session.run_batch(&frames).unwrap();
+    assert!(
+        !report.per_frame[0].matching_resident,
+        "evicted `a` resident"
+    );
+    assert_eq!(report.per_frame[0], reference.per_frame[0]);
+    assert!(report.per_frame[1].matching_resident, "resident `b` missed");
+    assert_eq!(report.per_frame[1].match_cycles, 0);
+    assert_same_outputs(
+        &reference.outputs,
+        &report.outputs,
+        "eviction changed an output",
     );
 }

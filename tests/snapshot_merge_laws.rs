@@ -4,7 +4,7 @@
 //! worker results in completion order while the determinism contract
 //! promises a byte-identical cycle snapshot. Exercised over randomized
 //! registries (seeded `StdRng`, exhaustively replayable) that include
-//! the real metric families — `esca_plan_cache_*`, the fault counters,
+//! the real metric families — `esca_rulebook_cache_*`, the fault counters,
 //! per-frame cycle histograms — alongside hostile generic names.
 
 use esca_telemetry::{Registry, TelemetrySnapshot};
@@ -50,15 +50,23 @@ fn random_registry(rng: &mut StdRng) -> Registry {
         );
     }
     if rng.gen_bool(0.7) {
-        reg.counter_add("esca_plan_cache_hits_total", &[], rng.gen_range(0..100));
-        reg.counter_add("esca_plan_cache_misses_total", &[], rng.gen_range(0..100));
-        reg.counter_add("esca_plan_cache_evictions_total", &[], rng.gen_range(0..10));
+        reg.counter_add("esca_rulebook_cache_hits_total", &[], rng.gen_range(0..100));
+        reg.counter_add(
+            "esca_rulebook_cache_misses_total",
+            &[],
+            rng.gen_range(0..100),
+        );
+        reg.counter_add(
+            "esca_rulebook_cache_evictions_total",
+            &[],
+            rng.gen_range(0..10),
+        );
         reg.gauge_max(
-            "esca_plan_cache_resident_bytes",
+            "esca_rulebook_cache_resident_bytes",
             &[],
             rng.gen_range(0..1 << 20),
         );
-        reg.gauge_max("esca_plan_cache_entries", &[], rng.gen_range(0..32));
+        reg.gauge_max("esca_rulebook_cache_entries", &[], rng.gen_range(0..32));
     }
     for _ in 0..rng.gen_range(0..20) {
         reg.observe("esca_frame_cycles", &[], rng.gen_range(0..1 << 24));
