@@ -16,7 +16,8 @@ test:
 # campaign on the resilient streaming path (replayable summary lands in
 # chaos.json). The backend-equivalence suites re-run once per GEMM
 # backend with ESCA_GEMM_BACKEND pinned, so every env-driven default
-# path is exercised under both tiers, and the streaming determinism and
+# path (the library unit tests included) is exercised under both tiers,
+# and the streaming determinism and
 # matching-reuse suites (streaming_determinism, geometry_plan) re-run
 # under both backends — cached replay and matching residency must keep
 # outputs and cycle telemetry byte-identical. The observability plane is
@@ -38,8 +39,8 @@ verify:
 	cargo build --workspace --release --locked --offline
 	cargo test --workspace -q --locked --offline
 	cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
-	ESCA_GEMM_BACKEND=scalar cargo test -q --locked --offline -p esca-sscn --test gemm_backends -p esca --test chaos_streaming -p esca-suite --test parallel_equivalence --test streaming_determinism --test observability --test snapshot_merge_laws
-	ESCA_GEMM_BACKEND=blocked cargo test -q --locked --offline -p esca-sscn --test gemm_backends -p esca --test chaos_streaming -p esca-suite --test parallel_equivalence --test streaming_determinism --test observability --test snapshot_merge_laws
+	ESCA_GEMM_BACKEND=scalar cargo test -q --locked --offline -p esca-sscn --test gemm_backends -p esca --lib --test chaos_streaming -p esca-suite --test parallel_equivalence --test streaming_determinism --test observability --test snapshot_merge_laws
+	ESCA_GEMM_BACKEND=blocked cargo test -q --locked --offline -p esca-sscn --test gemm_backends -p esca --lib --test chaos_streaming -p esca-suite --test parallel_equivalence --test streaming_determinism --test observability --test snapshot_merge_laws
 	ESCA_GEMM_BACKEND=scalar cargo test -q --locked --offline -p esca-suite --test streaming_determinism --test geometry_plan
 	ESCA_GEMM_BACKEND=blocked cargo test -q --locked --offline -p esca-suite --test streaming_determinism --test geometry_plan
 	cargo clippy --workspace --all-targets --locked --offline -- -D warnings

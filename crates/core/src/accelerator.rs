@@ -14,7 +14,7 @@ use crate::encode::EncodedFeatureMap;
 use crate::error::EscaError;
 use crate::sdmu::{FetchOutcome, MatchGroupDesc, ScanOutcome, TileSdmu};
 use crate::stats::CycleStats;
-use crate::telemetry::LayerTelemetry;
+use crate::telemetry::{LayerSpan, LayerTelemetry};
 use crate::trace::PipelineTrace;
 use crate::zero_removing::ZeroRemovingUnit;
 use crate::Result;
@@ -41,6 +41,11 @@ pub struct LayerOpts {
     /// enabled globally by
     /// [`crate::config::EscaConfig::matching_resident`].
     pub matching_resident: bool,
+    /// Host threads the layer's per-tile cycle loops are sharded across
+    /// (default 1: the calling thread). An execution detail only: the
+    /// output, [`CycleStats`], telemetry and trace are bit-identical for
+    /// every value.
+    pub shards: usize,
 }
 
 impl Default for LayerOpts {
@@ -48,6 +53,7 @@ impl Default for LayerOpts {
         LayerOpts {
             load_weights: true,
             matching_resident: false,
+            shards: 1,
         }
     }
 }
@@ -75,6 +81,9 @@ pub struct NetworkRun {
     pub per_layer: Vec<CycleStats>,
     /// Aggregate statistics.
     pub total: CycleStats,
+    /// Every layer's cycle-domain telemetry merged, with one
+    /// [`LayerSpan`] per layer (its frame-relative cycle interval).
+    pub telemetry: LayerTelemetry,
 }
 
 /// The ESCA accelerator instance.
@@ -142,14 +151,28 @@ impl Esca {
         )
     }
 
-    /// [`Esca::run_layer`] with full [`LayerOpts`] control, including
-    /// **matching-resident** execution: when the frame's geometry is
-    /// already resident, the SDMU's matching work product is already resident, so the
-    /// mask-scan/fetch stages and the zero-removing pre-pass charge zero
-    /// cycles and zero scan-side activity (`scanned_sites`,
+    /// [`Esca::run_layer`] with full [`LayerOpts`] control.
+    ///
+    /// **Matching-resident** execution: when the frame's geometry is
+    /// already resident, the SDMU's matching work product is already on
+    /// chip, so the mask-scan/fetch stages and the zero-removing pre-pass
+    /// charge zero cycles and zero scan-side activity (`scanned_sites`,
     /// `mask_bits_read`, `fifo_pushes` stay 0); only the computing-array
     /// stage, activation reads and DRAM streaming remain. Outputs are
     /// bit-identical to the normal path.
+    ///
+    /// **Sharding**: the buffer/DMA model always walks the active tiles
+    /// once, sequentially on the calling thread, so capacity errors and
+    /// peak occupancies surface identically; the same pass records each
+    /// tile's first match-group ordinal (a prefix sum of per-tile nnz),
+    /// which makes the tiles independent. The per-tile cycle loops then
+    /// run on the calling thread (`shards <= 1`) or on `shards` scoped
+    /// threads, each over a contiguous chunk of tiles with its own
+    /// computing core (the core is free between tiles, so per-shard cores
+    /// are bit-exact); shard counters merge by exact u64 addition and
+    /// outputs/traces/telemetry merge in tile order. The returned
+    /// [`LayerRun`] is bit-identical for every shard count — only
+    /// wall-clock changes.
     ///
     /// # Errors
     ///
@@ -214,207 +237,12 @@ impl Esca {
         });
         dram.write((input.nnz() * weights.out_ch() * 2) as u64);
 
-        // --- Per-tile pipelined execution.
-        let mut output = SparseTensor::new(input.extent(), weights.out_ch());
-        let mut cc = ComputingCore::new(weights, self.cfg.ic_parallel, self.cfg.oc_parallel, relu);
-        let grid = zr.report.grid();
-        let r = (self.cfg.kernel / 2) as i32;
-        let mut next_group = 0usize;
-        for info in zr.report.active() {
-            // Tile DMA: activations of tile + halo, masks of the tile.
-            let hi = info.max_corner(grid.shape(), grid.extent());
-            let halo_lo = info.origin.offset(-r, -r, -r);
-            let halo_hi = hi.offset(r, r, r);
-            let halo_nnz = enc.mask().count_in_box(halo_lo, halo_hi);
-            let tile_act_bytes = halo_nnz * enc.channels() * 2;
-            let tile_mask_bytes = (grid.shape().volume() as usize).div_ceil(8);
-            act_buf.fill(tile_act_bytes)?;
-            mask_buf.fill(tile_mask_bytes)?;
-            stats.tile_overhead_cycles += self.cfg.per_tile_overhead_cycles;
-            stats.peak_act_buffer_bytes =
-                stats.peak_act_buffer_bytes.max(act_buf.peak_bytes() as u64);
-
-            let tile_out_bytes = info.nnz * weights.out_ch() * 2;
-            out_buf.fill(tile_out_bytes)?;
-
-            next_group = self.run_tile(
-                &enc,
-                info,
-                &grid,
-                &mut cc,
-                &mut output,
-                next_group,
-                resident,
-                &mut stats,
-                &mut tele,
-                &mut trace,
-            )?;
-
-            out_buf.record_writes(info.nnz as u64 * weights.out_ch() as u64);
-            // Write-back to DRAM retires the tile's outputs.
-            out_buf.drain(tile_out_bytes);
-            act_buf.drain(tile_act_bytes);
-            mask_buf.drain(tile_mask_bytes);
-        }
-        debug_assert_eq!(next_group, input.nnz());
-
-        // --- DRAM stalls: weight load is exposed unless configured
-        // overlapped; streaming traffic hides under compute per the
-        // overlap factor.
-        let compute_cycles = stats.pipeline_cycles + stats.tile_overhead_cycles;
-        let weight_cycles = if self.cfg.weight_load_overlap || !load_weights {
-            0
-        } else {
-            ((weights.len() + weights.out_ch() * 4) as f64 / self.cfg.dram_bytes_per_cycle).ceil()
-                as u64
-        };
-        stats.dram_stall_cycles = weight_cycles
-            + dram.stall_cycles(
-                self.cfg.dram_bytes_per_cycle,
-                self.cfg.dram_overlap,
-                compute_cycles,
-            );
-        stats.layer_overhead_cycles = self.cfg.per_layer_overhead_cycles;
-        stats.dram_bytes_in = dram.bytes_in();
-        stats.dram_bytes_out = dram.bytes_out();
-
-        for buf in [&weight_buf, &act_buf, &mask_buf, &out_buf] {
-            tele.buffers.push(buf.telemetry());
-        }
-
-        output.canonicalize();
-        Ok(LayerRun {
-            output,
-            stats,
-            trace,
-            telemetry: tele,
-        })
-    }
-
-    /// [`Esca::run_layer`] with tile-level compute sharded across
-    /// `workers` host threads.
-    ///
-    /// Active tiles are independent once each tile's first match-group
-    /// ordinal is known (a prefix sum of per-tile nnz), so the per-tile
-    /// cycle loops can run concurrently. The simulated timing model is
-    /// untouched: buffer-model fills/drains run on the calling thread in
-    /// sequential tile order (capacity errors and peak occupancies surface
-    /// identically), per-shard cycle counters merge by exact u64 addition,
-    /// and outputs/traces merge in tile order. The returned [`LayerRun`]
-    /// is bit-identical to [`Esca::run_layer`] — only wall-clock improves.
-    ///
-    /// # Errors
-    ///
-    /// As [`Esca::run_layer`].
-    pub fn run_layer_sharded(
-        &self,
-        input: &SparseTensor<Q16>,
-        weights: &QuantizedWeights,
-        relu: bool,
-        workers: usize,
-    ) -> Result<LayerRun> {
-        self.run_layer_sharded_opts(input, weights, relu, true, workers)
-    }
-
-    /// [`Esca::run_layer_sharded`] with explicit weight-load control, as
-    /// [`Esca::run_layer_opts`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Esca::run_layer`].
-    pub fn run_layer_sharded_opts(
-        &self,
-        input: &SparseTensor<Q16>,
-        weights: &QuantizedWeights,
-        relu: bool,
-        load_weights: bool,
-        workers: usize,
-    ) -> Result<LayerRun> {
-        self.run_layer_sharded_with(
-            input,
-            weights,
-            relu,
-            LayerOpts {
-                load_weights,
-                ..LayerOpts::default()
-            },
-            workers,
-        )
-    }
-
-    /// [`Esca::run_layer_sharded`] with full [`LayerOpts`] control, as
-    /// [`Esca::run_layer_with`]. Matching-resident accounting is applied
-    /// per shard, so the merged stats stay bit-identical to the
-    /// single-threaded path for every `workers` value.
-    ///
-    /// # Errors
-    ///
-    /// As [`Esca::run_layer`].
-    pub fn run_layer_sharded_with(
-        &self,
-        input: &SparseTensor<Q16>,
-        weights: &QuantizedWeights,
-        relu: bool,
-        opts: LayerOpts,
-        workers: usize,
-    ) -> Result<LayerRun> {
-        if workers <= 1 {
-            return self.run_layer_with(input, weights, relu, opts);
-        }
-        let load_weights = opts.load_weights;
-        let resident = opts.matching_resident || self.cfg.matching_resident;
-        if input.channels() != weights.in_ch() {
-            return Err(EscaError::ChannelMismatch {
-                expected: weights.in_ch(),
-                got: input.channels(),
-            });
-        }
-        if weights.k() != self.cfg.kernel {
-            return Err(EscaError::Config {
-                reason: format!(
-                    "layer kernel {} does not match configured kernel {}",
-                    weights.k(),
-                    self.cfg.kernel
-                ),
-            });
-        }
-        let mut stats = CycleStats::default();
-        let mut trace = PipelineTrace::new(self.cfg.record_trace);
-        let mut tele = LayerTelemetry::new();
-
-        let zr = ZeroRemovingUnit::default().run(input, self.cfg.tile);
-        stats.zero_removing_cycles = if resident { 0 } else { zr.cycles };
-        stats.matching_resident = resident;
-        stats.active_tiles = zr.report.active_tiles() as u64;
-        stats.total_tiles = zr.report.total_tiles() as u64;
-
-        let enc = EncodedFeatureMap::encode(input, self.cfg.tile)?;
-        let mut weight_buf = BufferModel::new("weight buffer", self.cfg.weight_buffer_bytes);
-        weight_buf.fill(weights.len() + weights.out_ch() * 4)?;
-        let mut act_buf = BufferModel::new("activation buffer", self.cfg.act_buffer_bytes);
-        let mut mask_buf = BufferModel::new("mask buffer", self.cfg.mask_buffer_bytes);
-        let mut out_buf = BufferModel::new("output buffer", self.cfg.out_buffer_bytes);
-
-        let mut dram = DramModel::new();
-        if load_weights {
-            dram.read((weights.len() + weights.out_ch() * 4) as u64);
-        }
-        dram.read(if resident {
-            enc.act_bytes() as u64
-        } else {
-            enc.total_bytes() as u64
-        });
-        dram.write((input.nnz() * weights.out_ch() * 2) as u64);
-
+        // --- Tile DMA (sequential): activations of tile + halo and the
+        // tile's masks in, outputs written back, in tile order — plus
+        // each tile's first match-group ordinal.
         let grid = zr.report.grid();
         let r = (self.cfg.kernel / 2) as i32;
         let active = zr.report.active();
-
-        // Pass 1 (sequential, calling thread): the shared buffer/DMA model,
-        // walked in exactly the tile order of `run_layer_opts` so capacity
-        // errors and peak-occupancy stats are identical — plus the prefix
-        // sum of per-tile nnz that gives each tile its first match-group
-        // ordinal, which is what makes the tiles independent.
         let mut first_groups = Vec::with_capacity(active.len());
         let mut next_group = 0usize;
         for info in active {
@@ -436,62 +264,71 @@ impl Esca {
             next_group += info.nnz;
 
             out_buf.record_writes(info.nnz as u64 * weights.out_ch() as u64);
+            // Write-back to DRAM retires the tile's outputs.
             out_buf.drain(tile_out_bytes);
             act_buf.drain(tile_act_bytes);
             mask_buf.drain(tile_mask_bytes);
         }
         debug_assert_eq!(next_group, input.nnz());
 
-        // Pass 2 (sharded): contiguous chunks of the active-tile list, one
-        // per worker. Each shard gets a fresh computing core (the core is
-        // free between tiles, so per-shard cores are bit-exact), output
-        // tensor, stats and trace; shards merge back in tile order.
-        struct Shard {
-            output: SparseTensor<Q16>,
-            stats: CycleStats,
-            telemetry: LayerTelemetry,
-            trace: PipelineTrace,
-        }
+        // --- Per-tile pipelined execution: one computing core walks a
+        // contiguous run of tiles.
+        let walk = |tiles: &[esca_tensor::TileInfo],
+                    groups: &[usize],
+                    output: &mut SparseTensor<Q16>,
+                    stats: &mut CycleStats,
+                    tele: &mut LayerTelemetry,
+                    trace: &mut PipelineTrace| {
+            let mut cc =
+                ComputingCore::new(weights, self.cfg.ic_parallel, self.cfg.oc_parallel, relu);
+            for (info, &first) in tiles.iter().zip(groups) {
+                let next = self.run_tile(
+                    &enc, info, &grid, &mut cc, output, first, resident, stats, tele, trace,
+                );
+                debug_assert_eq!(next, first + info.nnz);
+            }
+        };
         let mut output = SparseTensor::new(input.extent(), weights.out_ch());
-        if !active.is_empty() {
-            let chunk = active.len().div_ceil(workers.min(active.len()));
-            let shards: Vec<Result<Shard>> = crossbeam::scope(|s| {
+        let shards = opts.shards.min(active.len());
+        if shards <= 1 {
+            walk(
+                active,
+                &first_groups,
+                &mut output,
+                &mut stats,
+                &mut tele,
+                &mut trace,
+            );
+        } else {
+            struct Shard {
+                output: SparseTensor<Q16>,
+                stats: CycleStats,
+                telemetry: LayerTelemetry,
+                trace: PipelineTrace,
+            }
+            let chunk = active.len().div_ceil(shards);
+            let walk = &walk;
+            let done: Vec<Shard> = crossbeam::scope(|s| {
                 let handles: Vec<_> = active
                     .chunks(chunk)
                     .zip(first_groups.chunks(chunk))
                     .map(|(tiles, groups)| {
-                        let enc = &enc;
-                        let grid = &grid;
-                        let extent = input.extent();
-                        s.spawn(move |_| -> Result<Shard> {
+                        s.spawn(move |_| {
                             let mut shard = Shard {
-                                output: SparseTensor::new(extent, weights.out_ch()),
+                                output: SparseTensor::new(input.extent(), weights.out_ch()),
                                 stats: CycleStats::default(),
                                 telemetry: LayerTelemetry::new(),
                                 trace: PipelineTrace::new(self.cfg.record_trace),
                             };
-                            let mut cc = ComputingCore::new(
-                                weights,
-                                self.cfg.ic_parallel,
-                                self.cfg.oc_parallel,
-                                relu,
+                            walk(
+                                tiles,
+                                groups,
+                                &mut shard.output,
+                                &mut shard.stats,
+                                &mut shard.telemetry,
+                                &mut shard.trace,
                             );
-                            for (info, &first) in tiles.iter().zip(groups) {
-                                let got = self.run_tile(
-                                    enc,
-                                    info,
-                                    grid,
-                                    &mut cc,
-                                    &mut shard.output,
-                                    first,
-                                    resident,
-                                    &mut shard.stats,
-                                    &mut shard.telemetry,
-                                    &mut shard.trace,
-                                )?;
-                                debug_assert_eq!(got, first + info.nnz);
-                            }
-                            Ok(shard)
+                            shard
                         })
                     })
                     .collect();
@@ -501,8 +338,7 @@ impl Esca {
                     .collect()
             })
             .expect("tile shard scope panicked");
-            for shard in shards {
-                let shard = shard?;
+            for shard in done {
                 stats += &shard.stats;
                 tele.merge(&shard.telemetry);
                 trace.extend(&shard.trace);
@@ -512,6 +348,9 @@ impl Esca {
             }
         }
 
+        // --- DRAM stalls: weight load is exposed unless configured
+        // overlapped; streaming traffic hides under compute per the
+        // overlap factor.
         let compute_cycles = stats.pipeline_cycles + stats.tile_overhead_cycles;
         let weight_cycles = if self.cfg.weight_load_overlap || !load_weights {
             0
@@ -564,7 +403,7 @@ impl Esca {
         stats: &mut CycleStats,
         tele: &mut LayerTelemetry,
         trace: &mut PipelineTrace,
-    ) -> Result<usize> {
+    ) -> usize {
         let mut sdmu = TileSdmu::new(
             enc,
             info,
@@ -728,7 +567,7 @@ impl Esca {
                 .max(sdmu.fifos.peak_occupancy() as u64);
             tele.record_fifo_totals(&sdmu.fifos);
         }
-        Ok(sdmu.next_group())
+        sdmu.next_group()
     }
 
     /// Convenience wrapper: quantizes a float input and float weights with
@@ -764,19 +603,44 @@ impl Esca {
         input: &SparseTensor<Q16>,
         layers: &[(QuantizedWeights, bool)],
     ) -> Result<NetworkRun> {
-        let mut x = input.clone();
+        self.run_chain(input, layers, LayerOpts::default())
+    }
+
+    /// The one layer chain behind [`Esca::run_network`],
+    /// [`Esca::run_network_stream`] and the streaming runners: every layer
+    /// runs under the same `opts`, its telemetry merges into the frame's,
+    /// and a [`LayerSpan`] records its frame-relative cycle interval. The
+    /// spans are computed from the merged per-layer stats, so the shard
+    /// count cannot show in them.
+    pub(crate) fn run_chain(
+        &self,
+        input: &SparseTensor<Q16>,
+        layers: &[(QuantizedWeights, bool)],
+        opts: LayerOpts,
+    ) -> Result<NetworkRun> {
+        let mut x: Option<SparseTensor<Q16>> = None;
         let mut per_layer = Vec::with_capacity(layers.len());
         let mut total = CycleStats::default();
-        for (w, relu) in layers {
-            let run = self.run_layer(&x, w, *relu)?;
+        let mut telemetry = LayerTelemetry::new();
+        for (layer, (w, relu)) in layers.iter().enumerate() {
+            let run = self.run_layer_with(x.as_ref().unwrap_or(input), w, *relu, opts)?;
+            let start_cycle = total.total_cycles();
             total += &run.stats;
+            telemetry.merge(&run.telemetry);
+            telemetry.push_layer_span(LayerSpan {
+                layer: layer as u32,
+                start_cycle,
+                end_cycle: total.total_cycles(),
+                matching_resident: run.stats.matching_resident,
+            });
             per_layer.push(run.stats);
-            x = run.output;
+            x = Some(run.output);
         }
         Ok(NetworkRun {
-            output: x,
+            output: x.unwrap_or_else(|| input.clone()),
             per_layer,
             total,
+            telemetry,
         })
     }
 
@@ -855,18 +719,17 @@ impl Esca {
         frames: &[SparseTensor<Q16>],
         layers: &[(QuantizedWeights, bool)],
     ) -> Result<Vec<CycleStats>> {
-        let mut out = Vec::with_capacity(frames.len());
-        for (i, frame) in frames.iter().enumerate() {
-            let mut x = frame.clone();
-            let mut total = CycleStats::default();
-            for (w, relu) in layers {
-                let run = self.run_layer_opts(&x, w, *relu, i == 0)?;
-                total += &run.stats;
-                x = run.output;
-            }
-            out.push(total);
-        }
-        Ok(out)
+        frames
+            .iter()
+            .enumerate()
+            .map(|(i, frame)| {
+                let opts = LayerOpts {
+                    load_weights: i == 0,
+                    ..LayerOpts::default()
+                };
+                self.run_chain(frame, layers, opts).map(|run| run.total)
+            })
+            .collect()
     }
 }
 
@@ -1039,6 +902,7 @@ mod tests {
                 LayerOpts {
                     load_weights: false,
                     matching_resident: true,
+                    ..LayerOpts::default()
                 },
             )
             .unwrap();
@@ -1080,11 +944,20 @@ mod tests {
         let opts = LayerOpts {
             load_weights: false,
             matching_resident: true,
+            ..LayerOpts::default()
         };
         let one = acc.run_layer_with(&qin, &qw, true, opts).unwrap();
         for workers in [2, 4] {
             let n = acc
-                .run_layer_sharded_with(&qin, &qw, true, opts, workers)
+                .run_layer_with(
+                    &qin,
+                    &qw,
+                    true,
+                    LayerOpts {
+                        shards: workers,
+                        ..opts
+                    },
+                )
                 .unwrap();
             assert!(n.output.same_content(&one.output), "workers={workers}");
             assert_eq!(n.stats, one.stats, "workers={workers}");

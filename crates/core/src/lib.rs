@@ -86,7 +86,7 @@ pub mod telemetry;
 pub mod trace;
 pub mod zero_removing;
 
-pub use accelerator::{Esca, LayerRun, NetworkRun};
+pub use accelerator::{Esca, LayerOpts, LayerRun, NetworkRun};
 pub use admission::{
     AdmissionConfig, AdmissionRecord, AdmissionVerdict, Arrival, IngestQueue, SloTarget,
     TenantQuota,

@@ -29,25 +29,24 @@
 //! cycle snapshot stays byte-identical across `(workers, shards)` even
 //! mid-campaign.
 
-use crate::accelerator::Esca;
+use crate::accelerator::{Esca, LayerOpts, NetworkRun};
 use crate::admission::{
     record_admission_into, AdmissionConfig, AdmissionRecord, AdmissionVerdict, Arrival, IngestQueue,
 };
 use crate::config::EscaConfig;
 use crate::error::EscaError;
 use crate::stats::CycleStats;
-use crate::streaming::{deliver, run_frame, span_chrome_trace, FrameSpanTrace, StreamingSession};
-use crate::telemetry::LayerTelemetry;
-use crossbeam::channel;
+use crate::streaming::{
+    fold_frame, record_frame, span_chrome_trace, Arrived, FrameSpanTrace, StreamingSession,
+};
 use esca_sscn::engine::{FlatEngine, RulebookCache};
 use esca_sscn::gemm::GemmBackendKind;
 use esca_sscn::quant::QuantizedWeights;
 use esca_telemetry::{ChromeTrace, FlightEvent, FrameSpanCtx, Registry, TelemetrySnapshot};
 use esca_tensor::{SparseTensor, Q16};
 use serde::Serialize;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Once, OnceLock, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Bytes per modeled BRAM line (one 64-bit word, one parity bit each).
 const BRAM_LINE_BYTES: usize = 8;
@@ -667,6 +666,24 @@ pub struct FrameReport {
 }
 
 impl FrameReport {
+    /// The report of a frame that never produced a result: no attempt
+    /// ran (callers override `attempts` and `degraded` where they apply),
+    /// no fault was injected and no cycle was spent.
+    fn unrun(frame: usize, tenant: u32, outcome: FrameOutcome) -> Self {
+        FrameReport {
+            frame,
+            tenant,
+            degraded: false,
+            outcome,
+            attempts: 0,
+            injected: Vec::new(),
+            silent_corruption: false,
+            fell_back: false,
+            spent_cycles: 0,
+            injected_stall_cycles: 0,
+        }
+    }
+
     /// A frame whose output is trustworthy: it completed and no silent
     /// corruption was flagged. Healthy frames are byte-identical to a
     /// fault-free run (chaos tests enforce this).
@@ -975,7 +992,7 @@ fn flip_feature_bit(t: &SparseTensor<Q16>, word: usize, bit: u8) -> SparseTensor
 
 /// What one attempt produced, plus its accounting.
 struct AttemptOutcome {
-    result: Result<(SparseTensor<Q16>, CycleStats, LayerTelemetry), EscaError>,
+    result: Result<NetworkRun, EscaError>,
     cost_cycles: u64,
     stall_cycles: u64,
     silent: bool,
@@ -991,9 +1008,7 @@ fn execute_attempt(
     cache: &Arc<RulebookCache>,
     frame: &SparseTensor<Q16>,
     idx: usize,
-    load_weights: bool,
-    degraded: bool,
-    shards: usize,
+    opts: LayerOpts,
     backend: GemmBackendKind,
     plan: &mut [FaultRecord],
 ) -> AttemptOutcome {
@@ -1061,18 +1076,7 @@ fn execute_attempt(
         if panic_planned {
             injected_panic(idx);
         }
-        run_frame(
-            esca,
-            layers,
-            used,
-            crate::accelerator::LayerOpts {
-                load_weights,
-                // Degraded admission runs resident-plan-only: outputs
-                // stay bit-identical, matching cycles are shed.
-                matching_resident: degraded,
-            },
-            shards,
-        )
+        esca.run_chain(used, layers, opts)
     });
     let modeled = match std::panic::catch_unwind(run) {
         Err(_) => {
@@ -1081,14 +1085,14 @@ fn execute_attempt(
         }
         Ok(r) => r,
     };
-    let (mut output, stats, tele) = match modeled {
+    let mut run = match modeled {
         Ok(v) => v,
         Err(e) => {
             out.result = Err(e);
             return out;
         }
     };
-    out.cost_cycles += stats.total_cycles();
+    out.cost_cycles += run.total.total_cycles();
 
     // 3. BRAM / FIFO integrity fault: detected → typed error, the cycles
     //    were spent but the result is discarded (retry); undetected →
@@ -1103,7 +1107,7 @@ fn execute_attempt(
             });
             return out;
         }
-        output = flip_feature_bit(&output, line as usize, bit);
+        run.output = flip_feature_bit(&run.output, line as usize, bit);
         out.silent = true;
     }
 
@@ -1148,7 +1152,7 @@ fn execute_attempt(
                         return out;
                     }
                     None => {
-                        output = y;
+                        run.output = y;
                         out.silent = true;
                     }
                 }
@@ -1156,55 +1160,41 @@ fn execute_attempt(
         }
     }
 
-    out.result = Ok((output, stats, tele));
+    out.result = Ok(run);
     out
 }
 
-/// Runs all attempts of one frame under the recovery policy.
-#[allow(clippy::too_many_arguments)]
+/// One admitted frame as the ingest runner schedules it.
+#[derive(Debug, Clone, Copy)]
+struct AdmittedFrame {
+    /// Frame index within the batch.
+    idx: usize,
+    /// Owning tenant.
+    tenant: u32,
+    /// Whether admission degraded the frame to resident-only execution.
+    degraded: bool,
+    /// What every attempt of the frame runs with.
+    opts: LayerOpts,
+}
+
+/// Runs all attempts of one admitted frame under the recovery policy.
 fn run_frame_resilient(
     esca: &Esca,
     layers: &[(QuantizedWeights, bool)],
     cache: &Arc<RulebookCache>,
     frame: &SparseTensor<Q16>,
-    idx: usize,
-    tenant: u32,
-    load_weights: bool,
-    degraded: bool,
-    shards: usize,
+    admitted: AdmittedFrame,
     backend: GemmBackendKind,
     cfg: &FaultConfig,
-) -> (
-    FrameReport,
-    Option<(SparseTensor<Q16>, CycleStats, LayerTelemetry)>,
-) {
+) -> (FrameReport, Option<NetworkRun>) {
+    let idx = admitted.idx;
     let frame_words = frame.nnz() * frame.channels();
-    let mut records: Vec<FaultRecord> = Vec::new();
-    let mut spent = 0u64;
-    let mut stall_total = 0u64;
-    let mut silent = false;
-    let mut fell_back = false;
-    let mut last_err: Option<EscaError> = None;
-    let attempts_max = cfg.recovery.max_retries.saturating_add(1);
-    let report = |outcome: FrameOutcome,
-                  attempts: u32,
-                  records: Vec<FaultRecord>,
-                  silent: bool,
-                  fell_back: bool,
-                  spent: u64,
-                  stalls: u64| FrameReport {
-        frame: idx,
-        tenant,
-        degraded,
-        outcome,
-        attempts,
-        injected: records,
-        silent_corruption: silent,
-        fell_back,
-        spent_cycles: spent,
-        injected_stall_cycles: stalls,
+    let mut rep = FrameReport {
+        degraded: admitted.degraded,
+        ..FrameReport::unrun(idx, admitted.tenant, FrameOutcome::Ok)
     };
-    for attempt in 0..attempts_max {
+    // At least one attempt always runs, so the loop sets the outcome.
+    for attempt in 0..cfg.recovery.max_retries.saturating_add(1) {
         let mut plan = plan_for(cfg, esca.config(), frame_words, idx, attempt);
         let out = execute_attempt(
             esca,
@@ -1212,73 +1202,36 @@ fn run_frame_resilient(
             cache,
             frame,
             idx,
-            load_weights,
-            degraded,
-            shards,
+            admitted.opts,
             backend,
             &mut plan,
         );
-        spent += out.cost_cycles;
-        stall_total += out.stall_cycles;
-        records.extend(plan);
+        rep.attempts = attempt + 1;
+        rep.spent_cycles += out.cost_cycles;
+        rep.injected_stall_cycles += out.stall_cycles;
+        rep.injected.extend(plan);
         match out.result {
-            Ok(ok) => {
-                silent |= out.silent;
-                fell_back |= out.fell_back;
-                let outcome = if attempt == 0 {
-                    FrameOutcome::Ok
-                } else {
-                    FrameOutcome::Retried { retries: attempt }
-                };
-                return (
-                    report(
-                        outcome,
-                        attempt + 1,
-                        records,
-                        silent,
-                        fell_back,
-                        spent,
-                        stall_total,
-                    ),
-                    Some(ok),
-                );
-            }
-            Err(e) => {
-                last_err = Some(e);
-                if let Some(budget) = cfg.recovery.cycle_budget {
-                    if spent >= budget {
-                        return (
-                            report(
-                                FrameOutcome::Dropped {
-                                    reason: DropReason::DeadlineExceeded,
-                                },
-                                attempt + 1,
-                                records,
-                                silent,
-                                fell_back,
-                                spent,
-                                stall_total,
-                            ),
-                            None,
-                        );
-                    }
+            Ok(run) => {
+                rep.silent_corruption = out.silent;
+                rep.fell_back = out.fell_back;
+                if attempt > 0 {
+                    rep.outcome = FrameOutcome::Retried { retries: attempt };
                 }
+                return (rep, Some(run));
+            }
+            Err(error) => {
+                let over = |budget| rep.spent_cycles >= budget;
+                if cfg.recovery.cycle_budget.is_some_and(over) {
+                    rep.outcome = FrameOutcome::Dropped {
+                        reason: DropReason::DeadlineExceeded,
+                    };
+                    return (rep, None);
+                }
+                rep.outcome = FrameOutcome::Failed { error };
             }
         }
     }
-    let error = last_err.expect("invariant: at least one attempt ran");
-    (
-        report(
-            FrameOutcome::Failed { error },
-            attempts_max,
-            records,
-            silent,
-            fell_back,
-            spent,
-            stall_total,
-        ),
-        None,
-    )
+    (rep, None)
 }
 
 // ---------------------------------------------------------------------------
@@ -1375,54 +1328,62 @@ impl StreamingSession {
         let outcome = IngestQueue::evaluate(admission, arrivals);
         let mut rec_by_frame: Vec<AdmissionRecord> = outcome.records.clone();
         rec_by_frame.sort_by_key(|r| r.frame);
-        let first_admitted = outcome
-            .records
-            .iter()
-            .find(|r| r.verdict.runs())
-            .map(|r| r.frame);
         let policy_label = admission.policy_label();
         let depth = admission.queue_depth.max(1) as u64;
-        let (tx, rx) = channel::unbounded();
-        let undelivered = Arc::new(AtomicU64::new(0));
-        let mut submitted = 0usize;
-        for rec in &outcome.records {
-            if !rec.verdict.runs() {
-                continue;
-            }
-            let idx = rec.frame;
-            submitted += 1;
-            let esca = Arc::clone(&self.esca);
-            let layers = Arc::clone(&self.layers);
-            let cache = Arc::clone(&self.rulebook_cache);
-            let frame = frames[idx].clone();
-            let tx = tx.clone();
-            let undelivered = Arc::clone(&undelivered);
-            let shards = self.layer_shards;
-            let backend = self.gemm_backend;
-            let cfg = *cfg;
-            let tenant = rec.tenant;
-            let degraded = rec.verdict == AdmissionVerdict::Degraded;
-            let load = Some(idx) == first_admitted;
-            self.pool.execute(move |worker| {
-                // Host-latency reporting only (flight-recorder wall
-                // field); fault sites and cycle stats never read this
-                // timer. Audited in analyze/allowlist.tsv (L1-wall-clock).
-                #[allow(clippy::disallowed_methods)]
-                let t0 = Instant::now();
-                let out = run_frame_resilient(
-                    &esca, &layers, &cache, &frame, idx, tenant, load, degraded, shards, backend,
-                    &cfg,
-                );
-                let wall = t0.elapsed();
-                deliver(&tx, &undelivered, (out, wall, worker));
-            })?;
+
+        // One slot per admitted frame, in service order. The first
+        // admitted frame pays the weight load. A frame runs
+        // matching-resident when its geometry is already resident (the
+        // session's residency rule over the admitted frames in service
+        // order) or admission degraded it: degraded frames run
+        // resident-only, so outputs stay bit-identical while matching
+        // cycles are shed.
+        let admitted: Vec<&AdmissionRecord> = outcome
+            .records
+            .iter()
+            .filter(|r| r.verdict.runs())
+            .collect();
+        let hints = self.residency_hints(admitted.iter().map(|r| &frames[r.frame]));
+        let plan: Vec<AdmittedFrame> = admitted
+            .iter()
+            .zip(&hints)
+            .enumerate()
+            .map(|(slot, (rec, &hint))| {
+                let degraded = rec.verdict == AdmissionVerdict::Degraded;
+                AdmittedFrame {
+                    idx: rec.frame,
+                    tenant: rec.tenant,
+                    degraded,
+                    opts: LayerOpts {
+                        load_weights: slot == 0,
+                        matching_resident: hint || degraded,
+                        shards: self.layer_shards,
+                    },
+                }
+            })
+            .collect();
+        let submitted = plan.len();
+        // Which slot ran each frame (`None`: not admitted).
+        let mut slot_of: Vec<Option<usize>> = vec![None; n];
+        for (slot, entry) in plan.iter().enumerate() {
+            slot_of[entry.idx] = Some(slot);
         }
-        drop(tx);
-        let mut reports: Vec<Option<FrameReport>> = (0..n).map(|_| None).collect();
-        let mut results: Vec<Option<(SparseTensor<Q16>, CycleStats, LayerTelemetry)>> =
-            (0..n).map(|_| None).collect();
-        let mut frame_wall: Vec<Duration> = vec![Duration::ZERO; n];
-        let mut frame_worker: Vec<usize> = vec![0; n];
+        let inputs: Vec<(SparseTensor<Q16>, AdmittedFrame)> = plan
+            .iter()
+            .map(|&entry| {
+                let frame = &frames[entry.idx];
+                (frame.clone(), entry)
+            })
+            .collect();
+        let esca = Arc::clone(&self.esca);
+        let layers = Arc::clone(&self.layers);
+        let cache = Arc::clone(&self.rulebook_cache);
+        let backend = self.gemm_backend;
+        let cfg = *cfg;
+        let job = move |(frame, entry): (SparseTensor<Q16>, AdmittedFrame)| {
+            run_frame_resilient(&esca, &layers, &cache, &frame, entry, backend, &cfg)
+        };
+
         // Live exposition (hub attached only): completion-order folds are
         // legal because the merge rules are commutative; the final report
         // below is rebuilt in frame order, so determinism is untouched.
@@ -1431,85 +1392,99 @@ impl StreamingSession {
         let mut live_done = 0u64;
         let mut live_dropped = 0u64;
         let backend_label = self.gemm_backend.label();
-        for _ in 0..submitted {
-            let ((rep, res), wall, worker) = rx.recv().expect("resilient job always reports");
-            let idx = rep.frame;
+        let publish = |slot: usize, a: &Arrived<(FrameReport, Option<NetworkRun>)>| {
+            let Some(hub) = &self.hub else { return };
+            let (rep, run) = &a.value;
+            if rep.outcome.completed() {
+                live_done += 1;
+            } else {
+                live_dropped += 1;
+            }
+            if let Some(run) = run {
+                record_frame(&mut live_cycle, run);
+            }
+            esca_telemetry::host::observe_wall(
+                &mut live_host,
+                "esca_frame_wall_micros",
+                &[],
+                a.wall,
+            );
+            hub.record_flight(flight_event(
+                rep,
+                &rec_by_frame[rep.frame].verdict.label(),
+                a.worker,
+                backend_label,
+                a.wall,
+                plan[slot].opts.matching_resident,
+            ));
+            hub.publish_snapshot(TelemetrySnapshot::from_registries(&live_cycle, &live_host));
+            hub.publish_health(self.health_report_admission(
+                "streaming",
+                submitted as u64,
+                live_done,
+                live_dropped,
+                policy_label,
+                depth,
+            ));
+        };
+        let fan = self.fan_out(inputs, job, publish)?;
+        let mut arrived: Vec<Option<crate::Result<Arrived<_>>>> =
+            fan.slots.into_iter().map(Some).collect();
+
+        // Every frame gets exactly one report and, with a hub, exactly one
+        // terminal flight event: arrivals recorded theirs live above; a
+        // job that died without reporting fails with `WorkerPanic`; a
+        // frame admission refused is dropped.
+        let mut frame_reports = Vec::with_capacity(n);
+        let mut runs: Vec<Option<NetworkRun>> = Vec::with_capacity(n);
+        let mut frame_wall = vec![Duration::ZERO; n];
+        let mut frame_worker = vec![0usize; n];
+        for (idx, rec) in rec_by_frame.iter().enumerate() {
+            let slot = slot_of[idx];
+            let rep = match slot.and_then(|s| arrived[s].take()) {
+                Some(Ok(a)) => {
+                    frame_wall[idx] = a.wall;
+                    frame_worker[idx] = a.worker;
+                    let (rep, run) = a.value;
+                    frame_reports.push(rep);
+                    runs.push(run);
+                    continue;
+                }
+                Some(Err(_)) => FrameReport {
+                    degraded: rec.verdict == AdmissionVerdict::Degraded,
+                    // The attempt that died.
+                    attempts: 1,
+                    ..FrameReport::unrun(
+                        idx,
+                        rec.tenant,
+                        FrameOutcome::Failed {
+                            error: EscaError::WorkerPanic { frame: idx },
+                        },
+                    )
+                },
+                None => {
+                    let reason = match rec.verdict {
+                        AdmissionVerdict::Shed { tenant } => DropReason::Shed { tenant },
+                        AdmissionVerdict::RejectedOverQuota => DropReason::OverQuota,
+                        // Queue-full rejection or DropOldest eviction.
+                        _ => DropReason::Backpressure,
+                    };
+                    FrameReport::unrun(idx, rec.tenant, FrameOutcome::Dropped { reason })
+                }
+            };
             if let Some(hub) = &self.hub {
-                if rep.outcome.completed() {
-                    live_done += 1;
-                } else {
-                    live_dropped += 1;
-                }
-                if let Some((_, stats, tele)) = &res {
-                    stats.record_into(&mut live_cycle);
-                    tele.record_into(&mut live_cycle);
-                    live_cycle.observe("esca_frame_cycles", &[], stats.total_cycles());
-                }
-                esca_telemetry::host::observe_wall(
-                    &mut live_host,
-                    "esca_frame_wall_micros",
-                    &[],
-                    wall,
-                );
                 hub.record_flight(flight_event(
                     &rep,
-                    &rec_by_frame[idx].verdict.label(),
-                    worker,
+                    &rec.verdict.label(),
+                    0,
                     backend_label,
-                    wall,
-                ));
-                hub.publish_snapshot(TelemetrySnapshot::from_registries(&live_cycle, &live_host));
-                hub.publish_health(self.health_report_admission(
-                    "streaming",
-                    submitted as u64,
-                    live_done,
-                    live_dropped,
-                    policy_label,
-                    depth,
+                    Duration::ZERO,
+                    slot.is_some_and(|s| plan[s].opts.matching_resident),
                 ));
             }
-            frame_wall[idx] = wall;
-            frame_worker[idx] = worker;
-            results[idx] = res;
-            reports[idx] = Some(rep);
+            frame_reports.push(rep);
+            runs.push(None);
         }
-        for (idx, slot) in reports.iter_mut().enumerate() {
-            if slot.is_none() {
-                let rec = &rec_by_frame[idx];
-                let reason = match rec.verdict {
-                    AdmissionVerdict::Shed { tenant } => DropReason::Shed { tenant },
-                    AdmissionVerdict::RejectedOverQuota => DropReason::OverQuota,
-                    // Queue-full rejection or DropOldest eviction.
-                    _ => DropReason::Backpressure,
-                };
-                let rep = FrameReport {
-                    frame: idx,
-                    tenant: rec.tenant,
-                    degraded: false,
-                    outcome: FrameOutcome::Dropped { reason },
-                    attempts: 0,
-                    injected: Vec::new(),
-                    silent_corruption: false,
-                    fell_back: false,
-                    spent_cycles: 0,
-                    injected_stall_cycles: 0,
-                };
-                if let Some(hub) = &self.hub {
-                    hub.record_flight(flight_event(
-                        &rep,
-                        &rec.verdict.label(),
-                        0,
-                        backend_label,
-                        Duration::ZERO,
-                    ));
-                }
-                *slot = Some(rep);
-            }
-        }
-        let frame_reports: Vec<FrameReport> = reports
-            .into_iter()
-            .map(|s| s.expect("invariant: every slot filled above"))
-            .collect();
         let counters = FaultCounters::tally(&frame_reports);
 
         // Cycle domain: frame-order fold of completed frames' stats and
@@ -1519,38 +1494,25 @@ impl StreamingSession {
         let mut host_reg = Registry::new();
         host_reg.gauge_max("esca_stream_workers", &[], self.pool.workers() as u64);
         host_reg.gauge_max("esca_stream_queue_depth", &[], submitted as u64);
-        host_reg.counter_add(
-            "esca_results_undelivered_total",
-            &[],
-            undelivered.load(Ordering::Relaxed),
-        );
+        host_reg.counter_add("esca_results_undelivered_total", &[], fan.undelivered);
         let mut outputs = Vec::with_capacity(n);
         let mut per_frame = Vec::with_capacity(n);
         let mut frame_spans = Vec::new();
-        for (idx, res) in results.into_iter().enumerate() {
-            match res {
-                Some((out, stats, tele)) => {
-                    stats.record_into(&mut cycle_reg);
-                    tele.record_into(&mut cycle_reg);
-                    cycle_reg.observe("esca_frame_cycles", &[], stats.total_cycles());
-                    frame_spans.push(FrameSpanTrace {
-                        ctx: FrameSpanCtx {
-                            frame: idx as u64,
-                            attempt: u64::from(frame_reports[idx].attempts.saturating_sub(1)),
-                            worker: frame_worker[idx] as u64,
-                            shards: self.layer_shards as u64,
-                        },
-                        total_cycles: stats.total_cycles(),
-                        spans: tele.layer_spans.clone(),
-                    });
-                    outputs.push(Some(out));
-                    per_frame.push(Some(stats));
-                }
-                None => {
-                    outputs.push(None);
-                    per_frame.push(None);
-                }
-            }
+        for (idx, run) in runs.into_iter().enumerate() {
+            let Some(run) = run else {
+                outputs.push(None);
+                per_frame.push(None);
+                continue;
+            };
+            let ctx = FrameSpanCtx {
+                frame: idx as u64,
+                attempt: u64::from(frame_reports[idx].attempts.saturating_sub(1)),
+                worker: frame_worker[idx] as u64,
+                shards: self.layer_shards as u64,
+            };
+            frame_spans.push(fold_frame(&mut cycle_reg, &run, ctx));
+            outputs.push(Some(run.output));
+            per_frame.push(Some(run.total));
         }
         counters.record_into(&mut cycle_reg);
         record_admission_into(&outcome, &mut cycle_reg);
@@ -1592,6 +1554,7 @@ fn flight_event(
     worker: usize,
     backend: &str,
     wall: Duration,
+    matching_resident: bool,
 ) -> FlightEvent {
     FlightEvent {
         frame: rep.frame as u64,
@@ -1622,7 +1585,7 @@ fn flight_event(
             .collect(),
         fell_back: rep.fell_back,
         silent_corruption: rep.silent_corruption,
-        plan_resident: false,
+        matching_resident,
         backend: backend.to_string(),
         cycles: rep.spent_cycles,
         wall_micros: wall.as_micros() as u64,

@@ -12,10 +12,10 @@
 //! per-frame cycle counts (see [`StreamReport::modeled`]), which is the
 //! number an FPGA with several ESCA instances would actually sustain.
 
-use crate::accelerator::{Esca, LayerOpts};
+use crate::accelerator::{Esca, LayerOpts, NetworkRun};
 use crate::stats::CycleStats;
 use crate::system::{run_unet, HostModel, SystemRun};
-use crate::telemetry::{LayerSpan, LayerTelemetry};
+use crate::telemetry::LayerSpan;
 use crate::Result;
 use crossbeam::channel;
 use esca_sscn::engine::RulebookCache;
@@ -130,11 +130,11 @@ impl WorkerPool {
     }
 }
 
-/// Delivers a job result to its batch collector. Collectors drain exactly
-/// as many messages as jobs were submitted, so a failed send means the
-/// collector was abandoned mid-batch (a panic unwound it); the result is
+/// Delivers a job result to its batch collector. The collector drains
+/// exactly as many messages as jobs were submitted, so a failed send means
+/// it was abandoned mid-batch (a panic unwound it); the result is
 /// undeliverable and the drop is counted so it can never pass silently.
-pub(crate) fn deliver<T>(tx: &channel::Sender<T>, undelivered: &AtomicU64, msg: T) {
+fn deliver<T>(tx: &channel::Sender<T>, undelivered: &AtomicU64, msg: T) {
     if tx.send(msg).is_err() {
         undelivered.fetch_add(1, Ordering::Relaxed);
     }
@@ -166,45 +166,59 @@ pub struct StreamingSession {
     pub(crate) operating_point: Option<OperatingPoint>,
 }
 
-/// One frame's results, internal to batch collection.
-struct FrameRun {
-    output: SparseTensor<Q16>,
-    stats: CycleStats,
-    telemetry: LayerTelemetry,
-    wall: Duration,
-    worker: usize,
+/// One slot's result as delivered by [`StreamingSession::fan_out`]: the
+/// job's value plus the host facts of its run.
+pub(crate) struct Arrived<T> {
+    /// What the job returned.
+    pub(crate) value: T,
+    /// Host wall-clock the job took.
+    pub(crate) wall: Duration,
+    /// Pool worker that ran the job.
+    pub(crate) worker: usize,
 }
 
-pub(crate) fn run_frame(
-    esca: &Esca,
-    layers: &[(QuantizedWeights, bool)],
-    frame: &SparseTensor<Q16>,
-    opts: LayerOpts,
-    layer_shards: usize,
-) -> Result<(SparseTensor<Q16>, CycleStats, LayerTelemetry)> {
-    let mut x = frame.clone();
-    let mut total = CycleStats::default();
-    let mut tele = LayerTelemetry::new();
-    for (layer, (w, relu)) in layers.iter().enumerate() {
-        let run = if layer_shards > 1 {
-            esca.run_layer_sharded_with(&x, w, *relu, opts, layer_shards)?
-        } else {
-            esca.run_layer_with(&x, w, *relu, opts)?
-        };
-        // The layer's frame-relative cycle interval, recorded here (after
-        // the shard merge) so shard count cannot show in the spans.
-        let start_cycle = total.total_cycles();
-        total += &run.stats;
-        tele.merge(&run.telemetry);
-        tele.push_layer_span(LayerSpan {
-            layer: layer as u32,
-            start_cycle,
-            end_cycle: total.total_cycles(),
-            matching_resident: run.stats.matching_resident,
-        });
-        x = run.output;
+/// The result of one [`StreamingSession::fan_out`].
+pub(crate) struct FanOut<T> {
+    /// One entry per slot, in slot order;
+    /// [`crate::EscaError::WorkerPanic`] for a slot that never reported.
+    pub(crate) slots: Vec<Result<Arrived<T>>>,
+    /// Results that could not be delivered (always zero unless the
+    /// collector was unwound mid-batch).
+    pub(crate) undelivered: u64,
+}
+
+impl<T> FanOut<Result<T>> {
+    /// The job values in slot order, or the lowest failing slot's error
+    /// (deterministic across worker counts).
+    fn into_values(self) -> Result<Vec<T>> {
+        self.slots
+            .into_iter()
+            .map(|s| s.and_then(|a| a.value))
+            .collect()
     }
-    Ok((x, total, tele))
+}
+
+/// Records one completed frame's cycle-domain series — its stats, its
+/// telemetry and the `esca_frame_cycles` observation — into `reg`.
+pub(crate) fn record_frame(reg: &mut Registry, run: &NetworkRun) {
+    run.total.record_into(reg);
+    run.telemetry.record_into(reg);
+    reg.observe("esca_frame_cycles", &[], run.total.total_cycles());
+}
+
+/// The frame-order fold shared by the cycle runners: records the frame
+/// into the cycle registry and returns its span-context trace.
+pub(crate) fn fold_frame(
+    reg: &mut Registry,
+    run: &NetworkRun,
+    ctx: FrameSpanCtx,
+) -> FrameSpanTrace {
+    record_frame(reg, run);
+    FrameSpanTrace {
+        ctx,
+        total_cycles: run.total.total_cycles(),
+        spans: run.telemetry.layer_spans.clone(),
+    }
 }
 
 impl StreamingSession {
@@ -296,8 +310,10 @@ impl StreamingSession {
     }
 
     /// Additionally shards tile-level compute *within* each layer across
-    /// `shards` threads (see [`Esca::run_layer_sharded`]); results stay
-    /// bit-identical. Useful when frames are few but large.
+    /// `shards` threads (the [`LayerOpts::shards`] every cycle-model
+    /// layer of the session runs with); results, cycle stats, telemetry
+    /// and traces stay bit-identical. Useful when frames are few but
+    /// large.
     pub fn with_layer_shards(mut self, shards: usize) -> Self {
         self.layer_shards = shards.max(1);
         self
@@ -305,9 +321,12 @@ impl StreamingSession {
 
     /// Replaces the session's rulebook cache with a shared one, so
     /// matching work done by other sessions (or earlier host-side runs)
-    /// carries over into [`StreamingSession::run_golden_batch`]. The cache
-    /// only serves the golden path; simulated [`CycleStats`] never depend
-    /// on it.
+    /// carries over into [`StreamingSession::run_golden_batch`]. With
+    /// matching reuse off (the default) simulated [`CycleStats`] never
+    /// depend on the cache. With reuse on
+    /// ([`StreamingSession::with_matching_reuse`]) its pre-batch contents
+    /// decide which frames run matching-resident, so residency and match
+    /// cycles do depend on it — outputs never do.
     pub fn with_rulebook_cache(mut self, cache: Arc<RulebookCache>) -> Self {
         self.rulebook_cache = cache;
         self
@@ -319,7 +338,8 @@ impl StreamingSession {
     }
 
     /// Turns matching reuse in the cycle model on or off (default off).
-    /// With reuse on, [`StreamingSession::run_batch`] runs a frame
+    /// With reuse on, [`StreamingSession::run_batch`] and
+    /// [`StreamingSession::run_batch_ingest`] run a frame
     /// **matching-resident** (see
     /// [`crate::config::EscaConfig::matching_resident`]) when its geometry
     /// is already resident: an earlier frame of the batch has the same
@@ -331,16 +351,20 @@ impl StreamingSession {
         self
     }
 
-    /// Deterministic per-frame matching-residency hints for a batch (the
-    /// rule of [`StreamingSession::with_matching_reuse`]). Pure function
-    /// of the frame sequence and the cache's pre-batch contents (probed
-    /// with [`RulebookCache::contains_rulebook`], which touches no
-    /// counter), so the hints — and every cycle statistic derived from
-    /// them — are byte-identical across worker and shard counts. With
-    /// reuse off every hint is `false` and no fingerprint is computed.
-    fn residency_hints(&self, frames: &[SparseTensor<Q16>]) -> Vec<bool> {
+    /// Deterministic per-frame matching-residency hints for the frames a
+    /// batch runs, in run order (the rule of
+    /// [`StreamingSession::with_matching_reuse`]). Pure function of the
+    /// frame sequence and the cache's pre-batch contents (probed with
+    /// [`RulebookCache::contains_rulebook`], which touches no counter),
+    /// so the hints — and every cycle statistic derived from them — are
+    /// byte-identical across worker and shard counts. With reuse off
+    /// every hint is `false` and no fingerprint is computed.
+    pub(crate) fn residency_hints<'a>(
+        &self,
+        frames: impl IntoIterator<Item = &'a SparseTensor<Q16>>,
+    ) -> Vec<bool> {
         if !self.matching_reuse {
-            return vec![false; frames.len()];
+            return frames.into_iter().map(|_| false).collect();
         }
         let mut kernels: Vec<u32> = self.layers.iter().map(|(w, _)| w.k()).collect();
         kernels.sort_unstable();
@@ -348,7 +372,7 @@ impl StreamingSession {
         let cache = &self.rulebook_cache;
         let mut seen = std::collections::HashSet::new();
         frames
-            .iter()
+            .into_iter()
             .map(|f| {
                 !seen.insert(f.active_fingerprint())
                     || (!kernels.is_empty()
@@ -393,72 +417,49 @@ impl StreamingSession {
     /// # Errors
     ///
     /// Propagates the accelerator error of the lowest-indexed failing
-    /// frame (deterministic across worker counts).
+    /// frame (deterministic across worker counts), or
+    /// [`crate::EscaError::WorkerPanic`] for a frame whose job died
+    /// without reporting.
     pub fn run_batch(&self, frames: &[SparseTensor<Q16>]) -> Result<StreamReport> {
         // Host-throughput reporting only (StreamReport::wall); never feeds
         // CycleStats. Audited in analyze/allowlist.tsv (L1-wall-clock).
         #[allow(clippy::disallowed_methods)]
         let start = Instant::now();
+        let n = frames.len();
         // Residency hints are derived sequentially on the calling thread,
         // before any job is submitted, so they cannot depend on worker
         // scheduling.
         let hints = self.residency_hints(frames);
-        let (tx, rx) = channel::unbounded();
-        let undelivered = Arc::new(AtomicU64::new(0));
-        for (idx, frame) in frames.iter().enumerate() {
-            let esca = Arc::clone(&self.esca);
-            let layers = Arc::clone(&self.layers);
-            let frame = frame.clone();
-            let tx = tx.clone();
-            let undelivered = Arc::clone(&undelivered);
-            let shards = self.layer_shards;
-            let opts = LayerOpts {
-                load_weights: idx == 0,
-                matching_resident: hints[idx],
-            };
-            self.pool.execute(move |worker| {
-                // Host-throughput reporting only (FrameRun::frame_wall).
-                #[allow(clippy::disallowed_methods)]
-                let t0 = Instant::now();
-                let result = run_frame(&esca, &layers, &frame, opts, shards);
-                deliver(&tx, &undelivered, (idx, result, t0.elapsed(), worker));
-            })?;
-        }
-        // Steady-state probe: frame 0 re-run with weights resident, so the
-        // deployment model knows the pure weight-load overhead. Purely
-        // cycle-model work; does not contribute to outputs or wall stats.
-        if !frames.is_empty() {
-            let esca = Arc::clone(&self.esca);
-            let layers = Arc::clone(&self.layers);
-            let frame = frames[0].clone();
-            let tx = tx.clone();
-            let undelivered = Arc::clone(&undelivered);
-            let shards = self.layer_shards;
-            // The probe differs from frame 0 only by the weight load, so
-            // weight_load_cycles() stays a pure weight-path delta.
-            let opts = LayerOpts {
-                load_weights: false,
-                matching_resident: hints[0],
-            };
-            self.pool.execute(move |worker| {
-                // Host-throughput reporting only; the probe's cycle stats
-                // come from the model, not this timer.
-                #[allow(clippy::disallowed_methods)]
-                let t0 = Instant::now();
-                let result = run_frame(&esca, &layers, &frame, opts, shards);
-                deliver(
-                    &tx,
-                    &undelivered,
-                    (usize::MAX, result, t0.elapsed(), worker),
-                );
-            })?;
-        }
-        drop(tx);
+        let opts = |load_weights: bool, matching_resident: bool| LayerOpts {
+            load_weights,
+            matching_resident,
+            shards: self.layer_shards,
+        };
+        // Slot `idx < n` runs frame `idx`; slot `n` is the steady-state
+        // probe: frame 0 re-run with weights resident, so the deployment
+        // model knows the pure weight-load overhead. The probe differs
+        // from frame 0 only by the weight load, so weight_load_cycles()
+        // stays a pure weight-path delta; it contributes to neither the
+        // outputs nor the wall stats.
+        let inputs: Vec<(SparseTensor<Q16>, LayerOpts)> = frames
+            .iter()
+            .zip(&hints)
+            .enumerate()
+            .map(|(idx, (frame, &hint))| (frame.clone(), opts(idx == 0, hint)))
+            .chain(
+                frames
+                    .first()
+                    .zip(hints.first())
+                    .map(|(frame, &hint)| (frame.clone(), opts(false, hint))),
+            )
+            .collect();
+        let slots = inputs.len();
+        let esca = Arc::clone(&self.esca);
+        let layers = Arc::clone(&self.layers);
+        let job = move |(frame, opts): (SparseTensor<Q16>, LayerOpts)| {
+            esca.run_chain(&frame, &layers, opts)
+        };
 
-        let mut slots: Vec<Option<FrameRun>> = (0..frames.len()).map(|_| None).collect();
-        let mut steady_frame0: Option<CycleStats> = None;
-        let mut errors: Vec<(usize, crate::EscaError)> = Vec::new();
-        let expected = frames.len() + usize::from(!frames.is_empty());
         // Live exposition (hub attached only): arrivals fold into interim
         // registries in completion order — legal because the merge rules
         // are commutative — and each arrival publishes a fresh snapshot
@@ -470,66 +471,45 @@ impl StreamingSession {
         let mut live_host = Registry::new();
         let mut completed = 0u64;
         let backend_label = self.gemm_backend.label();
-        for _ in 0..expected {
-            let (idx, result, wall, worker) = rx.recv().expect("worker dropped a frame result");
-            match result {
-                Ok((output, stats, telemetry)) => {
-                    if idx == usize::MAX {
-                        steady_frame0 = Some(stats);
-                    } else {
-                        if let Some(hub) = &self.hub {
-                            completed += 1;
-                            stats.record_into(&mut live_cycle);
-                            telemetry.record_into(&mut live_cycle);
-                            live_cycle.observe("esca_frame_cycles", &[], stats.total_cycles());
-                            host::observe_wall(&mut live_host, "esca_frame_wall_micros", &[], wall);
-                            hub.record_flight(FlightEvent {
-                                worker: worker as u64,
-                                plan_resident: hints[idx],
-                                backend: backend_label.to_string(),
-                                cycles: stats.total_cycles(),
-                                wall_micros: wall.as_micros() as u64,
-                                ..FlightEvent::for_frame(idx as u64)
-                            });
-                            hub.publish_snapshot(TelemetrySnapshot::from_registries(
-                                &live_cycle,
-                                &live_host,
-                            ));
-                            hub.publish_health(self.health_report(
-                                "streaming",
-                                frames.len() as u64,
-                                completed,
-                                0,
-                            ));
-                        }
-                        slots[idx] = Some(FrameRun {
-                            output,
-                            stats,
-                            telemetry,
-                            wall,
-                            worker,
-                        });
-                    }
-                }
-                Err(e) => {
-                    if idx != usize::MAX {
-                        if let Some(hub) = &self.hub {
-                            hub.record_flight(FlightEvent {
-                                worker: worker as u64,
-                                outcome: "failed".to_string(),
-                                backend: backend_label.to_string(),
-                                wall_micros: wall.as_micros() as u64,
-                                ..FlightEvent::for_frame(idx as u64)
-                            });
-                        }
-                    }
-                    errors.push((idx, e));
-                }
-            }
-        }
-        if let Some((_, e)) = errors.into_iter().min_by_key(|(idx, _)| *idx) {
-            return Err(e);
-        }
+        let publish = |slot: usize, a: &Arrived<Result<NetworkRun>>| {
+            let Some(hub) = self.hub.as_ref().filter(|_| slot < n) else {
+                return;
+            };
+            let event = FlightEvent {
+                worker: a.worker as u64,
+                backend: backend_label.to_string(),
+                wall_micros: a.wall.as_micros() as u64,
+                ..FlightEvent::for_frame(slot as u64)
+            };
+            let Ok(run) = &a.value else {
+                hub.record_flight(FlightEvent {
+                    outcome: "failed".to_string(),
+                    ..event
+                });
+                return;
+            };
+            completed += 1;
+            record_frame(&mut live_cycle, run);
+            host::observe_wall(&mut live_host, "esca_frame_wall_micros", &[], a.wall);
+            hub.record_flight(FlightEvent {
+                matching_resident: hints[slot],
+                cycles: run.total.total_cycles(),
+                ..event
+            });
+            hub.publish_snapshot(TelemetrySnapshot::from_registries(&live_cycle, &live_host));
+            hub.publish_health(self.health_report("streaming", n as u64, completed, 0));
+        };
+        let fan = self.fan_out(inputs, job, publish)?;
+        let mut runs = fan
+            .slots
+            .into_iter()
+            .map(|s| s.and_then(|a| a.value.map(|run| (run, a.wall, a.worker))))
+            .collect::<Result<Vec<_>>>()?;
+        let steady_frame0 = if n > 0 {
+            runs.pop().map(|(probe, _, _)| probe.total)
+        } else {
+            None
+        };
 
         // Two strictly separated registries (DESIGN.md: Observability).
         // The cycle registry folds per-frame simulated telemetry in frame
@@ -547,55 +527,37 @@ impl StreamingSession {
             hints.iter().filter(|&&h| h).count() as u64,
         );
         host_reg.gauge_max("esca_stream_workers", &[], self.pool.workers() as u64);
-        host_reg.gauge_max("esca_stream_queue_depth", &[], expected as u64);
-        // Always zero unless the collector was unwound mid-batch; surfaced
-        // so a dropped result can never pass silently.
-        host_reg.counter_add(
-            "esca_results_undelivered_total",
-            &[],
-            undelivered.load(Ordering::Relaxed),
-        );
-        let mut outputs = Vec::with_capacity(frames.len());
-        let mut per_frame = Vec::with_capacity(frames.len());
-        let mut frame_wall = Vec::with_capacity(frames.len());
-        let mut frame_spans = Vec::with_capacity(frames.len());
-        for (idx, slot) in slots.into_iter().enumerate() {
-            let fr = slot.expect("every frame reported");
-            fr.stats.record_into(&mut cycle_reg);
-            fr.telemetry.record_into(&mut cycle_reg);
-            cycle_reg.observe("esca_frame_cycles", &[], fr.stats.total_cycles());
-            host::observe_wall(&mut host_reg, "esca_frame_wall_micros", &[], fr.wall);
-            let worker = fr.worker.to_string();
+        host_reg.gauge_max("esca_stream_queue_depth", &[], slots as u64);
+        host_reg.counter_add("esca_results_undelivered_total", &[], fan.undelivered);
+        let mut outputs = Vec::with_capacity(n);
+        let mut per_frame = Vec::with_capacity(n);
+        let mut frame_wall = Vec::with_capacity(n);
+        let mut frame_spans = Vec::with_capacity(n);
+        for (idx, (run, wall, worker)) in runs.into_iter().enumerate() {
+            let ctx = FrameSpanCtx {
+                frame: idx as u64,
+                attempt: 0,
+                worker: worker as u64,
+                shards: self.layer_shards as u64,
+            };
+            frame_spans.push(fold_frame(&mut cycle_reg, &run, ctx));
+            host::observe_wall(&mut host_reg, "esca_frame_wall_micros", &[], wall);
+            let worker = worker.to_string();
             host_reg.counter_add(
                 "esca_worker_frames_total",
                 &[("worker", worker.as_str())],
                 1,
             );
-            frame_spans.push(FrameSpanTrace {
-                ctx: FrameSpanCtx {
-                    frame: idx as u64,
-                    attempt: 0,
-                    worker: fr.worker as u64,
-                    shards: self.layer_shards as u64,
-                },
-                total_cycles: fr.stats.total_cycles(),
-                spans: fr.telemetry.layer_spans.clone(),
-            });
-            outputs.push(fr.output);
-            per_frame.push(fr.stats);
-            frame_wall.push(fr.wall);
+            outputs.push(run.output);
+            per_frame.push(run.total);
+            frame_wall.push(wall);
         }
         let wall = start.elapsed();
         host::record_wall(&mut host_reg, "esca_batch_wall_micros_total", &[], wall);
         let telemetry = TelemetrySnapshot::from_registries(&cycle_reg, &host_reg);
         if let Some(hub) = &self.hub {
             hub.publish_snapshot(telemetry.clone());
-            hub.publish_health(self.health_report(
-                "done",
-                frames.len() as u64,
-                frames.len() as u64,
-                0,
-            ));
+            hub.publish_health(self.health_report("done", n as u64, n as u64, 0));
         }
         Ok(StreamReport {
             outputs,
@@ -625,23 +587,14 @@ impl StreamingSession {
     /// Propagates the error of the lowest-indexed failing frame
     /// (deterministic across worker counts).
     pub fn run_golden_batch(&self, frames: &[SparseTensor<Q16>]) -> Result<Vec<SparseTensor<Q16>>> {
-        let (tx, rx) = channel::unbounded();
-        let undelivered = Arc::new(AtomicU64::new(0));
-        for (idx, frame) in frames.iter().enumerate() {
-            let esca = Arc::clone(&self.esca);
-            let layers = Arc::clone(&self.layers);
-            let cache = Arc::clone(&self.rulebook_cache);
-            let frame = frame.clone();
-            let tx = tx.clone();
-            let undelivered = Arc::clone(&undelivered);
-            let backend = self.gemm_backend;
-            self.pool.execute(move |_worker| {
-                let result = esca.run_network_golden_with(&frame, &layers, &cache, backend);
-                deliver(&tx, &undelivered, (idx, result));
-            })?;
-        }
-        drop(tx);
-        collect_ordered(&rx, frames.len())
+        let esca = Arc::clone(&self.esca);
+        let layers = Arc::clone(&self.layers);
+        let cache = Arc::clone(&self.rulebook_cache);
+        let backend = self.gemm_backend;
+        let job = move |frame: SparseTensor<Q16>| {
+            esca.run_network_golden_with(&frame, &layers, &cache, backend)
+        };
+        self.fan_out(frames.to_vec(), job, |_, _| {})?.into_values()
     }
 
     /// Runs a batch of float frames through a full SS U-Net system
@@ -659,46 +612,83 @@ impl StreamingSession {
         frames: &[SparseTensor<f32>],
         act_bits: u8,
     ) -> Result<Vec<SystemRun>> {
-        let net = Arc::new(net.clone());
+        let esca = Arc::clone(&self.esca);
+        let net = net.clone();
         let host = *host;
+        let job = move |frame: SparseTensor<f32>| run_unet(&net, &esca, &host, &frame, act_bits);
+        self.fan_out(frames.to_vec(), job, |_, _| {})?.into_values()
+    }
+
+    /// The one ordered fan-out behind every batch runner: submits one pool
+    /// job per input (slot `i` runs `job(inputs[i])` and frees its input
+    /// when done), times each job, and hands each arrival — in completion
+    /// order — to `on_arrival` (live hub publishing). Results come back in
+    /// slot order. A job that dies without reporting drops its sender, so
+    /// collection stops once every sender is gone and that slot becomes
+    /// [`crate::EscaError::WorkerPanic`] — the caller gets a typed error
+    /// instead of a panic.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::EscaError::PoolClosed`] when the pool rejects a job.
+    pub(crate) fn fan_out<I, T, J, H>(
+        &self,
+        inputs: Vec<I>,
+        job: J,
+        mut on_arrival: H,
+    ) -> Result<FanOut<T>>
+    where
+        I: Send + 'static,
+        T: Send + 'static,
+        J: Fn(I) -> T + Send + Sync + 'static,
+        H: FnMut(usize, &Arrived<T>),
+    {
+        let slots = inputs.len();
+        let job = Arc::new(job);
         let (tx, rx) = channel::unbounded();
         let undelivered = Arc::new(AtomicU64::new(0));
-        for (idx, frame) in frames.iter().enumerate() {
-            let esca = Arc::clone(&self.esca);
-            let net = Arc::clone(&net);
-            let frame = frame.clone();
+        for (slot, input) in inputs.into_iter().enumerate() {
+            let job = Arc::clone(&job);
             let tx = tx.clone();
             let undelivered = Arc::clone(&undelivered);
-            self.pool.execute(move |_worker| {
-                let result = run_unet(&net, &esca, &host, &frame, act_bits);
-                deliver(&tx, &undelivered, (idx, result));
+            self.pool.execute(move |worker| {
+                // Host-latency reporting only (frame wall, flight-recorder
+                // wall field); job values never read this timer. Audited
+                // in analyze/allowlist.tsv (L1-wall-clock).
+                #[allow(clippy::disallowed_methods)]
+                let t0 = Instant::now();
+                let value = job(input);
+                let wall = t0.elapsed();
+                deliver(
+                    &tx,
+                    &undelivered,
+                    (
+                        slot,
+                        Arrived {
+                            value,
+                            wall,
+                            worker,
+                        },
+                    ),
+                );
             })?;
         }
         drop(tx);
-        collect_ordered(&rx, frames.len())
+        let mut arrived: Vec<Option<Arrived<T>>> = (0..slots).map(|_| None).collect();
+        for _ in 0..slots {
+            let Ok((slot, a)) = rx.recv() else { break };
+            on_arrival(slot, &a);
+            arrived[slot] = Some(a);
+        }
+        Ok(FanOut {
+            slots: arrived
+                .into_iter()
+                .enumerate()
+                .map(|(frame, a)| a.ok_or(crate::EscaError::WorkerPanic { frame }))
+                .collect(),
+            undelivered: undelivered.load(Ordering::Relaxed),
+        })
     }
-}
-
-/// Collects `n` per-frame results into frame order. A job that panics
-/// drops its sender without reporting, so collection stops once every
-/// sender is gone; the lowest frame that failed or never reported then
-/// decides the error — [`crate::EscaError::WorkerPanic`] for a silent
-/// one — and the caller gets a typed error instead of a panic.
-///
-/// # Errors
-///
-/// The lowest-indexed frame's error, as above.
-fn collect_ordered<T>(rx: &channel::Receiver<(usize, Result<T>)>, n: usize) -> Result<Vec<T>> {
-    let mut slots: Vec<Option<Result<T>>> = (0..n).map(|_| None).collect();
-    for _ in 0..n {
-        let Ok((idx, result)) = rx.recv() else { break };
-        slots[idx] = Some(result);
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(frame, slot)| slot.unwrap_or(Err(crate::EscaError::WorkerPanic { frame })))
-        .collect()
 }
 
 /// One frame's slot in a modeled multi-engine schedule (see
@@ -1207,25 +1197,52 @@ mod tests {
     }
 
     #[test]
-    fn collector_returns_a_typed_error_for_a_frame_that_never_reported() {
-        let (tx, rx) = channel::unbounded::<(usize, Result<u32>)>();
-        // Frame 2 of 4 never reports: its job panicked and dropped its
-        // sender.
-        for idx in [3usize, 0, 1] {
-            tx.send((idx, Ok(idx as u32))).unwrap();
-        }
-        drop(tx);
+    fn fan_out_returns_a_typed_error_for_a_job_that_never_reported() {
+        // Slot 2 of 4 panics: the worker survives, the job's sender drops
+        // unreported, and the caller gets a typed error for that slot
+        // instead of a panic.
+        crate::resilience::quiet_injected_panics();
+        let esca = Esca::new(EscaConfig::default()).unwrap();
+        let session = StreamingSession::new(esca, layers(), 2);
+        let job = |slot: usize| {
+            if slot == 2 {
+                crate::resilience::injected_panic(slot)
+            }
+            Ok(slot as u32 * 10)
+        };
+        let mut seen = Vec::new();
+        let fan = session
+            .fan_out((0..4).collect(), job, |slot, a| {
+                seen.push((slot, a.value.clone()))
+            })
+            .unwrap();
+        seen.sort_by_key(|&(slot, _)| slot);
+        assert_eq!(seen.len(), 3, "every reported slot reaches the hook");
+        assert!(seen
+            .iter()
+            .all(|(slot, v)| *slot != 2 && *v == Ok(*slot as u32 * 10)));
         assert!(matches!(
-            collect_ordered(&rx, 4),
+            fan.slots[2],
             Err(crate::EscaError::WorkerPanic { frame: 2 })
         ));
-        // A complete batch comes back in frame order.
-        let (tx, rx) = channel::unbounded::<(usize, Result<u32>)>();
-        for idx in [2usize, 0, 1] {
-            tx.send((idx, Ok(idx as u32 * 10))).unwrap();
-        }
-        drop(tx);
-        assert_eq!(collect_ordered(&rx, 3).unwrap(), vec![0, 10, 20]);
+        let arrived: Vec<u32> = fan
+            .slots
+            .iter()
+            .filter_map(|s| s.as_ref().ok())
+            .map(|a| *a.value.as_ref().unwrap())
+            .collect();
+        assert_eq!(arrived, vec![0, 10, 30], "other slots arrive in order");
+        assert!(matches!(
+            fan.into_values(),
+            Err(crate::EscaError::WorkerPanic { frame: 2 })
+        ));
+        assert_eq!(session.pool.panicked_jobs(), 1);
+        // A complete batch comes back in slot order.
+        let fan = session
+            .fan_out(vec![0u32, 1, 2], |slot| Ok(slot * 10), |_, _| {})
+            .unwrap();
+        assert_eq!(fan.undelivered, 0);
+        assert_eq!(fan.into_values().unwrap(), vec![0, 10, 20]);
     }
 
     #[test]

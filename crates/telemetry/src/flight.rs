@@ -55,10 +55,9 @@ pub struct FlightEvent {
     pub fell_back: bool,
     /// Whether an undetected fault may have corrupted the output.
     pub silent_corruption: bool,
-    /// Whether the frame ran matching-resident (its geometry was already
-    /// resident). The field keeps its historical name so the `/flight`
-    /// wire format stays stable.
-    pub plan_resident: bool,
+    /// Whether the frame ran matching-resident: its geometry was already
+    /// resident, or admission degraded it to resident-only execution.
+    pub matching_resident: bool,
     /// GEMM backend label the session ran with.
     pub backend: String,
     /// Simulated cycles spent across all attempts (0 when the frame
@@ -216,7 +215,7 @@ impl FlightEvent {
             faults: Vec::new(),
             fell_back: false,
             silent_corruption: false,
-            plan_resident: false,
+            matching_resident: false,
             backend: String::new(),
             cycles: 0,
             wall_micros: 0,

@@ -11,7 +11,7 @@
 //! which also shift the initial stack/environ layout — and compares the
 //! bit patterns of every output against the parent's.
 
-use esca::{Esca, EscaConfig};
+use esca::{Esca, EscaConfig, LayerOpts};
 use esca_sscn::engine::FlatEngine;
 use esca_sscn::gemm::GemmBackendKind;
 use esca_sscn::quant::{dequantize_tensor, quantize_tensor, QuantizedWeights};
@@ -110,11 +110,15 @@ fn compute() -> String {
                     }
                 })?;
                 let qin = quantize_tensor(x, qw.quant().act);
-                let run = esca
-                    .run_layer_sharded_opts(&qin, &qw, true, true, workers)
-                    .map_err(|e| esca_sscn::SscnError::InvalidConfig {
+                let opts = LayerOpts {
+                    shards: workers,
+                    ..LayerOpts::default()
+                };
+                let run = esca.run_layer_with(&qin, &qw, true, opts).map_err(|e| {
+                    esca_sscn::SscnError::InvalidConfig {
                         reason: e.to_string(),
-                    })?;
+                    }
+                })?;
                 Ok(dequantize_tensor(&run.output, qw.quant().out))
             })
             .expect("sharded forward runs")

@@ -13,8 +13,14 @@
 //! * residency is read from the cache without disturbing it, carries
 //!   across batches, and follows eviction;
 //! * an LRU-evicting, byte-budgeted cache changes reuse only — never an
-//!   output byte.
+//!   output byte;
+//! * the ingest runner derives residency exactly like `run_batch`: with
+//!   reuse on, admit-all and faults off it matches `run_batch` frame for
+//!   frame, and its flight events carry the residency each frame ran
+//!   with.
 
+use esca::admission::{AdmissionConfig, Arrival};
+use esca::resilience::{BackpressurePolicy, FaultConfig};
 use esca::streaming::StreamingSession;
 use esca::{Esca, EscaConfig};
 use esca_sscn::classifier::{ClassifierConfig, SscnClassifier};
@@ -23,6 +29,7 @@ use esca_sscn::gemm::GemmBackendKind;
 use esca_sscn::quant::{quantize_tensor, QuantizedWeights};
 use esca_sscn::unet::{SsUNet, UNetConfig};
 use esca_sscn::weights::ConvWeights;
+use esca_telemetry::serve::ObservabilityHub;
 use esca_tensor::{Coord3, Extent3, QuantParams, SparseTensor, Q16};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -335,4 +342,45 @@ fn evicted_geometry_is_not_resident_in_the_next_batch() {
         &report.outputs,
         "eviction changed an output",
     );
+}
+
+#[test]
+fn ingest_with_reuse_matches_run_batch_frame_for_frame() {
+    // Both cycle runners derive residency the same way: with matching
+    // reuse on, admit-all admission and faults off, the ingest path runs
+    // every frame with the residency `run_batch` gives it — same outputs,
+    // same per-frame stats — and its flight events say so.
+    let (a, b) = (frame_q(0xF1), frame_q(0xF2));
+    let frames = vec![a.clone(), a.clone(), b.clone(), a, b];
+    let reference = new_session(true).run_batch(&frames).unwrap();
+    let resident: Vec<bool> = reference
+        .per_frame
+        .iter()
+        .map(|s| s.matching_resident)
+        .collect();
+    assert_eq!(resident, vec![false, true, false, true, true]);
+
+    let hub = Arc::new(ObservabilityHub::new());
+    let session = new_session(true).with_hub(Arc::clone(&hub));
+    let arrivals: Vec<Arrival> = (0..frames.len())
+        .map(|frame| Arrival {
+            frame,
+            tenant: 0,
+            at_cycle: 0,
+        })
+        .collect();
+    let admit_all =
+        AdmissionConfig::legacy_burst(None, BackpressurePolicy::RejectNew, frames.len());
+    let report = session
+        .run_batch_ingest(&frames, &arrivals, &FaultConfig::off(7), &admit_all)
+        .unwrap();
+    let outputs: Vec<SparseTensor<Q16>> = report.outputs.into_iter().map(Option::unwrap).collect();
+    assert_same_outputs(&reference.outputs, &outputs, "ingest changed an output");
+    let per_frame: Vec<_> = report.per_frame.into_iter().map(Option::unwrap).collect();
+    assert_eq!(per_frame, reference.per_frame);
+
+    let mut events = hub.flight().events();
+    events.sort_by_key(|e| e.frame);
+    let flight: Vec<bool> = events.iter().map(|e| e.matching_resident).collect();
+    assert_eq!(flight, resident);
 }

@@ -2,8 +2,9 @@
 //! reference, over seeded random workloads:
 //!
 //! * `submanifold_conv3d_par` ≡ `submanifold_conv3d` (float kernels);
-//! * the sharded tile path ≡ the sequential accelerator — same output
-//!   *and* the same [`CycleStats`] and trace, bit for bit;
+//! * the sharded tile walk (`LayerOpts::shards`) ≡ the single-thread one
+//!   — same output *and* the same [`CycleStats`], telemetry and trace,
+//!   bit for bit;
 //! * [`StreamingSession`] batches ≡ the per-frame sequential stream, for
 //!   worker counts 1, 2 and 8, with and without layer sharding;
 //! * the flat matching-reuse engine ([`esca_sscn::engine`]) ≡ the direct
@@ -12,7 +13,7 @@
 //!   cache setting (the golden path never touches the cycle model).
 
 use esca::streaming::StreamingSession;
-use esca::{CycleStats, Esca, EscaConfig};
+use esca::{CycleStats, Esca, EscaConfig, LayerOpts};
 use esca_sscn::conv::submanifold_conv3d;
 use esca_sscn::engine::{FlatEngine, RulebookCache};
 use esca_sscn::gemm::GemmBackendKind;
@@ -70,6 +71,14 @@ fn par_conv_matches_sequential_across_shapes() {
     }
 }
 
+/// Default layer options with the tile loop split across `shards` threads.
+fn shards(shards: usize) -> LayerOpts {
+    LayerOpts {
+        shards,
+        ..LayerOpts::default()
+    }
+}
+
 #[test]
 fn sharded_layer_matches_sequential_bit_for_bit() {
     let esca = Esca::new(EscaConfig::default()).unwrap();
@@ -85,8 +94,10 @@ fn sharded_layer_matches_sequential_bit_for_bit() {
         let w = ConvWeights::seeded(3, ic, oc, 4000 + i as u64);
         let qw = QuantizedWeights::auto(&w, 8, 10).unwrap();
         let seq = esca.run_layer(&qin, &qw, true).unwrap();
-        for workers in [2usize, 3, 8] {
-            let par = esca.run_layer_sharded(&qin, &qw, true, workers).unwrap();
+        for workers in [1usize, 2, 3, 8] {
+            let par = esca
+                .run_layer_with(&qin, &qw, true, shards(workers))
+                .unwrap();
             assert!(
                 par.output.same_content(&seq.output),
                 "sharded output diverged (case {i}, {workers} workers)"
@@ -94,6 +105,14 @@ fn sharded_layer_matches_sequential_bit_for_bit() {
             assert_eq!(
                 par.stats, seq.stats,
                 "sharded cycle stats diverged (case {i}, {workers} workers)"
+            );
+            assert_eq!(
+                par.telemetry, seq.telemetry,
+                "sharded telemetry diverged (case {i}, {workers} workers)"
+            );
+            assert_eq!(
+                par.trace, seq.trace,
+                "sharded trace diverged (case {i}, {workers} workers)"
             );
         }
     }
@@ -108,12 +127,20 @@ fn sharded_layer_preserves_trace_and_weight_residency() {
     let qw = QuantizedWeights::auto(&ConvWeights::seeded(3, 2, 8, 43), 8, 10).unwrap();
     // Traces concatenate in tile order: identical to sequential emission.
     let seq = esca.run_layer(&qin, &qw, false).unwrap();
-    let par = esca.run_layer_sharded(&qin, &qw, false, 4).unwrap();
+    let par = esca.run_layer_with(&qin, &qw, false, shards(4)).unwrap();
     assert_eq!(par.trace, seq.trace);
     // Weights-resident accounting (the streaming steady state) matches too.
     let seq_res = esca.run_layer_opts(&qin, &qw, false, false).unwrap();
     let par_res = esca
-        .run_layer_sharded_opts(&qin, &qw, false, false, 4)
+        .run_layer_with(
+            &qin,
+            &qw,
+            false,
+            LayerOpts {
+                load_weights: false,
+                ..shards(4)
+            },
+        )
         .unwrap();
     assert_eq!(par_res.stats, seq_res.stats);
     assert!(seq_res.stats.total_cycles() < seq.stats.total_cycles());
@@ -124,7 +151,7 @@ fn sharded_layer_single_worker_delegates() {
     let esca = Esca::new(EscaConfig::default()).unwrap();
     let qin = random_qinput(7, 12, 2, 50);
     let qw = QuantizedWeights::auto(&ConvWeights::seeded(3, 2, 4, 8), 8, 10).unwrap();
-    let a = esca.run_layer_sharded(&qin, &qw, true, 1).unwrap();
+    let a = esca.run_layer_with(&qin, &qw, true, shards(1)).unwrap();
     let b = esca.run_layer(&qin, &qw, true).unwrap();
     assert!(a.output.same_content(&b.output));
     assert_eq!(a.stats, b.stats);
