@@ -10,7 +10,8 @@ build:
 test:
 	cargo test --workspace
 
-# The CI gate: offline, lockfile-pinned build + tests + lint-clean, plus
+# The CI gate: offline, lockfile-pinned build + tests + lint-clean (clippy
+# and rustdoc, both with warnings denied), plus
 # a smoke run of the matching-reuse engine bench (asserts bit-identity of
 # the flat path and refreshes BENCH_sscn.json) and a seeded smoke chaos
 # campaign on the resilient streaming path (replayable summary lands in
@@ -44,6 +45,7 @@ verify:
 	ESCA_GEMM_BACKEND=scalar cargo test -q --locked --offline -p esca-suite --test streaming_determinism --test geometry_plan
 	ESCA_GEMM_BACKEND=blocked cargo test -q --locked --offline -p esca-suite --test streaming_determinism --test geometry_plan
 	cargo clippy --workspace --all-targets --locked --offline -- -D warnings
+	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked --offline
 	cargo run -q -p esca-analyze --locked --offline -- --fail-stale
 	cargo run --release -q -p esca-bench --bin sscn_engine --locked --offline -- --smoke
 	cargo run --release -q -p esca-cli --bin esca --locked --offline -- stream --frames 3 --workers 2 --grid 48 --layers 2 --seed 1 --trace-out trace.json --span-trace-out spans.json --metrics-out metrics.json --prom-out metrics.prom --serve 127.0.0.1:0 --serve-scrape

@@ -392,7 +392,7 @@ fn bench_streaming(grid_side: u32, seeds: &[u64], smoke: bool) -> StreamingJson 
     for f in &frames {
         let cache = Arc::new(RulebookCache::new());
         let _ = esca
-            .run_network_golden_with(f, &stack, &cache, GemmBackendKind::Blocked)
+            .run_network_golden(f, &stack, &cache, GemmBackendKind::Blocked)
             .expect("runs");
     }
     let uncached_ms = t0.elapsed().as_secs_f64() * 1e3 / n_frames as f64;

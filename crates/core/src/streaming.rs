@@ -592,7 +592,7 @@ impl StreamingSession {
         let cache = Arc::clone(&self.rulebook_cache);
         let backend = self.gemm_backend;
         let job = move |frame: SparseTensor<Q16>| {
-            esca.run_network_golden_with(&frame, &layers, &cache, backend)
+            esca.run_network_golden(&frame, &layers, &cache, backend)
         };
         self.fan_out(frames.to_vec(), job, |_, _| {})?.into_values()
     }

@@ -8,14 +8,10 @@
 use crate::accelerator::Esca;
 use crate::stats::CycleStats;
 use crate::Result;
-use esca_sscn::engine::{FlatEngine, RulebookCache};
-use esca_sscn::gemm::GemmBackendKind;
 use esca_sscn::quant::{dequantize_tensor, quantize_tensor, QuantizedWeights};
 use esca_sscn::unet::SsUNet;
-use esca_telemetry::{MetricsSnapshot, Registry};
 use esca_tensor::SparseTensor;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Host (PS-side) cost model: a quad-A53 running NEON-ish scalar code.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -143,73 +139,6 @@ pub fn run_unet(
     })
 }
 
-/// Result of a host-golden full-U-Net replay ([`run_unet_golden`]).
-#[derive(Debug, Clone)]
-pub struct GoldenUnetRun {
-    /// The network logits — bit-identical to [`SsUNet::forward`] when the
-    /// replay ran the scalar reference GEMM tier ([`run_unet_golden`]'s
-    /// default), epsilon-bounded under the blocked throughput tier.
-    pub logits: SparseTensor<f32>,
-    /// Host-domain snapshot of the rulebook cache after the replay
-    /// (hits/misses/evictions, resident bytes/entries) plus the engine's
-    /// backend-labeled GEMM work counters.
-    pub cache_metrics: MetricsSnapshot,
-}
-
-/// Runs a full SS U-Net **on the host golden path** with every Sub-Conv
-/// layer delegated to the matching-reuse engine
-/// ([`SsUNet::forward_engine`]), sharing rulebooks through `cache` across
-/// levels, repeated replays and other sessions. Same-level encoder and
-/// decoder layers share one rulebook, so even a cold cache sees hits
-/// within a single pass; a warm cache (e.g. from an earlier
-/// [`crate::streaming::StreamingSession::run_golden_batch`]) skips
-/// matching entirely.
-///
-/// Always runs the **scalar reference** GEMM tier: "golden" here means
-/// the bit-exact float replay of [`SsUNet::forward`]. Use
-/// [`run_unet_golden_with`] to replay on a different backend (e.g. the
-/// blocked throughput tier, epsilon-bounded).
-///
-/// No cycle model runs — this is the reference replay of what
-/// [`run_unet`] offloads, plus the cache telemetry for it.
-///
-/// # Errors
-///
-/// Propagates network errors (shape/channel mismatches).
-pub fn run_unet_golden(
-    net: &SsUNet,
-    input: &SparseTensor<f32>,
-    cache: &Arc<RulebookCache>,
-) -> Result<GoldenUnetRun> {
-    run_unet_golden_with(net, input, cache, GemmBackendKind::ScalarRef)
-}
-
-/// [`run_unet_golden`] on an explicit GEMM backend tier. Logits are
-/// bit-identical to [`SsUNet::forward`] only under
-/// [`GemmBackendKind::ScalarRef`]; the blocked tier trades that for
-/// throughput within the documented epsilon bound, still fully
-/// deterministic.
-///
-/// # Errors
-///
-/// As [`run_unet_golden`].
-pub fn run_unet_golden_with(
-    net: &SsUNet,
-    input: &SparseTensor<f32>,
-    cache: &Arc<RulebookCache>,
-    backend: GemmBackendKind,
-) -> Result<GoldenUnetRun> {
-    let mut engine = FlatEngine::with_cache_and_backend(Arc::clone(cache), backend);
-    let logits = net.forward_engine(input, &mut engine)?;
-    let mut reg = Registry::new();
-    cache.record_metrics(&mut reg);
-    engine.record_gemm_metrics(&mut reg);
-    Ok(GoldenUnetRun {
-        logits,
-        cache_metrics: reg.snapshot(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,99 +200,6 @@ mod tests {
         let float_logits = net.forward(&input).unwrap();
         let err = run.logits.max_abs_diff(&float_logits).unwrap();
         assert!(err < 0.05, "quantized pipeline drifted: {err}");
-    }
-
-    #[test]
-    fn golden_unet_replay_reuses_rulebooks_and_reports_cache_metrics() {
-        let net = small_net();
-        let input = blob();
-        let cache = Arc::new(RulebookCache::new());
-        let run = run_unet_golden(&net, &input, &cache).unwrap();
-        // Bit-identical to the pure float forward.
-        let float_logits = net.forward(&input).unwrap();
-        assert_eq!(run.logits.coords(), float_logits.coords());
-        assert_eq!(run.logits.features(), float_logits.features());
-        // One rulebook build per distinct geometry (level); same-level
-        // encoder/decoder layers hit within the first pass already.
-        let cold_misses = cache.misses();
-        assert!(cold_misses >= 1);
-        assert!(cache.hits() > 0, "encoder/decoder should share rulebooks");
-        // A second replay is fully served from the cache.
-        let run2 = run_unet_golden(&net, &input, &cache).unwrap();
-        assert_eq!(
-            cache.misses(),
-            cold_misses,
-            "warm replay rebuilt a rulebook"
-        );
-        assert_eq!(run2.logits.features(), run.logits.features());
-        // The snapshot mirrors the live counters.
-        let counter = |name: &str| {
-            run2.cache_metrics
-                .counters
-                .iter()
-                .find(|c| c.name == name)
-                .map(|c| c.value)
-        };
-        assert_eq!(
-            counter("esca_rulebook_cache_hits_total"),
-            Some(cache.hits())
-        );
-        assert_eq!(
-            counter("esca_rulebook_cache_misses_total"),
-            Some(cache.misses())
-        );
-        assert!(run2
-            .cache_metrics
-            .gauges
-            .iter()
-            .any(|g| g.name == "esca_rulebook_cache_resident_bytes" && g.value > 0));
-        // The engine's GEMM work counters carry the backend label (the
-        // golden replay pins the bit-exact scalar reference tier).
-        let gemm_macs = run2
-            .cache_metrics
-            .counters
-            .iter()
-            .find(|c| c.name == "esca_flat_gemm_macs_total")
-            .expect("golden replay records GEMM work");
-        assert!(gemm_macs.value > 0);
-        assert_eq!(
-            gemm_macs.labels,
-            vec![("backend".to_string(), "scalar-ref".to_string())]
-        );
-    }
-
-    #[test]
-    fn golden_unet_replay_with_blocked_backend_is_epsilon_bounded() {
-        let net = small_net();
-        let input = blob();
-        let cache = Arc::new(RulebookCache::new());
-        let reference = run_unet_golden(&net, &input, &cache).unwrap();
-        let blocked = run_unet_golden_with(&net, &input, &cache, GemmBackendKind::Blocked).unwrap();
-        assert_eq!(blocked.logits.coords(), reference.logits.coords());
-        for (x, y) in blocked
-            .logits
-            .features()
-            .iter()
-            .zip(reference.logits.features())
-        {
-            assert!((x - y).abs() <= 1e-4 * y.abs().max(1.0), "{x} vs {y}");
-        }
-        // Identical deterministic work totals, distinct backend labels.
-        let macs = |run: &GoldenUnetRun, backend: &str| {
-            run.cache_metrics
-                .counters
-                .iter()
-                .find(|c| {
-                    c.name == "esca_flat_gemm_macs_total"
-                        && c.labels.iter().any(|(k, v)| k == "backend" && v == backend)
-                })
-                .map(|c| c.value)
-        };
-        assert_eq!(
-            macs(&reference, "scalar-ref"),
-            macs(&blocked, "blocked"),
-            "GEMM work totals must not depend on the backend"
-        );
     }
 
     #[test]

@@ -5,14 +5,14 @@
 //! ShapeNet-style objects); the accelerator offloads its Sub-Conv layers
 //! exactly as it does for the U-Net.
 
-use crate::engine::FlatEngine;
+use crate::engine::{FlatEngine, LayerExec};
 use crate::error::SscnError;
 use crate::layer::{relu, BatchNorm, Linear};
-use crate::pool::{global_avg_pool, sparse_max_pool};
-use crate::unet::{SubConvTrace, TraceMode};
+use crate::pool::global_avg_pool;
+use crate::unet::{SubConvFn, SubConvTrace, TraceMode};
 use crate::weights::ConvWeights;
 use crate::{conv, Result};
-use esca_tensor::SparseTensor;
+use esca_tensor::{Coord3, Extent3, SparseTensor};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of an SSCN classifier.
@@ -152,23 +152,7 @@ impl SscnClassifier {
         input: &SparseTensor<f32>,
         engine: &mut FlatEngine,
     ) -> Result<Vec<f32>> {
-        // Two Sub-Conv layers per stage, pooling between stages: before
-        // every even-indexed layer but the first.
-        let mut x = engine.subconv(input, &self.subconvs[0].1, true)?;
-        for (i, (_, w)) in self.subconvs.iter().enumerate().skip(1) {
-            if i % 2 == 0 {
-                x = engine.max_pool(&x, 2)?;
-            }
-            x = engine.subconv(&x, w, true)?;
-        }
-        let pooled = global_avg_pool(&x);
-        let mut wrapped = SparseTensor::new(esca_tensor::Extent3::cube(1), pooled.len());
-        wrapped.insert(esca_tensor::Coord3::ORIGIN, &pooled)?;
-        let logits = self.head.apply(&wrapped)?;
-        Ok(logits
-            .feature(esca_tensor::Coord3::ORIGIN)
-            .expect("single pooled site")
-            .to_vec())
+        self.forward_on(input, engine)
     }
 
     fn run(
@@ -195,30 +179,38 @@ impl SscnClassifier {
     ///
     /// # Errors
     ///
-    /// Propagates executor and layer errors.
-    pub fn forward_with<F>(&self, input: &SparseTensor<f32>, mut subconv: F) -> Result<Vec<f32>>
+    /// Propagates executor and layer errors, and rejects executors that
+    /// violate the Sub-Conv contract (changed channels or active set).
+    pub fn forward_with<F>(&self, input: &SparseTensor<f32>, subconv: F) -> Result<Vec<f32>>
     where
         F: FnMut(usize, &str, &ConvWeights, &SparseTensor<f32>) -> Result<SparseTensor<f32>>,
     {
-        let mut x = input.clone();
-        let mut next = 0usize;
-        for s in 0..self.cfg.stages {
-            for _ in 0..2 {
-                let (name, w) = &self.subconvs[next];
-                x = subconv(next, name, w, &x)?;
-                next += 1;
+        self.forward_on(input, &mut SubConvFn(subconv))
+    }
+
+    /// The network's one layer walk, for every executor.
+    fn forward_on<E: LayerExec>(
+        &self,
+        input: &SparseTensor<f32>,
+        exec: &mut E,
+    ) -> Result<Vec<f32>> {
+        // Two Sub-Conv layers per stage, pooling between stages: before
+        // every even-indexed layer but the first.
+        let (name, w) = &self.subconvs[0];
+        let mut x = exec.subconv(0, name, w, input)?;
+        for (i, (name, w)) in self.subconvs.iter().enumerate().skip(1) {
+            if i % 2 == 0 {
+                x = exec.max_pool(&x, 2)?;
             }
-            if s < self.cfg.stages - 1 {
-                x = sparse_max_pool(&x, 2);
-            }
+            x = exec.subconv(i, name, w, &x)?;
         }
         let pooled = global_avg_pool(&x);
         // Head as a plain matvec over the pooled vector.
-        let mut wrapped = SparseTensor::new(esca_tensor::Extent3::cube(1), pooled.len());
-        wrapped.insert(esca_tensor::Coord3::ORIGIN, &pooled)?;
+        let mut wrapped = SparseTensor::new(Extent3::cube(1), pooled.len());
+        wrapped.insert(Coord3::ORIGIN, &pooled)?;
         let logits = self.head.apply(&wrapped)?;
         Ok(logits
-            .feature(esca_tensor::Coord3::ORIGIN)
+            .feature(Coord3::ORIGIN)
             .expect("single pooled site")
             .to_vec())
     }
@@ -243,7 +235,6 @@ impl SscnClassifier {
 mod tests {
     use super::*;
     use crate::gemm::GemmBackendKind;
-    use esca_tensor::{Coord3, Extent3};
 
     fn small() -> SscnClassifier {
         SscnClassifier::new(ClassifierConfig {
@@ -275,6 +266,13 @@ mod tests {
         assert!(logits.iter().all(|v| v.is_finite()));
         let k = net.predict(&blob(0)).unwrap();
         assert!(k < 5);
+        // An executor that drops a site breaks the Sub-Conv contract.
+        let dropped = net.forward_with(&blob(0), |_, _, w, x| {
+            let y = relu(&conv::submanifold_conv3d(x, w)?);
+            let kept = y.iter().skip(1).map(|(c, f)| (c, f.to_vec()));
+            Ok(SparseTensor::from_entries(y.extent(), y.channels(), kept)?)
+        });
+        assert!(matches!(dropped, Err(SscnError::InvalidConfig { .. })));
     }
 
     #[test]

@@ -28,24 +28,27 @@
 //! depend only on geometry and kernel size, never on which network asks.
 //!
 //! The per-tap GEMM at the core of the flat kernels is **pluggable**
-//! ([`crate::gemm`]): [`apply_rulebook_flat`] and [`apply_rulebook_flat_q`]
-//! run the [`ScalarRef`] reference tier, proven **bit-identical** to the
+//! ([`crate::gemm`]): [`apply_rulebook_flat_with`] and
+//! [`apply_rulebook_flat_q_with`] take any [`GemmBackend`]. Through the
+//! [`ScalarRef`] reference tier they are proven **bit-identical** to the
 //! direct kernels — the float path replays
 //! [`crate::conv::submanifold_conv3d`]'s exact per-output-element
 //! accumulation order (bias first, then taps in kernel-column order, input
 //! channels in order — a submanifold rulebook has at most one pair per
 //! `(tap, output)`), and the quantized path is i64-exact like
-//! [`crate::quant::submanifold_conv3d_q`]. The `_with` variants and
-//! [`FlatEngine`] accept any [`GemmBackend`]; the default engine backend
-//! is the blocked throughput tier, whose f32 output is epsilon-bounded
-//! (quantized output stays bit-exact on every backend).
+//! [`crate::quant::submanifold_conv3d_q`]. The default [`FlatEngine`]
+//! backend is the blocked throughput tier, whose f32 output is
+//! epsilon-bounded (quantized output stays bit-exact on every backend).
+//!
+//! [`ScalarRef`]: crate::gemm::ScalarRef
 
 use crate::error::SscnError;
-use crate::gemm::{GemmBackend, GemmBackendKind, ScalarRef};
+use crate::gemm::{GemmBackend, GemmBackendKind};
 use crate::plan::{PoolMap, StridedMap, TransposeMap};
+use crate::pool::sparse_max_pool;
 use crate::quant::QuantizedWeights;
 use crate::rulebook::Rulebook;
-use crate::sparse_ops::StridedWeights;
+use crate::sparse_ops::{strided_conv3d, transpose_conv3d, StridedWeights};
 use crate::weights::ConvWeights;
 use crate::Result;
 use esca_telemetry::Registry;
@@ -464,38 +467,23 @@ pub struct FlatScratch {
 }
 
 /// Flat float Sub-Conv: per-tap dense GEMM scatter-accumulated over the
-/// rulebook's in-place activation rows, with an optional fused ReLU —
-/// through the **bit-exact** [`ScalarRef`] backend.
+/// rulebook's in-place activation rows, with an optional fused ReLU,
+/// through an explicit [`GemmBackend`].
 ///
-/// Bit-identical to `relu`-of-[`crate::conv::submanifold_conv3d`] (and to
+/// Through [`crate::gemm::ScalarRef`] the output is **bit-identical** to
+/// `relu`-of-[`crate::conv::submanifold_conv3d`] (and to
 /// [`crate::rulebook::apply_rulebook`]): the scatter accumulates straight
 /// into the bias-initialized output row inside the per-tap loop, so every
 /// output element sees additions in exactly the reference order. This
 /// exactness contract is what the resilience layer's corrupt-rulebook
-/// fallback comparisons rely on; use [`apply_rulebook_flat_with`] to pick
-/// a different tier explicitly.
+/// fallback comparisons rely on. The blocked tier is epsilon-bounded (see
+/// [`crate::gemm`] for the tier contract).
 ///
 /// # Errors
 ///
 /// Returns [`SscnError::ChannelMismatch`] on a channel mismatch and
 /// [`SscnError::InvalidConfig`] when the rulebook does not match the
 /// input/layer.
-pub fn apply_rulebook_flat(
-    input: &SparseTensor<f32>,
-    rb: &Rulebook,
-    weights: &ConvWeights,
-    relu: bool,
-) -> Result<SparseTensor<f32>> {
-    apply_rulebook_flat_with(input, rb, weights, relu, &ScalarRef)
-}
-
-/// [`apply_rulebook_flat`] through an explicit [`GemmBackend`]. The
-/// bit-exactness guarantee holds only for [`ScalarRef`]; the blocked tier
-/// is epsilon-bounded (see [`crate::gemm`] for the tier contract).
-///
-/// # Errors
-///
-/// As [`apply_rulebook_flat`].
 pub fn apply_rulebook_flat_with(
     input: &SparseTensor<f32>,
     rb: &Rulebook,
@@ -541,33 +529,18 @@ pub fn apply_rulebook_flat_with(
 }
 
 /// Flat **quantized** Sub-Conv (i64 accumulation, shared requantization)
-/// through the [`ScalarRef`] backend, bit-identical to
-/// [`crate::quant::submanifold_conv3d_q`]. The i64 accumulator is scratch:
-/// unlike the float path it is requantized into a fresh `Q16` vector, so
-/// the buffer is reused across layers.
+/// through an explicit [`GemmBackend`]. Integer accumulation is
+/// associative and overflow-free on every shipped backend, so — unlike
+/// the float path — the output stays **bit-identical** to
+/// [`crate::quant::submanifold_conv3d_q`] regardless of the tier chosen.
+/// The i64 accumulator is scratch: unlike the float path it is
+/// requantized into a fresh `Q16` vector, so the buffer is reused across
+/// layers.
 ///
 /// # Errors
 ///
 /// Returns [`SscnError::ChannelMismatch`] on a channel mismatch and
 /// [`SscnError::InvalidConfig`] when the rulebook does not match.
-pub fn apply_rulebook_flat_q(
-    input: &SparseTensor<Q16>,
-    rb: &Rulebook,
-    weights: &QuantizedWeights,
-    relu: bool,
-    scratch: &mut FlatScratch,
-) -> Result<SparseTensor<Q16>> {
-    apply_rulebook_flat_q_with(input, rb, weights, relu, scratch, &ScalarRef)
-}
-
-/// [`apply_rulebook_flat_q`] through an explicit [`GemmBackend`]. Integer
-/// accumulation is associative and overflow-free on every shipped backend,
-/// so — unlike the float path — the output stays **bit-identical** to the
-/// golden kernel regardless of the tier chosen.
-///
-/// # Errors
-///
-/// As [`apply_rulebook_flat_q`].
 pub fn apply_rulebook_flat_q_with(
     input: &SparseTensor<Q16>,
     rb: &Rulebook,
@@ -660,13 +633,7 @@ impl FlatEngine {
     }
 
     /// Creates an engine over a shared cache (cross-layer, cross-frame and
-    /// cross-worker reuse), with the process default backend.
-    pub fn with_cache(cache: Arc<RulebookCache>) -> Self {
-        FlatEngine::with_cache_and_backend(cache, GemmBackendKind::from_env())
-    }
-
-    /// Creates an engine over a shared cache with an explicit backend
-    /// tier.
+    /// cross-worker reuse) with an explicit backend tier.
     pub fn with_cache_and_backend(cache: Arc<RulebookCache>, backend: GemmBackendKind) -> Self {
         FlatEngine {
             cache,
@@ -707,6 +674,13 @@ impl FlatEngine {
         self.gemm_macs += rows * in_ch as u64 * out_ch as u64;
     }
 
+    /// Tallies one resampling layer's work over `sites` mapped sites.
+    fn note_resample(&mut self, sites: usize, w: &StridedWeights) {
+        let rows = sites as u64;
+        self.gemm_rows += rows;
+        self.gemm_macs += rows * w.in_ch() as u64 * w.out_ch() as u64;
+    }
+
     /// Emits the engine's GEMM work counters into a telemetry registry,
     /// labeled with the backend identity (`backend="scalar-ref"` /
     /// `"blocked"`). The values are pure functions of the rulebooks and
@@ -728,7 +702,7 @@ impl FlatEngine {
     ///
     /// # Errors
     ///
-    /// As [`apply_rulebook_flat`].
+    /// As [`apply_rulebook_flat_with`].
     pub fn subconv(
         &mut self,
         x: &SparseTensor<f32>,
@@ -741,60 +715,6 @@ impl FlatEngine {
         Ok(out)
     }
 
-    /// One strided (downsampling) convolution through the cached site map
-    /// — **bit-identical** to [`crate::sparse_ops::strided_conv3d`] on
-    /// every backend (the map replay accumulates in the direct kernel's
-    /// order; the per-tap GEMM seam is not involved).
-    ///
-    /// # Errors
-    ///
-    /// As [`StridedMap::apply`].
-    pub fn strided(
-        &mut self,
-        x: &SparseTensor<f32>,
-        w: &StridedWeights,
-    ) -> Result<SparseTensor<f32>> {
-        let map = self.cache.strided_map(x, w.kd());
-        let out = map.apply(x, w)?;
-        let rows = map.sites() as u64;
-        self.gemm_rows += rows;
-        self.gemm_macs += rows * w.in_ch() as u64 * w.out_ch() as u64;
-        Ok(out)
-    }
-
-    /// One transpose (upsampling) convolution onto an explicit target set
-    /// through the cached gather map — **bit-identical** to
-    /// [`crate::sparse_ops::transpose_conv3d`].
-    ///
-    /// # Errors
-    ///
-    /// As [`TransposeMap::apply`] / [`TransposeMap::build`].
-    pub fn transpose(
-        &mut self,
-        x: &SparseTensor<f32>,
-        w: &StridedWeights,
-        fine_extent: Extent3,
-        target: &[Coord3],
-    ) -> Result<SparseTensor<f32>> {
-        let map = self.cache.transpose_map(x, w.kd(), fine_extent, target)?;
-        let out = map.apply(x, w)?;
-        let rows = map.sites() as u64;
-        self.gemm_rows += rows;
-        self.gemm_macs += rows * w.in_ch() as u64 * w.out_ch() as u64;
-        Ok(out)
-    }
-
-    /// One strided max pooling through the cached reduction map —
-    /// **bit-identical** to [`crate::pool::sparse_max_pool`].
-    ///
-    /// # Errors
-    ///
-    /// As [`PoolMap::apply`].
-    pub fn max_pool(&mut self, x: &SparseTensor<f32>, kd: u32) -> Result<SparseTensor<f32>> {
-        let map = self.cache.pool_map(x, kd);
-        map.apply(x)
-    }
-
     /// One quantized Sub-Conv layer, through the cache and the flat
     /// kernel on the engine's backend. Bit-identical to
     /// [`crate::quant::submanifold_conv3d_q`] on **every** backend (i64
@@ -802,7 +722,7 @@ impl FlatEngine {
     ///
     /// # Errors
     ///
-    /// As [`apply_rulebook_flat_q`].
+    /// As [`apply_rulebook_flat_q_with`].
     pub fn subconv_q(
         &mut self,
         x: &SparseTensor<Q16>,
@@ -828,7 +748,7 @@ impl FlatEngine {
     ///
     /// # Errors
     ///
-    /// As [`apply_rulebook_flat_q`] on the flat path, as
+    /// As [`apply_rulebook_flat_q_with`] on the flat path, as
     /// [`crate::quant::submanifold_conv3d_q`] on the fallback path.
     pub fn subconv_q_with_book(
         &mut self,
@@ -862,7 +782,7 @@ impl FlatEngine {
     ///
     /// # Errors
     ///
-    /// As [`apply_rulebook_flat_q`], from the first failing layer.
+    /// As [`apply_rulebook_flat_q_with`], from the first failing layer.
     pub fn run_stack_q(
         &mut self,
         frame: &SparseTensor<Q16>,
@@ -876,10 +796,90 @@ impl FlatEngine {
     }
 }
 
+/// How a network's one layer walk ([`crate::unet::SsUNet`],
+/// [`crate::classifier::SscnClassifier`]) executes its layers. The
+/// resampling and pooling layers default to the direct kernels; a
+/// [`FlatEngine`] runs every layer over its cached geometry instead.
+pub(crate) trait LayerExec {
+    /// One Sub-Conv layer, ReLU included.
+    fn subconv(
+        &mut self,
+        index: usize,
+        name: &str,
+        w: &ConvWeights,
+        x: &SparseTensor<f32>,
+    ) -> Result<SparseTensor<f32>>;
+
+    /// One strided (downsampling) convolution.
+    fn strided(&mut self, x: &SparseTensor<f32>, w: &StridedWeights) -> Result<SparseTensor<f32>> {
+        strided_conv3d(x, w)
+    }
+
+    /// One transpose (upsampling) convolution onto `target`.
+    fn transpose(
+        &mut self,
+        x: &SparseTensor<f32>,
+        w: &StridedWeights,
+        fine_extent: Extent3,
+        target: &[Coord3],
+    ) -> Result<SparseTensor<f32>> {
+        transpose_conv3d(x, w, fine_extent, target)
+    }
+
+    /// One strided max pooling.
+    fn max_pool(&mut self, x: &SparseTensor<f32>, kd: u32) -> Result<SparseTensor<f32>> {
+        Ok(sparse_max_pool(x, kd))
+    }
+}
+
+impl LayerExec for FlatEngine {
+    fn subconv(
+        &mut self,
+        _index: usize,
+        _name: &str,
+        w: &ConvWeights,
+        x: &SparseTensor<f32>,
+    ) -> Result<SparseTensor<f32>> {
+        FlatEngine::subconv(self, x, w, true)
+    }
+
+    /// Through the cached site map — **bit-identical** to
+    /// [`strided_conv3d`] on every backend (the map replay accumulates in
+    /// the direct kernel's order; the per-tap GEMM seam is not involved).
+    fn strided(&mut self, x: &SparseTensor<f32>, w: &StridedWeights) -> Result<SparseTensor<f32>> {
+        let map = self.cache.strided_map(x, w.kd());
+        let out = map.apply(x, w)?;
+        self.note_resample(map.sites(), w);
+        Ok(out)
+    }
+
+    /// Through the cached gather map — **bit-identical** to
+    /// [`transpose_conv3d`].
+    fn transpose(
+        &mut self,
+        x: &SparseTensor<f32>,
+        w: &StridedWeights,
+        fine_extent: Extent3,
+        target: &[Coord3],
+    ) -> Result<SparseTensor<f32>> {
+        let map = self.cache.transpose_map(x, w.kd(), fine_extent, target)?;
+        let out = map.apply(x, w)?;
+        self.note_resample(map.sites(), w);
+        Ok(out)
+    }
+
+    /// Through the cached reduction map — **bit-identical** to
+    /// [`sparse_max_pool`].
+    fn max_pool(&mut self, x: &SparseTensor<f32>, kd: u32) -> Result<SparseTensor<f32>> {
+        self.cache.pool_map(x, kd).apply(x)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::conv::submanifold_conv3d;
+    use crate::gemm::ScalarRef;
     use crate::layer::relu as relu_layer;
     use crate::quant::{quantize_tensor, submanifold_conv3d_q};
     use esca_tensor::{Coord3, Extent3};
@@ -909,7 +909,7 @@ mod tests {
             let w = ConvWeights::seeded(3, 3, 6, seed + 40);
             let rb = Rulebook::build(&input, 3);
             for relu in [false, true] {
-                let flat = apply_rulebook_flat(&input, &rb, &w, relu).unwrap();
+                let flat = apply_rulebook_flat_with(&input, &rb, &w, relu, &ScalarRef).unwrap();
                 let direct = submanifold_conv3d(&input, &w).unwrap();
                 let direct = if relu { relu_layer(&direct) } else { direct };
                 assert_eq!(flat.coords(), direct.coords(), "storage order differs");
@@ -932,7 +932,9 @@ mod tests {
             let rb = Rulebook::build(&qin, 3);
             let mut scratch = FlatScratch::default();
             for relu in [false, true] {
-                let flat = apply_rulebook_flat_q(&qin, &rb, &qw, relu, &mut scratch).unwrap();
+                let flat =
+                    apply_rulebook_flat_q_with(&qin, &rb, &qw, relu, &mut scratch, &ScalarRef)
+                        .unwrap();
                 let golden = submanifold_conv3d_q(&qin, &qw, relu).unwrap();
                 assert_eq!(flat.coords(), golden.coords());
                 assert_eq!(flat.features(), golden.features());
@@ -1028,7 +1030,8 @@ mod tests {
                 let qw = &qw;
                 let golden = &golden;
                 scope.spawn(move |_| {
-                    let mut eng = FlatEngine::with_cache(cache);
+                    let mut eng =
+                        FlatEngine::with_cache_and_backend(cache, GemmBackendKind::from_env());
                     let out = eng.subconv_q(qframe, qw, true).unwrap();
                     assert_eq!(out.features(), golden.features());
                 });
@@ -1088,12 +1091,12 @@ mod tests {
         let rb = Rulebook::build(&a, 3);
         let w = ConvWeights::seeded(3, 1, 2, 93);
         assert!(matches!(
-            apply_rulebook_flat(&b, &rb, &w, false),
+            apply_rulebook_flat_with(&b, &rb, &w, false, &ScalarRef),
             Err(SscnError::InvalidConfig { .. })
         ));
         let w_bad_ch = ConvWeights::seeded(3, 2, 2, 94);
         assert!(matches!(
-            apply_rulebook_flat(&a, &rb, &w_bad_ch, false),
+            apply_rulebook_flat_with(&a, &rb, &w_bad_ch, false, &ScalarRef),
             Err(SscnError::ChannelMismatch { .. })
         ));
     }

@@ -1,6 +1,6 @@
 //! Pluggable per-tap GEMM backends for the flat matching-reuse engine.
 //!
-//! [`crate::engine::apply_rulebook_flat`] factors a submanifold Sub-Conv
+//! [`crate::engine::apply_rulebook_flat_with`] factors a submanifold Sub-Conv
 //! layer into gather → **per-tap dense GEMM** → scatter. The sparse
 //! mapping half (rulebooks, the SDMU's job in hardware) is fixed; the
 //! dense half is exactly the part an implementation is free to trade

@@ -154,6 +154,15 @@ impl Linear {
         self.out_ch
     }
 
+    /// Whether this is a well-formed `in_ch → out_ch` layer: the header
+    /// fields match and the weight and bias vectors have the lengths they
+    /// imply (a decoded model's shape check).
+    pub(crate) fn has_shape(&self, in_ch: usize, out_ch: usize) -> bool {
+        (self.in_ch, self.out_ch) == (in_ch, out_ch)
+            && in_ch.checked_mul(out_ch) == Some(self.w.len())
+            && self.b.len() == out_ch
+    }
+
     /// Applies the layer at every active site.
     ///
     /// # Errors

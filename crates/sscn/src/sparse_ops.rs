@@ -59,6 +59,17 @@ impl StridedWeights {
         w
     }
 
+    /// Whether these are well-formed K_d-stride `in_ch → out_ch` weights:
+    /// the header fields match and the weight vector has the length they
+    /// imply (a decoded model's shape check).
+    pub(crate) fn has_shape(&self, kd: u32, in_ch: usize, out_ch: usize) -> bool {
+        let len = (kd as usize)
+            .checked_pow(3)
+            .and_then(|taps| taps.checked_mul(in_ch))
+            .and_then(|n| n.checked_mul(out_ch));
+        (self.kd, self.in_ch, self.out_ch) == (kd, in_ch, out_ch) && len == Some(self.data.len())
+    }
+
     /// Kernel/stride size K_d.
     #[inline]
     pub fn kd(&self) -> u32 {

@@ -19,13 +19,13 @@
 //! Sub-Conv layer so the accelerator harness can replay exactly the tensors
 //! the network sees.
 
-use crate::engine::FlatEngine;
+use crate::engine::{FlatEngine, LayerExec};
 use crate::error::SscnError;
 use crate::layer::{relu, BatchNorm, Linear};
-use crate::sparse_ops::{concat_channels, strided_conv3d, transpose_conv3d, StridedWeights};
+use crate::sparse_ops::{concat_channels, StridedWeights};
 use crate::weights::ConvWeights;
 use crate::{conv, Result};
-use esca_tensor::SparseTensor;
+use esca_tensor::{Coord3, SparseTensor};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of an SS U-Net.
@@ -68,6 +68,44 @@ impl UNetConfig {
     }
 }
 
+/// The configuration checks [`SsUNet::new`] and [`SsUNet::from_json`]
+/// share.
+fn check_config(cfg: &UNetConfig) -> Result<()> {
+    if cfg.levels == 0
+        || cfg.blocks_per_level == 0
+        || cfg.base_channels == 0
+        || cfg.input_channels == 0
+        || cfg.classes == 0
+    {
+        return Err(SscnError::InvalidConfig {
+            reason: "levels, blocks_per_level, channels and classes must be nonzero".into(),
+        });
+    }
+    if cfg.kernel.is_multiple_of(2) {
+        return Err(SscnError::InvalidConfig {
+            reason: "Sub-Conv kernel must be odd".into(),
+        });
+    }
+    Ok(())
+}
+
+/// Every Sub-Conv layer's name and `(in_ch, out_ch)` in execution order:
+/// the stem, the encoder blocks, then each decoder level's fuse layer and
+/// blocks.
+fn subconv_shapes(cfg: &UNetConfig) -> Vec<(String, usize, usize)> {
+    let mut shapes = vec![("stem".to_string(), cfg.input_channels, cfg.channels_at(0))];
+    for l in 0..cfg.levels {
+        let c = cfg.channels_at(l);
+        shapes.extend((0..cfg.blocks_per_level).map(|b| (format!("enc{l}.conv{b}"), c, c)));
+    }
+    for l in (0..cfg.levels - 1).rev() {
+        let c = cfg.channels_at(l);
+        shapes.push((format!("dec{l}.fuse"), 2 * c, c));
+        shapes.extend((1..cfg.blocks_per_level).map(|b| (format!("dec{l}.conv{b}"), c, c)));
+    }
+    shapes
+}
+
 /// The input tensor of one Sub-Conv layer captured during
 /// [`SsUNet::forward_trace`], together with the layer identity.
 #[derive(Debug, Clone)]
@@ -101,6 +139,35 @@ impl TraceMode {
     }
 }
 
+/// A caller's Sub-Conv executor closure (the `forward_with` hook), held
+/// to the Sub-Conv contract: the output keeps the input's active set and
+/// has the layer's output channels.
+pub(crate) struct SubConvFn<F>(pub(crate) F);
+
+impl<F> LayerExec for SubConvFn<F>
+where
+    F: FnMut(usize, &str, &ConvWeights, &SparseTensor<f32>) -> Result<SparseTensor<f32>>,
+{
+    fn subconv(
+        &mut self,
+        index: usize,
+        name: &str,
+        w: &ConvWeights,
+        x: &SparseTensor<f32>,
+    ) -> Result<SparseTensor<f32>> {
+        let out = (self.0)(index, name, w, x)?;
+        if out.channels() != w.out_ch() || !out.same_active_set(x) {
+            return Err(SscnError::InvalidConfig {
+                reason: format!(
+                    "executor for {name} violated the Sub-Conv contract \
+                     (channels or active set changed)"
+                ),
+            });
+        }
+        Ok(out)
+    }
+}
+
 /// A built SS U-Net with deterministic seeded weights (batch norms already
 /// folded into the convolutions).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -118,66 +185,37 @@ impl SsUNet {
     ///
     /// # Errors
     ///
-    /// Returns [`SscnError::InvalidConfig`] for zero levels/blocks/channels.
+    /// Returns [`SscnError::InvalidConfig`] for zero levels, blocks,
+    /// channels or classes, or an even kernel.
     pub fn new(cfg: UNetConfig) -> Result<Self> {
-        if cfg.levels == 0 || cfg.blocks_per_level == 0 || cfg.base_channels == 0 {
-            return Err(SscnError::InvalidConfig {
-                reason: "levels, blocks_per_level and base_channels must be nonzero".into(),
-            });
-        }
-        if cfg.kernel.is_multiple_of(2) {
-            return Err(SscnError::InvalidConfig {
-                reason: "Sub-Conv kernel must be odd".into(),
-            });
-        }
+        check_config(&cfg)?;
         let mut seed = cfg.seed;
         let mut next_seed = || {
             seed = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
             seed
         };
-        let mut subconvs = Vec::new();
-        let mut make_subconv = |name: String, in_ch: usize, out_ch: usize, s: u64| {
-            let w = ConvWeights::seeded(cfg.kernel, in_ch, out_ch, s);
-            let bn = BatchNorm::seeded(out_ch, s ^ 0xb4);
+        let make_subconv = |(name, in_ch, out_ch): &(String, usize, usize), s: u64| {
+            let w = ConvWeights::seeded(cfg.kernel, *in_ch, *out_ch, s);
+            let bn = BatchNorm::seeded(*out_ch, s ^ 0xb4);
             let folded = bn.fold_into(&w).expect("bn channels match conv out");
-            subconvs.push((name, folded));
+            (name.clone(), folded)
         };
-
-        make_subconv(
-            "stem".into(),
-            cfg.input_channels,
-            cfg.channels_at(0),
-            next_seed(),
-        );
-        for l in 0..cfg.levels {
-            let c = cfg.channels_at(l);
-            for b in 0..cfg.blocks_per_level {
-                make_subconv(format!("enc{l}.conv{b}"), c, c, next_seed());
-            }
-        }
+        // Seeds are drawn in the order that fixes every seeded weight:
+        // stem and encoder, the resampling pairs, then the decoder.
+        let shapes = subconv_shapes(&cfg);
+        let (encoder, decoder) = shapes.split_at(1 + cfg.levels * cfg.blocks_per_level);
+        let mut subconvs: Vec<_> = encoder
+            .iter()
+            .map(|shape| make_subconv(shape, next_seed()))
+            .collect();
         let mut downs = Vec::new();
         let mut ups = Vec::new();
         for l in 0..cfg.levels - 1 {
-            downs.push(StridedWeights::seeded(
-                2,
-                cfg.channels_at(l),
-                cfg.channels_at(l + 1),
-                next_seed(),
-            ));
-            ups.push(StridedWeights::seeded(
-                2,
-                cfg.channels_at(l + 1),
-                cfg.channels_at(l),
-                next_seed(),
-            ));
+            let (c, c_next) = (cfg.channels_at(l), cfg.channels_at(l + 1));
+            downs.push(StridedWeights::seeded(2, c, c_next, next_seed()));
+            ups.push(StridedWeights::seeded(2, c_next, c, next_seed()));
         }
-        for l in (0..cfg.levels - 1).rev() {
-            let c = cfg.channels_at(l);
-            make_subconv(format!("dec{l}.fuse"), 2 * c, c, next_seed());
-            for b in 1..cfg.blocks_per_level {
-                make_subconv(format!("dec{l}.conv{b}"), c, c, next_seed());
-            }
-        }
+        subconvs.extend(decoder.iter().map(|shape| make_subconv(shape, next_seed())));
         let head = Linear::seeded(cfg.channels_at(0), cfg.classes, next_seed());
         Ok(SsUNet {
             cfg,
@@ -256,37 +294,7 @@ impl SsUNet {
         input: &SparseTensor<f32>,
         engine: &mut FlatEngine,
     ) -> Result<SparseTensor<f32>> {
-        let cfg = &self.cfg;
-        let mut next = 0usize;
-        // Stem.
-        let mut x = engine.subconv(input, &self.subconvs[next].1, true)?;
-        next += 1;
-        // Encoder.
-        let mut skips: Vec<SparseTensor<f32>> = Vec::new();
-        for l in 0..cfg.levels {
-            for _ in 0..cfg.blocks_per_level {
-                x = engine.subconv(&x, &self.subconvs[next].1, true)?;
-                next += 1;
-            }
-            if l < cfg.levels - 1 {
-                let down = engine.strided(&x, &self.downs[l])?;
-                skips.push(std::mem::replace(&mut x, down));
-            }
-        }
-        // Decoder.
-        for l in (0..cfg.levels - 1).rev() {
-            let skip = skips.pop().expect("one skip per non-bottom level");
-            let up = engine.transpose(&x, &self.ups[l], skip.extent(), skip.coords())?;
-            x = concat_channels(&skip, &up)?;
-            for _ in 0..cfg.blocks_per_level {
-                x = engine.subconv(&x, &self.subconvs[next].1, true)?;
-                next += 1;
-            }
-        }
-        // Head.
-        let logits = self.head.apply(&x)?;
-        debug_assert_eq!(next, self.subconvs.len(), "all subconvs executed");
-        Ok(logits)
+        self.forward_on(input, engine)
     }
 
     fn run(
@@ -322,55 +330,51 @@ impl SsUNet {
     pub fn forward_with<F>(
         &self,
         input: &SparseTensor<f32>,
-        mut subconv: F,
+        subconv: F,
     ) -> Result<SparseTensor<f32>>
     where
         F: FnMut(usize, &str, &ConvWeights, &SparseTensor<f32>) -> Result<SparseTensor<f32>>,
     {
-        let cfg = &self.cfg;
-        let mut next = 0usize;
-        let mut apply_subconv =
-            |x: &SparseTensor<f32>, subconv: &mut F| -> Result<SparseTensor<f32>> {
-                let (name, w) = &self.subconvs[next];
-                let out = subconv(next, name, w, x)?;
-                if out.channels() != w.out_ch() || !out.same_active_set(x) {
-                    return Err(SscnError::InvalidConfig {
-                        reason: format!(
-                            "executor for {name} violated the Sub-Conv contract \
-                             (channels or active set changed)"
-                        ),
-                    });
-                }
-                next += 1;
-                Ok(out)
-            };
+        self.forward_on(input, &mut SubConvFn(subconv))
+    }
 
+    /// The network's one layer walk, for every executor.
+    fn forward_on<E: LayerExec>(
+        &self,
+        input: &SparseTensor<f32>,
+        exec: &mut E,
+    ) -> Result<SparseTensor<f32>> {
+        let cfg = &self.cfg;
+        let mut layers = self.subconvs.iter().enumerate();
+        let mut subconv = |exec: &mut E, x: &SparseTensor<f32>| {
+            let (index, (name, w)) = layers.next().expect("one weight set per Sub-Conv layer");
+            exec.subconv(index, name, w, x)
+        };
         // Stem.
-        let mut x = apply_subconv(input, &mut subconv)?;
+        let mut x = subconv(exec, input)?;
         // Encoder.
         let mut skips: Vec<SparseTensor<f32>> = Vec::new();
         for l in 0..cfg.levels {
             for _ in 0..cfg.blocks_per_level {
-                x = apply_subconv(&x, &mut subconv)?;
+                x = subconv(exec, &x)?;
             }
             if l < cfg.levels - 1 {
-                skips.push(x.clone());
-                x = strided_conv3d(&x, &self.downs[l])?;
+                let down = exec.strided(&x, &self.downs[l])?;
+                skips.push(std::mem::replace(&mut x, down));
             }
         }
         // Decoder.
         for l in (0..cfg.levels - 1).rev() {
             let skip = skips.pop().expect("one skip per non-bottom level");
-            let up = transpose_conv3d(&x, &self.ups[l], skip.extent(), skip.coords())?;
+            let up = exec.transpose(&x, &self.ups[l], skip.extent(), skip.coords())?;
             x = concat_channels(&skip, &up)?;
             for _ in 0..cfg.blocks_per_level {
-                x = apply_subconv(&x, &mut subconv)?;
+                x = subconv(exec, &x)?;
             }
         }
+        debug_assert!(layers.next().is_none(), "all subconvs executed");
         // Head.
-        let logits = self.head.apply(&x)?;
-        debug_assert_eq!(next, self.subconvs.len(), "all subconvs executed");
-        Ok(logits)
+        self.head.apply(&x)
     }
 
     /// The encoder's downsampling convolutions, one per non-bottom level
@@ -399,11 +403,56 @@ impl SsUNet {
     ///
     /// # Errors
     ///
-    /// Returns [`SscnError::InvalidConfig`] on malformed input.
+    /// Returns [`SscnError::InvalidConfig`] on malformed input, and on a
+    /// model whose layers do not have the count and shapes its
+    /// configuration implies.
     pub fn from_json(json: &str) -> Result<Self> {
-        serde_json::from_str(json).map_err(|e| SscnError::InvalidConfig {
+        let net: SsUNet = serde_json::from_str(json).map_err(|e| SscnError::InvalidConfig {
             reason: format!("deserialize failed: {e}"),
-        })
+        })?;
+        net.check_shapes()?;
+        Ok(net)
+    }
+
+    /// Checks a decoded model against its configuration: the layer counts
+    /// and every layer's shape must be the ones [`SsUNet::new`] builds.
+    /// Counts are checked first, so every bound below is limited by the
+    /// decoded data and no arithmetic can overflow.
+    fn check_shapes(&self) -> Result<()> {
+        let cfg = &self.cfg;
+        check_config(cfg)?;
+        let mismatch = |what: String| SscnError::InvalidConfig {
+            reason: format!("model does not match its config: {what}"),
+        };
+        let resamples = cfg.levels - 1;
+        if self.downs.len() != resamples || self.ups.len() != resamples {
+            return Err(mismatch("resampling layer count".into()));
+        }
+        let subconvs = (2 * cfg.levels - 1)
+            .checked_mul(cfg.blocks_per_level)
+            .and_then(|n| n.checked_add(1));
+        if subconvs != Some(self.subconvs.len()) {
+            return Err(mismatch("Sub-Conv layer count".into()));
+        }
+        if cfg.base_channels.checked_mul(2 * cfg.levels).is_none() {
+            return Err(mismatch("channel count overflows".into()));
+        }
+        let shapes = subconv_shapes(cfg);
+        for ((name, w), (want, in_ch, out_ch)) in self.subconvs.iter().zip(&shapes) {
+            if name != want || !w.has_shape(cfg.kernel, *in_ch, *out_ch) {
+                return Err(mismatch(format!("Sub-Conv layer {want}")));
+            }
+        }
+        let c = |l: usize| cfg.channels_at(l);
+        for (l, (down, up)) in self.downs.iter().zip(&self.ups).enumerate() {
+            if !down.has_shape(2, c(l), c(l + 1)) || !up.has_shape(2, c(l + 1), c(l)) {
+                return Err(mismatch(format!("resampling layers of level {l}")));
+            }
+        }
+        if !self.head.has_shape(c(0), cfg.classes) {
+            return Err(mismatch("head".into()));
+        }
+        Ok(())
     }
 
     /// Per-site class predictions.
@@ -411,7 +460,7 @@ impl SsUNet {
     /// # Errors
     ///
     /// As [`SsUNet::forward`].
-    pub fn predict(&self, input: &SparseTensor<f32>) -> Result<Vec<(esca_tensor::Coord3, usize)>> {
+    pub fn predict(&self, input: &SparseTensor<f32>) -> Result<Vec<(Coord3, usize)>> {
         let logits = self.forward(input)?;
         Ok(logits
             .iter()
@@ -432,7 +481,8 @@ impl SsUNet {
 mod tests {
     use super::*;
     use crate::gemm::GemmBackendKind;
-    use esca_tensor::{Coord3, Extent3};
+    use esca_telemetry::Registry;
+    use esca_tensor::Extent3;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha12Rng;
 
@@ -470,6 +520,13 @@ mod tests {
         let out = net.forward(&input).unwrap();
         assert!(out.same_active_set(&input));
         assert_eq!(out.channels(), 3);
+        // An executor that drops a site breaks the Sub-Conv contract.
+        let dropped = net.forward_with(&input, |_, _, w, x| {
+            let y = relu(&conv::submanifold_conv3d(x, w)?);
+            let kept = y.iter().skip(1).map(|(c, f)| (c, f.to_vec()));
+            Ok(SparseTensor::from_entries(y.extent(), y.channels(), kept)?)
+        });
+        assert!(matches!(dropped, Err(SscnError::InvalidConfig { .. })));
     }
 
     #[test]
@@ -591,6 +648,34 @@ mod tests {
         }
         let blocked2 = net.forward_engine(&input, &mut fast).unwrap();
         assert_eq!(blocked.features(), blocked2.features(), "not reproducible");
+        // The cache's metrics snapshot mirrors the live counters.
+        let mut reg = Registry::new();
+        engine.cache().record_metrics(&mut reg);
+        let snap = reg.snapshot();
+        let counter = |name: &str| {
+            snap.counters
+                .iter()
+                .find(|c| c.name == name)
+                .map(|c| c.value)
+        };
+        assert_eq!(
+            counter("esca_rulebook_cache_hits_total"),
+            Some(engine.cache().hits())
+        );
+        assert_eq!(
+            counter("esca_rulebook_cache_misses_total"),
+            Some(engine.cache().misses())
+        );
+        // Two full passes per backend: the GEMM work totals (resampling
+        // included) agree across backends and carry each backend's label.
+        let macs = |eng: &FlatEngine, backend: &str| {
+            let mut reg = Registry::new();
+            eng.record_gemm_metrics(&mut reg);
+            reg.counter("esca_flat_gemm_macs_total", &[("backend", backend)])
+        };
+        assert!(engine.gemm_macs() > 0);
+        assert_eq!(macs(&engine, "scalar-ref"), Some(engine.gemm_macs()));
+        assert_eq!(macs(&fast, "blocked"), Some(engine.gemm_macs()));
     }
 
     #[test]

@@ -57,6 +57,19 @@ impl ConvWeights {
         w
     }
 
+    /// Whether these are well-formed weights of a K×K×K `in_ch → out_ch`
+    /// layer: the header fields match and the weight and bias vectors have
+    /// the lengths they imply (a decoded model's shape check).
+    pub(crate) fn has_shape(&self, k: u32, in_ch: usize, out_ch: usize) -> bool {
+        let len = (k as usize)
+            .checked_pow(3)
+            .and_then(|taps| taps.checked_mul(in_ch))
+            .and_then(|n| n.checked_mul(out_ch));
+        (self.k, self.in_ch, self.out_ch) == (k, in_ch, out_ch)
+            && len == Some(self.data.len())
+            && self.bias.len() == out_ch
+    }
+
     /// Kernel size K.
     #[inline]
     pub fn k(&self) -> u32 {

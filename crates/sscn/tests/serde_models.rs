@@ -45,6 +45,72 @@ fn unet_json_persistence_is_the_same_network() {
     }
 }
 
+/// The node at `path` in a JSON tree (map keys, or sequence indices in
+/// decimal).
+fn node<'a>(v: &'a mut serde_json::Value, path: &[&str]) -> &'a mut serde_json::Value {
+    path.iter().fold(v, |v, key| match v {
+        serde_json::Value::Map(entries) => {
+            &mut entries.iter_mut().find(|(k, _)| k == key).expect("key").1
+        }
+        serde_json::Value::Seq(items) => &mut items[key.parse::<usize>().expect("index")],
+        _ => panic!("no node at {key}"),
+    })
+}
+
+#[test]
+fn unet_json_that_does_not_match_its_config_is_rejected_without_panic() {
+    let net = SsUNet::new(UNetConfig {
+        levels: 2,
+        base_channels: 4,
+        blocks_per_level: 1,
+        classes: 3,
+        ..Default::default()
+    })
+    .unwrap();
+    let valid: serde_json::Value = serde_json::from_str(&net.to_json().unwrap()).unwrap();
+    // `Some(n)` sets the number at the path, `None` drops the last element
+    // of the sequence there.
+    let mutations: [(&[&str], Option<u64>); 18] = [
+        (&["cfg", "levels"], Some(3)),
+        (&["cfg", "levels"], Some(0)),
+        (&["cfg", "levels"], Some(u64::MAX)),
+        (&["cfg", "blocks_per_level"], Some(2)),
+        (&["cfg", "blocks_per_level"], Some(0)),
+        (&["cfg", "blocks_per_level"], Some(u64::MAX)),
+        (&["cfg", "base_channels"], Some(5)),
+        (&["cfg", "base_channels"], Some(u64::MAX)),
+        (&["cfg", "input_channels"], Some(2)),
+        (&["cfg", "classes"], Some(0)),
+        (&["cfg", "kernel"], Some(5)),
+        (&["subconvs"], None),
+        (&["subconvs", "1", "1", "data"], None),
+        (&["subconvs", "2", "1", "bias"], None),
+        (&["subconvs", "3", "1", "in_ch"], Some(4)),
+        (&["downs"], None),
+        (&["ups", "0", "out_ch"], Some(8)),
+        (&["head", "out_ch"], Some(4)),
+    ];
+    for (path, mutation) in mutations {
+        let mut v = valid.clone();
+        let at = node(&mut v, path);
+        match (mutation, at) {
+            (Some(n), at) => *at = serde_json::Value::U64(n),
+            (None, serde_json::Value::Seq(items)) => {
+                items.pop();
+            }
+            (None, _) => panic!("{path:?} is not a sequence"),
+        }
+        let json = serde_json::to_string(&v).unwrap();
+        match std::panic::catch_unwind(|| SsUNet::from_json(&json)) {
+            Ok(Err(_)) => {}
+            Ok(Ok(_)) => panic!("{path:?} {mutation:?}: accepted a mismatched model"),
+            Err(_) => panic!("{path:?} {mutation:?}: from_json panicked"),
+        }
+    }
+    // The unmutated JSON still loads.
+    assert!(SsUNet::from_json(&serde_json::to_string(&valid).unwrap()).is_ok());
+}
+
 #[test]
 fn rulebook_roundtrip() {
     let mut t = SparseTensor::<f32>::new(Extent3::cube(6), 1);

@@ -81,8 +81,13 @@ fn fresh_outputs(frames: &[SparseTensor<Q16>]) -> Vec<SparseTensor<Q16>> {
     frames
         .iter()
         .map(|f| {
-            esca.run_network_golden(f, &stack(), &Arc::new(RulebookCache::new()))
-                .unwrap()
+            esca.run_network_golden(
+                f,
+                &stack(),
+                &Arc::new(RulebookCache::new()),
+                GemmBackendKind::from_env(),
+            )
+            .unwrap()
         })
         .collect()
 }

@@ -298,7 +298,12 @@ fn pipeline_trace_is_invariant_under_golden_engine_use() {
     let before = esca.run_layer(&qin, &qw, true).unwrap();
     let cache = Arc::new(RulebookCache::new());
     let golden = esca
-        .run_network_golden(&qin, &[(qw.clone(), true)], &cache)
+        .run_network_golden(
+            &qin,
+            &[(qw.clone(), true)],
+            &cache,
+            GemmBackendKind::from_env(),
+        )
         .unwrap();
     assert!(golden.same_content(&before.output));
     let after = esca.run_layer(&qin, &qw, true).unwrap();
