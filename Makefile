@@ -34,7 +34,9 @@ test:
 # ingest queue with the selected operating point published on /healthz.
 # The benchmark package (perfbench/, its own Cargo workspace with path
 # dependencies on the crates) is built and unit-tested too, so a library
-# change that breaks the API it calls fails here.
+# change that breaks the API it calls fails here. The pipeline_trace
+# example runs one traced layer end to end through the cycle model and
+# prints its Fig. 7(b) chart.
 # Matches .github/workflows/ci.yml.
 verify:
 	cargo build --workspace --release --locked --offline
@@ -48,6 +50,7 @@ verify:
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked --offline
 	cargo run -q -p esca-analyze --locked --offline -- --fail-stale
 	cargo run --release -q -p esca-bench --bin sscn_engine --locked --offline -- --smoke
+	cargo run --release --example pipeline_trace --locked --offline
 	cargo run --release -q -p esca-cli --bin esca --locked --offline -- stream --frames 3 --workers 2 --grid 48 --layers 2 --seed 1 --trace-out trace.json --span-trace-out spans.json --metrics-out metrics.json --prom-out metrics.prom --serve 127.0.0.1:0 --serve-scrape
 	cargo run --release -q -p esca-bench --bin validate_trace --locked --offline -- trace.json metrics.json
 	cargo run --release -q -p esca-bench --bin validate_trace --locked --offline -- spans.json

@@ -341,7 +341,7 @@ impl Esca {
             for shard in done {
                 stats += &shard.stats;
                 tele.merge(&shard.telemetry);
-                trace.extend(&shard.trace);
+                trace.extend(shard.trace);
                 for (c, feats) in shard.output.iter() {
                     output.insert(c, feats).expect("centre lies in the grid");
                 }

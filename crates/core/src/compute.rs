@@ -15,7 +15,7 @@
 use crate::sdmu::MatchEntry;
 use crate::stats::CycleStats;
 use crate::telemetry::LayerTelemetry;
-use crate::trace::{PipelineTrace, Stage};
+use crate::trace::{PipelineTrace, Stage, TraceDetail};
 use esca_sscn::quant::QuantizedWeights;
 use esca_tensor::{requantize_i64, Q16};
 
@@ -133,7 +133,10 @@ impl<'w> ComputingCore<'w> {
         trace.record(
             cycle,
             Stage::Compute,
-            format!("match g{} tap{}", m.group, m.tap),
+            TraceDetail::Match {
+                group: m.group,
+                tap: m.tap,
+            },
         );
     }
 
@@ -178,7 +181,7 @@ impl<'w> ComputingCore<'w> {
         trace.record(
             cycle,
             Stage::Drain,
-            format!("group {}", self.current_group.expect("checked above")),
+            TraceDetail::Group(self.current_group.expect("checked above")),
         );
         self.current_group = None;
         (out, drain)

@@ -20,7 +20,7 @@ pub mod mask_judger;
 pub mod state_index;
 
 use crate::encode::EncodedFeatureMap;
-use crate::trace::{PipelineTrace, Stage};
+use crate::trace::{PipelineTrace, Stage, TraceDetail};
 use esca_tensor::{Coord3, Extent3, KernelOffsets, TileInfo, TileShape};
 use fifo::FifoGroup;
 use mask_judger::MaskJudger;
@@ -212,7 +212,10 @@ impl<'a> TileSdmu<'a> {
                 trace.record(
                     cycle,
                     Stage::ReadMasks,
-                    format!("fill line ({}, {})", centre.x, centre.y),
+                    TraceDetail::FillLine {
+                        x: centre.x,
+                        y: centre.y,
+                    },
                 );
                 if self.fill_remaining == 0 {
                     self.line_start = false;
@@ -227,12 +230,12 @@ impl<'a> TileSdmu<'a> {
         self.state_index.step(&slice.column_bits);
         self.mask_bits_read += self.offsets.columns() as u64;
         self.scanned += 1;
-        trace.record(cycle, Stage::ReadMasks, format!("srf {centre}"));
-        trace.record(cycle, Stage::JudgeState, format!("srf {centre}"));
+        trace.record(cycle, Stage::ReadMasks, TraceDetail::Srf(centre));
+        trace.record(cycle, Stage::JudgeState, TraceDetail::Srf(centre));
 
         let centre_active = slice.centre_active;
         let outcome = if centre_active {
-            trace.record(cycle, Stage::GenStateIndex, format!("srf {centre}"));
+            trace.record(cycle, Stage::GenStateIndex, TraceDetail::Srf(centre));
             let mut remaining = Vec::with_capacity(self.offsets.columns());
             let mut total = 0usize;
             for col in 0..self.offsets.columns() {
@@ -342,7 +345,7 @@ impl<'a> TileSdmu<'a> {
             trace.record(
                 cycle,
                 Stage::FetchActivations,
-                format!("group {}", job.group),
+                TraceDetail::Group(job.group),
             );
         }
         if job.remaining.iter().all(|r| r.start >= r.end) {

@@ -7,8 +7,13 @@
 //! `examples/pipeline_trace.rs` renders them as a Gantt-style text chart,
 //! and [`PipelineTrace::to_chrome_trace`] exports Chrome trace-event /
 //! Perfetto JSON for standard tooling.
+//!
+//! A span's detail is a `Copy` [`TraceDetail`], stored unformatted: the
+//! cycle model builds no string per recorded cycle, traced or not, and
+//! the text form exists only at export (Chrome trace, serde, `Display`).
 
 use esca_telemetry::ChromeTrace;
+use esca_tensor::Coord3;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -73,6 +78,85 @@ impl fmt::Display for Stage {
     }
 }
 
+/// The piece of work a span was busy on. Its `Display` form is the span's
+/// detail text in every export.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TraceDetail {
+    /// Pipeline-fill cycles preloading the column accumulators of the
+    /// `(x, y)` line (`"fill line (x, y)"`).
+    FillLine {
+        /// Line x coordinate.
+        x: i32,
+        /// Line y coordinate.
+        y: i32,
+    },
+    /// One SRF centre scanned (`"srf (x, y, z)"`).
+    Srf(Coord3),
+    /// One match group, by ordinal within the layer run (`"group g"`).
+    Group(usize),
+    /// One match dispatched into the computing array (`"match gG tapT"`).
+    Match {
+        /// Match-group ordinal.
+        group: usize,
+        /// Kernel tap index.
+        tap: usize,
+    },
+}
+
+impl TraceDetail {
+    /// Parses the `Display` form back (the serde wire form).
+    fn parse(s: &str) -> Option<Self> {
+        if let Some(rest) = s.strip_prefix("fill line (") {
+            let (x, y) = rest.strip_suffix(')')?.split_once(", ")?;
+            return Some(TraceDetail::FillLine {
+                x: x.parse().ok()?,
+                y: y.parse().ok()?,
+            });
+        }
+        if let Some(rest) = s.strip_prefix("srf (") {
+            let mut xyz = rest.strip_suffix(')')?.split(", ").map(str::parse);
+            let mut next = || xyz.next()?.ok();
+            let c = Coord3::new(next()?, next()?, next()?);
+            return next().is_none().then_some(TraceDetail::Srf(c));
+        }
+        if let Some(g) = s.strip_prefix("group ") {
+            return g.parse().ok().map(TraceDetail::Group);
+        }
+        let (group, tap) = s.strip_prefix("match g")?.split_once(" tap")?;
+        Some(TraceDetail::Match {
+            group: group.parse().ok()?,
+            tap: tap.parse().ok()?,
+        })
+    }
+}
+
+impl fmt::Display for TraceDetail {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TraceDetail::FillLine { x, y } => write!(f, "fill line ({x}, {y})"),
+            TraceDetail::Srf(centre) => write!(f, "srf {centre}"),
+            TraceDetail::Group(g) => write!(f, "group {g}"),
+            TraceDetail::Match { group, tap } => write!(f, "match g{group} tap{tap}"),
+        }
+    }
+}
+
+// Manual impls: the detail travels as its `Display` string, the JSON
+// shape trace consumers already parse.
+impl Serialize for TraceDetail {
+    fn to_content(&self) -> serde::Content {
+        serde::Content::Str(self.to_string())
+    }
+}
+
+impl Deserialize for TraceDetail {
+    fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
+        let s = String::from_content(content)?;
+        TraceDetail::parse(&s)
+            .ok_or_else(|| serde::Error::custom(format!("unrecognised trace detail {s:?}")))
+    }
+}
+
 /// One structured pipeline span: a stage busy for the half-open cycle
 /// range `[cycle_start, cycle_end)` on one piece of work.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -83,8 +167,8 @@ pub struct TraceSpan {
     pub cycle_start: u64,
     /// One past the last busy cycle.
     pub cycle_end: u64,
-    /// Short detail attribute (e.g. the SRF centre or match id).
-    pub detail: String,
+    /// The piece of work (e.g. the SRF centre or match id).
+    pub detail: TraceDetail,
 }
 
 impl TraceSpan {
@@ -128,11 +212,11 @@ impl PipelineTrace {
     /// Contiguous recordings with the same stage *and* detail extend the
     /// previous span; anything else opens a new span, so per-work-item
     /// details (one per match, group or SRF) keep a 1:1 span mapping.
-    pub fn record(&mut self, cycle: u64, stage: Stage, detail: impl Into<String>) {
+    #[inline]
+    pub fn record(&mut self, cycle: u64, stage: Stage, detail: TraceDetail) {
         if !self.enabled {
             return;
         }
-        let detail = detail.into();
         let coalesced = self
             .spans
             .iter_mut()
@@ -158,14 +242,14 @@ impl PipelineTrace {
         &self.spans
     }
 
-    /// Appends another trace's spans (shard-merge for the parallel tile
-    /// path; spans are tile-local and a new tile restarts at cycle 0, so
-    /// concatenation in tile order matches the sequential emission order
-    /// exactly — no cross-tile coalescing can occur because a span's
-    /// `cycle_end` is always ≥ 1).
-    pub fn extend(&mut self, other: &PipelineTrace) {
+    /// Moves another trace's spans onto the end of this one (shard-merge
+    /// for the parallel tile path; spans are tile-local and a new tile
+    /// restarts at cycle 0, so concatenation in tile order matches the
+    /// sequential emission order exactly — no cross-tile coalescing can
+    /// occur because a span's `cycle_end` is always ≥ 1).
+    pub fn extend(&mut self, mut other: PipelineTrace) {
         if self.enabled {
-            self.spans.extend_from_slice(&other.spans);
+            self.spans.append(&mut other.spans);
         }
     }
 
@@ -212,7 +296,7 @@ impl PipelineTrace {
                 s.cycles(),
                 pid,
                 s.stage.lane(),
-                &s.detail,
+                &s.detail.to_string(),
             );
         }
         trace
@@ -223,18 +307,29 @@ impl PipelineTrace {
 mod tests {
     use super::*;
 
+    // A detail is a plain `Copy` value: recording one can never allocate.
+    // Regressing to an owned `String` detail fails to compile here.
+    const _: fn() = || {
+        fn assert_copy<T: Copy>() {}
+        assert_copy::<TraceDetail>();
+    };
+
+    const G0: TraceDetail = TraceDetail::Group(0);
+    const G1: TraceDetail = TraceDetail::Group(1);
+
     #[test]
     fn disabled_trace_records_nothing() {
         let mut t = PipelineTrace::new(false);
-        t.record(0, Stage::Compute, "x");
+        t.record(0, Stage::Compute, G0);
         assert!(t.spans().is_empty());
     }
 
     #[test]
     fn enabled_trace_records_in_order() {
         let mut t = PipelineTrace::new(true);
-        t.record(0, Stage::ReadMasks, "srf0");
-        t.record(1, Stage::JudgeState, "srf0");
+        let srf = TraceDetail::Srf(Coord3::new(0, 0, 0));
+        t.record(0, Stage::ReadMasks, srf);
+        t.record(1, Stage::JudgeState, srf);
         assert_eq!(t.spans().len(), 2);
         assert_eq!(t.spans()[0].stage, Stage::ReadMasks);
     }
@@ -242,14 +337,15 @@ mod tests {
     #[test]
     fn contiguous_same_detail_cycles_coalesce() {
         let mut t = PipelineTrace::new(true);
-        t.record(3, Stage::ReadMasks, "fill line (1, 2)");
-        t.record(4, Stage::ReadMasks, "fill line (1, 2)");
+        let fill = TraceDetail::FillLine { x: 1, y: 2 };
+        t.record(3, Stage::ReadMasks, fill);
+        t.record(4, Stage::ReadMasks, fill);
         // Interleaved other-stage activity must not break coalescing.
-        t.record(4, Stage::Compute, "match g0 tap0");
-        t.record(5, Stage::ReadMasks, "fill line (1, 2)");
+        t.record(4, Stage::Compute, TraceDetail::Match { group: 0, tap: 0 });
+        t.record(5, Stage::ReadMasks, fill);
         // A gap or a new detail opens a fresh span.
-        t.record(7, Stage::ReadMasks, "fill line (1, 2)");
-        t.record(8, Stage::ReadMasks, "srf (0, 0, 0)");
+        t.record(7, Stage::ReadMasks, fill);
+        t.record(8, Stage::ReadMasks, TraceDetail::Srf(Coord3::new(0, 0, 0)));
         let masks: Vec<&TraceSpan> = t
             .spans()
             .iter()
@@ -264,8 +360,8 @@ mod tests {
     #[test]
     fn render_marks_busy_cycles() {
         let mut t = PipelineTrace::new(true);
-        t.record(0, Stage::ReadMasks, "a");
-        t.record(2, Stage::Compute, "b");
+        t.record(0, Stage::ReadMasks, G0);
+        t.record(2, Stage::Compute, G1);
         let chart = t.render(10);
         let lines: Vec<&str> = chart.lines().collect();
         assert!(lines[0].contains("read masks"));
@@ -277,7 +373,7 @@ mod tests {
     #[test]
     fn render_clips_to_max_cycles() {
         let mut t = PipelineTrace::new(true);
-        t.record(100, Stage::Drain, "late");
+        t.record(100, Stage::Drain, G0);
         let chart = t.render(5);
         // Horizon clipped to 5 columns.
         assert!(chart.lines().next().unwrap().ends_with("....."));
@@ -286,9 +382,9 @@ mod tests {
     #[test]
     fn chrome_export_is_one_event_per_span() {
         let mut t = PipelineTrace::new(true);
-        t.record(0, Stage::ReadMasks, "a");
-        t.record(1, Stage::ReadMasks, "a");
-        t.record(5, Stage::Drain, "group 0");
+        t.record(0, Stage::ReadMasks, G1);
+        t.record(1, Stage::ReadMasks, G1);
+        t.record(5, Stage::Drain, G0);
         let trace = t.to_chrome_trace(1);
         assert_eq!(trace.len(), 2);
         assert_eq!(trace.traceEvents[0].ts, 0);
@@ -296,5 +392,29 @@ mod tests {
         assert_eq!(trace.traceEvents[0].tid, Stage::ReadMasks.lane());
         assert_eq!(trace.traceEvents[1].name, "drain");
         assert_eq!(trace.traceEvents[1].pid, 1);
+        assert_eq!(trace.traceEvents[1].args.detail, "group 0");
+    }
+
+    #[test]
+    fn details_display_and_parse_back() {
+        for (detail, text) in [
+            (TraceDetail::FillLine { x: 1, y: -2 }, "fill line (1, -2)"),
+            (TraceDetail::Srf(Coord3::new(3, 0, -1)), "srf (3, 0, -1)"),
+            (TraceDetail::Group(12), "group 12"),
+            (TraceDetail::Match { group: 7, tap: 13 }, "match g7 tap13"),
+        ] {
+            assert_eq!(detail.to_string(), text);
+            assert_eq!(TraceDetail::parse(text), Some(detail));
+        }
+        for bad in [
+            "",
+            "group",
+            "group x",
+            "srf (1, 2)",
+            "srf (1, 2, 3, 4)",
+            "match g1",
+        ] {
+            assert_eq!(TraceDetail::parse(bad), None, "{bad:?}");
+        }
     }
 }

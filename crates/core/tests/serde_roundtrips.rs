@@ -4,8 +4,9 @@
 
 use esca::area::ResourceEstimate;
 use esca::power::{PowerModel, PowerReport};
-use esca::trace::{PipelineTrace, Stage};
+use esca::trace::{PipelineTrace, Stage, TraceDetail};
 use esca::{CycleStats, EscaConfig};
+use esca_tensor::Coord3;
 
 #[test]
 fn config_roundtrip() {
@@ -71,11 +72,29 @@ fn power_model_and_report_roundtrip() {
 #[test]
 fn trace_roundtrip() {
     let mut t = PipelineTrace::new(true);
-    t.record(0, Stage::ReadMasks, "a");
-    t.record(3, Stage::Compute, "b");
+    t.record(0, Stage::ReadMasks, TraceDetail::FillLine { x: 1, y: -2 });
+    t.record(
+        1,
+        Stage::JudgeState,
+        TraceDetail::Srf(Coord3::new(1, -2, 3)),
+    );
+    t.record(2, Stage::Drain, TraceDetail::Group(11));
+    t.record(3, Stage::Compute, TraceDetail::Match { group: 4, tap: 13 });
     let json = serde_json::to_string(&t).unwrap();
+    // Details travel as their display strings.
+    for text in [
+        "fill line (1, -2)",
+        "srf (1, -2, 3)",
+        "group 11",
+        "match g4 tap13",
+    ] {
+        assert!(json.contains(&format!("\"detail\":\"{text}\"")), "{json}");
+    }
     let back: PipelineTrace = serde_json::from_str(&json).unwrap();
     assert_eq!(t.spans(), back.spans());
+    // An unknown detail string is a parse error, not a silent default.
+    let bad = json.replace("group 11", "group eleven");
+    assert!(serde_json::from_str::<PipelineTrace>(&bad).is_err());
 }
 
 #[test]
