@@ -429,6 +429,36 @@ impl Esca {
             1000 * grid.shape().volume() + 64 * (info.nnz as u64 + 8) * cc.match_cycles() + 100_000;
 
         loop {
+            // --- Quiescent line fast-forward: with no fetch job, empty
+            // FIFOs, a free core, no queued or open group and no drain
+            // left, a scan line with no active site keeps every other
+            // stage idle until it ends, so it advances in one step.
+            let quiescent = drain_remaining == 0
+                && current_desc.is_none()
+                && group_queue.is_empty()
+                && cc.is_free()
+                && sdmu.jobs_pending() == 0
+                && sdmu.fifos.is_empty();
+            if quiescent {
+                let scan_trace = if resident {
+                    &mut match_trace
+                } else {
+                    &mut *trace
+                };
+                if let Some(span) = sdmu.skip_empty_line(cycle, scan_trace) {
+                    if !resident {
+                        stats.match_cycles += span;
+                        tele.scan_busy_cycles += span;
+                        tele.sample_empty_fifos(sdmu.fifos.columns(), span);
+                    }
+                    cycle += span;
+                    if sdmu.scan_done() {
+                        break;
+                    }
+                    continue;
+                }
+            }
+
             let mut idle = true;
 
             // --- Computing core stage.
@@ -455,7 +485,7 @@ impl Esca {
                 } else {
                     let (feats, drain) = cc.close_group(cycle, stats, trace);
                     output
-                        .insert(desc.centre, &feats)
+                        .insert(desc.centre, feats)
                         .expect("centre lies in the grid");
                     drain_remaining = drain;
                     tele.drain_cycles += 1;

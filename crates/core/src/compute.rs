@@ -9,15 +9,22 @@
 //! partial sums of a match group and releases the SRF's output at group
 //! end.
 //!
-//! The arithmetic is **bit-exact** with the golden model: i64 accumulation
-//! and the shared [`esca_tensor::requantize_i64`] rounding.
+//! The arithmetic is **bit-exact** with the golden model: each match sums
+//! its products in 16-lane `i32` partials (exact up to
+//! [`Q_I32_MAX_IN_CH`] input channels; wider layers sum in `i64`), the
+//! partials fold into i64 accumulators, and the output goes through the
+//! shared [`esca_tensor::requantize_i64`] rounding.
 
 use crate::sdmu::MatchEntry;
 use crate::stats::CycleStats;
 use crate::telemetry::LayerTelemetry;
 use crate::trace::{PipelineTrace, Stage, TraceDetail};
+use esca_sscn::gemm::Q_I32_MAX_IN_CH;
 use esca_sscn::quant::QuantizedWeights;
 use esca_tensor::{requantize_i64, Q16};
+
+/// Output lanes summed together in one `i32` partial per match.
+const LANES: usize = 16;
 
 /// The computing core for one layer run.
 #[derive(Debug)]
@@ -26,10 +33,16 @@ pub struct ComputingCore<'w> {
     ic_parallel: usize,
     oc_parallel: usize,
     relu: bool,
+    /// Array cycles one match occupies: `⌈IC/16⌉ × ⌈OC/16⌉`.
+    match_cycles: u64,
+    /// Drain cycles per closed group: one per OC group.
+    drain_cycles: u64,
     /// Remaining array cycles for the match in flight.
     busy: u64,
     /// Accumulators of the match group in flight (one i64 per OC).
     acc: Vec<i64>,
+    /// The closed group's requantized outputs, reused across groups.
+    out: Vec<Q16>,
     current_group: Option<usize>,
 }
 
@@ -46,8 +59,12 @@ impl<'w> ComputingCore<'w> {
             ic_parallel,
             oc_parallel,
             relu,
+            match_cycles: (weights.in_ch().div_ceil(ic_parallel)
+                * weights.out_ch().div_ceil(oc_parallel)) as u64,
+            drain_cycles: weights.out_ch().div_ceil(oc_parallel) as u64,
             busy: 0,
             acc: vec![0; weights.out_ch()],
+            out: vec![Q16(0); weights.out_ch()],
             current_group: None,
         }
     }
@@ -65,9 +82,9 @@ impl<'w> ComputingCore<'w> {
     }
 
     /// Array cycles one match occupies: `⌈IC/16⌉ × ⌈OC/16⌉`.
+    #[inline]
     pub fn match_cycles(&self) -> u64 {
-        (self.weights.in_ch().div_ceil(self.ic_parallel)
-            * self.weights.out_ch().div_ceil(self.oc_parallel)) as u64
+        self.match_cycles
     }
 
     /// Begins a match group (a new active centre). The bias is loaded into
@@ -112,22 +129,28 @@ impl<'w> ComputingCore<'w> {
             "computing core: match from a foreign group"
         );
         debug_assert_eq!(features.len(), self.weights.in_ch());
-        let mut nonzero_ics = 0u64;
-        for (ic, &a) in features.iter().enumerate() {
-            if a.0 == 0 {
-                continue; // zero activation: contributes nothing (exactly as golden)
-            }
-            nonzero_ics += 1;
-            let ws = self.weights.oc_slice(m.tap, ic);
-            for (dst, &w) in self.acc.iter_mut().zip(ws) {
-                *dst += a.0 as i64 * w.0 as i64;
+        // Zero activations contribute nothing (exactly as golden), so the
+        // MAC loops skip them.
+        if self.weights.in_ch() <= Q_I32_MAX_IN_CH {
+            self.mac_i32(m.tap, features);
+        } else {
+            for (ic, &a) in features.iter().enumerate() {
+                if a.0 == 0 {
+                    continue;
+                }
+                let ws = self.weights.oc_slice(m.tap, ic);
+                for (dst, &w) in self.acc.iter_mut().zip(ws) {
+                    *dst += a.0 as i64 * w.0 as i64;
+                }
             }
         }
-        self.busy = self.match_cycles();
+        let nonzero_ics = features.iter().filter(|a| a.0 != 0).count() as u64;
+        let macs = (self.weights.in_ch() * self.weights.out_ch()) as u64;
+        self.busy = self.match_cycles;
         stats.matches += 1;
-        stats.effective_macs += (self.weights.in_ch() * self.weights.out_ch()) as u64;
+        stats.effective_macs += macs;
         stats.lane_slots += self.busy * (self.ic_parallel * self.oc_parallel) as u64;
-        stats.weight_reads += (self.weights.in_ch() * self.weights.out_ch()) as u64;
+        stats.weight_reads += macs;
         tele.match_effective_macs
             .observe(nonzero_ics * self.weights.out_ch() as u64);
         trace.record(
@@ -138,6 +161,31 @@ impl<'w> ComputingCore<'w> {
                 tap: m.tap,
             },
         );
+    }
+
+    /// One match's MACs for layers of at most [`Q_I32_MAX_IN_CH`] input
+    /// channels: per [`LANES`]-wide output group, the products sum in
+    /// `i32` lanes (`|Q16 × Q8| ≤ 2²²`, so the sum stays below `2³⁰`) and
+    /// then fold into the i64 accumulators — bit-exact with summing every
+    /// product in i64.
+    fn mac_i32(&mut self, tap: usize, features: &[Q16]) {
+        let panel = self.weights.tap_slice(tap);
+        let out_ch = self.weights.out_ch();
+        for (g, acc) in self.acc.chunks_mut(LANES).enumerate() {
+            let lanes = g * LANES..g * LANES + acc.len();
+            let mut part = [0i32; LANES];
+            for (&a, row) in features.iter().zip(panel.chunks_exact(out_ch)) {
+                if a.0 == 0 {
+                    continue;
+                }
+                for (p, &w) in part.iter_mut().zip(&row[lanes.clone()]) {
+                    *p += i32::from(a.0) * i32::from(w.0);
+                }
+            }
+            for (dst, p) in acc.iter_mut().zip(part) {
+                *dst += i64::from(p);
+            }
+        }
     }
 
     /// Advances the array by one cycle; returns true if it was busy.
@@ -153,7 +201,8 @@ impl<'w> ComputingCore<'w> {
     /// Closes the open match group: requantizes the accumulators into the
     /// output activation vector and returns it together with the drain
     /// cycle count (one cycle per OC group through the requantize/write
-    /// port).
+    /// port). The vector is the core's own buffer, overwritten by the next
+    /// close.
     ///
     /// # Panics
     ///
@@ -163,19 +212,14 @@ impl<'w> ComputingCore<'w> {
         cycle: u64,
         stats: &mut CycleStats,
         trace: &mut PipelineTrace,
-    ) -> (Vec<Q16>, u64) {
+    ) -> (&[Q16], u64) {
         assert!(self.current_group.is_some(), "no group to close");
         assert!(self.is_free(), "closing a group while the array is busy");
         let q = self.weights.quant();
-        let out: Vec<Q16> = self
-            .acc
-            .iter()
-            .map(|&v| {
-                let v = if self.relu { v.max(0) } else { v };
-                requantize_i64(v, q.act, q.weight, q.out)
-            })
-            .collect();
-        let drain = self.weights.out_ch().div_ceil(self.oc_parallel) as u64;
+        for (o, &v) in self.out.iter_mut().zip(&self.acc) {
+            let v = if self.relu { v.max(0) } else { v };
+            *o = requantize_i64(v, q.act, q.weight, q.out);
+        }
         stats.out_writes += self.weights.out_ch() as u64;
         stats.match_groups += 1;
         trace.record(
@@ -184,7 +228,7 @@ impl<'w> ComputingCore<'w> {
             TraceDetail::Group(self.current_group.expect("checked above")),
         );
         self.current_group = None;
-        (out, drain)
+        (&self.out, self.drain_cycles)
     }
 }
 

@@ -101,9 +101,16 @@ impl EscaConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`EscaError::Config`] for zero/even kernel, zero
-    /// parallelism, zero clock, empty buffers, or out-of-range overlap.
+    /// Returns [`EscaError::Config`] for a zero tile side, zero/even
+    /// kernel, zero parallelism, a non-positive or non-finite clock or
+    /// DRAM bandwidth, empty buffers, or out-of-range overlap.
     pub fn validate(&self) -> Result<()> {
+        let TileShape { n, m, l } = self.tile;
+        if n == 0 || m == 0 || l == 0 {
+            return Err(EscaError::Config {
+                reason: format!("tile sides must be nonzero, got {n}×{m}×{l}"),
+            });
+        }
         if self.kernel == 0 || self.kernel.is_multiple_of(2) {
             return Err(EscaError::Config {
                 reason: format!("kernel must be odd and nonzero, got {}", self.kernel),
@@ -119,14 +126,17 @@ impl EscaConfig {
                 reason: "fifo depth must be nonzero".into(),
             });
         }
-        if self.clock_mhz <= 0.0 {
+        if !(self.clock_mhz.is_finite() && self.clock_mhz > 0.0) {
             return Err(EscaError::Config {
-                reason: "clock must be positive".into(),
+                reason: format!("clock must be positive and finite, got {}", self.clock_mhz),
             });
         }
-        if self.dram_bytes_per_cycle <= 0.0 {
+        if !(self.dram_bytes_per_cycle.is_finite() && self.dram_bytes_per_cycle > 0.0) {
             return Err(EscaError::Config {
-                reason: "dram bandwidth must be positive".into(),
+                reason: format!(
+                    "dram bandwidth must be positive and finite, got {}",
+                    self.dram_bytes_per_cycle
+                ),
             });
         }
         if !(0.0..=1.0).contains(&self.dram_overlap) {
@@ -214,6 +224,14 @@ mod tests {
         let mut c = EscaConfig::default();
         c.clock_mhz = 0.0;
         assert!(c.validate().is_err());
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut c = EscaConfig::default();
+            c.clock_mhz = bad;
+            assert!(c.validate().is_err(), "clock {bad}");
+            let mut c = EscaConfig::default();
+            c.dram_bytes_per_cycle = bad;
+            assert!(c.validate().is_err(), "dram bandwidth {bad}");
+        }
     }
 
     #[test]

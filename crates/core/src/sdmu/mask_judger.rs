@@ -4,29 +4,25 @@
 //! centre mask bit is set, which is the submanifold condition for
 //! performing a convolution at this site.
 //!
-//! The judger also exposes the slice bits to the state-index generator
+//! The judger also feeds the slice bits to the state-index generator
 //! (they are the `mask_in` inputs of the per-column accumulators), so one
 //! mask-buffer read per cycle feeds both consumers — matching the paper's
-//! single "read masks" step.
+//! single "read masks" step. The K² neighbour-line addresses are resolved
+//! once per scan line ([`MaskJudger::load_line`]); a site then costs
+//! 2·K² bit reads and no address arithmetic beyond `base + z`.
 
+use super::state_index::StateIndexGen;
 use esca_tensor::{Coord3, KernelOffsets, OccupancyMask};
 
-/// One judged SRF slice: the K² incoming/outgoing mask bits plus the
-/// centre verdict.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JudgedSlice {
-    /// Per column: (bit entering the window at z + r, bit leaving past
-    /// z − r − 1) — exactly the state-index generator's step inputs.
-    pub column_bits: Vec<(bool, bool)>,
-    /// Whether the SRF centre is active (the judge-state verdict).
-    pub centre_active: bool,
-}
-
-/// The mask judger: stateless combinational logic over the mask buffer,
-/// parameterized by the kernel geometry.
+/// The mask judger: combinational logic over the mask buffer plus the
+/// per-line base registers of its K² column read ports.
 #[derive(Debug, Clone)]
 pub struct MaskJudger {
     offsets: KernelOffsets,
+    /// Per column: the raster index of the neighbour line's `z = 0` site
+    /// for the loaded scan line, or `None` outside the grid (the zero
+    /// halo, which reads 0).
+    bases: Vec<Option<usize>>,
 }
 
 impl MaskJudger {
@@ -36,8 +32,11 @@ impl MaskJudger {
     ///
     /// Panics if `k` is even or zero.
     pub fn new(k: u32) -> Self {
+        let offsets = KernelOffsets::new(k);
+        let columns = offsets.columns();
         MaskJudger {
-            offsets: KernelOffsets::new(k),
+            offsets,
+            bases: vec![None; columns],
         }
     }
 
@@ -46,25 +45,44 @@ impl MaskJudger {
         self.offsets.columns()
     }
 
-    /// Judges the SRF centred at `centre`: reads the K² incoming bits at
-    /// the window trailing edge and the K² outgoing bits past the leading
-    /// edge, plus the centre bit. Out-of-grid reads are 0 (the zero halo).
-    pub fn judge(&self, mask: &OccupancyMask, centre: Coord3) -> JudgedSlice {
-        let r = self.offsets.radius();
-        let column_bits = (0..self.offsets.columns())
-            .map(|col| {
-                let (dx, dy) = self.offsets.column_offset(col);
-                let m_in =
-                    mask.get_or_empty(Coord3::new(centre.x + dx, centre.y + dy, centre.z + r));
-                let m_out =
-                    mask.get_or_empty(Coord3::new(centre.x + dx, centre.y + dy, centre.z - r - 1));
-                (m_in, m_out)
-            })
-            .collect();
-        JudgedSlice {
-            column_bits,
-            centre_active: mask.get_or_empty(centre),
+    /// Resolves the K² neighbour-line bases of scan line `(x, y)`.
+    pub fn load_line(&mut self, mask: &OccupancyMask, x: i32, y: i32) {
+        let extent = mask.extent();
+        for (col, base) in self.bases.iter_mut().enumerate() {
+            let (dx, dy) = self.offsets.column_offset(col);
+            let line = Coord3::new(x + dx, y + dy, 0);
+            *base = extent.contains(line).then(|| extent.linear_unchecked(line));
         }
+    }
+
+    /// Judges the SRF centred at `z` on the loaded line: steps every
+    /// column of `state` with the bit entering the window at the trailing
+    /// edge (`z + r`) and the bit leaving past the leading edge
+    /// (`z − r − 1`), and returns the centre verdict.
+    pub fn judge(&self, mask: &OccupancyMask, z: i32, state: &mut StateIndexGen) -> bool {
+        let r = self.offsets.radius();
+        for (column, base) in state.states_mut().iter_mut().zip(&self.bases) {
+            if let Some(base) = *base {
+                column.step(mask.line_bit(base, z + r), mask.line_bit(base, z - r - 1));
+            }
+        }
+        self.centre_bit(mask, z)
+    }
+
+    /// Whether scan line `(x, y)` has no active site in `z0..=z1` — a
+    /// line with nothing to match. Reads that line directly and leaves
+    /// the loaded line's bases as they are.
+    pub fn line_is_empty(&self, mask: &OccupancyMask, x: i32, y: i32, z0: i32, z1: i32) -> bool {
+        let extent = mask.extent();
+        let line = Coord3::new(x, y, 0);
+        !extent.contains(line) || {
+            let base = extent.linear_unchecked(line);
+            !(z0..=z1).any(|z| mask.line_bit(base, z))
+        }
+    }
+
+    fn centre_bit(&self, mask: &OccupancyMask, z: i32) -> bool {
+        self.bases[self.bases.len() / 2].is_some_and(|base| mask.line_bit(base, z))
     }
 }
 
@@ -81,13 +99,33 @@ mod tests {
         m
     }
 
+    /// Loads line `(c.x, c.y)` into a fresh judger, judges `c` and returns
+    /// the verdict with the state index it stepped (every column preloaded
+    /// with `A = 6`, `A_lead = 5`).
+    fn judge_at(k: u32, m: &OccupancyMask, c: Coord3) -> (bool, StateIndexGen) {
+        let mut j = MaskJudger::new(k);
+        j.load_line(m, c.x, c.y);
+        let mut state = StateIndexGen::new(j.columns());
+        for col in 0..j.columns() {
+            state.preload(col, 6, 5);
+        }
+        let active = j.judge(m, c.z, &mut state);
+        (active, state)
+    }
+
+    /// Whether column `col` stepped on the entering bit (`A` advanced) and
+    /// on the leaving bit (`A_lead = A − B` advanced).
+    fn bits(state: &StateIndexGen, col: usize) -> (bool, bool) {
+        let c = state.column(col);
+        (c.a() == 7, c.a() - c.b() == 6)
+    }
+
     #[test]
     fn centre_verdict_follows_the_mask() {
         let m = mask_with(&[(3, 3, 3)]);
-        let j = MaskJudger::new(3);
-        assert!(j.judge(&m, Coord3::new(3, 3, 3)).centre_active);
-        assert!(!j.judge(&m, Coord3::new(3, 3, 4)).centre_active);
-        assert_eq!(j.columns(), 9);
+        assert!(judge_at(3, &m, Coord3::new(3, 3, 3)).0);
+        assert!(!judge_at(3, &m, Coord3::new(3, 3, 4)).0);
+        assert_eq!(MaskJudger::new(3).columns(), 9);
     }
 
     #[test]
@@ -95,11 +133,9 @@ mod tests {
         // Neighbor at (3, 3, 4): when the window centre is at z = 3, the
         // trailing edge z + 1 = 4 reads it through the centre column.
         let m = mask_with(&[(3, 3, 4)]);
-        let j = MaskJudger::new(3);
-        let s = j.judge(&m, Coord3::new(3, 3, 3));
+        let (_, s) = judge_at(3, &m, Coord3::new(3, 3, 3));
         let centre_col = 4; // (dx, dy) = (0, 0) for K = 3
-        assert!(s.column_bits[centre_col].0);
-        assert!(!s.column_bits[centre_col].1);
+        assert_eq!(bits(&s, centre_col), (true, false));
     }
 
     #[test]
@@ -107,44 +143,48 @@ mod tests {
         // Entry at z = 1 leaves the window when the centre reaches z = 3
         // (leading edge covers z − 1 = 2; z = 1 is one behind).
         let m = mask_with(&[(3, 3, 1)]);
-        let j = MaskJudger::new(3);
-        let s = j.judge(&m, Coord3::new(3, 3, 3));
-        assert!(s.column_bits[4].1);
-        assert!(!s.column_bits[4].0);
+        let (_, s) = judge_at(3, &m, Coord3::new(3, 3, 3));
+        assert_eq!(bits(&s, 4), (false, true));
     }
 
     #[test]
     fn halo_reads_are_zero() {
         let m = mask_with(&[]);
-        let j = MaskJudger::new(3);
-        let s = j.judge(&m, Coord3::new(0, 0, 0));
-        assert!(!s.centre_active);
-        assert!(s.column_bits.iter().all(|&(a, b)| !a && !b));
+        let (active, s) = judge_at(3, &m, Coord3::new(0, 0, 0));
+        assert!(!active);
+        assert!((0..9).all(|col| bits(&s, col) == (false, false)));
     }
 
     #[test]
     fn off_centre_columns_map_to_their_lines() {
         let m = mask_with(&[(2, 4, 4)]); // dx = -1, dy = +1 from centre (3,3,3)
-        let j = MaskJudger::new(3);
-        let s = j.judge(&m, Coord3::new(3, 3, 3));
+        let (_, s) = judge_at(3, &m, Coord3::new(3, 3, 3));
         let col = KernelOffsets::new(3)
             .column_index(Coord3::new(-1, 1, 0))
             .unwrap();
-        assert!(s.column_bits[col].0);
+        assert_eq!(bits(&s, col), (true, false));
         // Every other column is silent.
-        for (i, &(a, b)) in s.column_bits.iter().enumerate() {
-            if i != col {
-                assert!(!a && !b, "column {i} spuriously active");
-            }
+        for i in (0..9).filter(|&i| i != col) {
+            assert_eq!(bits(&s, i), (false, false), "column {i} spuriously active");
         }
     }
 
     #[test]
     fn k5_judger_has_25_columns() {
-        let j = MaskJudger::new(5);
-        assert_eq!(j.columns(), 25);
+        assert_eq!(MaskJudger::new(5).columns(), 25);
         let m = mask_with(&[(3, 3, 5)]); // within radius-2 trailing edge of z=3
-        let s = j.judge(&m, Coord3::new(3, 3, 3));
-        assert!(s.column_bits[12].0); // centre column of a 5×5 cross-section
+        let (_, s) = judge_at(5, &m, Coord3::new(3, 3, 3));
+        assert_eq!(bits(&s, 12), (true, false)); // centre column of a 5×5 cross-section
+    }
+
+    #[test]
+    fn empty_line_check_reads_only_the_centre_line_range() {
+        let m = mask_with(&[(3, 3, 6), (4, 3, 2)]);
+        let j = MaskJudger::new(3);
+        assert!(j.line_is_empty(&m, 3, 3, 0, 5));
+        assert!(!j.line_is_empty(&m, 3, 3, 4, 7));
+        // A neighbour line's site does not make the centre line busy.
+        assert!(j.line_is_empty(&m, 3, 2, 0, 7));
+        assert!(j.line_is_empty(&m, -1, 3, 0, 7));
     }
 }

@@ -82,9 +82,11 @@ pub enum FetchOutcome {
 #[derive(Debug, Clone)]
 struct FetchJob {
     group: usize,
-    centre: Coord3,
+    centre_z: i32,
     /// Per column: the remaining global entry range to push.
     remaining: Vec<Range<usize>>,
+    /// Entries left to push across all columns.
+    left: usize,
 }
 
 /// The per-tile SDMU state machine.
@@ -93,14 +95,23 @@ pub struct TileSdmu<'a> {
     enc: &'a EncodedFeatureMap,
     offsets: KernelOffsets,
     judger: MaskJudger,
-    /// Scan order: all sites of the tile, (x, y) line-major, z fastest.
-    sites: Vec<Coord3>,
-    scan_pos: usize,
+    /// The tile's first and last site (inclusive, clipped to the grid).
+    lo: Coord3,
+    hi: Coord3,
+    /// The next site to scan, in (x, y) line-major order with z fastest;
+    /// `x > hi.x` once the tile is fully scanned.
+    pos: Coord3,
     fill_remaining: u64,
     pipeline_fill: u64,
     line_start: bool,
     state_index: StateIndexGen,
+    /// Per column: the global activation-buffer offset of the loaded scan
+    /// line's neighbour-line bank. Fragments `(A−B, A]` are line-local, so
+    /// a fetch address is `base + A − B .. base + A`.
+    bank_bases: Vec<usize>,
     jobs: VecDeque<FetchJob>,
+    /// Drained `FetchJob::remaining` buffers, reused by the next job.
+    spare: Vec<Vec<Range<usize>>>,
     /// The K² match FIFOs.
     pub fifos: FifoGroup,
     next_group: usize,
@@ -127,28 +138,21 @@ impl<'a> TileSdmu<'a> {
         first_group: usize,
     ) -> Self {
         let offsets = KernelOffsets::new(kernel);
-        let hi = tile.max_corner(shape, extent);
-        let mut sites =
-            Vec::with_capacity(((hi.x - tile.origin.x + 1) * (hi.y - tile.origin.y + 1)) as usize);
-        for x in tile.origin.x..=hi.x {
-            for y in tile.origin.y..=hi.y {
-                for z in tile.origin.z..=hi.z {
-                    sites.push(Coord3::new(x, y, z));
-                }
-            }
-        }
         let columns = offsets.columns();
         TileSdmu {
             enc,
             offsets,
             judger: MaskJudger::new(kernel),
-            sites,
-            scan_pos: 0,
+            lo: tile.origin,
+            hi: tile.max_corner(shape, extent),
+            pos: tile.origin,
             fill_remaining: 0,
             pipeline_fill,
             line_start: true,
             state_index: StateIndexGen::new(columns),
+            bank_bases: vec![0; columns],
             jobs: VecDeque::new(),
+            spare: Vec::new(),
             fifos: FifoGroup::new(columns, fifo_depth),
             next_group: first_group,
             mask_bits_read: 0,
@@ -159,7 +163,7 @@ impl<'a> TileSdmu<'a> {
 
     /// Whether every site of the tile has been scanned.
     pub fn scan_done(&self) -> bool {
-        self.scan_pos >= self.sites.len()
+        self.pos.x > self.hi.x
     }
 
     /// Pending fetch jobs.
@@ -187,25 +191,25 @@ impl<'a> TileSdmu<'a> {
         self.next_group
     }
 
+    /// Sites per scan line (the tile's z extent).
+    fn line_len(&self) -> u64 {
+        (self.hi.z - self.lo.z + 1) as u64
+    }
+
     /// One scan-stage cycle: read masks, judge, generate state index, and
     /// (for active centres) enqueue the fetch job.
     pub fn scan_step(&mut self, cycle: u64, trace: &mut PipelineTrace) -> ScanOutcome {
         if self.scan_done() {
             return ScanOutcome::Done;
         }
-        let centre = self.sites[self.scan_pos];
-        let r = self.offsets.radius();
+        let centre = self.pos;
 
         // New (x, y) line: preload the column accumulators (the hardware
         // does this during the pipeline-fill cycles).
         if self.line_start {
-            if self.fill_remaining == 0 && self.pipeline_fill > 0 {
+            if self.fill_remaining == 0 {
+                self.preload_line(centre);
                 self.fill_remaining = self.pipeline_fill;
-                self.preload_line(centre);
-                // fall through to consume the first fill cycle below
-            } else if self.pipeline_fill == 0 {
-                self.preload_line(centre);
-                self.line_start = false;
             }
             if self.fill_remaining > 0 {
                 self.fill_remaining -= 1;
@@ -217,28 +221,104 @@ impl<'a> TileSdmu<'a> {
                         y: centre.y,
                     },
                 );
-                if self.fill_remaining == 0 {
-                    self.line_start = false;
-                }
+                self.line_start = self.fill_remaining > 0;
                 return ScanOutcome::LineFill;
             }
+            self.line_start = false;
         }
 
         // Read masks + judge: one new z-slice of K² bits enters the SRF
-        // window, and the centre verdict decides whether to match.
-        let slice = self.judger.judge(self.enc.mask(), centre);
-        self.state_index.step(&slice.column_bits);
-        self.mask_bits_read += self.offsets.columns() as u64;
+        // window, steps the (A, B) registers, and the centre verdict
+        // decides whether to match.
+        let centre_active = self
+            .judger
+            .judge(self.enc.mask(), centre.z, &mut self.state_index);
+        self.mask_bits_read += self.bank_bases.len() as u64;
         self.scanned += 1;
         trace.record(cycle, Stage::ReadMasks, TraceDetail::Srf(centre));
         trace.record(cycle, Stage::JudgeState, TraceDetail::Srf(centre));
 
-        let centre_active = slice.centre_active;
         let outcome = if centre_active {
             trace.record(cycle, Stage::GenStateIndex, TraceDetail::Srf(centre));
-            let mut remaining = Vec::with_capacity(self.offsets.columns());
-            let mut total = 0usize;
-            for col in 0..self.offsets.columns() {
+            ScanOutcome::Scanned(Some(self.enqueue_fetch(centre)))
+        } else {
+            ScanOutcome::Scanned(None)
+        };
+        self.advance();
+        outcome
+    }
+
+    /// Scans a whole line in one step when it has nothing to match: if
+    /// the scan stands at a line start and the line's centre column holds
+    /// no active site, records exactly the spans and counters the
+    /// per-cycle scan would (its pipeline fill, then one SRF per site) and
+    /// returns the cycles it spans, `pipeline_fill + line length`.
+    /// Returns `None`, changing nothing, otherwise.
+    ///
+    /// Only the scan stage is modelled here: the caller must ensure the
+    /// rest of the pipeline stays idle for the whole span.
+    pub fn skip_empty_line(&mut self, cycle: u64, trace: &mut PipelineTrace) -> Option<u64> {
+        if self.scan_done() || !self.line_start || self.fill_remaining > 0 {
+            return None;
+        }
+        let (x, y) = (self.pos.x, self.pos.y);
+        if !self
+            .judger
+            .line_is_empty(self.enc.mask(), x, y, self.lo.z, self.hi.z)
+        {
+            return None;
+        }
+        let fill = self.pipeline_fill;
+        if trace.enabled() {
+            for c in cycle..cycle + fill {
+                trace.record(c, Stage::ReadMasks, TraceDetail::FillLine { x, y });
+            }
+            for (c, z) in (cycle + fill..).zip(self.lo.z..=self.hi.z) {
+                let site = Coord3::new(x, y, z);
+                trace.record(c, Stage::ReadMasks, TraceDetail::Srf(site));
+                trace.record(c, Stage::JudgeState, TraceDetail::Srf(site));
+            }
+        }
+        let sites = self.line_len();
+        self.mask_bits_read += sites * self.bank_bases.len() as u64;
+        self.scanned += sites;
+        self.next_line();
+        Some(fill + sites)
+    }
+
+    /// Builds the fetch job of the active centre just judged, addressing
+    /// each column's fragment from its (A, B) registers, and returns the
+    /// match group it opens.
+    fn enqueue_fetch(&mut self, centre: Coord3) -> MatchGroupDesc {
+        let mut remaining = self.spare.pop().unwrap_or_default();
+        remaining.clear();
+        for (state, &base) in self.state_index.states().iter().zip(&self.bank_bases) {
+            let fragment = state.fragment();
+            remaining.push(base + fragment.start..base + fragment.end);
+        }
+        self.debug_check_addresses(centre, &remaining);
+        let total = remaining.iter().map(ExactSizeIterator::len).sum();
+        let group = self.next_group;
+        self.next_group += 1;
+        self.jobs.push_back(FetchJob {
+            group,
+            centre_z: centre.z,
+            remaining,
+            left: total,
+        });
+        MatchGroupDesc {
+            group,
+            centre,
+            total_matches: total,
+        }
+    }
+
+    /// Hardware/functional cross-check (debug builds): the (A, B)
+    /// registers address exactly the line-CSR window of every column.
+    fn debug_check_addresses(&self, centre: Coord3, ranges: &[Range<usize>]) {
+        if cfg!(debug_assertions) {
+            let r = self.offsets.radius();
+            for (col, range) in ranges.iter().enumerate() {
                 let (dx, dy) = self.offsets.column_offset(col);
                 let w = self.enc.lines().window(
                     centre.x + dx,
@@ -246,64 +326,52 @@ impl<'a> TileSdmu<'a> {
                     centre.z - r,
                     centre.z + r + 1,
                 );
-                // Hardware/functional cross-check: the running (A, B)
-                // accumulator addresses exactly the CSR window.
-                debug_assert_eq!(
-                    self.state_index.column(col).b(),
-                    w.len(),
-                    "state index B disagrees with CSR window at {centre} col {col}"
+                assert_eq!(
+                    *range,
+                    w.global_range(),
+                    "state index disagrees with CSR window at {centre} col {col}"
                 );
-                debug_assert_eq!(
-                    self.state_index.column(col).a(),
-                    self.enc
-                        .lines()
-                        .prefix_count(centre.x + dx, centre.y + dy, centre.z + r),
-                    "state index A disagrees with CSR prefix at {centre} col {col}"
-                );
-                total += w.len();
-                remaining.push(w.global_range());
-            }
-            let desc = MatchGroupDesc {
-                group: self.next_group,
-                centre,
-                total_matches: total,
-            };
-            self.jobs.push_back(FetchJob {
-                group: self.next_group,
-                centre,
-                remaining,
-            });
-            self.next_group += 1;
-            ScanOutcome::Scanned(Some(desc))
-        } else {
-            ScanOutcome::Scanned(None)
-        };
-
-        // Advance; detect line change.
-        self.scan_pos += 1;
-        if let Some(next) = self.sites.get(self.scan_pos) {
-            if next.x != centre.x || next.y != centre.y {
-                self.line_start = true;
-                self.state_index.reset();
             }
         }
-        outcome
     }
 
-    /// Preloads the column accumulators for the line containing `centre`
-    /// (its first site), so the windows are primed when scanning starts.
+    /// Moves the scan to the next site.
+    fn advance(&mut self) {
+        self.pos.z += 1;
+        if self.pos.z > self.hi.z {
+            self.next_line();
+        }
+    }
+
+    /// Moves the scan to the first site of the next line and arms its
+    /// line start.
+    fn next_line(&mut self) {
+        self.pos.z = self.lo.z;
+        self.pos.y += 1;
+        if self.pos.y > self.hi.y {
+            self.pos.y = self.lo.y;
+            self.pos.x += 1;
+        }
+        self.line_start = true;
+    }
+
+    /// Preloads the column accumulators and bank bases for the line
+    /// containing `first` (its first site), so the windows are primed when
+    /// scanning starts.
     fn preload_line(&mut self, first: Coord3) {
         let r = self.offsets.radius();
-        self.state_index.reset();
-        for col in 0..self.offsets.columns() {
+        let lines = self.enc.lines();
+        self.judger.load_line(self.enc.mask(), first.x, first.y);
+        for (col, base) in self.bank_bases.iter_mut().enumerate() {
             let (dx, dy) = self.offsets.column_offset(col);
             let (lx, ly) = (first.x + dx, first.y + dy);
             // Before the first step at z = first.z, the accumulators must
             // reflect the window trailing edge at z + r − 1 and leading
             // edge past z − r − 2.
-            let a = self.enc.lines().prefix_count(lx, ly, first.z + r - 1);
-            let a_lead = self.enc.lines().prefix_count(lx, ly, first.z - r - 2);
+            let a = lines.prefix_count(lx, ly, first.z + r - 1);
+            let a_lead = lines.prefix_count(lx, ly, first.z - r - 2);
             self.state_index.preload(col, a, a_lead);
+            *base = lines.line_range(lx, ly).start;
         }
     }
 
@@ -313,34 +381,37 @@ impl<'a> TileSdmu<'a> {
         let Some(job) = self.jobs.front_mut() else {
             return FetchOutcome::Idle;
         };
+        let zs = self.enc.lines().zs();
+        let r = self.offsets.radius();
+        let k = 2 * r as usize + 1;
         let mut pushes = 0u32;
         let mut blocked = false;
-        for col in 0..self.fifos.columns() {
-            let range = &mut job.remaining[col];
+        for (col, range) in job.remaining.iter_mut().enumerate() {
             if range.start >= range.end {
                 continue;
             }
-            if !self.fifos.fifo(col).has_room() {
+            let fifo = self.fifos.fifo_mut(col);
+            if !fifo.has_room() {
                 blocked = true;
                 continue;
             }
             let entry = range.start;
             range.start += 1;
-            let dz = self.enc.lines().zs()[entry] - job.centre.z;
-            let (dx, dy) = self.offsets.column_offset(col);
-            let tap = self
-                .offsets
-                .tap_index(Coord3::new(dx, dy, dz))
-                .expect("window entries lie within the kernel support");
-            self.fifos.fifo_mut(col).push(MatchEntry {
+            let dz = zs[entry] - job.centre_z;
+            assert!(
+                dz.abs() <= r,
+                "window entries lie within the kernel support"
+            );
+            fifo.push(MatchEntry {
                 column: col,
-                tap,
+                tap: col * k + (dz + r) as usize,
                 entry,
                 group: job.group,
             });
-            self.act_reads += 1;
             pushes += 1;
         }
+        self.act_reads += u64::from(pushes);
+        job.left -= pushes as usize;
         if pushes > 0 {
             trace.record(
                 cycle,
@@ -348,8 +419,10 @@ impl<'a> TileSdmu<'a> {
                 TraceDetail::Group(job.group),
             );
         }
-        if job.remaining.iter().all(|r| r.start >= r.end) {
-            self.jobs.pop_front();
+        if job.left == 0 {
+            if let Some(done) = self.jobs.pop_front() {
+                self.spare.push(done.remaining);
+            }
             return FetchOutcome::Progress { pushes };
         }
         if pushes == 0 && blocked {

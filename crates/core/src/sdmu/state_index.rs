@@ -4,9 +4,10 @@
 //! count `B`. The address generator then emits the fragment `(A−B, A]`.
 //!
 //! The hardware maintains `A` with a simple adder fed by the incoming mask
-//! bits ("Acc" in Fig. 6); this model does the same, and the SDMU
-//! cross-checks it against the line-CSR prefix counts — hardware
-//! addressing and functional addressing must agree bit-for-bit.
+//! bits ("Acc" in Fig. 6); this model does the same, and the SDMU fetches
+//! from these registers alone. Debug builds cross-check every fragment
+//! against the line-CSR window — hardware addressing and functional
+//! addressing must agree bit-for-bit.
 
 use serde::{Deserialize, Serialize};
 
@@ -22,11 +23,6 @@ pub struct ColumnState {
 }
 
 impl ColumnState {
-    /// Resets the state for a new scan line.
-    pub fn reset(&mut self) {
-        *self = ColumnState::default();
-    }
-
     /// Advances the window by one z step: `mask_in` is the mask bit
     /// entering at the trailing edge (z + K/2), `mask_out` the bit leaving
     /// past the leading edge (z − K/2 − 1).
@@ -83,29 +79,10 @@ impl StateIndexGen {
         }
     }
 
-    /// Resets all columns (new scan line).
-    pub fn reset(&mut self) {
-        for c in &mut self.columns {
-            c.reset();
-        }
-    }
-
     /// Number of columns.
     #[inline]
     pub fn columns(&self) -> usize {
         self.columns.len()
-    }
-
-    /// Advances every column by one z step with its (in, out) mask bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits.len() != columns()`.
-    pub fn step(&mut self, bits: &[(bool, bool)]) {
-        assert_eq!(bits.len(), self.columns.len(), "one bit pair per column");
-        for (c, &(m_in, m_out)) in self.columns.iter_mut().zip(bits) {
-            c.step(m_in, m_out);
-        }
     }
 
     /// The state of column `col`.
@@ -115,6 +92,19 @@ impl StateIndexGen {
     /// Panics if `col` is out of range.
     pub fn column(&self, col: usize) -> &ColumnState {
         &self.columns[col]
+    }
+
+    /// Every column's state, in column order.
+    #[inline]
+    pub fn states(&self) -> &[ColumnState] {
+        &self.columns
+    }
+
+    /// Every column's state, mutably — the mask judger steps them in
+    /// place with each site's (in, out) mask bits.
+    #[inline]
+    pub fn states_mut(&mut self) -> &mut [ColumnState] {
+        &mut self.columns
     }
 
     /// Preloads one column's accumulators (see [`ColumnState::preload`]).
@@ -156,32 +146,33 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_state() {
+    fn preload_replaces_the_previous_line_state() {
         let mut cs = ColumnState::default();
         cs.step(true, false);
         assert_eq!(cs.a(), 1);
-        cs.reset();
-        assert_eq!(cs.a(), 0);
-        assert_eq!(cs.b(), 0);
+        cs.preload(3, 1);
+        assert_eq!(cs.a(), 3);
+        assert_eq!(cs.b(), 2);
+        assert_eq!(cs.fragment(), 1..3);
     }
 
     #[test]
     fn generator_steps_all_columns() {
         let mut g = StateIndexGen::new(3);
-        g.step(&[(true, false), (false, false), (true, false)]);
-        g.step(&[(false, true), (true, false), (false, false)]);
+        for bits in [
+            [(true, false), (false, false), (true, false)],
+            [(false, true), (true, false), (false, false)],
+        ] {
+            for (c, (m_in, m_out)) in g.states_mut().iter_mut().zip(bits) {
+                c.step(m_in, m_out);
+            }
+        }
         assert_eq!(g.column(0).a(), 1);
         assert_eq!(g.column(0).b(), 0); // the one entry left the window
         assert_eq!(g.column(1).b(), 1);
         assert_eq!(g.column(2).a(), 1);
-        g.reset();
+        assert_eq!(g.states().len(), g.columns());
+        g.preload(1, 0, 0);
         assert_eq!(g.column(1).a(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "one bit pair per column")]
-    fn wrong_width_panics() {
-        let mut g = StateIndexGen::new(2);
-        g.step(&[(false, false)]);
     }
 }

@@ -109,6 +109,14 @@ impl LayerTelemetry {
         self.sampled_cycles += 1;
     }
 
+    /// Samples `cycles` pipeline cycles during which all `columns` FIFOs
+    /// stay empty — [`LayerTelemetry::sample_fifos`] repeated `cycles`
+    /// times over an empty group, whose occupancy sums add 0.
+    pub fn sample_empty_fifos(&mut self, columns: usize, cycles: u64) {
+        self.ensure_fifos(columns);
+        self.sampled_cycles += cycles;
+    }
+
     /// Folds a finished tile's per-FIFO peaks and push totals in.
     pub fn record_fifo_totals(&mut self, fifos: &FifoGroup) {
         self.ensure_fifos(fifos.columns());

@@ -248,7 +248,11 @@ fn weights(case: &Case) -> QuantizedWeights {
 }
 
 fn case_input(case: &Case) -> SparseTensor<Q16> {
-    let mut t = input(case.side, case.in_ch, u64::from(case.side) * 31 + case.tile as u64);
+    let mut t = input(
+        case.side,
+        case.in_ch,
+        u64::from(case.side) * 31 + case.tile as u64,
+    );
     if case.in_ch > 256 {
         let sites: Vec<Coord3> = t.coords().to_vec();
         for c in sites {
@@ -344,7 +348,11 @@ fn vector() -> CycleVector {
     };
     let mut cfg = config(&traced);
     cfg.record_trace = true;
-    let traced_chrome = run(&traced, cfg).trace.to_chrome_trace(1).to_json().unwrap();
+    let traced_chrome = run(&traced, cfg)
+        .trace
+        .to_chrome_trace(1)
+        .to_json()
+        .unwrap();
     CycleVector {
         cases,
         traced_chrome,

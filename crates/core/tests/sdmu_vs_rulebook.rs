@@ -2,13 +2,127 @@
 //! (per-tile mask scan + (A, B) addressing) and the software rulebook
 //! (per-tap gather lists) must discover exactly the same matches — they
 //! are the same mathematical object built two different ways.
+//!
+//! The match-stream comparison runs in every build profile, so it is the
+//! release-mode check on the SDMU's fetch addresses (debug builds also
+//! cross-check each address against the line CSR inside the SDMU).
 
+use esca::encode::EncodedFeatureMap;
+use esca::sdmu::{MatchGroupDesc, ScanOutcome, TileSdmu};
+use esca::trace::{PipelineTrace, Stage, TraceDetail};
 use esca::{Esca, EscaConfig};
 use esca_sscn::quant::{quantize_tensor, QuantizedWeights};
 use esca_sscn::rulebook::Rulebook;
 use esca_sscn::weights::ConvWeights;
-use esca_tensor::{Coord3, Extent3, QuantParams, SparseTensor, TileShape};
+use esca_tensor::{Coord3, Extent3, QuantParams, SparseTensor, TileShape, Q16};
 use proptest::prelude::*;
+use std::collections::VecDeque;
+
+/// One match: (output centre, kernel tap, input site).
+type Match = (Coord3, usize, Coord3);
+
+/// The rulebook's matches, sorted.
+fn rulebook_matches(t: &SparseTensor<Q16>, k: u32) -> Vec<Match> {
+    let rb = Rulebook::build(t, k);
+    let coords = t.coords();
+    let mut out: Vec<Match> = (0..(k * k * k) as usize)
+        .flat_map(|tap| {
+            let rules = rb.tap(tap);
+            rules
+                .input
+                .iter()
+                .zip(&rules.output)
+                .map(move |(&i, &o)| (coords[o as usize], tap, coords[i as usize]))
+        })
+        .collect();
+    out.sort_unstable();
+    out
+}
+
+/// The SDMU's match stream over every active tile, sorted: each tile's
+/// SDMU runs under a consumer that pops one match per cycle from the
+/// oldest open group (the computing core's MUX order), so shallow FIFOs
+/// exert real backpressure. Each entry's site is read back from the
+/// activation buffer address the SDMU fetched.
+fn sdmu_matches(t: &SparseTensor<Q16>, k: u32, tile: u32, fifo_depth: usize) -> Vec<Match> {
+    let enc = EncodedFeatureMap::encode(t, TileShape::cube(tile)).unwrap();
+    let grid = enc.tiles().grid();
+    let mut trace = PipelineTrace::new(false);
+    let mut out = Vec::new();
+    let mut first_group = 0;
+    for info in enc.tiles().active() {
+        let mut sdmu = TileSdmu::new(
+            &enc,
+            info,
+            grid.shape(),
+            grid.extent(),
+            k,
+            fifo_depth,
+            2,
+            first_group,
+        );
+        let mut groups: VecDeque<(MatchGroupDesc, usize)> = VecDeque::new();
+        let mut cycle = 0;
+        while !(sdmu.scan_done() && sdmu.jobs_pending() == 0 && groups.is_empty()) {
+            if let Some((desc, popped)) = groups.front_mut() {
+                if *popped == desc.total_matches {
+                    groups.pop_front();
+                } else if let Some(m) = sdmu.fifos.pop_for_group(desc.group) {
+                    out.push((desc.centre, m.tap, enc.lines().entry_coord(m.entry)));
+                    *popped += 1;
+                }
+            }
+            let _ = sdmu.fetch_step(cycle, &mut trace);
+            if sdmu.jobs_pending() < 4 {
+                if let ScanOutcome::Scanned(Some(desc)) = sdmu.scan_step(cycle, &mut trace) {
+                    groups.push_back((desc, 0));
+                }
+            }
+            cycle += 1;
+            assert!(cycle < 1_000_000, "SDMU made no progress");
+        }
+        assert!(sdmu.fifos.is_empty());
+        first_group = sdmu.next_group();
+    }
+    assert_eq!(first_group, t.nnz(), "one match group per active site");
+    out.sort_unstable();
+    out
+}
+
+/// The matches the accelerator's computing core consumed in a traced
+/// layer run, as (centre, tap) pairs, sorted: group ordinals follow the
+/// state-index spans (one per active centre, in scan order).
+fn dispatched_matches(
+    t: &SparseTensor<Q16>,
+    k: u32,
+    tile: u32,
+    fifo_depth: usize,
+) -> Vec<(Coord3, usize)> {
+    let qw = QuantizedWeights::auto(&ConvWeights::seeded(k, 1, 4, 3), 8, 10).unwrap();
+    let mut cfg = EscaConfig::default();
+    cfg.kernel = k;
+    cfg.tile = TileShape::cube(tile);
+    cfg.fifo_depth = fifo_depth;
+    cfg.record_trace = true;
+    let run = Esca::new(cfg).unwrap().run_layer(t, &qw, false).unwrap();
+    let spans = run.trace.spans();
+    let centres: Vec<Coord3> = spans
+        .iter()
+        .filter_map(|s| match (s.stage, s.detail) {
+            (Stage::GenStateIndex, TraceDetail::Srf(c)) => Some(c),
+            _ => None,
+        })
+        .collect();
+    let mut out: Vec<(Coord3, usize)> = spans
+        .iter()
+        .filter_map(|s| match (s.stage, s.detail) {
+            (Stage::Compute, TraceDetail::Match { group, tap }) => Some((centres[group], tap)),
+            _ => None,
+        })
+        .collect();
+    out.sort_unstable();
+    out
+}
 
 fn input_strategy() -> impl Strategy<Value = SparseTensor<f32>> {
     (6u32..16).prop_flat_map(|side| {
@@ -62,6 +176,36 @@ proptest! {
         for (i, (centre, _)) in t.iter().enumerate() {
             let expect = esca_sscn::conv::match_group(&t, 3, centre).len() as u64;
             prop_assert_eq!(per_site[i], expect);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The SDMU match stream equals the rulebook site for site and tap for
+    /// tap — including the input site behind every fetched address — for
+    /// kernels 3 and 5, every tile side and shallow and deep FIFOs; and
+    /// the accelerator's computing core consumes exactly that stream.
+    #[test]
+    fn sdmu_match_stream_equals_rulebook(
+        t in input_strategy(),
+        k in prop::sample::select(vec![3u32, 5]),
+    ) {
+        let qin = quantize_tensor(&t, QuantParams::new(8).unwrap());
+        let golden = rulebook_matches(&qin, k);
+        let golden_pairs: Vec<(Coord3, usize)> = golden.iter().map(|&(c, tap, _)| (c, tap)).collect();
+        for tile in [2u32, 4, 8, 16] {
+            for fifo_depth in [1usize, 16] {
+                prop_assert_eq!(
+                    &sdmu_matches(&qin, k, tile, fifo_depth), &golden,
+                    "SDMU stream, tile {} fifo {}", tile, fifo_depth
+                );
+                prop_assert_eq!(
+                    &dispatched_matches(&qin, k, tile, fifo_depth), &golden_pairs,
+                    "dispatched stream, tile {} fifo {}", tile, fifo_depth
+                );
+            }
         }
     }
 }

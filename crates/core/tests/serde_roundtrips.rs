@@ -5,7 +5,7 @@
 use esca::area::ResourceEstimate;
 use esca::power::{PowerModel, PowerReport};
 use esca::trace::{PipelineTrace, Stage, TraceDetail};
-use esca::{CycleStats, EscaConfig};
+use esca::{CycleStats, Esca, EscaConfig, EscaError};
 use esca_tensor::Coord3;
 
 #[test]
@@ -16,6 +16,46 @@ fn config_roundtrip() {
     let json = serde_json::to_string(&cfg).unwrap();
     let back: EscaConfig = serde_json::from_str(&json).unwrap();
     assert_eq!(cfg, back);
+}
+
+/// A config read from JSON is validated like one built in code: zero
+/// tile sides (which `TileShape::new` would refuse, but serde does not)
+/// and a non-finite clock or DRAM bandwidth are typed errors from
+/// `Esca::new`, never a panic or a silent mispricing later.
+#[test]
+fn deserialized_invalid_configs_are_rejected_by_esca_new() {
+    let json = serde_json::to_string(&EscaConfig::default()).unwrap();
+    // Replaces the value of the first `"key":` in the serialized config.
+    let mutated = |key: &str, value: &str| -> EscaConfig {
+        let tag = format!("\"{key}\":");
+        let start = json.find(&tag).expect("key is serialized") + tag.len();
+        let end = start + json[start..].find([',', '}']).unwrap();
+        let text = format!("{}{value}{}", &json[..start], &json[end..]);
+        serde_json::from_str(&text).expect("mutated config parses")
+    };
+    let assert_rejected = |cfg: EscaConfig, what: &str| {
+        assert!(
+            matches!(Esca::new(cfg), Err(EscaError::Config { .. })),
+            "{what} was accepted"
+        );
+    };
+    for side in ["n", "m", "l"] {
+        assert_rejected(mutated(side, "0"), &format!("tile {side} = 0"));
+    }
+    for field in ["clock_mhz", "dram_bytes_per_cycle"] {
+        assert_rejected(mutated(field, "-1.0"), &format!("{field} = -1"));
+        for bad in [f64::NAN, f64::INFINITY] {
+            // JSON has no NaN or infinity literal: set them on the parsed
+            // config, as a caller filling one in from elsewhere would.
+            let mut cfg = mutated(field, "1.0");
+            match field {
+                "clock_mhz" => cfg.clock_mhz = bad,
+                _ => cfg.dram_bytes_per_cycle = bad,
+            }
+            assert_rejected(cfg, &format!("{field} = {bad}"));
+        }
+    }
+    assert!(Esca::new(mutated("n", "4")).is_ok());
 }
 
 #[test]

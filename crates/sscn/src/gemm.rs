@@ -63,7 +63,7 @@ const Q_LANES: usize = 16;
 /// accumulate in i32: `|Q16 × Q8| ≤ 2¹⁵·2⁷ = 2²²`, so a sum of up to 256
 /// products stays below `2³⁰ < i32::MAX` — the narrower accumulator is
 /// exact, not approximate.
-const Q_I32_MAX_IN_CH: usize = 256;
+pub const Q_I32_MAX_IN_CH: usize = 256;
 
 /// One tap's dense multiply-accumulate over a rulebook's `(input, output)`
 /// pairs.

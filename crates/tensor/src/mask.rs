@@ -55,16 +55,18 @@ impl OccupancyMask {
         Ok(self.get_linear(i))
     }
 
-    /// Reads the bit at `c`, treating out-of-grid sites as empty. This is
-    /// the semantics the mask judger needs at tile borders: beyond the grid
-    /// there are never activations.
+    /// Reads bit `z` of the z-line whose `z = 0` site has raster index
+    /// `line_base` (`extent.linear(Coord3::new(x, y, 0))`), treating `z`
+    /// outside the grid as empty — the semantics the mask judger needs at
+    /// tile borders, since beyond the grid there are never activations.
+    /// Resolving the base once per line makes each further read one
+    /// compare and one word load.
+    ///
+    /// `line_base` must be the base of an in-grid line: any other value
+    /// reads an unrelated bit or panics on an out-of-range word.
     #[inline]
-    pub fn get_or_empty(&self, c: Coord3) -> bool {
-        if self.extent.contains(c) {
-            self.get_linear(self.extent.linear_unchecked(c))
-        } else {
-            false
-        }
+    pub fn line_bit(&self, line_base: usize, z: i32) -> bool {
+        (z as u32) < self.extent.z && self.get_linear(line_base + z as usize)
     }
 
     #[inline]
@@ -184,7 +186,8 @@ mod tests {
     fn out_of_bounds_is_error_or_empty() {
         let m = OccupancyMask::new(Extent3::cube(2));
         assert!(m.get(Coord3::new(2, 0, 0)).is_err());
-        assert!(!m.get_or_empty(Coord3::new(-1, -1, -1)));
+        assert!(!m.line_bit(0, -1));
+        assert!(!m.line_bit(0, 2));
     }
 
     #[test]
@@ -235,5 +238,31 @@ mod tests {
             2
         );
         assert!(!m.any_in_box(Coord3::new(1, 1, 1), Coord3::new(2, 2, 2)));
+    }
+
+    #[test]
+    fn line_bit_reads_the_line_and_empty_beyond_it() {
+        let e = Extent3::new(3, 2, 5);
+        let mut m = OccupancyMask::new(e);
+        for c in [
+            Coord3::new(0, 0, 0),
+            Coord3::new(1, 1, 4),
+            Coord3::new(2, 0, 2),
+        ] {
+            m.set(c, true).unwrap();
+        }
+        for x in 0..3 {
+            for y in 0..2 {
+                let base = e.linear_unchecked(Coord3::new(x, y, 0));
+                for z in -3..8 {
+                    let c = Coord3::new(x, y, z);
+                    assert_eq!(
+                        m.line_bit(base, z),
+                        m.get(c).unwrap_or(false),
+                        "({x}, {y}, {z})"
+                    );
+                }
+            }
+        }
     }
 }
