@@ -10,21 +10,18 @@
 //! end.
 //!
 //! The arithmetic is **bit-exact** with the golden model: each match sums
-//! its products in 16-lane `i32` partials (exact up to
-//! [`Q_I32_MAX_IN_CH`] input channels; wider layers sum in `i64`), the
-//! partials fold into i64 accumulators, and the output goes through the
+//! its products in 16-lane `i32` partials over blocks of
+//! [`Q_I32_MAX_IN_CH`] input channels (exact per block), the partials
+//! fold into i64 accumulators, and the output goes through the
 //! shared [`esca_tensor::requantize_i64`] rounding.
 
 use crate::sdmu::MatchEntry;
 use crate::stats::CycleStats;
 use crate::telemetry::LayerTelemetry;
 use crate::trace::{PipelineTrace, Stage, TraceDetail};
-use esca_sscn::gemm::Q_I32_MAX_IN_CH;
+use esca_sscn::gemm::{Q_I32_MAX_IN_CH, Q_LANES};
 use esca_sscn::quant::QuantizedWeights;
 use esca_tensor::{requantize_i64, Q16};
-
-/// Output lanes summed together in one `i32` partial per match.
-const LANES: usize = 16;
 
 /// The computing core for one layer run.
 #[derive(Debug)]
@@ -131,19 +128,7 @@ impl<'w> ComputingCore<'w> {
         debug_assert_eq!(features.len(), self.weights.in_ch());
         // Zero activations contribute nothing (exactly as golden), so the
         // MAC loops skip them.
-        if self.weights.in_ch() <= Q_I32_MAX_IN_CH {
-            self.mac_i32(m.tap, features);
-        } else {
-            for (ic, &a) in features.iter().enumerate() {
-                if a.0 == 0 {
-                    continue;
-                }
-                let ws = self.weights.oc_slice(m.tap, ic);
-                for (dst, &w) in self.acc.iter_mut().zip(ws) {
-                    *dst += a.0 as i64 * w.0 as i64;
-                }
-            }
-        }
+        self.mac(m.tap, features);
         let nonzero_ics = features.iter().filter(|a| a.0 != 0).count() as u64;
         let macs = (self.weights.in_ch() * self.weights.out_ch()) as u64;
         self.busy = self.match_cycles;
@@ -163,27 +148,33 @@ impl<'w> ComputingCore<'w> {
         );
     }
 
-    /// One match's MACs for layers of at most [`Q_I32_MAX_IN_CH`] input
-    /// channels: per [`LANES`]-wide output group, the products sum in
-    /// `i32` lanes (`|Q16 × Q8| ≤ 2²²`, so the sum stays below `2³⁰`) and
-    /// then fold into the i64 accumulators — bit-exact with summing every
-    /// product in i64.
-    fn mac_i32(&mut self, tap: usize, features: &[Q16]) {
+    /// One match's MACs. The input channels go in blocks of
+    /// [`Q_I32_MAX_IN_CH`]; within a block, each [`Q_LANES`]-wide output
+    /// group sums its products in `i32` lanes (`|Q16 × Q8| ≤ 2²²`, so a
+    /// block's sum stays below `2³⁰`) and then folds into the i64
+    /// accumulators — bit-exact with summing every product in i64, at any
+    /// layer width.
+    fn mac(&mut self, tap: usize, features: &[Q16]) {
         let panel = self.weights.tap_slice(tap);
         let out_ch = self.weights.out_ch();
-        for (g, acc) in self.acc.chunks_mut(LANES).enumerate() {
-            let lanes = g * LANES..g * LANES + acc.len();
-            let mut part = [0i32; LANES];
-            for (&a, row) in features.iter().zip(panel.chunks_exact(out_ch)) {
-                if a.0 == 0 {
-                    continue;
+        let blocks = features
+            .chunks(Q_I32_MAX_IN_CH)
+            .zip(panel.chunks(Q_I32_MAX_IN_CH * out_ch));
+        for (block, rows) in blocks {
+            for (g, acc) in self.acc.chunks_mut(Q_LANES).enumerate() {
+                let lanes = g * Q_LANES..g * Q_LANES + acc.len();
+                let mut part = [0i32; Q_LANES];
+                for (&a, row) in block.iter().zip(rows.chunks_exact(out_ch)) {
+                    if a.0 == 0 {
+                        continue;
+                    }
+                    for (p, &w) in part.iter_mut().zip(&row[lanes.clone()]) {
+                        *p += i32::from(a.0) * i32::from(w.0);
+                    }
                 }
-                for (p, &w) in part.iter_mut().zip(&row[lanes.clone()]) {
-                    *p += i32::from(a.0) * i32::from(w.0);
+                for (dst, p) in acc.iter_mut().zip(part) {
+                    *dst += i64::from(p);
                 }
-            }
-            for (dst, p) in acc.iter_mut().zip(part) {
-                *dst += i64::from(p);
             }
         }
     }

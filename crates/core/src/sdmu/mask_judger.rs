@@ -69,18 +69,6 @@ impl MaskJudger {
         self.centre_bit(mask, z)
     }
 
-    /// Whether scan line `(x, y)` has no active site in `z0..=z1` — a
-    /// line with nothing to match. Reads that line directly and leaves
-    /// the loaded line's bases as they are.
-    pub fn line_is_empty(&self, mask: &OccupancyMask, x: i32, y: i32, z0: i32, z1: i32) -> bool {
-        let extent = mask.extent();
-        let line = Coord3::new(x, y, 0);
-        !extent.contains(line) || {
-            let base = extent.linear_unchecked(line);
-            !(z0..=z1).any(|z| mask.line_bit(base, z))
-        }
-    }
-
     fn centre_bit(&self, mask: &OccupancyMask, z: i32) -> bool {
         self.bases[self.bases.len() / 2].is_some_and(|base| mask.line_bit(base, z))
     }
@@ -175,16 +163,5 @@ mod tests {
         let m = mask_with(&[(3, 3, 5)]); // within radius-2 trailing edge of z=3
         let (_, s) = judge_at(5, &m, Coord3::new(3, 3, 3));
         assert_eq!(bits(&s, 12), (true, false)); // centre column of a 5×5 cross-section
-    }
-
-    #[test]
-    fn empty_line_check_reads_only_the_centre_line_range() {
-        let m = mask_with(&[(3, 3, 6), (4, 3, 2)]);
-        let j = MaskJudger::new(3);
-        assert!(j.line_is_empty(&m, 3, 3, 0, 5));
-        assert!(!j.line_is_empty(&m, 3, 3, 4, 7));
-        // A neighbour line's site does not make the centre line busy.
-        assert!(j.line_is_empty(&m, 3, 2, 0, 7));
-        assert!(j.line_is_empty(&m, -1, 3, 0, 7));
     }
 }

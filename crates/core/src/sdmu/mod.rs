@@ -262,10 +262,8 @@ impl<'a> TileSdmu<'a> {
             return None;
         }
         let (x, y) = (self.pos.x, self.pos.y);
-        if !self
-            .judger
-            .line_is_empty(self.enc.mask(), x, y, self.lo.z, self.hi.z)
-        {
+        let (lo, hi) = (Coord3::new(x, y, self.lo.z), Coord3::new(x, y, self.hi.z));
+        if self.enc.mask().any_in_box(lo, hi) {
             return None;
         }
         let fill = self.pipeline_fill;

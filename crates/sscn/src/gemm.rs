@@ -57,7 +57,7 @@ const F32_ROWS: usize = 4;
 
 /// Output-channel tile width of the quantized microkernel: sixteen i32
 /// accumulator lanes, matching one full i16×16 multiply group.
-const Q_LANES: usize = 16;
+pub const Q_LANES: usize = 16;
 
 /// Largest input-channel count for which the quantized microkernel may
 /// accumulate in i32: `|Q16 × Q8| ≤ 2¹⁵·2⁷ = 2²²`, so a sum of up to 256
