@@ -6,13 +6,17 @@
 //! [`LayerTelemetry`] (every field, through its `Debug` form), a hash of
 //! the output and `pipeline_cycles`. The cases span the configuration
 //! space the loop's fast paths depend on: tile sides 2/4/8/16 (with tiles
-//! clipped by the grid border), FIFO depths 1/2/16, pipeline fill 0/2/5,
-//! kernels 3/5, matching residency on and off, 1 and 3 tile shards, and
-//! layer shapes 1→16, 16→16, 16→20 (a partial output-lane group), 32→48
-//! (six array cycles per match) and 600→4 (wide enough that one match's
-//! products overflow an `i32`). Inputs mix empty, fully dense and sparse
-//! (x, y) lines and leave one grid quadrant empty. One traced run with
-//! depth-2 FIFOs pins the Chrome trace export as well.
+//! clipped by the grid border), FIFO depths 1/2/4/16, pipeline fill
+//! 0/2/5, kernels 3/5/7/9 (up to 81 FIFO columns), matching residency on
+//! and off, 1 and 3 tile shards, and layer shapes 1→16, 16→16, 16→20 (a
+//! partial output-lane group), 32→48 (six array cycles per match) and
+//! 600→4 (wide enough that one match's products overflow an `i32`).
+//! Inputs mix empty, fully dense and sparse (x, y) lines and leave one
+//! grid quadrant empty; one input is stored in shuffled (non-raster)
+//! order. One case runs a three-layer ReLU chain through `run_network`,
+//! so each layer's zeros reach the next layer's match stream (its per-layer
+//! stats are pinned as well). One traced run with depth-2 FIFOs pins the
+//! Chrome trace export as well.
 //!
 //! The rendered JSON must equal `tests/fixtures/cycle_vector.json` byte
 //! for byte. Regenerate (only after an *intentional* timing change) with
@@ -75,9 +79,22 @@ struct Case {
     resident: bool,
     shards: usize,
     relu: bool,
+    mode: Mode,
 }
 
-const CASES: [Case; 11] = [
+/// What a case runs beyond one layer over a canonical input.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// One layer over a canonical (raster-order) input.
+    Layer,
+    /// One layer over the same sites stored in a shuffled order.
+    InsertionOrder,
+    /// `run_network` over three ReLU layers `in → out → out → in`, so the
+    /// zeros one layer's ReLU leaves feed the next layer's match stream.
+    Chain,
+}
+
+const CASES: [Case; 15] = [
     Case {
         name: "t8_f16_p2_k3_16x16",
         side: 20,
@@ -90,6 +107,7 @@ const CASES: [Case; 11] = [
         resident: false,
         shards: 1,
         relu: true,
+        mode: Mode::Layer,
     },
     Case {
         name: "t2_f1_p0_k3_1x16",
@@ -103,6 +121,7 @@ const CASES: [Case; 11] = [
         resident: false,
         shards: 1,
         relu: false,
+        mode: Mode::Layer,
     },
     Case {
         name: "t4_f2_p5_k3_16x20",
@@ -116,6 +135,7 @@ const CASES: [Case; 11] = [
         resident: false,
         shards: 1,
         relu: true,
+        mode: Mode::Layer,
     },
     Case {
         name: "t16_f16_p2_k3_32x48",
@@ -129,6 +149,7 @@ const CASES: [Case; 11] = [
         resident: false,
         shards: 1,
         relu: false,
+        mode: Mode::Layer,
     },
     Case {
         name: "t4_f2_p2_k5_16x16",
@@ -142,6 +163,7 @@ const CASES: [Case; 11] = [
         resident: false,
         shards: 1,
         relu: true,
+        mode: Mode::Layer,
     },
     Case {
         name: "t8_f1_p0_k5_3x8",
@@ -155,6 +177,7 @@ const CASES: [Case; 11] = [
         resident: false,
         shards: 1,
         relu: false,
+        mode: Mode::Layer,
     },
     Case {
         name: "t4_f16_p2_k3_16x16_resident",
@@ -168,6 +191,7 @@ const CASES: [Case; 11] = [
         resident: true,
         shards: 1,
         relu: true,
+        mode: Mode::Layer,
     },
     Case {
         name: "t8_f2_p2_k3_16x16_shards3",
@@ -181,6 +205,7 @@ const CASES: [Case; 11] = [
         resident: false,
         shards: 3,
         relu: true,
+        mode: Mode::Layer,
     },
     Case {
         name: "t4_f16_p5_k3_16x20_resident_shards3",
@@ -194,6 +219,7 @@ const CASES: [Case; 11] = [
         resident: true,
         shards: 3,
         relu: false,
+        mode: Mode::Layer,
     },
     Case {
         name: "t2_f16_p2_k5_1x16_shards3",
@@ -207,6 +233,7 @@ const CASES: [Case; 11] = [
         resident: false,
         shards: 3,
         relu: true,
+        mode: Mode::Layer,
     },
     Case {
         name: "t8_f16_p2_k3_600x4_wide",
@@ -220,6 +247,63 @@ const CASES: [Case; 11] = [
         resident: false,
         shards: 1,
         relu: false,
+        mode: Mode::Layer,
+    },
+    Case {
+        name: "t8_f16_p2_k7_4x8",
+        side: 14,
+        in_ch: 4,
+        out_ch: 8,
+        kernel: 7,
+        tile: 8,
+        fifo_depth: 16,
+        fill: 2,
+        resident: false,
+        shards: 1,
+        relu: true,
+        mode: Mode::Layer,
+    },
+    Case {
+        name: "t8_f2_p2_k9_2x8",
+        side: 12,
+        in_ch: 2,
+        out_ch: 8,
+        kernel: 9,
+        tile: 8,
+        fifo_depth: 2,
+        fill: 2,
+        resident: false,
+        shards: 1,
+        relu: false,
+        mode: Mode::Layer,
+    },
+    Case {
+        name: "t4_f4_p2_k3_8x16_insertion_order",
+        side: 14,
+        in_ch: 8,
+        out_ch: 16,
+        kernel: 3,
+        tile: 4,
+        fifo_depth: 4,
+        fill: 2,
+        resident: false,
+        shards: 1,
+        relu: true,
+        mode: Mode::InsertionOrder,
+    },
+    Case {
+        name: "t8_f16_p2_k3_8x16x16x8_relu_chain",
+        side: 16,
+        in_ch: 8,
+        out_ch: 16,
+        kernel: 3,
+        tile: 8,
+        fifo_depth: 16,
+        fill: 2,
+        resident: false,
+        shards: 1,
+        relu: true,
+        mode: Mode::Chain,
     },
 ];
 
@@ -259,7 +343,37 @@ fn case_input(case: &Case) -> SparseTensor<Q16> {
             t.insert(c, &vec![Q16(32_767); case.in_ch]).unwrap();
         }
     }
+    if case.mode == Mode::InsertionOrder {
+        let mut sites: Vec<(Coord3, Vec<Q16>)> = t.iter().map(|(c, f)| (c, f.to_vec())).collect();
+        let mut rng = ChaCha12Rng::seed_from_u64(u64::from(case.side));
+        for i in (1..sites.len()).rev() {
+            sites.swap(i, rng.gen_range(0..=i));
+        }
+        let mut shuffled = SparseTensor::new(t.extent(), case.in_ch);
+        for (c, f) in &sites {
+            shuffled.insert(*c, f).unwrap();
+        }
+        assert!(!shuffled.is_canonical(), "{}: input stayed canonical", case.name);
+        return shuffled;
+    }
     t
+}
+
+/// The chain's three ReLU layers, `in → out → out → in`.
+fn chain_layers(case: &Case) -> Vec<(QuantizedWeights, bool)> {
+    let shapes = [
+        (case.in_ch, case.out_ch),
+        (case.out_ch, case.out_ch),
+        (case.out_ch, case.in_ch),
+    ];
+    shapes
+        .iter()
+        .enumerate()
+        .map(|(i, &(ic, oc))| {
+            let w = ConvWeights::seeded(case.kernel, ic, oc, 40 + i as u64);
+            (QuantizedWeights::auto(&w, 8, 10).unwrap(), true)
+        })
+        .collect()
 }
 
 /// FNV-1a over every output site and feature, in storage order.
@@ -296,6 +410,8 @@ struct CycleVector {
     cases: Vec<CaseVector>,
     /// Chrome trace JSON of one traced layer with depth-2 FIFOs.
     traced_chrome: String,
+    /// Per-layer stats of the chain case (its `stats` hold their total).
+    chain_per_layer: Vec<CycleStats>,
 }
 
 fn run(case: &Case, cfg: EscaConfig) -> LayerRun {
@@ -319,10 +435,44 @@ fn run(case: &Case, cfg: EscaConfig) -> LayerRun {
     run
 }
 
+/// Runs a chain case through `run_network`, checked against the chained
+/// golden layers; returns its vector and its per-layer stats.
+fn run_chain(case: &Case) -> (CaseVector, Vec<CycleStats>) {
+    let qin = case_input(case);
+    let layers = chain_layers(case);
+    let net = Esca::new(config(case))
+        .unwrap()
+        .run_network(&qin, &layers)
+        .unwrap();
+    let mut golden = qin;
+    for (w, relu) in &layers {
+        golden = submanifold_conv3d_q(&golden, w, *relu).unwrap();
+    }
+    assert!(
+        net.output.same_content(&golden),
+        "{}: output diverged from golden",
+        case.name
+    );
+    let vector = CaseVector {
+        case: case.name.to_string(),
+        pipeline_cycles: net.total.pipeline_cycles,
+        output_hash: output_hash(&net.output),
+        stats: net.total,
+        telemetry: format!("{:?}", net.telemetry),
+    };
+    (vector, net.per_layer)
+}
+
 fn vector() -> CycleVector {
+    let mut chain_per_layer = Vec::new();
     let cases = CASES
         .iter()
         .map(|case| {
+            if case.mode == Mode::Chain {
+                let (vector, per_layer) = run_chain(case);
+                chain_per_layer = per_layer;
+                return vector;
+            }
             let run = run(case, config(case));
             CaseVector {
                 case: case.name.to_string(),
@@ -345,6 +495,7 @@ fn vector() -> CycleVector {
         resident: false,
         shards: 1,
         relu: false,
+        mode: Mode::Layer,
     };
     let mut cfg = config(&traced);
     cfg.record_trace = true;
@@ -356,6 +507,7 @@ fn vector() -> CycleVector {
     CycleVector {
         cases,
         traced_chrome,
+        chain_per_layer,
     }
 }
 
@@ -376,6 +528,10 @@ fn cycle_model_reproduces_committed_vector() {
     assert_eq!(
         actual.traced_chrome, expected.traced_chrome,
         "traced Chrome export drifted"
+    );
+    assert_eq!(
+        actual.chain_per_layer, expected.chain_per_layer,
+        "chain per-layer stats drifted"
     );
     assert!(
         render(&actual) == committed,
