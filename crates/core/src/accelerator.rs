@@ -6,6 +6,12 @@
 //! tile in which the scan, fetch and compute stages each advance once per
 //! cycle with FIFO backpressure between them — the paper's "SDMU and CC
 //! are executed in pipeline to increase resource utilization" (§III-D).
+//!
+//! The loop is timing-only: it produces the cycle statistics, telemetry
+//! and trace. Layer outputs come from a functional pass, the flat
+//! quantized kernel over the frame's Sub-Conv rulebook, which is
+//! bit-exact with the golden model; the SDMU's match stream is the same
+//! rulebook, discovered by the mask scan.
 
 use crate::buffers::{BufferModel, DramModel};
 use crate::compute::ComputingCore;
@@ -18,9 +24,10 @@ use crate::telemetry::{LayerSpan, LayerTelemetry};
 use crate::trace::PipelineTrace;
 use crate::zero_removing::ZeroRemovingUnit;
 use crate::Result;
-use esca_sscn::engine::{FlatEngine, RulebookCache};
+use esca_sscn::engine::{apply_rulebook_flat_q_with, FlatEngine, FlatScratch, RulebookCache};
 use esca_sscn::gemm::GemmBackendKind;
 use esca_sscn::quant::QuantizedWeights;
+use esca_sscn::rulebook::Rulebook;
 use esca_tensor::{SparseTensor, Q16};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -90,6 +97,15 @@ pub struct NetworkRun {
 #[derive(Debug, Clone)]
 pub struct Esca {
     cfg: EscaConfig,
+}
+
+/// The functional pass of one frame: the Sub-Conv rulebook its first
+/// layer builds, shared by every layer of the frame and dropped with it,
+/// plus the flat kernel's scratch.
+#[derive(Default)]
+struct FramePass {
+    rulebook: Option<Rulebook>,
+    scratch: FlatScratch,
 }
 
 impl Esca {
@@ -169,10 +185,12 @@ impl Esca {
     /// run on the calling thread (`shards <= 1`) or on `shards` scoped
     /// threads, each over a contiguous chunk of tiles with its own
     /// computing core (the core is free between tiles, so per-shard cores
-    /// are bit-exact); shard counters merge by exact u64 addition and
-    /// outputs/traces/telemetry merge in tile order. The returned
-    /// [`LayerRun`] is bit-identical for every shard count — only
-    /// wall-clock changes.
+    /// are exact); shard counters merge by exact u64 addition and
+    /// traces/telemetry merge in tile order. The returned [`LayerRun`] is
+    /// bit-identical for every shard count — only wall-clock changes.
+    ///
+    /// The output comes from the flat quantized kernel over the input's
+    /// Sub-Conv rulebook, in raster order.
     ///
     /// # Errors
     ///
@@ -184,6 +202,55 @@ impl Esca {
         relu: bool,
         opts: LayerOpts,
     ) -> Result<LayerRun> {
+        let mut run =
+            self.run_frame_layer(input, weights, relu, opts, &mut FramePass::default())?;
+        run.output.canonicalize();
+        Ok(run)
+    }
+
+    /// One layer of a frame: the timing pass over `input`, then the
+    /// output from the flat quantized kernel over the frame's rulebook,
+    /// in `input`'s storage order. Sub-Conv keeps the active set and its
+    /// storage order, so the rulebook the frame's first layer builds
+    /// serves every later layer.
+    fn run_frame_layer(
+        &self,
+        input: &SparseTensor<Q16>,
+        weights: &QuantizedWeights,
+        relu: bool,
+        opts: LayerOpts,
+        frame: &mut FramePass,
+    ) -> Result<LayerRun> {
+        let (stats, trace, telemetry) = self.time_layer(input, weights, opts)?;
+        let book = frame
+            .rulebook
+            .get_or_insert_with(|| Rulebook::build(input, weights.k()));
+        // The quantized kernel is bit-exact on every GEMM backend, so the
+        // throughput tier serves.
+        let output = apply_rulebook_flat_q_with(
+            input,
+            book,
+            weights,
+            relu,
+            &mut frame.scratch,
+            GemmBackendKind::Blocked.backend(),
+        )?;
+        Ok(LayerRun {
+            output,
+            stats,
+            trace,
+            telemetry,
+        })
+    }
+
+    /// The timing pass of one layer: zero removing, the buffer/DMA model
+    /// and the per-tile cycle loops (see [`Esca::run_layer_with`]).
+    fn time_layer(
+        &self,
+        input: &SparseTensor<Q16>,
+        weights: &QuantizedWeights,
+        opts: LayerOpts,
+    ) -> Result<(CycleStats, PipelineTrace, LayerTelemetry)> {
         let load_weights = opts.load_weights;
         let resident = opts.matching_resident || self.cfg.matching_resident;
         if input.channels() != weights.in_ch() {
@@ -275,33 +342,27 @@ impl Esca {
         // contiguous run of tiles.
         let walk = |tiles: &[esca_tensor::TileInfo],
                     groups: &[usize],
-                    output: &mut SparseTensor<Q16>,
                     stats: &mut CycleStats,
                     tele: &mut LayerTelemetry,
                     trace: &mut PipelineTrace| {
-            let mut cc =
-                ComputingCore::new(weights, self.cfg.ic_parallel, self.cfg.oc_parallel, relu);
+            let mut cc = ComputingCore::new(
+                weights.in_ch(),
+                weights.out_ch(),
+                self.cfg.ic_parallel,
+                self.cfg.oc_parallel,
+            );
             for (info, &first) in tiles.iter().zip(groups) {
                 let next = self.run_tile(
-                    &enc, info, &grid, &mut cc, output, first, resident, stats, tele, trace,
+                    &enc, info, &grid, &mut cc, first, resident, stats, tele, trace,
                 );
                 debug_assert_eq!(next, first + info.nnz);
             }
         };
-        let mut output = SparseTensor::new(input.extent(), weights.out_ch());
         let shards = opts.shards.min(active.len());
         if shards <= 1 {
-            walk(
-                active,
-                &first_groups,
-                &mut output,
-                &mut stats,
-                &mut tele,
-                &mut trace,
-            );
+            walk(active, &first_groups, &mut stats, &mut tele, &mut trace);
         } else {
             struct Shard {
-                output: SparseTensor<Q16>,
                 stats: CycleStats,
                 telemetry: LayerTelemetry,
                 trace: PipelineTrace,
@@ -315,7 +376,6 @@ impl Esca {
                     .map(|(tiles, groups)| {
                         s.spawn(move |_| {
                             let mut shard = Shard {
-                                output: SparseTensor::new(input.extent(), weights.out_ch()),
                                 stats: CycleStats::default(),
                                 telemetry: LayerTelemetry::new(),
                                 trace: PipelineTrace::new(self.cfg.record_trace),
@@ -323,7 +383,6 @@ impl Esca {
                             walk(
                                 tiles,
                                 groups,
-                                &mut shard.output,
                                 &mut shard.stats,
                                 &mut shard.telemetry,
                                 &mut shard.trace,
@@ -342,9 +401,6 @@ impl Esca {
                 stats += &shard.stats;
                 tele.merge(&shard.telemetry);
                 trace.extend(shard.trace);
-                for (c, feats) in shard.output.iter() {
-                    output.insert(c, feats).expect("centre lies in the grid");
-                }
             }
         }
 
@@ -371,14 +427,7 @@ impl Esca {
         for buf in [&weight_buf, &act_buf, &mask_buf, &out_buf] {
             tele.buffers.push(buf.telemetry());
         }
-
-        output.canonicalize();
-        Ok(LayerRun {
-            output,
-            stats,
-            trace,
-            telemetry: tele,
-        })
+        Ok((stats, trace, tele))
     }
 
     /// The per-tile cycle loop: SDMU (scan ∥ fetch) and CC advance each
@@ -387,17 +436,16 @@ impl Esca {
     ///
     /// With `resident` set, the matching work product is already on chip:
     /// the scan/fetch stages still *execute* (they are what produces the
-    /// match stream, so outputs stay bit-identical) but charge no cycles,
-    /// no stalls and no scan-side telemetry — only cycles in which the
-    /// computing-core stage advanced count toward `pipeline_cycles`.
+    /// match stream the core times) but charge no cycles, no stalls and no
+    /// scan-side telemetry — only cycles in which the computing-core stage
+    /// advanced count toward `pipeline_cycles`.
     #[allow(clippy::too_many_arguments)]
     fn run_tile(
         &self,
         enc: &EncodedFeatureMap,
         info: &esca_tensor::TileInfo,
         grid: &esca_tensor::TileGrid,
-        cc: &mut ComputingCore<'_>,
-        output: &mut SparseTensor<Q16>,
+        cc: &mut ComputingCore,
         first_group: usize,
         resident: bool,
         stats: &mut CycleStats,
@@ -423,10 +471,20 @@ impl Esca {
         // compute-active cycles are charged.
         let mut match_trace = PipelineTrace::new(false);
         let mut compute_cycles = 0u64;
-        // Generous safety bound: every site and match costs a bounded
-        // number of cycles; exceeding this indicates a simulator bug.
-        let cycle_guard =
-            1000 * grid.shape().volume() + 64 * (info.nnz as u64 + 8) * cc.match_cycles() + 100_000;
+        // Generous safety bound: each scan line costs its pipeline fill
+        // plus one cycle per site, and every site and match a bounded
+        // number of cycles more; exceeding this indicates a simulator bug.
+        let shape = grid.shape();
+        let lines = u64::from(shape.n) * u64::from(shape.m);
+        let cycle_guard = lines
+            .saturating_mul(
+                self.cfg
+                    .pipeline_fill_cycles
+                    .saturating_add(u64::from(shape.l)),
+            )
+            .saturating_add(1000 * shape.volume())
+            .saturating_add(64 * (info.nnz as u64 + 8) * cc.match_cycles())
+            .saturating_add(100_000);
 
         loop {
             // --- Quiescent line fast-forward: with no fetch job, empty
@@ -449,7 +507,6 @@ impl Esca {
                     if !resident {
                         stats.match_cycles += span;
                         tele.scan_busy_cycles += span;
-                        tele.sample_empty_fifos(sdmu.fifos.columns(), span);
                     }
                     cycle += span;
                     if sdmu.scan_done() {
@@ -472,7 +529,7 @@ impl Esca {
                 idle = false;
             } else if let Some(desc) = current_desc {
                 if dispatched < desc.total_matches {
-                    if let Some(m) = sdmu.fifos.pop_for_group(desc.group) {
+                    if let Some(m) = sdmu.fifos.pop_for_group(desc.group, cycle) {
                         let features = enc.lines().entry_features(m.entry);
                         cc.dispatch(m, features, cycle, stats, tele, trace);
                         // The dispatch cycle is the first busy cycle.
@@ -483,11 +540,7 @@ impl Esca {
                         idle = false;
                     }
                 } else {
-                    let (feats, drain) = cc.close_group(cycle, stats, trace);
-                    output
-                        .insert(desc.centre, feats)
-                        .expect("centre lies in the grid");
-                    drain_remaining = drain;
+                    drain_remaining = cc.close_group(cycle, stats, trace);
                     tele.drain_cycles += 1;
                     current_desc = None;
                     idle = false;
@@ -558,9 +611,6 @@ impl Esca {
                 }
             }
 
-            if !resident {
-                tele.sample_fifos(&sdmu.fifos);
-            }
             if cc_active {
                 compute_cycles += 1;
             }
@@ -580,7 +630,10 @@ impl Esca {
                 cycle < cycle_guard || !idle,
                 "tile simulation made no progress (simulator bug) at cycle {cycle}"
             );
-            assert!(cycle < 2 * cycle_guard, "tile simulation runaway");
+            assert!(
+                cycle < cycle_guard.saturating_mul(2),
+                "tile simulation runaway"
+            );
         }
 
         // Resident tiles pay only for the compute-active cycles; the
@@ -595,7 +648,7 @@ impl Esca {
             stats.peak_fifo_occupancy = stats
                 .peak_fifo_occupancy
                 .max(sdmu.fifos.peak_occupancy() as u64);
-            tele.record_fifo_totals(&sdmu.fifos);
+            tele.record_fifo_totals(&sdmu.fifos, cycle);
         }
         sdmu.next_group()
     }
@@ -641,19 +694,25 @@ impl Esca {
     /// runs under the same `opts`, its telemetry merges into the frame's,
     /// and a [`LayerSpan`] records its frame-relative cycle interval. The
     /// spans are computed from the merged per-layer stats, so the shard
-    /// count cannot show in them.
+    /// count cannot show in them. The frame builds one Sub-Conv rulebook
+    /// for all its layers and drops it at the end (it never enters a
+    /// [`RulebookCache`], whose contents decide matching residency); each
+    /// layer's flat output feeds the next layer, and the last one is
+    /// returned in raster order.
     pub(crate) fn run_chain(
         &self,
         input: &SparseTensor<Q16>,
         layers: &[(QuantizedWeights, bool)],
         opts: LayerOpts,
     ) -> Result<NetworkRun> {
+        let mut frame = FramePass::default();
         let mut x: Option<SparseTensor<Q16>> = None;
         let mut per_layer = Vec::with_capacity(layers.len());
         let mut total = CycleStats::default();
         let mut telemetry = LayerTelemetry::new();
         for (layer, (w, relu)) in layers.iter().enumerate() {
-            let run = self.run_layer_with(x.as_ref().unwrap_or(input), w, *relu, opts)?;
+            let run =
+                self.run_frame_layer(x.as_ref().unwrap_or(input), w, *relu, opts, &mut frame)?;
             let start_cycle = total.total_cycles();
             total += &run.stats;
             telemetry.merge(&run.telemetry);
@@ -665,6 +724,9 @@ impl Esca {
             });
             per_layer.push(run.stats);
             x = Some(run.output);
+        }
+        if let Some(out) = x.as_mut() {
+            out.canonicalize();
         }
         Ok(NetworkRun {
             output: x.unwrap_or_else(|| input.clone()),
@@ -1012,6 +1074,46 @@ mod tests {
         // Default config is faster (or equal) on the same workload.
         let fast = esca().run_layer(&qin, &qw, false).unwrap();
         assert!(fast.stats.pipeline_cycles <= run.stats.pipeline_cycles);
+    }
+
+    #[test]
+    fn long_pipeline_fill_runs_to_completion() {
+        // 20 000 fill cycles per scan line is a valid configuration: the
+        // tick loop's safety bound must scale with it, not trip on it.
+        let mut cfg = EscaConfig::default();
+        cfg.pipeline_fill_cycles = 20_000;
+        // One 8³ tile whose last scan line is active, so the loop is still
+        // ticking after 63 fills.
+        let mut qin = SparseTensor::<Q16>::new(Extent3::cube(8), 2);
+        for c in [(0, 0, 3), (3, 4, 0), (7, 7, 6), (7, 7, 7)] {
+            let c = Coord3::new(c.0, c.1, c.2);
+            qin.insert(c, &[Q16(40), Q16(-17)]).unwrap();
+        }
+        let qw = QuantizedWeights::auto(&ConvWeights::seeded(3, 2, 4, 5), 8, 10).unwrap();
+        let run = Esca::new(cfg).unwrap().run_layer(&qin, &qw, false).unwrap();
+        let golden = submanifold_conv3d_q(&qin, &qw, false).unwrap();
+        assert!(run.output.same_content(&golden));
+        // Every scan line of every active 8³ tile pays the fill.
+        assert!(run.stats.pipeline_cycles >= run.stats.active_tiles * 64 * 20_000);
+    }
+
+    #[test]
+    fn huge_fifo_depths_time_like_a_depth_that_never_fills() {
+        let qin = random_qinput(19, 16, 2, 200);
+        let qw = QuantizedWeights::auto(&ConvWeights::seeded(3, 2, 4, 6), 8, 10).unwrap();
+        let run = |depth: usize| {
+            let mut cfg = EscaConfig::default();
+            cfg.fifo_depth = depth;
+            Esca::new(cfg).unwrap().run_layer(&qin, &qw, false).unwrap()
+        };
+        let roomy = run(4096);
+        assert!(roomy.stats.peak_fifo_occupancy < 4096, "depth 4096 filled");
+        for depth in [1 << 30, usize::MAX] {
+            let huge = run(depth);
+            assert_eq!(huge.stats, roomy.stats, "depth {depth}");
+            assert_eq!(huge.telemetry, roomy.telemetry, "depth {depth}");
+            assert_eq!(huge.output.features(), roomy.output.features());
+        }
     }
 
     #[test]

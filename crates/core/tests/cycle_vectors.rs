@@ -353,7 +353,11 @@ fn case_input(case: &Case) -> SparseTensor<Q16> {
         for (c, f) in &sites {
             shuffled.insert(*c, f).unwrap();
         }
-        assert!(!shuffled.is_canonical(), "{}: input stayed canonical", case.name);
+        assert!(
+            !shuffled.is_canonical(),
+            "{}: input stayed canonical",
+            case.name
+        );
         return shuffled;
     }
     t
