@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 
 /// A set of kernel columns (any K², so any number of 64-bit words),
 /// iterated in ascending column order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct ColumnSet {
     words: Vec<u64>,
 }
@@ -39,23 +39,19 @@ impl ColumnSet {
         self.words[col / 64] &= !(1 << (col % 64));
     }
 
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// The columns in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(i, &word)| {
+    /// The lowest column in the set for which `pred` holds.
+    pub fn find(&self, mut pred: impl FnMut(usize) -> bool) -> Option<usize> {
+        for (i, &word) in self.words.iter().enumerate() {
             let mut bits = word;
-            std::iter::from_fn(move || {
-                (bits != 0).then(|| {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    i * 64 + b
-                })
-            })
-        })
+            while bits != 0 {
+                let col = i * 64 + bits.trailing_zeros() as usize;
+                if pred(col) {
+                    return Some(col);
+                }
+                bits &= bits - 1;
+            }
+        }
+        None
     }
 }
 
@@ -219,10 +215,10 @@ impl FifoGroup {
     /// matches up with the column-ordered weight stream). Only occupied
     /// FIFOs are visited.
     pub fn pop_for_group(&mut self, group: usize, cycle: u64) -> Option<MatchEntry> {
+        let fifos = &self.fifos;
         let col = self
             .occupied
-            .iter()
-            .find(|&col| self.fifos[col].front().is_some_and(|m| m.group == group))?;
+            .find(|col| fifos[col].front().is_some_and(|m| m.group == group))?;
         let fifo = &mut self.fifos[col];
         let m = fifo.pop(cycle);
         if fifo.is_empty() {
@@ -252,6 +248,16 @@ impl FifoGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every column in the set, in order.
+    fn columns(s: &ColumnSet) -> Vec<usize> {
+        let mut out = Vec::new();
+        s.find(|col| {
+            out.push(col);
+            false
+        });
+        out
+    }
 
     fn entry(col: usize, group: usize) -> MatchEntry {
         MatchEntry {
@@ -298,18 +304,19 @@ mod tests {
     fn column_sets_cover_every_kernel_column() {
         // K = 9: 81 columns span two words.
         let mut s = ColumnSet::new(81);
-        assert!(s.is_empty());
+        assert!(columns(&s).is_empty());
         for col in [80, 0, 64, 63, 5] {
             s.insert(col);
         }
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 5, 63, 64, 80]);
+        assert_eq!(columns(&s), vec![0, 5, 63, 64, 80]);
         s.remove(63);
         s.remove(0);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![5, 64, 80]);
+        assert_eq!(columns(&s), vec![5, 64, 80]);
+        assert_eq!(s.find(|col| col > 5), Some(64));
         for col in [5, 64, 80] {
             s.remove(col);
         }
-        assert!(s.is_empty());
+        assert!(columns(&s).is_empty());
     }
 
     #[test]
@@ -318,16 +325,17 @@ mod tests {
         g.push(66, entry(66, 0), 0);
         g.push(2, entry(2, 0), 0);
         g.push(0, entry(0, 1), 0);
-        assert_eq!(g.occupied.iter().collect::<Vec<_>>(), vec![0, 2, 66]);
+        assert_eq!(columns(&g.occupied), vec![0, 2, 66]);
         // Group 0: column 2 first (column 0's head is group 1), then 66.
         assert_eq!(g.pop_for_group(0, 1).unwrap().column, 2);
         assert_eq!(g.pop_for_group(0, 2).unwrap().column, 66);
         assert!(g.pop_for_group(0, 3).is_none());
-        assert_eq!(g.occupied.iter().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(columns(&g.occupied), vec![0]);
         assert!(!g.is_empty());
         // Group 1 remains.
         assert_eq!(g.pop_for_group(1, 3).unwrap().group, 1);
-        assert!(g.is_empty() && g.occupied.is_empty());
+        assert!(g.is_empty());
+        assert!(columns(&g.occupied).is_empty());
     }
 
     #[test]

@@ -102,9 +102,9 @@ impl LayerTelemetry {
     }
 
     /// Folds a finished tile's FIFO bookkeeping in: per-FIFO peaks, push
-    /// totals and occupancy integrals closed at `cycles`, the tile's
-    /// pipeline cycle count, which also joins `sampled_cycles` — as if
-    /// every FIFO were sampled at the end of every cycle.
+    /// totals and occupancy integrals closed at the tile's `cycles`,
+    /// which join `sampled_cycles` — the sums that sampling every FIFO
+    /// at the end of each of those cycles would give.
     pub fn record_fifo_totals(&mut self, fifos: &FifoGroup, cycles: u64) {
         self.ensure_fifos(fifos.columns());
         for col in 0..fifos.columns() {
