@@ -71,6 +71,7 @@ impl ComputingCore {
     /// # Panics
     ///
     /// Panics if a previous group is still open (controller bug).
+    #[inline]
     pub fn open_group(&mut self, group: usize) {
         assert!(
             self.group.is_none(),
@@ -90,6 +91,7 @@ impl ComputingCore {
     ///
     /// Panics when the array is busy or the match belongs to a different
     /// group than the open one (controller bug).
+    #[inline]
     pub fn dispatch(
         &mut self,
         m: MatchEntry,
@@ -126,6 +128,7 @@ impl ComputingCore {
     }
 
     /// Advances the array by one cycle; returns true if it was busy.
+    #[inline]
     pub fn tick(&mut self) -> bool {
         if self.busy > 0 {
             self.busy -= 1;
@@ -141,6 +144,7 @@ impl ComputingCore {
     /// # Panics
     ///
     /// Panics if no group is open or the array is still busy.
+    #[inline]
     pub fn close_group(
         &mut self,
         cycle: u64,

@@ -118,6 +118,7 @@ impl MatchFifo {
     /// Panics when full — callers must check [`MatchFifo::has_room`]
     /// (hardware would never issue the write; a panic here indicates a
     /// simulator bug, not a recoverable condition).
+    #[inline]
     pub fn push(&mut self, m: MatchEntry, cycle: u64) {
         assert!(self.has_room(), "match FIFO overflow (simulator bug)");
         self.advance(cycle);
@@ -133,6 +134,7 @@ impl MatchFifo {
     }
 
     /// Pops the head entry in `cycle`.
+    #[inline]
     pub fn pop(&mut self, cycle: u64) -> Option<MatchEntry> {
         self.advance(cycle);
         self.queue.pop_front()
@@ -204,6 +206,7 @@ impl FifoGroup {
     /// # Panics
     ///
     /// Panics when that FIFO is full (see [`MatchFifo::push`]).
+    #[inline]
     pub fn push(&mut self, col: usize, m: MatchEntry, cycle: u64) {
         self.fifos[col].push(m, cycle);
         self.occupied.insert(col);
@@ -214,6 +217,7 @@ impl FifoGroup {
     /// columns in order (the "calculation order" of §III-C, which lines
     /// matches up with the column-ordered weight stream). Only occupied
     /// FIFOs are visited.
+    #[inline]
     pub fn pop_for_group(&mut self, group: usize, cycle: u64) -> Option<MatchEntry> {
         let fifos = &self.fifos;
         let col = self

@@ -36,6 +36,7 @@ impl Default for Histogram {
 }
 
 /// Log2 bucket index for a value: `0 → 0`, otherwise `1 + floor(log2 v)`.
+#[inline]
 fn bucket_index(v: u64) -> usize {
     if v == 0 {
         0
@@ -57,6 +58,7 @@ impl Histogram {
     }
 
     /// Records one observation.
+    #[inline]
     pub fn observe(&mut self, v: u64) {
         self.count += 1;
         self.sum = self.sum.saturating_add(v);

@@ -324,11 +324,13 @@ impl KernelOffsets {
     /// # Panics
     ///
     /// Panics if `col >= K²`.
+    #[inline]
     pub fn column_offset(&self, col: usize) -> (i32, i32) {
         assert!(col < self.columns(), "column index out of range");
-        let k = self.k as usize;
-        let r = self.radius();
-        ((col / k) as i32 - r, (col % k) as i32 - r)
+        // Column `col` owns offsets `col·K .. col·K + K` (dz fastest), so a
+        // table read replaces the division by K.
+        let o = self.offsets[col * self.k as usize];
+        (o.x, o.y)
     }
 }
 
