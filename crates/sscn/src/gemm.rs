@@ -57,13 +57,13 @@ const F32_ROWS: usize = 4;
 
 /// Output-channel tile width of the quantized microkernel: sixteen i32
 /// accumulator lanes, matching one full i16×16 multiply group.
-pub const Q_LANES: usize = 16;
+const Q_LANES: usize = 16;
 
 /// Largest input-channel count for which the quantized microkernel may
 /// accumulate in i32: `|Q16 × Q8| ≤ 2¹⁵·2⁷ = 2²²`, so a sum of up to 256
 /// products stays below `2³⁰ < i32::MAX` — the narrower accumulator is
 /// exact, not approximate.
-pub const Q_I32_MAX_IN_CH: usize = 256;
+const Q_I32_MAX_IN_CH: usize = 256;
 
 /// One tap's dense multiply-accumulate over a rulebook's `(input, output)`
 /// pairs.
