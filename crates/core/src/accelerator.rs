@@ -507,6 +507,7 @@ impl Esca {
                     if !resident {
                         stats.match_cycles += span;
                         tele.scan_busy_cycles += span;
+                        tele.sample_empty_fifos(sdmu.fifos.columns(), span);
                     }
                     cycle += span;
                     if sdmu.scan_done() {
@@ -529,7 +530,7 @@ impl Esca {
                 idle = false;
             } else if let Some(desc) = current_desc {
                 if dispatched < desc.total_matches {
-                    if let Some(m) = sdmu.fifos.pop_for_group(desc.group, cycle) {
+                    if let Some(m) = sdmu.fifos.pop_for_group(desc.group) {
                         let features = enc.lines().entry_features(m.entry);
                         cc.dispatch(m, features, cycle, stats, tele, trace);
                         // The dispatch cycle is the first busy cycle.
@@ -611,6 +612,9 @@ impl Esca {
                 }
             }
 
+            if !resident {
+                tele.sample_fifos(&sdmu.fifos);
+            }
             if cc_active {
                 compute_cycles += 1;
             }
@@ -648,7 +652,7 @@ impl Esca {
             stats.peak_fifo_occupancy = stats
                 .peak_fifo_occupancy
                 .max(sdmu.fifos.peak_occupancy() as u64);
-            tele.record_fifo_totals(&sdmu.fifos, cycle);
+            tele.record_fifo_totals(&sdmu.fifos);
         }
         sdmu.next_group()
     }

@@ -2,58 +2,11 @@
 //! (§III-C: "The FIFO group consists of K² identical FIFOs, and each FIFO
 //! stores the matches belonging to one column").
 //!
-//! Bookkeeping is per event, not per cycle: the group keeps its total
-//! entry count and the ordered set of non-empty columns, so emptiness is
-//! O(1) and the MUX visits only occupied FIFOs; each FIFO keeps an
-//! occupancy integral that advances only when an entry is pushed or
-//! popped. FIFO storage grows with occupancy, never with the configured
-//! depth, so any depth the configuration accepts is safe to simulate.
+//! FIFO storage grows with occupancy, never with the configured depth, so
+//! any depth the configuration accepts is safe to simulate.
 
 use super::MatchEntry;
 use std::collections::VecDeque;
-
-/// A set of kernel columns (any K², so any number of 64-bit words),
-/// iterated in ascending column order.
-#[derive(Debug, Clone)]
-pub struct ColumnSet {
-    words: Vec<u64>,
-}
-
-impl ColumnSet {
-    /// An empty set able to hold columns `0..columns`.
-    pub fn new(columns: usize) -> Self {
-        ColumnSet {
-            words: vec![0; columns.div_ceil(64)],
-        }
-    }
-
-    /// Adds `col`.
-    #[inline]
-    pub fn insert(&mut self, col: usize) {
-        self.words[col / 64] |= 1 << (col % 64);
-    }
-
-    /// Removes `col`.
-    #[inline]
-    pub fn remove(&mut self, col: usize) {
-        self.words[col / 64] &= !(1 << (col % 64));
-    }
-
-    /// The lowest column in the set for which `pred` holds.
-    pub fn find(&self, mut pred: impl FnMut(usize) -> bool) -> Option<usize> {
-        for (i, &word) in self.words.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let col = i * 64 + bits.trailing_zeros() as usize;
-                if pred(col) {
-                    return Some(col);
-                }
-                bits &= bits - 1;
-            }
-        }
-        None
-    }
-}
 
 /// One bounded match FIFO.
 #[derive(Debug, Clone, Default)]
@@ -62,10 +15,6 @@ pub struct MatchFifo {
     depth: usize,
     pushes: u64,
     peak: usize,
-    /// Occupancy summed over the cycles before `since`.
-    occupancy_sum: u64,
-    /// The cycle from which the current occupancy has held.
-    since: u64,
 }
 
 impl MatchFifo {
@@ -73,8 +22,10 @@ impl MatchFifo {
     /// allocated up front.
     pub fn new(depth: usize) -> Self {
         MatchFifo {
+            queue: VecDeque::new(),
             depth,
-            ..MatchFifo::default()
+            pushes: 0,
+            peak: 0,
         }
     }
 
@@ -103,25 +54,15 @@ impl MatchFifo {
         self.queue.is_empty()
     }
 
-    /// Closes the occupancy integral up to `cycle`: the current occupancy
-    /// held for every cycle from `since` to `cycle - 1`.
-    #[inline]
-    fn advance(&mut self, cycle: u64) {
-        self.occupancy_sum += self.queue.len() as u64 * (cycle - self.since);
-        self.since = cycle;
-    }
-
-    /// Pushes an entry in `cycle`.
+    /// Pushes an entry.
     ///
     /// # Panics
     ///
     /// Panics when full — callers must check [`MatchFifo::has_room`]
     /// (hardware would never issue the write; a panic here indicates a
     /// simulator bug, not a recoverable condition).
-    #[inline]
-    pub fn push(&mut self, m: MatchEntry, cycle: u64) {
+    pub fn push(&mut self, m: MatchEntry) {
         assert!(self.has_room(), "match FIFO overflow (simulator bug)");
-        self.advance(cycle);
         self.queue.push_back(m);
         self.pushes += 1;
         self.peak = self.peak.max(self.queue.len());
@@ -133,10 +74,9 @@ impl MatchFifo {
         self.queue.front()
     }
 
-    /// Pops the head entry in `cycle`.
+    /// Pops the head entry.
     #[inline]
-    pub fn pop(&mut self, cycle: u64) -> Option<MatchEntry> {
-        self.advance(cycle);
+    pub fn pop(&mut self) -> Option<MatchEntry> {
         self.queue.pop_front()
     }
 
@@ -151,32 +91,19 @@ impl MatchFifo {
     pub fn peak(&self) -> usize {
         self.peak
     }
-
-    /// The occupancy summed over cycles `0..end` — the per-cycle
-    /// end-of-cycle occupancy samples, added up. `end` must not precede
-    /// the last push or pop.
-    pub fn occupancy_sum(&self, end: u64) -> u64 {
-        self.occupancy_sum + self.queue.len() as u64 * (end - self.since)
-    }
 }
 
 /// The group of K² FIFOs plus the MUX drain logic.
 #[derive(Debug, Clone)]
 pub struct FifoGroup {
     fifos: Vec<MatchFifo>,
-    /// Entries held across all FIFOs.
-    len: usize,
-    /// The columns whose FIFO holds at least one entry.
-    occupied: ColumnSet,
 }
 
 impl FifoGroup {
     /// Creates `columns` FIFOs of the given depth.
     pub fn new(columns: usize, depth: usize) -> Self {
         FifoGroup {
-            fifos: vec![MatchFifo::new(depth); columns],
-            len: 0,
-            occupied: ColumnSet::new(columns),
+            fifos: (0..columns).map(|_| MatchFifo::new(depth)).collect(),
         }
     }
 
@@ -195,47 +122,32 @@ impl FifoGroup {
         &self.fifos[col]
     }
 
-    /// Whether column `col`'s FIFO has room for another entry.
-    #[inline]
-    pub fn has_room(&self, col: usize) -> bool {
-        self.fifos[col].has_room()
-    }
-
-    /// Pushes `m` into column `col`'s FIFO in `cycle`.
+    /// Mutable access to one FIFO.
     ///
     /// # Panics
     ///
-    /// Panics when that FIFO is full (see [`MatchFifo::push`]).
-    #[inline]
-    pub fn push(&mut self, col: usize, m: MatchEntry, cycle: u64) {
-        self.fifos[col].push(m, cycle);
-        self.occupied.insert(col);
-        self.len += 1;
+    /// Panics if `col` is out of range.
+    pub fn fifo_mut(&mut self, col: usize) -> &mut MatchFifo {
+        &mut self.fifos[col]
     }
 
-    /// The MUX: pops the next match of `group` in `cycle`, consuming
-    /// columns in order (the "calculation order" of §III-C, which lines
-    /// matches up with the column-ordered weight stream). Only occupied
-    /// FIFOs are visited.
-    #[inline]
-    pub fn pop_for_group(&mut self, group: usize, cycle: u64) -> Option<MatchEntry> {
-        let fifos = &self.fifos;
-        let col = self
-            .occupied
-            .find(|col| fifos[col].front().is_some_and(|m| m.group == group))?;
-        let fifo = &mut self.fifos[col];
-        let m = fifo.pop(cycle);
-        if fifo.is_empty() {
-            self.occupied.remove(col);
+    /// The MUX: pops the next match of `group`, consuming columns in
+    /// order (the "calculation order" of §III-C, which lines matches up
+    /// with the column-ordered weight stream).
+    pub fn pop_for_group(&mut self, group: usize) -> Option<MatchEntry> {
+        for fifo in &mut self.fifos {
+            if let Some(front) = fifo.front() {
+                if front.group == group {
+                    return fifo.pop();
+                }
+            }
         }
-        self.len -= 1;
-        m
+        None
     }
 
     /// Whether the whole group of FIFOs is empty.
-    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.fifos.iter().all(|f| f.is_empty())
     }
 
     /// Total pushes across the group.
@@ -247,21 +159,17 @@ impl FifoGroup {
     pub fn peak_occupancy(&self) -> usize {
         self.fifos.iter().map(|f| f.peak()).max().unwrap_or(0)
     }
+
+    /// Current per-FIFO occupancies in column order (the telemetry
+    /// per-cycle occupancy sample).
+    pub fn occupancies(&self) -> impl Iterator<Item = usize> + '_ {
+        self.fifos.iter().map(MatchFifo::len)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Every column in the set, in order.
-    fn columns(s: &ColumnSet) -> Vec<usize> {
-        let mut out = Vec::new();
-        s.find(|col| {
-            out.push(col);
-            false
-        });
-        out
-    }
 
     fn entry(col: usize, group: usize) -> MatchEntry {
         MatchEntry {
@@ -276,12 +184,12 @@ mod tests {
     fn fifo_order_and_capacity() {
         let mut f = MatchFifo::new(2);
         assert!(f.has_room() && f.is_empty());
-        f.push(entry(0, 0), 0);
-        f.push(entry(0, 1), 0);
+        f.push(entry(0, 0));
+        f.push(entry(0, 1));
         assert!(!f.has_room());
-        assert_eq!(f.pop(1).unwrap().group, 0);
-        assert_eq!(f.pop(1).unwrap().group, 1);
-        assert!(f.pop(1).is_none());
+        assert_eq!(f.pop().unwrap().group, 0);
+        assert_eq!(f.pop().unwrap().group, 1);
+        assert!(f.pop().is_none());
         assert_eq!(f.pushes(), 2);
         assert_eq!(f.peak(), 2);
     }
@@ -290,92 +198,50 @@ mod tests {
     #[should_panic(expected = "overflow")]
     fn overflow_panics() {
         let mut f = MatchFifo::new(1);
-        f.push(entry(0, 0), 0);
-        f.push(entry(0, 0), 0);
+        f.push(entry(0, 0));
+        f.push(entry(0, 0));
     }
 
     #[test]
     fn huge_depths_allocate_by_occupancy() {
         for depth in [1 << 30, usize::MAX] {
             let mut f = MatchFifo::new(depth);
-            f.push(entry(0, 0), 0);
+            f.push(entry(0, 0));
             assert!(f.has_room());
             assert_eq!(f.depth(), depth);
         }
     }
 
     #[test]
-    fn column_sets_cover_every_kernel_column() {
-        // K = 9: 81 columns span two words.
-        let mut s = ColumnSet::new(81);
-        assert!(columns(&s).is_empty());
-        for col in [80, 0, 64, 63, 5] {
-            s.insert(col);
-        }
-        assert_eq!(columns(&s), vec![0, 5, 63, 64, 80]);
-        s.remove(63);
-        s.remove(0);
-        assert_eq!(columns(&s), vec![5, 64, 80]);
-        assert_eq!(s.find(|col| col > 5), Some(64));
-        for col in [5, 64, 80] {
-            s.remove(col);
-        }
-        assert!(columns(&s).is_empty());
-    }
-
-    #[test]
-    fn mux_pops_occupied_columns_in_order_within_group() {
-        let mut g = FifoGroup::new(70, 4);
-        g.push(66, entry(66, 0), 0);
-        g.push(2, entry(2, 0), 0);
-        g.push(0, entry(0, 1), 0);
-        assert_eq!(columns(&g.occupied), vec![0, 2, 66]);
-        // Group 0: column 2 first (column 0's head is group 1), then 66.
-        assert_eq!(g.pop_for_group(0, 1).unwrap().column, 2);
-        assert_eq!(g.pop_for_group(0, 2).unwrap().column, 66);
-        assert!(g.pop_for_group(0, 3).is_none());
-        assert_eq!(columns(&g.occupied), vec![0]);
-        assert!(!g.is_empty());
+    fn mux_pops_in_column_order_within_group() {
+        let mut g = FifoGroup::new(3, 4);
+        g.fifo_mut(2).push(entry(2, 0));
+        g.fifo_mut(0).push(entry(0, 0));
+        g.fifo_mut(0).push(entry(0, 1));
+        // Group 0: column 0 first, then column 2.
+        assert_eq!(g.pop_for_group(0).unwrap().column, 0);
+        assert_eq!(g.pop_for_group(0).unwrap().column, 2);
+        assert!(g.pop_for_group(0).is_none());
         // Group 1 remains.
-        assert_eq!(g.pop_for_group(1, 3).unwrap().group, 1);
+        assert!(!g.is_empty());
+        assert_eq!(g.pop_for_group(1).unwrap().group, 1);
         assert!(g.is_empty());
-        assert!(columns(&g.occupied).is_empty());
     }
 
     #[test]
     fn mux_does_not_pop_future_groups() {
         let mut g = FifoGroup::new(2, 4);
-        g.push(0, entry(0, 5), 0);
-        assert!(g.pop_for_group(4, 1).is_none());
-        assert!(!g.is_empty());
-    }
-
-    #[test]
-    fn occupancy_integral_equals_per_cycle_samples() {
-        // End-of-cycle occupancies of one FIFO over cycles 0..8:
-        // c0 push → 1; c1 → 1; c2 push+pop → 1; c3 push → 2; c4 → 2;
-        // c5 pop → 1; c6 pop → 0; c7 → 0.  Sum = 8.
-        let mut g = FifoGroup::new(2, 4);
-        g.push(1, entry(1, 0), 0);
-        g.push(1, entry(1, 1), 2);
-        assert_eq!(g.pop_for_group(0, 2).unwrap().group, 0);
-        g.push(1, entry(1, 2), 3);
-        assert_eq!(g.pop_for_group(1, 5).unwrap().group, 1);
-        assert_eq!(g.pop_for_group(2, 6).unwrap().group, 2);
-        assert_eq!(g.fifo(1).occupancy_sum(8), 8);
-        // A FIFO that never saw an entry integrates to zero.
-        assert_eq!(g.fifo(0).occupancy_sum(8), 0);
-        // Closing early counts the held occupancy up to that cycle:
-        // through c6 the samples are 1, 1, 1, 2, 2, 1, 0 = 8 as well.
-        assert_eq!(g.fifo(1).occupancy_sum(7), 8);
+        g.fifo_mut(0).push(entry(0, 5));
+        assert!(g.pop_for_group(4).is_none());
+        assert_eq!(g.pop_for_group(5).unwrap().group, 5);
     }
 
     #[test]
     fn group_stats() {
         let mut g = FifoGroup::new(2, 4);
-        g.push(0, entry(0, 0), 0);
-        g.push(1, entry(1, 0), 0);
-        g.push(1, entry(1, 0), 0);
+        g.fifo_mut(0).push(entry(0, 0));
+        g.fifo_mut(1).push(entry(1, 0));
+        g.fifo_mut(1).push(entry(1, 0));
         assert_eq!(g.total_pushes(), 3);
         assert_eq!(g.peak_occupancy(), 2);
         assert_eq!(g.columns(), 2);

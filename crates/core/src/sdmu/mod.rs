@@ -79,14 +79,14 @@ pub enum FetchOutcome {
 }
 
 /// A pending fetch job: the address fragments of one active SRF.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct FetchJob {
     group: usize,
     centre_z: i32,
-    /// The columns that still have entries to push, each with its
-    /// remaining global entry range (never empty). The job is done when
-    /// no column is left.
-    live: Vec<(usize, Range<usize>)>,
+    /// Per column: the remaining global entry range to push.
+    remaining: Vec<Range<usize>>,
+    /// Entries left to push across all columns.
+    left: usize,
 }
 
 /// The per-tile SDMU state machine.
@@ -110,8 +110,8 @@ pub struct TileSdmu<'a> {
     /// a fetch address is `base + A − B .. base + A`.
     bank_bases: Vec<usize>,
     jobs: VecDeque<FetchJob>,
-    /// Finished jobs, whose buffers the next jobs reuse.
-    spare: Vec<FetchJob>,
+    /// Drained `FetchJob::remaining` buffers, reused by the next job.
+    spare: Vec<Vec<Range<usize>>>,
     /// The K² match FIFOs.
     pub fifos: FifoGroup,
     next_group: usize,
@@ -288,24 +288,22 @@ impl<'a> TileSdmu<'a> {
     /// each column's fragment from its (A, B) registers, and returns the
     /// match group it opens.
     fn enqueue_fetch(&mut self, centre: Coord3) -> MatchGroupDesc {
-        let mut job = self.spare.pop().unwrap_or_default();
-        job.live.clear();
-        let mut total = 0;
-        let states = self.state_index.states().iter().zip(&self.bank_bases);
-        for (col, (state, &base)) in states.enumerate() {
+        let mut remaining = self.spare.pop().unwrap_or_default();
+        remaining.clear();
+        for (state, &base) in self.state_index.states().iter().zip(&self.bank_bases) {
             let fragment = state.fragment();
-            let range = base + fragment.start..base + fragment.end;
-            self.debug_check_address(centre, col, &range);
-            total += range.len();
-            if !range.is_empty() {
-                job.live.push((col, range));
-            }
+            remaining.push(base + fragment.start..base + fragment.end);
         }
+        self.debug_check_addresses(centre, &remaining);
+        let total = remaining.iter().map(ExactSizeIterator::len).sum();
         let group = self.next_group;
         self.next_group += 1;
-        job.group = group;
-        job.centre_z = centre.z;
-        self.jobs.push_back(job);
+        self.jobs.push_back(FetchJob {
+            group,
+            centre_z: centre.z,
+            remaining,
+            left: total,
+        });
         MatchGroupDesc {
             group,
             centre,
@@ -314,22 +312,24 @@ impl<'a> TileSdmu<'a> {
     }
 
     /// Hardware/functional cross-check (debug builds): the (A, B)
-    /// registers address exactly the line-CSR window of the column.
-    fn debug_check_address(&self, centre: Coord3, col: usize, range: &Range<usize>) {
+    /// registers address exactly the line-CSR window of every column.
+    fn debug_check_addresses(&self, centre: Coord3, ranges: &[Range<usize>]) {
         if cfg!(debug_assertions) {
             let r = self.offsets.radius();
-            let (dx, dy) = self.offsets.column_offset(col);
-            let w = self.enc.lines().window(
-                centre.x + dx,
-                centre.y + dy,
-                centre.z - r,
-                centre.z + r + 1,
-            );
-            assert_eq!(
-                *range,
-                w.global_range(),
-                "state index disagrees with CSR window at {centre} col {col}"
-            );
+            for (col, range) in ranges.iter().enumerate() {
+                let (dx, dy) = self.offsets.column_offset(col);
+                let w = self.enc.lines().window(
+                    centre.x + dx,
+                    centre.y + dy,
+                    centre.z - r,
+                    centre.z + r + 1,
+                );
+                assert_eq!(
+                    *range,
+                    w.global_range(),
+                    "state index disagrees with CSR window at {centre} col {col}"
+                );
+            }
         }
     }
 
@@ -373,8 +373,8 @@ impl<'a> TileSdmu<'a> {
         }
     }
 
-    /// One fetch-stage cycle: each column bank with entries left pushes
-    /// at most one entry of the front job into its FIFO.
+    /// One fetch-stage cycle: each column bank pushes at most one entry of
+    /// the front job into its FIFO.
     pub fn fetch_step(&mut self, cycle: u64, trace: &mut PipelineTrace) -> FetchOutcome {
         let Some(job) = self.jobs.front_mut() else {
             return FetchOutcome::Idle;
@@ -382,39 +382,44 @@ impl<'a> TileSdmu<'a> {
         let zs = self.enc.lines().zs();
         let r = self.offsets.radius();
         let k = 2 * r as usize + 1;
-        let (group, centre_z) = (job.group, job.centre_z);
-        let fifos = &mut self.fifos;
         let mut pushes = 0u32;
         let mut blocked = false;
-        job.live.retain_mut(|(col, range)| {
-            if !fifos.has_room(*col) {
+        for (col, range) in job.remaining.iter_mut().enumerate() {
+            if range.start >= range.end {
+                continue;
+            }
+            let fifo = self.fifos.fifo_mut(col);
+            if !fifo.has_room() {
                 blocked = true;
-                return true;
+                continue;
             }
             let entry = range.start;
             range.start += 1;
-            let dz = zs[entry] - centre_z;
+            let dz = zs[entry] - job.centre_z;
             assert!(
                 dz.abs() <= r,
                 "window entries lie within the kernel support"
             );
-            let m = MatchEntry {
-                column: *col,
-                tap: *col * k + (dz + r) as usize,
+            fifo.push(MatchEntry {
+                column: col,
+                tap: col * k + (dz + r) as usize,
                 entry,
-                group,
-            };
-            fifos.push(*col, m, cycle);
+                group: job.group,
+            });
             pushes += 1;
-            range.start < range.end
-        });
-        self.act_reads += u64::from(pushes);
-        if pushes > 0 {
-            trace.record(cycle, Stage::FetchActivations, TraceDetail::Group(group));
         }
-        if job.live.is_empty() {
+        self.act_reads += u64::from(pushes);
+        job.left -= pushes as usize;
+        if pushes > 0 {
+            trace.record(
+                cycle,
+                Stage::FetchActivations,
+                TraceDetail::Group(job.group),
+            );
+        }
+        if job.left == 0 {
             if let Some(done) = self.jobs.pop_front() {
-                self.spare.push(done);
+                self.spare.push(done.remaining);
             }
             return FetchOutcome::Progress { pushes };
         }
@@ -473,7 +478,7 @@ mod tests {
         }
         let mut matches = Vec::new();
         for d in &descs {
-            while let Some(m) = sdmu.fifos.pop_for_group(d.group, cycle) {
+            while let Some(m) = sdmu.fifos.pop_for_group(d.group) {
                 matches.push(m);
             }
         }

@@ -52,15 +52,14 @@ pub struct BufferTelemetry {
 /// Typed cycle-domain telemetry accumulated over one layer run.
 ///
 /// Collected always-on in the tile loop (a handful of integer adds per
-/// simulated event); conversion to a [`Registry`] happens once per layer
+/// simulated cycle); conversion to a [`Registry`] happens once per layer
 /// via [`LayerTelemetry::record_into`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LayerTelemetry {
     /// Per-FIFO highest occupancy (entries), indexed by column.
     pub fifo_peak: Vec<u64>,
-    /// Per-FIFO sum of end-of-cycle occupancy over every pipeline cycle
-    /// (the mean is `sum / sampled_cycles`), kept as an integral that
-    /// advances on pushes and pops.
+    /// Per-FIFO sum of occupancy sampled every pipeline cycle (the mean
+    /// is `sum / sampled_cycles`).
     pub fifo_occupancy_sum: Vec<u64>,
     /// Per-FIFO total pushes.
     pub fifo_pushes: Vec<u64>,
@@ -101,19 +100,35 @@ impl LayerTelemetry {
         }
     }
 
-    /// Folds a finished tile's FIFO bookkeeping in: per-FIFO peaks, push
-    /// totals and occupancy integrals closed at the tile's `cycles`,
-    /// which join `sampled_cycles` — the sums that sampling every FIFO
-    /// at the end of each of those cycles would give.
-    pub fn record_fifo_totals(&mut self, fifos: &FifoGroup, cycles: u64) {
+    /// Samples every FIFO's current occupancy for one pipeline cycle.
+    pub fn sample_fifos(&mut self, fifos: &FifoGroup) {
+        self.ensure_fifos(fifos.columns());
+        for (slot, occ) in self.fifo_occupancy_sum.iter_mut().zip(fifos.occupancies()) {
+            *slot += occ as u64;
+        }
+        self.sampled_cycles += 1;
+    }
+
+    /// Samples `cycles` pipeline cycles during which all `columns` FIFOs
+    /// stay empty — [`LayerTelemetry::sample_fifos`] repeated `cycles`
+    /// times over an empty group, whose occupancy sums add 0.
+    pub fn sample_empty_fifos(&mut self, columns: usize, cycles: u64) {
+        self.ensure_fifos(columns);
+        self.sampled_cycles += cycles;
+    }
+
+    /// Folds a finished tile's per-FIFO peaks and push totals in.
+    pub fn record_fifo_totals(&mut self, fifos: &FifoGroup) {
         self.ensure_fifos(fifos.columns());
         for col in 0..fifos.columns() {
             let f = fifos.fifo(col);
-            self.fifo_peak[col] = self.fifo_peak[col].max(f.peak() as u64);
-            self.fifo_pushes[col] += f.pushes();
-            self.fifo_occupancy_sum[col] += f.occupancy_sum(cycles);
+            if let Some(peak) = self.fifo_peak.get_mut(col) {
+                *peak = (*peak).max(f.peak() as u64);
+            }
+            if let Some(pushes) = self.fifo_pushes.get_mut(col) {
+                *pushes += f.pushes();
+            }
         }
-        self.sampled_cycles += cycles;
     }
 
     /// Records one scheduled match group's size.

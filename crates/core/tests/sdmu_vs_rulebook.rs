@@ -67,7 +67,7 @@ fn sdmu_matches(t: &SparseTensor<Q16>, k: u32, tile: u32, fifo_depth: usize) -> 
             if let Some((desc, popped)) = groups.front_mut() {
                 if *popped == desc.total_matches {
                     groups.pop_front();
-                } else if let Some(m) = sdmu.fifos.pop_for_group(desc.group, cycle) {
+                } else if let Some(m) = sdmu.fifos.pop_for_group(desc.group) {
                     out.push((desc.centre, m.tap, enc.lines().entry_coord(m.entry)));
                     *popped += 1;
                 }
