@@ -18,11 +18,21 @@
 //! stats are pinned as well). One traced run with depth-2 FIFOs pins the
 //! Chrome trace export as well.
 //!
+//! The DRAM axis is pinned on its own: one layer shape runs at a starved
+//! 0.05 B/cycle with nothing and with everything hideable under compute,
+//! and with the weight load overlapped, each with its weights loaded and
+//! resident. A three-frame `StreamingSession::run_batch` at the default
+//! configuration and at those DRAM settings, with matching reuse off, on,
+//! and on over a cache that already holds frame 0's rulebook, pins the per-frame stats, the weights-resident frame 0
+//! (`steady_frame0`), `weight_load_cycles()` and the two-engine modeled
+//! schedule.
+//!
 //! The rendered JSON must equal `tests/fixtures/cycle_vector.json` byte
 //! for byte. Regenerate (only after an *intentional* timing change) with
 //! `cargo test -p esca --test cycle_vectors -- --ignored regenerate` and
 //! commit the rewritten file.
 
+use esca::streaming::StreamingSession;
 use esca::{CycleStats, Esca, EscaConfig, LayerOpts, LayerRun};
 use esca_sscn::quant::{submanifold_conv3d_q, LayerQuant, QuantizedWeights};
 use esca_sscn::weights::ConvWeights;
@@ -316,6 +326,44 @@ fn config(case: &Case) -> EscaConfig {
     cfg
 }
 
+/// A DRAM setting the DRAM-axis cases and the batch section run at.
+struct DramAxis {
+    name: &'static str,
+    bytes_per_cycle: f64,
+    overlap: f64,
+    weight_load_overlap: bool,
+}
+
+/// A starved port with nothing hidden under compute, the same port with
+/// everything hideable hidden, and the weight load overlapped.
+const DRAM_AXES: [DramAxis; 3] = [
+    DramAxis {
+        name: "bw0.05_ov0",
+        bytes_per_cycle: 0.05,
+        overlap: 0.0,
+        weight_load_overlap: false,
+    },
+    DramAxis {
+        name: "bw0.05_ov1",
+        bytes_per_cycle: 0.05,
+        overlap: 1.0,
+        weight_load_overlap: false,
+    },
+    DramAxis {
+        name: "weight_load_overlap",
+        bytes_per_cycle: 1.1,
+        overlap: 0.35,
+        weight_load_overlap: true,
+    },
+];
+
+fn with_dram(mut cfg: EscaConfig, axis: &DramAxis) -> EscaConfig {
+    cfg.dram_bytes_per_cycle = axis.bytes_per_cycle;
+    cfg.dram_overlap = axis.overlap;
+    cfg.weight_load_overlap = axis.weight_load_overlap;
+    cfg
+}
+
 /// Seeded weights, except for the wide case: there the centre tap of
 /// output 0 is 127 (7 fractional bits) on every input channel, so with
 /// saturated activations one match's products sum past `i32::MAX`.
@@ -409,6 +457,20 @@ struct CaseVector {
     telemetry: String,
 }
 
+/// One three-frame `run_batch` at one DRAM setting.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct BatchVector {
+    config: String,
+    /// `off`, `on`, or `on_warm_cache` (frame 0's rulebook cached by a
+    /// golden pass first, so frame 0 runs matching-resident too).
+    matching_reuse: String,
+    per_frame: Vec<CycleStats>,
+    steady_frame0: Option<CycleStats>,
+    weight_load_cycles: u64,
+    /// `modeled_schedule(2)` as `(frame, engine, start_cycle, cycles)`.
+    schedule_2: Vec<(usize, usize, u64, u64)>,
+}
+
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
 struct CycleVector {
     cases: Vec<CaseVector>,
@@ -416,11 +478,20 @@ struct CycleVector {
     traced_chrome: String,
     /// Per-layer stats of the chain case (its `stats` hold their total).
     chain_per_layer: Vec<CycleStats>,
+    /// The DRAM-axis cases: `CASES[0]` at each [`DRAM_AXES`] setting,
+    /// with its weights loaded and resident.
+    dram_cases: Vec<CaseVector>,
+    /// The `run_batch` section.
+    batches: Vec<BatchVector>,
 }
 
 fn run(case: &Case, cfg: EscaConfig) -> LayerRun {
+    run_loading(case, cfg, !case.resident)
+}
+
+fn run_loading(case: &Case, cfg: EscaConfig, load_weights: bool) -> LayerRun {
     let opts = LayerOpts {
-        load_weights: !case.resident,
+        load_weights,
         matching_resident: case.resident,
         shards: case.shards,
     };
@@ -467,6 +538,93 @@ fn run_chain(case: &Case) -> (CaseVector, Vec<CycleStats>) {
     (vector, net.per_layer)
 }
 
+fn layer_vector(name: String, run: LayerRun) -> CaseVector {
+    CaseVector {
+        case: name,
+        pipeline_cycles: run.stats.pipeline_cycles,
+        output_hash: output_hash(&run.output),
+        stats: run.stats,
+        telemetry: format!("{:?}", run.telemetry),
+    }
+}
+
+fn dram_cases() -> Vec<CaseVector> {
+    let case = &CASES[0];
+    let mut out = Vec::new();
+    for axis in &DRAM_AXES {
+        for load_weights in [true, false] {
+            let weights = if load_weights { "loaded" } else { "resident" };
+            let name = format!("{}_dram_{}_weights_{weights}", case.name, axis.name);
+            let run = run_loading(case, with_dram(config(case), axis), load_weights);
+            out.push(layer_vector(name, run));
+        }
+    }
+    out
+}
+
+/// Three frames: a sparse frame, the same active set with other
+/// features (matching-resident under reuse) and a second geometry.
+fn batch_frames() -> Vec<SparseTensor<Q16>> {
+    let f0 = input(12, 4, 3);
+    let mut f1 = SparseTensor::new(f0.extent(), f0.channels());
+    for (c, f) in f0.iter() {
+        let g: Vec<Q16> = f.iter().map(|q| Q16(q.0 / 2 - 7)).collect();
+        f1.insert(c, &g).unwrap();
+    }
+    f1.canonicalize();
+    let f2 = input(12, 4, 4);
+    vec![f0, f1, f2]
+}
+
+fn batches() -> Vec<BatchVector> {
+    let frames = batch_frames();
+    let layers: Vec<(QuantizedWeights, bool)> = [(4, 8), (8, 4)]
+        .iter()
+        .enumerate()
+        .map(|(i, &(ic, oc))| {
+            let w = ConvWeights::seeded(3, ic, oc, 60 + i as u64);
+            (QuantizedWeights::auto(&w, 8, 10).unwrap(), true)
+        })
+        .collect();
+    let settings = std::iter::once(("default".to_string(), EscaConfig::default())).chain(
+        DRAM_AXES
+            .iter()
+            .map(|axis| (axis.name.to_string(), with_dram(EscaConfig::default(), axis))),
+    );
+    let mut out = Vec::new();
+    for (name, cfg) in settings {
+        for reuse in ["off", "on", "on_warm_cache"] {
+            let session = StreamingSession::new(Esca::new(cfg.clone()).unwrap(), layers.clone(), 2)
+                .with_matching_reuse(reuse != "off");
+            if reuse == "on_warm_cache" {
+                session.run_golden_batch(&frames[..1]).unwrap();
+            }
+            let report = session.run_batch(&frames).unwrap();
+            if reuse != "off" {
+                assert!(report.per_frame[1].matching_resident, "{name}: frame 1 not resident");
+            }
+            assert_eq!(
+                report.per_frame[0].matching_resident,
+                reuse == "on_warm_cache",
+                "{name}: frame 0 residency"
+            );
+            out.push(BatchVector {
+                config: name.clone(),
+                matching_reuse: reuse.to_string(),
+                weight_load_cycles: report.weight_load_cycles(),
+                schedule_2: report
+                    .modeled_schedule(2)
+                    .iter()
+                    .map(|s| (s.frame, s.engine, s.start_cycle, s.cycles))
+                    .collect(),
+                per_frame: report.per_frame,
+                steady_frame0: report.steady_frame0,
+            });
+        }
+    }
+    out
+}
+
 fn vector() -> CycleVector {
     let mut chain_per_layer = Vec::new();
     let cases = CASES
@@ -477,14 +635,7 @@ fn vector() -> CycleVector {
                 chain_per_layer = per_layer;
                 return vector;
             }
-            let run = run(case, config(case));
-            CaseVector {
-                case: case.name.to_string(),
-                pipeline_cycles: run.stats.pipeline_cycles,
-                output_hash: output_hash(&run.output),
-                stats: run.stats,
-                telemetry: format!("{:?}", run.telemetry),
-            }
+            layer_vector(case.name.to_string(), run(case, config(case)))
         })
         .collect();
     let traced = Case {
@@ -512,6 +663,8 @@ fn vector() -> CycleVector {
         cases,
         traced_chrome,
         chain_per_layer,
+        dram_cases: dram_cases(),
+        batches: batches(),
     }
 }
 
@@ -537,6 +690,18 @@ fn cycle_model_reproduces_committed_vector() {
         actual.chain_per_layer, expected.chain_per_layer,
         "chain per-layer stats drifted"
     );
+    for (a, e) in actual.dram_cases.iter().zip(&expected.dram_cases) {
+        assert_eq!(a, e, "DRAM case {} drifted from the committed vector", e.case);
+    }
+    assert_eq!(actual.dram_cases.len(), expected.dram_cases.len());
+    for (a, e) in actual.batches.iter().zip(&expected.batches) {
+        assert_eq!(
+            a, e,
+            "batch {} (reuse {}) drifted from the committed vector",
+            e.config, e.matching_reuse
+        );
+    }
+    assert_eq!(actual.batches.len(), expected.batches.len());
     assert!(
         render(&actual) == committed,
         "rendered vector differs from the committed file"
