@@ -13,7 +13,7 @@
 //! bit-exact with the golden model; the SDMU's match stream is the same
 //! rulebook, discovered by the mask scan.
 
-use crate::buffers::{BufferModel, DramModel};
+use crate::buffers::BufferModel;
 use crate::compute::ComputingCore;
 use crate::config::EscaConfig;
 use crate::encode::EncodedFeatureMap;
@@ -91,6 +91,12 @@ pub struct NetworkRun {
     /// Every layer's cycle-domain telemetry merged, with one
     /// [`LayerSpan`] per layer (its frame-relative cycle interval).
     pub telemetry: LayerTelemetry,
+}
+
+/// Bytes a layer's weights take in the weight buffer and on the DRAM
+/// port: the quantized weights plus one 4-byte bias per output channel.
+fn weight_bytes(w: &QuantizedWeights) -> u64 {
+    (w.len() + 4 * w.out_ch()) as u64
 }
 
 /// The ESCA accelerator instance.
@@ -251,7 +257,6 @@ impl Esca {
         weights: &QuantizedWeights,
         opts: LayerOpts,
     ) -> Result<(CycleStats, PipelineTrace, LayerTelemetry)> {
-        let load_weights = opts.load_weights;
         let resident = opts.matching_resident || self.cfg.matching_resident;
         if input.channels() != weights.in_ch() {
             return Err(EscaError::ChannelMismatch {
@@ -284,8 +289,9 @@ impl Esca {
 
         // --- Encoding (index mask + valid data) and buffer sizing.
         let enc = EncodedFeatureMap::encode(input, self.cfg.tile)?;
+        let weight_bytes = weight_bytes(weights);
         let mut weight_buf = BufferModel::new("weight buffer", self.cfg.weight_buffer_bytes);
-        weight_buf.fill(weights.len() + weights.out_ch() * 4)?;
+        weight_buf.fill(weight_bytes as usize)?;
         let mut act_buf = BufferModel::new("activation buffer", self.cfg.act_buffer_bytes);
         let mut mask_buf = BufferModel::new("mask buffer", self.cfg.mask_buffer_bytes);
         let mut out_buf = BufferModel::new("output buffer", self.cfg.out_buffer_bytes);
@@ -293,16 +299,14 @@ impl Esca {
         // --- DRAM traffic. Resident geometry keeps its index masks and
         // coordinate metadata on chip; only the activation values still
         // stream in per frame.
-        let mut dram = DramModel::new();
-        if load_weights {
-            dram.read((weights.len() + weights.out_ch() * 4) as u64);
-        }
-        dram.read(if resident {
-            enc.act_bytes() as u64
+        let loaded_weight_bytes = if opts.load_weights { weight_bytes } else { 0 };
+        let feature_bytes = if resident {
+            enc.act_bytes()
         } else {
-            enc.total_bytes() as u64
-        });
-        dram.write((input.nnz() * weights.out_ch() * 2) as u64);
+            enc.total_bytes()
+        };
+        stats.dram_bytes_in = loaded_weight_bytes + feature_bytes as u64;
+        stats.dram_bytes_out = (input.nnz() * weights.out_ch() * 2) as u64;
 
         // --- Tile DMA (sequential): activations of tile + halo and the
         // tile's masks in, outputs written back, in tile order — plus
@@ -404,30 +408,53 @@ impl Esca {
             }
         }
 
-        // --- DRAM stalls: weight load is exposed unless configured
-        // overlapped; streaming traffic hides under compute per the
-        // overlap factor.
-        let compute_cycles = stats.pipeline_cycles + stats.tile_overhead_cycles;
-        let weight_cycles = if self.cfg.weight_load_overlap || !load_weights {
-            0
-        } else {
-            ((weights.len() + weights.out_ch() * 4) as f64 / self.cfg.dram_bytes_per_cycle).ceil()
-                as u64
-        };
-        stats.dram_stall_cycles = weight_cycles
-            + dram.stall_cycles(
-                self.cfg.dram_bytes_per_cycle,
-                self.cfg.dram_overlap,
-                compute_cycles,
-            );
+        self.price_dram(&mut stats, loaded_weight_bytes)?;
         stats.layer_overhead_cycles = self.cfg.per_layer_overhead_cycles;
-        stats.dram_bytes_in = dram.bytes_in();
-        stats.dram_bytes_out = dram.bytes_out();
 
         for buf in [&weight_buf, &act_buf, &mask_buf, &out_buf] {
             tele.buffers.push(buf.telemetry());
         }
         Ok((stats, trace, tele))
+    }
+
+    /// Sets a layer's `dram_stall_cycles` from its DRAM byte counts, of
+    /// which `weight_bytes` are its weight load: the weight load is
+    /// exposed unless configured overlapped, and a `dram_overlap` share
+    /// of the compute budget (`pipeline_cycles + tile_overhead_cycles`)
+    /// hides the whole transfer; the rest stalls.
+    fn price_dram(&self, stats: &mut CycleStats, weight_bytes: u64) -> Result<()> {
+        let weight_cycles = if self.cfg.weight_load_overlap {
+            0
+        } else {
+            self.cfg.dram_cycles(weight_bytes)?
+        };
+        let transfer = self
+            .cfg
+            .dram_cycles(stats.dram_bytes_in + stats.dram_bytes_out)?;
+        let budget = stats.pipeline_cycles + stats.tile_overhead_cycles;
+        let hidden = ((budget as f64 * self.cfg.dram_overlap) as u64).min(transfer);
+        stats.dram_stall_cycles = weight_cycles + transfer - hidden;
+        Ok(())
+    }
+
+    /// A frame's total with the stack's weights resident, priced from its
+    /// `per_layer` stats run with the weights loaded: each layer's weight
+    /// bytes leave its DRAM traffic and its stall is re-priced without
+    /// them. The weight load never touches the tile pipeline, so this
+    /// equals simulating the frame again with `load_weights` off.
+    pub(crate) fn weights_resident_total(
+        &self,
+        per_layer: &[CycleStats],
+        layers: &[(QuantizedWeights, bool)],
+    ) -> Result<CycleStats> {
+        let mut total = CycleStats::default();
+        for (stats, (w, _)) in per_layer.iter().zip(layers) {
+            let mut stats = stats.clone();
+            stats.dram_bytes_in -= weight_bytes(w);
+            self.price_dram(&mut stats, 0)?;
+            total += &stats;
+        }
+        Ok(total)
     }
 
     /// The per-tile cycle loop: SDMU (scan ∥ fetch) and CC advance each
@@ -841,6 +868,35 @@ mod tests {
 
     fn esca() -> Esca {
         Esca::new(EscaConfig::default()).unwrap()
+    }
+
+    #[test]
+    fn dram_stall_hides_an_overlap_share_of_the_compute_budget() {
+        let mut cfg = EscaConfig::default();
+        cfg.dram_bytes_per_cycle = 10.0;
+        cfg.dram_overlap = 0.5;
+        let esca = Esca::new(cfg).unwrap();
+        let traffic = |pipeline_cycles| CycleStats {
+            dram_bytes_in: 800,
+            dram_bytes_out: 200,
+            pipeline_cycles,
+            tile_overhead_cycles: 20,
+            ..CycleStats::default()
+        };
+        // 100 transfer cycles; half the 100-cycle budget hides 50, and
+        // the 30 weight bytes' 3 load cycles stay exposed.
+        let mut s = traffic(80);
+        esca.price_dram(&mut s, 30).unwrap();
+        assert_eq!(s.dram_stall_cycles, 53);
+        // A large budget hides the whole transfer; the load stays.
+        let mut s = traffic(10_000);
+        esca.price_dram(&mut s, 30).unwrap();
+        assert_eq!(s.dram_stall_cycles, 3);
+        // No compute to hide under: fully exposed.
+        let mut s = traffic(0);
+        s.tile_overhead_cycles = 0;
+        esca.price_dram(&mut s, 0).unwrap();
+        assert_eq!(s.dram_stall_cycles, 100);
     }
 
     #[test]

@@ -110,7 +110,8 @@ pub fn estimate_layer(shape: &LayerShape, cfg: &EscaConfig) -> AnalyticEstimate 
     let zr = shape.nnz.div_ceil(4) + 2 * shape.active_tiles;
 
     // DRAM traffic mirrors the simulator's accounting.
-    let weight_bytes = 27 * shape.in_ch as u64 * shape.out_ch as u64 + shape.out_ch as u64 * 4;
+    let taps = u64::from(cfg.kernel).pow(3);
+    let weight_bytes = taps * shape.in_ch as u64 * shape.out_ch as u64 + shape.out_ch as u64 * 4;
     let act_bytes = shape.nnz * shape.in_ch as u64 * 2 + shape.nnz * 4;
     let mask_bytes = shape.active_tiles * (cfg.tile.volume() / 8);
     let out_bytes = shape.nnz * shape.out_ch as u64 * 2;
@@ -196,6 +197,30 @@ mod tests {
         assert_eq!(shape.active_tiles, run.stats.active_tiles);
         assert_eq!(shape.scanned_sites, run.stats.scanned_sites);
         assert_eq!(shape.nnz, run.stats.match_groups);
+    }
+
+    #[test]
+    fn weight_term_prices_the_simulators_weight_bytes_at_k5() {
+        let mut cfg = EscaConfig::default();
+        cfg.kernel = 5;
+        let esca = Esca::new(cfg).unwrap();
+        let qin = random_qinput(11, 16, 4, 90);
+        let qw = QuantizedWeights::auto(&ConvWeights::seeded(5, 4, 8, 12), 8, 10).unwrap();
+        let loaded = esca.run_layer_opts(&qin, &qw, false, true).unwrap();
+        let resident = esca.run_layer_opts(&qin, &qw, false, false).unwrap();
+        let weight_bytes = loaded.stats.dram_bytes_in - resident.stats.dram_bytes_in;
+
+        let shape = LayerShape::measure(&qin, &cfg, 8);
+        let exposed = estimate_layer(&shape, &cfg).dram_stall_cycles;
+        let overlapped = estimate_layer(
+            &shape,
+            &EscaConfig {
+                weight_load_overlap: true,
+                ..cfg
+            },
+        )
+        .dram_stall_cycles;
+        assert_eq!(exposed - overlapped, cfg.dram_cycles(weight_bytes).unwrap());
     }
 
     #[test]

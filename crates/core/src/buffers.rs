@@ -1,9 +1,10 @@
-//! On-chip buffer models and the DRAM traffic model.
+//! On-chip buffer models.
 //!
 //! The paper uses four block-RAM buffers (Fig. 9): mask, activation,
 //! weight and output. [`BufferModel`] tracks capacity, occupancy peaks and
-//! access counts; [`DramModel`] converts transferred bytes into stall
-//! cycles given the HP-port bandwidth and the configured overlap factor.
+//! access counts. DRAM traffic is priced in
+//! [`crate::accelerator::Esca`] through
+//! [`crate::config::EscaConfig::dram_cycles`].
 
 use crate::error::EscaError;
 use crate::Result;
@@ -133,57 +134,6 @@ impl BufferModel {
     }
 }
 
-/// DRAM traffic accounting with an overlap model: a `dram_overlap`
-/// fraction of the transfer hides under compute; the rest stalls.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct DramModel {
-    bytes_in: u64,
-    bytes_out: u64,
-}
-
-impl DramModel {
-    /// Creates a model with zeroed counters.
-    pub fn new() -> Self {
-        DramModel::default()
-    }
-
-    /// Records an input transfer.
-    pub fn read(&mut self, bytes: u64) {
-        self.bytes_in += bytes;
-    }
-
-    /// Records an output transfer.
-    pub fn write(&mut self, bytes: u64) {
-        self.bytes_out += bytes;
-    }
-
-    /// Total bytes in.
-    #[inline]
-    pub fn bytes_in(&self) -> u64 {
-        self.bytes_in
-    }
-
-    /// Total bytes out.
-    #[inline]
-    pub fn bytes_out(&self) -> u64 {
-        self.bytes_out
-    }
-
-    /// Raw transfer cycles at `bytes_per_cycle` (no overlap applied).
-    pub fn transfer_cycles(&self, bytes_per_cycle: f64) -> u64 {
-        ((self.bytes_in + self.bytes_out) as f64 / bytes_per_cycle).ceil() as u64
-    }
-
-    /// Stall cycles after hiding `overlap` of the transfer under
-    /// `compute_cycles` of useful work: the exposed portion is whatever
-    /// exceeds the hideable budget.
-    pub fn stall_cycles(&self, bytes_per_cycle: f64, overlap: f64, compute_cycles: u64) -> u64 {
-        let raw = self.transfer_cycles(bytes_per_cycle);
-        let hideable = ((compute_cycles as f64) * overlap) as u64;
-        raw.saturating_sub(hideable.min(raw))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,20 +174,6 @@ mod tests {
         assert_eq!(BufferModel::new("x", 4608).bram36(), 1.0);
         assert_eq!(BufferModel::new("x", 4609).bram36(), 2.0);
         assert_eq!(BufferModel::new("x", 96 * 1024).bram36(), 22.0);
-    }
-
-    #[test]
-    fn dram_stall_overlap_math() {
-        let mut d = DramModel::new();
-        d.read(800);
-        d.write(200);
-        assert_eq!(d.transfer_cycles(10.0), 100);
-        // 50% overlap over 100 compute cycles hides 50 cycles.
-        assert_eq!(d.stall_cycles(10.0, 0.5, 100), 50);
-        // Full overlap with plenty of compute hides everything.
-        assert_eq!(d.stall_cycles(10.0, 1.0, 1000), 0);
-        // No compute to hide under: fully exposed.
-        assert_eq!(d.stall_cycles(10.0, 1.0, 0), 100);
     }
 
     #[test]

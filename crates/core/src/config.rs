@@ -36,7 +36,7 @@ pub struct EscaConfig {
     /// Output buffer capacity in bytes.
     pub out_buffer_bytes: usize,
     /// Sustained DRAM bandwidth of the PL HP port, bytes per PL cycle.
-    /// The default, 2 B/cycle ≈ 0.54 GB/s at 270 MHz, is the effective
+    /// The default, 1.1 B/cycle ≈ 0.30 GB/s at 270 MHz, is the effective
     /// figure for the short, scattered per-tile bursts this dataflow
     /// issues (HP ports only approach their multi-GB/s peak on long
     /// sequential bursts).
@@ -156,6 +156,29 @@ impl EscaConfig {
         Ok(())
     }
 
+    /// Cycles to move `bytes` over the DRAM port, rounded up: the cycle
+    /// model's one conversion from transferred bytes to time.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EscaError::Config`] naming the bandwidth when the
+    /// transfer takes more than 2^48 cycles: a port that slow would
+    /// overflow the per-frame and per-batch cycle sums.
+    pub fn dram_cycles(&self, bytes: u64) -> Result<u64> {
+        const MAX_CYCLES: u64 = 1 << 48;
+        let cycles = (bytes as f64 / self.dram_bytes_per_cycle).ceil();
+        if cycles > MAX_CYCLES as f64 {
+            return Err(EscaError::Config {
+                reason: format!(
+                    "dram bandwidth {} B/cycle needs {cycles:e} cycles for {bytes} bytes, \
+                     over the 2^48-cycle bound",
+                    self.dram_bytes_per_cycle
+                ),
+            });
+        }
+        Ok(cycles as u64)
+    }
+
     /// SDMU decoder parallelism: the K² kernel columns.
     #[inline]
     pub fn columns(&self) -> usize {
@@ -231,6 +254,24 @@ mod tests {
             let mut c = EscaConfig::default();
             c.dram_bytes_per_cycle = bad;
             assert!(c.validate().is_err(), "dram bandwidth {bad}");
+        }
+    }
+
+    #[test]
+    fn dram_cycles_round_up_and_refuse_an_overflowing_transfer() {
+        let mut c = EscaConfig::default();
+        c.dram_bytes_per_cycle = 10.0;
+        assert_eq!(c.dram_cycles(0).unwrap(), 0);
+        assert_eq!(c.dram_cycles(1000).unwrap(), 100);
+        assert_eq!(c.dram_cycles(1001).unwrap(), 101);
+        // A valid but tiny bandwidth: the config passes, the transfer
+        // is refused with a typed error instead of saturating.
+        c.dram_bytes_per_cycle = 1e-18;
+        assert!(c.validate().is_ok());
+        assert_eq!(c.dram_cycles(0).unwrap(), 0);
+        match c.dram_cycles(1) {
+            Err(EscaError::Config { reason }) => assert!(reason.contains("dram bandwidth")),
+            other => panic!("expected a config error, got {other:?}"),
         }
     }
 

@@ -1054,8 +1054,14 @@ fn execute_attempt(
     //    a corrupted frame.
     let mut owned_frame: Option<SparseTensor<Q16>> = None;
     if let Some((word, bit, detected)) = frame_fault {
-        let bytes = (frame.nnz() * frame.channels() * 2) as f64;
-        out.cost_cycles += (bytes / esca.config().dram_bytes_per_cycle).ceil() as u64;
+        let bytes = (frame.nnz() * frame.channels() * 2) as u64;
+        out.cost_cycles += match esca.config().dram_cycles(bytes) {
+            Ok(cycles) => cycles,
+            Err(e) => {
+                out.result = Err(e);
+                return out;
+            }
+        };
         if detected {
             out.result = Err(EscaError::MemoryFault {
                 buffer: "frame dma",

@@ -410,9 +410,11 @@ impl StreamingSession {
     /// Frame 0 is charged the DRAM weight load, later frames run with
     /// weights resident — exactly the accounting of
     /// [`Esca::run_network_stream`] — and frames execute concurrently on
-    /// the pool. Results are ordered by frame index; per-frame
-    /// [`CycleStats`] are bit-identical to the sequential path for any
-    /// worker count.
+    /// the pool, one job per frame. Results are ordered by frame index;
+    /// per-frame [`CycleStats`] are bit-identical to the sequential path
+    /// for any worker count. Frame 0's weights-resident steady state
+    /// ([`StreamReport::steady_frame0`]) is priced from its per-layer
+    /// stats, not simulated again.
     ///
     /// # Errors
     ///
@@ -435,25 +437,12 @@ impl StreamingSession {
             matching_resident,
             shards: self.layer_shards,
         };
-        // Slot `idx < n` runs frame `idx`; slot `n` is the steady-state
-        // probe: frame 0 re-run with weights resident, so the deployment
-        // model knows the pure weight-load overhead. The probe differs
-        // from frame 0 only by the weight load, so weight_load_cycles()
-        // stays a pure weight-path delta; it contributes to neither the
-        // outputs nor the wall stats.
         let inputs: Vec<(SparseTensor<Q16>, LayerOpts)> = frames
             .iter()
             .zip(&hints)
             .enumerate()
             .map(|(idx, (frame, &hint))| (frame.clone(), opts(idx == 0, hint)))
-            .chain(
-                frames
-                    .first()
-                    .zip(hints.first())
-                    .map(|(frame, &hint)| (frame.clone(), opts(false, hint))),
-            )
             .collect();
-        let slots = inputs.len();
         let esca = Arc::clone(&self.esca);
         let layers = Arc::clone(&self.layers);
         let job = move |(frame, opts): (SparseTensor<Q16>, LayerOpts)| {
@@ -472,7 +461,7 @@ impl StreamingSession {
         let mut completed = 0u64;
         let backend_label = self.gemm_backend.label();
         let publish = |slot: usize, a: &Arrived<Result<NetworkRun>>| {
-            let Some(hub) = self.hub.as_ref().filter(|_| slot < n) else {
+            let Some(hub) = self.hub.as_ref() else {
                 return;
             };
             let event = FlightEvent {
@@ -500,16 +489,20 @@ impl StreamingSession {
             hub.publish_health(self.health_report("streaming", n as u64, completed, 0));
         };
         let fan = self.fan_out(inputs, job, publish)?;
-        let mut runs = fan
+        let runs = fan
             .slots
             .into_iter()
             .map(|s| s.and_then(|a| a.value.map(|run| (run, a.wall, a.worker))))
             .collect::<Result<Vec<_>>>()?;
-        let steady_frame0 = if n > 0 {
-            runs.pop().map(|(probe, _, _)| probe.total)
-        } else {
-            None
-        };
+        // The deployment model's steady state: frame 0 with its weights
+        // resident, priced from its own per-layer stats.
+        let steady_frame0 = runs
+            .first()
+            .map(|(run, _, _)| {
+                self.esca
+                    .weights_resident_total(&run.per_layer, &self.layers)
+            })
+            .transpose()?;
 
         // Two strictly separated registries (DESIGN.md: Observability).
         // The cycle registry folds per-frame simulated telemetry in frame
@@ -527,7 +520,7 @@ impl StreamingSession {
             hints.iter().filter(|&&h| h).count() as u64,
         );
         host_reg.gauge_max("esca_stream_workers", &[], self.pool.workers() as u64);
-        host_reg.gauge_max("esca_stream_queue_depth", &[], slots as u64);
+        host_reg.gauge_max("esca_stream_queue_depth", &[], n as u64);
         host_reg.counter_add("esca_results_undelivered_total", &[], fan.undelivered);
         let mut outputs = Vec::with_capacity(n);
         let mut per_frame = Vec::with_capacity(n);
@@ -733,8 +726,8 @@ pub struct StreamReport {
     pub frame_wall: Vec<Duration>,
     /// Host wall-clock for the whole batch.
     pub wall: Duration,
-    /// Frame 0's stats re-simulated with weights resident (the
-    /// steady-state probe); `None` for an empty batch.
+    /// Frame 0's stats with its weights resident (the steady state),
+    /// priced from its per-layer stats; `None` for an empty batch.
     pub steady_frame0: Option<CycleStats>,
     /// The accelerator clock the cycle counts are timed at, MHz.
     pub clock_mhz: f64,
@@ -857,7 +850,7 @@ impl StreamReport {
     }
 
     /// Weight-load overhead cycles charged to frame 0 (frame 0 total
-    /// minus its steady-state probe total).
+    /// minus its weights-resident total).
     pub fn weight_load_cycles(&self) -> u64 {
         match (self.per_frame.first(), &self.steady_frame0) {
             (Some(f0), Some(steady)) => f0.total_cycles().saturating_sub(steady.total_cycles()),
@@ -865,8 +858,9 @@ impl StreamReport {
         }
     }
 
-    /// Per-frame steady-state cycles (weights resident): the probe total
-    /// for frame 0, the measured totals for the rest.
+    /// Per-frame steady-state cycles (weights resident): the
+    /// weights-resident total for frame 0, the measured totals for the
+    /// rest.
     pub fn steady_frame_cycles(&self) -> Vec<u64> {
         self.per_frame
             .iter()
@@ -1086,7 +1080,7 @@ mod tests {
         let report = session.run_batch(&frames).unwrap();
         assert_eq!(report.per_frame, seq);
         assert_eq!(report.frames(), 4);
-        // Frame 0 carries the weight load; the probe shows it.
+        // Frame 0 carries the weight load; its steady state shows it.
         assert!(report.weight_load_cycles() > 0);
     }
 

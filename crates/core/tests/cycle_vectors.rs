@@ -594,7 +594,7 @@ fn batches() -> Vec<BatchVector> {
     let mut out = Vec::new();
     for (name, cfg) in settings {
         for reuse in ["off", "on", "on_warm_cache"] {
-            let session = StreamingSession::new(Esca::new(cfg.clone()).unwrap(), layers.clone(), 2)
+            let session = StreamingSession::new(Esca::new(cfg).unwrap(), layers.clone(), 2)
                 .with_matching_reuse(reuse != "off");
             if reuse == "on_warm_cache" {
                 session.run_golden_batch(&frames[..1]).unwrap();
@@ -705,6 +705,24 @@ fn cycle_model_reproduces_committed_vector() {
     assert!(
         render(&actual) == committed,
         "rendered vector differs from the committed file"
+    );
+}
+
+/// A bandwidth `validate()` accepts but whose transfers would overflow
+/// the cycle sums is a typed error, in debug and in release alike.
+#[test]
+fn tiny_dram_bandwidth_is_a_config_error_not_an_overflow() {
+    let case = &CASES[14];
+    assert!(case.mode == Mode::Chain);
+    let mut cfg = config(case);
+    cfg.dram_bytes_per_cycle = 1e-18;
+    let esca = Esca::new(cfg).unwrap();
+    let err = esca
+        .run_network(&case_input(case), &chain_layers(case))
+        .unwrap_err();
+    assert!(
+        matches!(&err, esca::EscaError::Config { reason } if reason.contains("dram bandwidth")),
+        "unexpected error {err:?}"
     );
 }
 

@@ -1,16 +1,17 @@
-//! Parallel variants of the reference kernels (crossbeam scoped threads).
+//! A parallel dense convolution (crossbeam scoped threads).
 //!
 //! The golden kernels in [`crate::conv`] are deliberately simple and
-//! single-threaded; these variants shard the work across threads for the
-//! large-grid cases (the dense-accelerator contrast model traverses whole
-//! 192³ grids) and are proven element-identical to the sequential
-//! kernels. Floating-point summation order per output element is the same
-//! as in the sequential code (sharding is across outputs, not within
-//! one), so results match exactly.
+//! single-threaded. The dense-accelerator contrast model traverses whole
+//! 192³ grids, so [`dense_conv3d_par`] shards that traversal across
+//! threads and is proven element-identical to the sequential kernel:
+//! floating-point summation order per output element is the same as in
+//! the sequential code (sharding is across outputs, not within one), so
+//! results match exactly. Sparse Sub-Conv is served by the flat engine
+//! ([`crate::engine`]).
 
 use crate::weights::ConvWeights;
 use crate::Result;
-use esca_tensor::{Coord3, Dense3, SparseTensor};
+use esca_tensor::{Coord3, Dense3};
 
 /// Number of worker threads to use: available parallelism, capped.
 fn worker_count(work_items: usize) -> usize {
@@ -18,74 +19,6 @@ fn worker_count(work_items: usize) -> usize {
         .map(|n| n.get())
         .unwrap_or(1);
     hw.min(8).min(work_items.max(1))
-}
-
-/// Parallel [`crate::conv::submanifold_conv3d`]: shards active centres
-/// across threads. Output is identical to the sequential kernel.
-///
-/// # Errors
-///
-/// Returns [`crate::SscnError::ChannelMismatch`] when the input channel count
-/// does not match `weights`.
-pub fn submanifold_conv3d_par(
-    input: &SparseTensor<f32>,
-    weights: &ConvWeights,
-) -> Result<SparseTensor<f32>> {
-    weights.check_input_channels(input.channels())?;
-    let n = input.nnz();
-    if n == 0 {
-        return Ok(SparseTensor::new(input.extent(), weights.out_ch()));
-    }
-    let offsets = weights.offsets();
-    let out_ch = weights.out_ch();
-    let threads = worker_count(n);
-    let chunk = n.div_ceil(threads);
-    let coords = input.coords();
-
-    // Each shard fills one contiguous slab of the flat output matrix
-    // (sites × out_ch in the input's storage order); slabs concatenate in
-    // shard order, so the result is assembled without any per-site rehash.
-    let mut slabs: Vec<Vec<f32>> = Vec::new();
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(n);
-                let offsets = &offsets;
-                scope.spawn(move |_| {
-                    let mut slab = vec![0.0f32; hi.saturating_sub(lo) * out_ch];
-                    for (&centre, acc) in coords[lo..hi].iter().zip(slab.chunks_exact_mut(out_ch)) {
-                        acc.copy_from_slice(weights.bias());
-                        for (tap, &off) in offsets.offsets().iter().enumerate() {
-                            let Some(f) = input.feature(centre + off) else {
-                                continue;
-                            };
-                            for (ic, &a) in f.iter().enumerate() {
-                                if a == 0.0 {
-                                    continue;
-                                }
-                                for (dst, &w) in acc.iter_mut().zip(weights.oc_slice(tap, ic)) {
-                                    *dst += a * w;
-                                }
-                            }
-                        }
-                    }
-                    slab
-                })
-            })
-            .collect();
-        slabs = handles
-            .into_iter()
-            .map(|h| h.join().expect("conv worker panicked"))
-            .collect();
-    })
-    .expect("crossbeam scope");
-
-    let mut features = Vec::with_capacity(n * out_ch);
-    for s in slabs {
-        features.extend_from_slice(&s);
-    }
-    Ok(SparseTensor::from_template(input, out_ch, features).expect("slab sizes cover the input"))
 }
 
 /// Parallel [`crate::conv::dense_conv3d`]: shards the grid into x-slabs.
@@ -162,7 +95,7 @@ pub fn dense_conv3d_par(input: &Dense3<f32>, weights: &ConvWeights) -> Result<De
 mod tests {
     use super::*;
     use crate::conv;
-    use esca_tensor::Extent3;
+    use esca_tensor::{Extent3, SparseTensor};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha12Rng;
 
@@ -183,17 +116,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_submanifold_equals_sequential() {
-        for seed in 0..3 {
-            let input = random_input(seed, 12, 3, 80);
-            let w = ConvWeights::seeded(3, 3, 7, seed + 10);
-            let par = submanifold_conv3d_par(&input, &w).unwrap();
-            let seq = conv::submanifold_conv3d(&input, &w).unwrap();
-            assert!(par.same_content(&seq), "parallel kernel diverged");
-        }
-    }
-
-    #[test]
     fn parallel_dense_equals_sequential() {
         let input = random_input(1, 9, 2, 60).to_dense();
         let w = ConvWeights::seeded(3, 2, 5, 4);
@@ -207,18 +129,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_input_parallel() {
-        let t = SparseTensor::<f32>::new(Extent3::cube(8), 2);
-        let w = ConvWeights::seeded(3, 2, 4, 5);
-        let out = submanifold_conv3d_par(&t, &w).unwrap();
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn channel_mismatch_rejected() {
         let t = random_input(2, 8, 2, 10);
         let w = ConvWeights::seeded(3, 3, 4, 6);
-        assert!(submanifold_conv3d_par(&t, &w).is_err());
         assert!(dense_conv3d_par(&t.to_dense(), &w).is_err());
     }
 

@@ -1,12 +1,13 @@
 //! Equivalence of every parallel execution path with its sequential
 //! reference, over seeded random workloads:
 //!
-//! * `submanifold_conv3d_par` ≡ `submanifold_conv3d` (float kernels);
 //! * the sharded tile walk (`LayerOpts::shards`) ≡ the single-thread one
 //!   — same output *and* the same [`CycleStats`], telemetry and trace,
 //!   bit for bit;
 //! * [`StreamingSession`] batches ≡ the per-frame sequential stream, for
-//!   worker counts 1, 2 and 8, with and without layer sharding;
+//!   worker counts 1, 2 and 8, with and without layer sharding, and the
+//!   priced weights-resident frame 0 ≡ the simulated one at four DRAM
+//!   settings;
 //! * the flat matching-reuse engine ([`esca_sscn::engine`]) ≡ the direct
 //!   per-layer path — outputs bit-identical on a full SS U-Net pass, and
 //!   [`CycleStats`]/[`esca::PipelineTrace`] byte-identical at any rulebook
@@ -14,10 +15,8 @@
 
 use esca::streaming::StreamingSession;
 use esca::{CycleStats, Esca, EscaConfig, LayerOpts};
-use esca_sscn::conv::submanifold_conv3d;
 use esca_sscn::engine::{FlatEngine, RulebookCache};
 use esca_sscn::gemm::GemmBackendKind;
-use esca_sscn::par::submanifold_conv3d_par;
 use esca_sscn::quant::{quantize_tensor, QuantizedWeights};
 use esca_sscn::unet::{SsUNet, UNetConfig};
 use esca_sscn::weights::ConvWeights;
@@ -47,28 +46,6 @@ fn random_qinput(seed: u64, side: u32, ch: usize, n: usize) -> SparseTensor<Q16>
         &random_sparse(seed, side, ch, n),
         QuantParams::new(8).unwrap(),
     )
-}
-
-#[test]
-fn par_conv_matches_sequential_across_shapes() {
-    // (extent, in_ch, out_ch, nnz) across small/odd/wide shapes.
-    let cases = [
-        (8u32, 1usize, 1usize, 5usize),
-        (12, 2, 8, 40),
-        (16, 3, 5, 120),
-        (20, 8, 16, 300),
-        (24, 16, 4, 64),
-    ];
-    for (i, &(side, ic, oc, n)) in cases.iter().enumerate() {
-        let input = random_sparse(1000 + i as u64, side, ic, n);
-        let w = ConvWeights::seeded(3, ic, oc, 2000 + i as u64);
-        let seq = submanifold_conv3d(&input, &w).unwrap();
-        let par = submanifold_conv3d_par(&input, &w).unwrap();
-        assert!(
-            par.same_content(&seq),
-            "par conv diverged on case {i} ({side}³, {ic}->{oc}, nnz {n})"
-        );
-    }
 }
 
 /// Default layer options with the tile loop split across `shards` threads.
@@ -174,28 +151,66 @@ fn stream_stack() -> Vec<(QuantizedWeights, bool)> {
     ]
 }
 
+/// The default configuration and three DRAM settings: a starved port
+/// with nothing and with everything hideable hidden under compute, and
+/// the weight load overlapped.
+fn dram_configs() -> Vec<EscaConfig> {
+    let d = EscaConfig::default();
+    vec![
+        d,
+        EscaConfig {
+            dram_bytes_per_cycle: 0.05,
+            dram_overlap: 0.0,
+            ..d
+        },
+        EscaConfig {
+            dram_bytes_per_cycle: 0.05,
+            dram_overlap: 1.0,
+            ..d
+        },
+        EscaConfig {
+            weight_load_overlap: true,
+            ..d
+        },
+    ]
+}
+
 #[test]
 fn streaming_session_matches_sequential_stream_for_all_worker_counts() {
     let frames: Vec<_> = (0..6).map(|i| random_qinput(500 + i, 14, 2, 70)).collect();
     let stack = stream_stack();
-    let esca = Esca::new(EscaConfig::default()).unwrap();
-    let seq: Vec<CycleStats> = esca.run_network_stream(&frames, &stack).unwrap();
-    let seq_outputs: Vec<_> = frames
-        .iter()
-        .map(|f| esca.run_network(f, &stack).unwrap().output)
-        .collect();
-    for workers in [1usize, 2, 8] {
-        let session = StreamingSession::new(esca.clone(), stack.clone(), workers);
-        let report = session.run_batch(&frames).unwrap();
-        assert_eq!(
-            report.per_frame, seq,
-            "per-frame stats diverged at {workers} workers"
-        );
-        for (i, (got, want)) in report.outputs.iter().zip(&seq_outputs).enumerate() {
-            assert!(
-                got.same_content(want),
-                "frame {i} output diverged at {workers} workers"
+    for cfg in dram_configs() {
+        let esca = Esca::new(cfg).unwrap();
+        let seq: Vec<CycleStats> = esca.run_network_stream(&frames, &stack).unwrap();
+        let seq_outputs: Vec<_> = frames
+            .iter()
+            .map(|f| esca.run_network(f, &stack).unwrap().output)
+            .collect();
+        // Frame 0 simulated with its weights resident: the second frame of
+        // a stream that repeats it.
+        let f0 = &frames[0];
+        let steady = esca
+            .run_network_stream(&[f0.clone(), f0.clone()], &stack)
+            .unwrap()
+            .pop();
+        for workers in [1usize, 2, 8] {
+            let session = StreamingSession::new(esca.clone(), stack.clone(), workers);
+            let report = session.run_batch(&frames).unwrap();
+            assert_eq!(
+                report.per_frame, seq,
+                "per-frame stats diverged at {workers} workers"
             );
+            assert_eq!(
+                report.steady_frame0, steady,
+                "weights-resident frame 0 diverged at {workers} workers"
+            );
+            for (i, (got, want)) in report.outputs.iter().zip(&seq_outputs).enumerate() {
+                assert!(
+                    got.same_content(want),
+                    "frame {i} output diverged at {workers} workers"
+                );
+            }
+            assert_eq!(session.run_batch(&[]).unwrap().steady_frame0, None);
         }
     }
 }
