@@ -95,8 +95,8 @@ pub struct NetworkRun {
 
 /// Bytes a layer's weights take in the weight buffer and on the DRAM
 /// port: the quantized weights plus one 4-byte bias per output channel.
-fn weight_bytes(w: &QuantizedWeights) -> u64 {
-    (w.len() + 4 * w.out_ch()) as u64
+fn weight_bytes(w: &QuantizedWeights) -> usize {
+    w.len() + 4 * w.out_ch()
 }
 
 /// The ESCA accelerator instance.
@@ -291,7 +291,7 @@ impl Esca {
         let enc = EncodedFeatureMap::encode(input, self.cfg.tile)?;
         let weight_bytes = weight_bytes(weights);
         let mut weight_buf = BufferModel::new("weight buffer", self.cfg.weight_buffer_bytes);
-        weight_buf.fill(weight_bytes as usize)?;
+        weight_buf.fill(weight_bytes)?;
         let mut act_buf = BufferModel::new("activation buffer", self.cfg.act_buffer_bytes);
         let mut mask_buf = BufferModel::new("mask buffer", self.cfg.mask_buffer_bytes);
         let mut out_buf = BufferModel::new("output buffer", self.cfg.out_buffer_bytes);
@@ -305,7 +305,7 @@ impl Esca {
         } else {
             enc.total_bytes()
         };
-        stats.dram_bytes_in = loaded_weight_bytes + feature_bytes as u64;
+        stats.dram_bytes_in = (loaded_weight_bytes + feature_bytes) as u64;
         stats.dram_bytes_out = (input.nnz() * weights.out_ch() * 2) as u64;
 
         // --- Tile DMA (sequential): activations of tile + halo and the
@@ -408,7 +408,7 @@ impl Esca {
             }
         }
 
-        self.price_dram(&mut stats, loaded_weight_bytes)?;
+        self.price_dram(&mut stats, loaded_weight_bytes as u64)?;
         stats.layer_overhead_cycles = self.cfg.per_layer_overhead_cycles;
 
         for buf in [&weight_buf, &act_buf, &mask_buf, &out_buf] {
@@ -418,10 +418,11 @@ impl Esca {
     }
 
     /// Sets a layer's `dram_stall_cycles` from its DRAM byte counts, of
-    /// which `weight_bytes` are its weight load: the weight load is
-    /// exposed unless configured overlapped, and a `dram_overlap` share
-    /// of the compute budget (`pipeline_cycles + tile_overhead_cycles`)
-    /// hides the whole transfer; the rest stalls.
+    /// which `weight_bytes` are its weight load. The weight load is
+    /// exposed unless configured overlapped. A `dram_overlap` share of
+    /// the compute budget (`pipeline_cycles + tile_overhead_cycles`)
+    /// hides that many cycles of the whole transfer, weights included;
+    /// the rest stalls.
     fn price_dram(&self, stats: &mut CycleStats, weight_bytes: u64) -> Result<()> {
         let weight_cycles = if self.cfg.weight_load_overlap {
             0
@@ -450,7 +451,7 @@ impl Esca {
         let mut total = CycleStats::default();
         for (stats, (w, _)) in per_layer.iter().zip(layers) {
             let mut stats = stats.clone();
-            stats.dram_bytes_in -= weight_bytes(w);
+            stats.dram_bytes_in -= weight_bytes(w) as u64;
             self.price_dram(&mut stats, 0)?;
             total += &stats;
         }
@@ -884,14 +885,14 @@ mod tests {
             ..CycleStats::default()
         };
         // 100 transfer cycles; half the 100-cycle budget hides 50, and
-        // the 30 weight bytes' 3 load cycles stay exposed.
+        // the 31 weight bytes' load (3.1, rounded up to 4) stays exposed.
         let mut s = traffic(80);
-        esca.price_dram(&mut s, 30).unwrap();
-        assert_eq!(s.dram_stall_cycles, 53);
+        esca.price_dram(&mut s, 31).unwrap();
+        assert_eq!(s.dram_stall_cycles, 54);
         // A large budget hides the whole transfer; the load stays.
         let mut s = traffic(10_000);
-        esca.price_dram(&mut s, 30).unwrap();
-        assert_eq!(s.dram_stall_cycles, 3);
+        esca.price_dram(&mut s, 31).unwrap();
+        assert_eq!(s.dram_stall_cycles, 4);
         // No compute to hide under: fully exposed.
         let mut s = traffic(0);
         s.tile_overhead_cycles = 0;

@@ -494,8 +494,6 @@ impl StreamingSession {
             .into_iter()
             .map(|s| s.and_then(|a| a.value.map(|run| (run, a.wall, a.worker))))
             .collect::<Result<Vec<_>>>()?;
-        // The deployment model's steady state: frame 0 with its weights
-        // resident, priced from its own per-layer stats.
         let steady_frame0 = runs
             .first()
             .map(|(run, _, _)| {

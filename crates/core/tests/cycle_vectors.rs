@@ -586,10 +586,11 @@ fn batches() -> Vec<BatchVector> {
             (QuantizedWeights::auto(&w, 8, 10).unwrap(), true)
         })
         .collect();
-    let settings = std::iter::once(("default".to_string(), EscaConfig::default())).chain(
+    let mut settings = vec![("default", EscaConfig::default())];
+    settings.extend(
         DRAM_AXES
             .iter()
-            .map(|axis| (axis.name.to_string(), with_dram(EscaConfig::default(), axis))),
+            .map(|axis| (axis.name, with_dram(EscaConfig::default(), axis))),
     );
     let mut out = Vec::new();
     for (name, cfg) in settings {
@@ -601,7 +602,10 @@ fn batches() -> Vec<BatchVector> {
             }
             let report = session.run_batch(&frames).unwrap();
             if reuse != "off" {
-                assert!(report.per_frame[1].matching_resident, "{name}: frame 1 not resident");
+                assert!(
+                    report.per_frame[1].matching_resident,
+                    "{name}: frame 1 not resident"
+                );
             }
             assert_eq!(
                 report.per_frame[0].matching_resident,
@@ -609,7 +613,7 @@ fn batches() -> Vec<BatchVector> {
                 "{name}: frame 0 residency"
             );
             out.push(BatchVector {
-                config: name.clone(),
+                config: name.to_string(),
                 matching_reuse: reuse.to_string(),
                 weight_load_cycles: report.weight_load_cycles(),
                 schedule_2: report
@@ -691,7 +695,11 @@ fn cycle_model_reproduces_committed_vector() {
         "chain per-layer stats drifted"
     );
     for (a, e) in actual.dram_cases.iter().zip(&expected.dram_cases) {
-        assert_eq!(a, e, "DRAM case {} drifted from the committed vector", e.case);
+        assert_eq!(
+            a, e,
+            "DRAM case {} drifted from the committed vector",
+            e.case
+        );
     }
     assert_eq!(actual.dram_cases.len(), expected.dram_cases.len());
     for (a, e) in actual.batches.iter().zip(&expected.batches) {
