@@ -56,7 +56,7 @@ fn sixteen_frame_batch_serializes_identically_across_worker_counts() {
         serialized.push(serde_json::to_string(&report.per_frame).unwrap());
         let m = report.modeled(8);
         modeled.push((m.makespan_cycles, format!("{:.6}", m.frames_per_s)));
-        // The steady-state probe is deterministic too.
+        // The weights-resident frame 0 is deterministic too.
         serialized
             .last_mut()
             .unwrap()
