@@ -731,7 +731,11 @@ impl Esca {
     /// [`RulebookCache`], whose contents decide matching residency); each
     /// layer's flat output feeds the next layer, and the last one is
     /// returned in raster order.
-    pub(crate) fn run_chain(
+    ///
+    /// # Errors
+    ///
+    /// As [`Esca::run_layer`].
+    pub fn run_chain(
         &self,
         input: &SparseTensor<Q16>,
         layers: &[(QuantizedWeights, bool)],

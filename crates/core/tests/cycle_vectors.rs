@@ -13,10 +13,15 @@
 //! 600→4 (wide enough that one match's products overflow an `i32`).
 //! Inputs mix empty, fully dense and sparse (x, y) lines and leave one
 //! grid quadrant empty; one input is stored in shuffled (non-raster)
-//! order. One case runs a three-layer ReLU chain through `run_network`,
-//! so each layer's zeros reach the next layer's match stream (its per-layer
-//! stats are pinned as well). One traced run with depth-2 FIFOs pins the
-//! Chrome trace export as well.
+//! order. One case runs a three-layer ReLU chain 8→16→16→8, so each
+//! layer's zeros reach the next layer's match stream and every layer has
+//! the same array group loop. Three more run the chain 16→40→40→16
+//! (plain, matching-resident, and on 3 shards with depth-2 FIFOs), whose
+//! group loops, as (array cycles per match, drain cycles per group),
+//! are (3, 3), (9, 3) and (3, 1): the first and last layer share the
+//! array cycles but not the drain. Every chain's per-layer stats are
+//! pinned as well. One traced run with depth-2 FIFOs pins the Chrome
+//! trace export as well.
 //!
 //! The DRAM axis is pinned on its own: one layer shape runs at a starved
 //! 0.05 B/cycle with nothing and with everything hideable under compute,
@@ -104,7 +109,7 @@ enum Mode {
     Chain,
 }
 
-const CASES: [Case; 15] = [
+const CASES: [Case; 18] = [
     Case {
         name: "t8_f16_p2_k3_16x16",
         side: 20,
@@ -315,6 +320,48 @@ const CASES: [Case; 15] = [
         relu: true,
         mode: Mode::Chain,
     },
+    Case {
+        name: "t8_f16_p2_k3_16x40x40x16_relu_chain",
+        side: 16,
+        in_ch: 16,
+        out_ch: 40,
+        kernel: 3,
+        tile: 8,
+        fifo_depth: 16,
+        fill: 2,
+        resident: false,
+        shards: 1,
+        relu: true,
+        mode: Mode::Chain,
+    },
+    Case {
+        name: "t8_f16_p2_k3_16x40x40x16_relu_chain_resident",
+        side: 16,
+        in_ch: 16,
+        out_ch: 40,
+        kernel: 3,
+        tile: 8,
+        fifo_depth: 16,
+        fill: 2,
+        resident: true,
+        shards: 1,
+        relu: true,
+        mode: Mode::Chain,
+    },
+    Case {
+        name: "t8_f2_p2_k3_16x40x40x16_relu_chain_shards3",
+        side: 16,
+        in_ch: 16,
+        out_ch: 40,
+        kernel: 3,
+        tile: 8,
+        fifo_depth: 2,
+        fill: 2,
+        resident: false,
+        shards: 3,
+        relu: true,
+        mode: Mode::Chain,
+    },
 ];
 
 fn config(case: &Case) -> EscaConfig {
@@ -471,13 +518,23 @@ struct BatchVector {
     schedule_2: Vec<(usize, usize, u64, u64)>,
 }
 
+/// One chain case's per-layer stats.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct ChainVector {
+    case: String,
+    per_layer: Vec<CycleStats>,
+}
+
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
 struct CycleVector {
     cases: Vec<CaseVector>,
     /// Chrome trace JSON of one traced layer with depth-2 FIFOs.
     traced_chrome: String,
-    /// Per-layer stats of the chain case (its `stats` hold their total).
+    /// Per-layer stats of the first chain case (its `stats` hold their
+    /// total).
     chain_per_layer: Vec<CycleStats>,
+    /// Per-layer stats of the later chain cases, in case order.
+    width_chains: Vec<ChainVector>,
     /// The DRAM-axis cases: `CASES[0]` at each [`DRAM_AXES`] setting,
     /// with its weights loaded and resident.
     dram_cases: Vec<CaseVector>,
@@ -510,14 +567,20 @@ fn run_loading(case: &Case, cfg: EscaConfig, load_weights: bool) -> LayerRun {
     run
 }
 
-/// Runs a chain case through `run_network`, checked against the chained
-/// golden layers; returns its vector and its per-layer stats.
+/// Runs a chain case through `run_chain` under the case's residency and
+/// shard count (weights loaded unless resident), checked against the
+/// chained golden layers; returns its vector and its per-layer stats.
 fn run_chain(case: &Case) -> (CaseVector, Vec<CycleStats>) {
     let qin = case_input(case);
     let layers = chain_layers(case);
+    let opts = LayerOpts {
+        load_weights: !case.resident,
+        matching_resident: case.resident,
+        shards: case.shards,
+    };
     let net = Esca::new(config(case))
         .unwrap()
-        .run_network(&qin, &layers)
+        .run_chain(&qin, &layers, opts)
         .unwrap();
     let mut golden = qin;
     for (w, relu) in &layers {
@@ -630,13 +693,16 @@ fn batches() -> Vec<BatchVector> {
 }
 
 fn vector() -> CycleVector {
-    let mut chain_per_layer = Vec::new();
+    let mut chains = Vec::new();
     let cases = CASES
         .iter()
         .map(|case| {
             if case.mode == Mode::Chain {
                 let (vector, per_layer) = run_chain(case);
-                chain_per_layer = per_layer;
+                chains.push(ChainVector {
+                    case: case.name.to_string(),
+                    per_layer,
+                });
                 return vector;
             }
             layer_vector(case.name.to_string(), run(case, config(case)))
@@ -663,10 +729,13 @@ fn vector() -> CycleVector {
         .to_chrome_trace(1)
         .to_json()
         .unwrap();
+    let mut chains = chains.into_iter();
+    let chain_per_layer = chains.next().map(|c| c.per_layer).unwrap_or_default();
     CycleVector {
         cases,
         traced_chrome,
         chain_per_layer,
+        width_chains: chains.collect(),
         dram_cases: dram_cases(),
         batches: batches(),
     }
@@ -693,6 +762,10 @@ fn cycle_model_reproduces_committed_vector() {
     assert_eq!(
         actual.chain_per_layer, expected.chain_per_layer,
         "chain per-layer stats drifted"
+    );
+    assert_eq!(
+        actual.width_chains, expected.width_chains,
+        "width-changing chain per-layer stats drifted"
     );
     for (a, e) in actual.dram_cases.iter().zip(&expected.dram_cases) {
         assert_eq!(
