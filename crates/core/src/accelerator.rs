@@ -2,19 +2,30 @@
 //! zero removing → per-tile SDMU ∥ CC pipelining → output write-back, plus
 //! whole-network execution.
 //!
-//! [`Esca::run_layer`] is the heart of the model: a cycle loop per active
-//! tile in which the scan, fetch and compute stages each advance once per
-//! cycle with FIFO backpressure between them — the paper's "SDMU and CC
-//! are executed in pipeline to increase resource utilization" (§III-D).
+//! A layer's timing pass has two halves. The **tile walk** is the heart
+//! of the model: zero removing, then a cycle loop per active tile in which
+//! the scan, fetch and compute stages each advance once per cycle with
+//! FIFO backpressure between them — the paper's "SDMU and CC are executed
+//! in pipeline to increase resource utilization" (§III-D). The walk reads
+//! no feature values: it depends only on the active set, the
+//! configuration, the layer's array [`GroupLoop`] and matching residency.
+//! **Layer pricing** then runs for every layer on the walk's counts: the
+//! buffer/DMA model (where capacity errors surface), the DRAM bytes and
+//! stall, and the counters that scale with the channel widths.
 //!
-//! The loop is timing-only: it produces the cycle statistics, telemetry
-//! and trace. Layer outputs come from a functional pass, the flat
-//! quantized kernel over the frame's Sub-Conv rulebook, which is
-//! bit-exact with the golden model; the SDMU's match stream is the same
-//! rulebook, discovered by the mask scan.
+//! Sub-Conv keeps the active set, so the layers of a frame that share a
+//! group loop share one walk: [`Esca::run_chain`] ticks each distinct walk
+//! once per frame and prices it per layer. Traced runs tick every layer,
+//! so each layer's trace is its own.
+//!
+//! Layer outputs come from a functional pass, the flat quantized kernel
+//! over the frame's Sub-Conv rulebook, which is bit-exact with the golden
+//! model; the SDMU's match stream is the same rulebook, discovered by the
+//! mask scan. The same pass records the `match_effective_macs` histogram,
+//! one observation per rulebook pair.
 
 use crate::buffers::BufferModel;
-use crate::compute::ComputingCore;
+use crate::compute::{count_widths, ComputingCore, GroupLoop};
 use crate::config::EscaConfig;
 use crate::encode::EncodedFeatureMap;
 use crate::error::EscaError;
@@ -28,6 +39,7 @@ use esca_sscn::engine::{apply_rulebook_flat_q_with, FlatEngine, FlatScratch, Rul
 use esca_sscn::gemm::GemmBackendKind;
 use esca_sscn::quant::QuantizedWeights;
 use esca_sscn::rulebook::Rulebook;
+use esca_telemetry::Histogram;
 use esca_tensor::{SparseTensor, Q16};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -105,13 +117,95 @@ pub struct Esca {
     cfg: EscaConfig,
 }
 
-/// The functional pass of one frame: the Sub-Conv rulebook its first
-/// layer builds, shared by every layer of the frame and dropped with it,
-/// plus the flat kernel's scratch.
+/// What a tile walk depends on besides the frame's active set and the
+/// configuration: the layer's group loop and matching residency.
+type WalkKey = (GroupLoop, bool);
+
+/// The geometry-only half of a layer's timing pass (see the module doc):
+/// everything the tick loop and zero removing produce, plus the per-tile
+/// site counts the layer pricing's buffer/DMA model needs.
+#[derive(Debug)]
+struct TileWalk {
+    /// Walk counters; the DRAM, buffer, overhead and width fields stay 0.
+    stats: CycleStats,
+    /// FIFO, stage and group-size telemetry; no buffers, no MAC histogram.
+    telemetry: LayerTelemetry,
+    /// Per active tile, in tile order: its active sites and the active
+    /// sites in its halo box.
+    tile_sites: Vec<(usize, usize)>,
+    /// Index-mask bytes one tile ships on chip.
+    tile_mask_bytes: usize,
+    /// Bytes of the encoded map that do not scale with channels: the
+    /// active tiles' index masks and the coordinate metadata.
+    metadata_bytes: usize,
+}
+
+/// One frame's shared state, dropped with the frame: the Sub-Conv
+/// rulebook its first layer builds (shared by every layer), the rulebook
+/// pairs each input site takes part in, the flat kernel's scratch, and
+/// the tile walks ticked so far (one per distinct [`WalkKey`]).
 #[derive(Default)]
 struct FramePass {
     rulebook: Option<Rulebook>,
+    site_pairs: Vec<u32>,
     scratch: FlatScratch,
+    walks: Vec<(WalkKey, TileWalk)>,
+}
+
+impl FramePass {
+    /// The frame's walk under `key`, ticked by `tick` the first time.
+    fn walk(&mut self, key: WalkKey, tick: impl FnOnce() -> Result<TileWalk>) -> Result<&TileWalk> {
+        let at = match self.walks.iter().position(|(k, _)| *k == key) {
+            Some(at) => at,
+            None => {
+                self.walks.push((key, tick()?));
+                self.walks.len() - 1
+            }
+        };
+        Ok(&self.walks[at].1)
+    }
+}
+
+/// How many rulebook pairs gather each input site, in storage order:
+/// the matches that read its activations.
+fn pairs_per_site(book: &Rulebook) -> Vec<u32> {
+    let mut pairs = vec![0u32; book.sites()];
+    for tap in 0..(book.k() as usize).pow(3) {
+        for &site in &book.tap(tap).input {
+            pairs[site as usize] += 1;
+        }
+    }
+    pairs
+}
+
+/// Records the effective MACs of every match: one observation per
+/// rulebook pair of the gathered site's nonzero input channels times
+/// `out_ch`. A histogram does not depend on the order of its
+/// observations, so this equals observing the match stream.
+fn observe_effective_macs(
+    hist: &mut Histogram,
+    input: &SparseTensor<Q16>,
+    site_pairs: &[u32],
+    out_ch: usize,
+) {
+    for ((_, features), &pairs) in input.iter().zip(site_pairs) {
+        let nonzero = features.iter().filter(|a| a.0 != 0).count();
+        hist.observe_n((nonzero * out_ch) as u64, u64::from(pairs));
+    }
+}
+
+/// Runs each job on its own scoped thread and returns the results in job
+/// order, or [`EscaError::ShardPanic`] if any job panicked (after every
+/// thread has been joined).
+fn run_scoped<T: Send>(jobs: impl Iterator<Item = impl FnOnce() -> T + Send>) -> Result<Vec<T>> {
+    crossbeam::scope(|s| {
+        let handles: Vec<_> = jobs.map(|job| s.spawn(move |_| job())).collect();
+        handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
+    })
+    .map_err(|_| EscaError::ShardPanic)?
+    .into_iter()
+    .map(|joined| joined.map_err(|_| EscaError::ShardPanic))
+    .collect()
 }
 
 impl Esca {
@@ -183,17 +277,19 @@ impl Esca {
     /// stage, activation reads and DRAM streaming remain. Outputs are
     /// bit-identical to the normal path.
     ///
-    /// **Sharding**: the buffer/DMA model always walks the active tiles
-    /// once, sequentially on the calling thread, so capacity errors and
-    /// peak occupancies surface identically; the same pass records each
-    /// tile's first match-group ordinal (a prefix sum of per-tile nnz),
-    /// which makes the tiles independent. The per-tile cycle loops then
-    /// run on the calling thread (`shards <= 1`) or on `shards` scoped
-    /// threads, each over a contiguous chunk of tiles with its own
-    /// computing core (the core is free between tiles, so per-shard cores
-    /// are exact); shard counters merge by exact u64 addition and
-    /// traces/telemetry merge in tile order. The returned [`LayerRun`] is
-    /// bit-identical for every shard count — only wall-clock changes.
+    /// **Sharding**: before the tile walk ticks, one sequential pass over
+    /// the active tiles records each tile's first match-group ordinal (a
+    /// prefix sum of per-tile nnz), which makes the tiles independent. The
+    /// per-tile cycle loops then run on the calling thread (`shards <= 1`)
+    /// or on `shards` scoped threads, each over a contiguous chunk of tiles
+    /// with its own computing core (the core is free between tiles, so
+    /// per-shard cores are exact); shard counters merge by exact u64
+    /// addition and traces/telemetry merge in tile order. A shard thread
+    /// that panics fails the layer with [`EscaError::ShardPanic`]. The
+    /// buffer/DMA model always walks the active tiles sequentially on the
+    /// calling thread, so capacity errors and peak occupancies surface
+    /// identically. The returned [`LayerRun`] is bit-identical for every
+    /// shard count — only wall-clock changes.
     ///
     /// The output comes from the flat quantized kernel over the input's
     /// Sub-Conv rulebook, in raster order.
@@ -218,7 +314,9 @@ impl Esca {
     /// output from the flat quantized kernel over the frame's rulebook,
     /// in `input`'s storage order. Sub-Conv keeps the active set and its
     /// storage order, so the rulebook the frame's first layer builds
-    /// serves every later layer.
+    /// serves every later layer, and so does each tile walk: the walk is
+    /// ticked once per distinct [`WalkKey`] and priced for every layer.
+    /// With `record_trace` set every layer ticks its own walk.
     fn run_frame_layer(
         &self,
         input: &SparseTensor<Q16>,
@@ -227,10 +325,57 @@ impl Esca {
         opts: LayerOpts,
         frame: &mut FramePass,
     ) -> Result<LayerRun> {
-        let (stats, trace, telemetry) = self.time_layer(input, weights, opts)?;
-        let book = frame
-            .rulebook
-            .get_or_insert_with(|| Rulebook::build(input, weights.k()));
+        if input.channels() != weights.in_ch() {
+            return Err(EscaError::ChannelMismatch {
+                expected: weights.in_ch(),
+                got: input.channels(),
+            });
+        }
+        if weights.k() != self.cfg.kernel {
+            return Err(EscaError::Config {
+                reason: format!(
+                    "layer kernel {} does not match configured kernel {}",
+                    weights.k(),
+                    self.cfg.kernel
+                ),
+            });
+        }
+        let group_loop = GroupLoop::new(
+            weights.in_ch(),
+            weights.out_ch(),
+            self.cfg.ic_parallel,
+            self.cfg.oc_parallel,
+        );
+        let key = (
+            group_loop,
+            opts.matching_resident || self.cfg.matching_resident,
+        );
+        let traced;
+        let (walk, trace) = if self.cfg.record_trace {
+            let (walk, trace) = self.walk_tiles(input, key, opts.shards)?;
+            traced = walk;
+            (&traced, trace)
+        } else {
+            let tick = || {
+                self.walk_tiles(input, key, opts.shards)
+                    .map(|(walk, _)| walk)
+            };
+            (frame.walk(key, tick)?, PipelineTrace::new(false))
+        };
+        let (stats, mut telemetry) = self.price_layer(walk, group_loop, input, weights, opts)?;
+
+        let site_pairs = &mut frame.site_pairs;
+        let book = frame.rulebook.get_or_insert_with(|| {
+            let book = Rulebook::build(input, weights.k());
+            *site_pairs = pairs_per_site(&book);
+            book
+        });
+        observe_effective_macs(
+            &mut telemetry.match_effective_macs,
+            input,
+            &frame.site_pairs,
+            weights.out_ch(),
+        );
         // The quantized kernel is bit-exact on every GEMM backend, so the
         // throughput tier serves.
         let output = apply_rulebook_flat_q_with(
@@ -249,30 +394,16 @@ impl Esca {
         })
     }
 
-    /// The timing pass of one layer: zero removing, the buffer/DMA model
-    /// and the per-tile cycle loops (see [`Esca::run_layer_with`]).
-    fn time_layer(
+    /// The tile walk of `input`'s active set under `key` (see the module
+    /// doc): zero removing, encoding, each active tile's halo count and
+    /// the per-tile cycle loops (see [`Esca::run_layer_with`] for the
+    /// sharding), with the trace they record.
+    fn walk_tiles(
         &self,
         input: &SparseTensor<Q16>,
-        weights: &QuantizedWeights,
-        opts: LayerOpts,
-    ) -> Result<(CycleStats, PipelineTrace, LayerTelemetry)> {
-        let resident = opts.matching_resident || self.cfg.matching_resident;
-        if input.channels() != weights.in_ch() {
-            return Err(EscaError::ChannelMismatch {
-                expected: weights.in_ch(),
-                got: input.channels(),
-            });
-        }
-        if weights.k() != self.cfg.kernel {
-            return Err(EscaError::Config {
-                reason: format!(
-                    "layer kernel {} does not match configured kernel {}",
-                    weights.k(),
-                    self.cfg.kernel
-                ),
-            });
-        }
+        (group_loop, resident): WalkKey,
+        shards: usize,
+    ) -> Result<(TileWalk, PipelineTrace)> {
         let mut stats = CycleStats::default();
         let mut trace = PipelineTrace::new(self.cfg.record_trace);
         let mut tele = LayerTelemetry::new();
@@ -287,58 +418,22 @@ impl Esca {
         stats.active_tiles = zr.report.active_tiles() as u64;
         stats.total_tiles = zr.report.total_tiles() as u64;
 
-        // --- Encoding (index mask + valid data) and buffer sizing.
+        // --- Encoding (index mask + valid data), each tile's halo count
+        // for the DMA model, and each tile's first match-group ordinal.
         let enc = EncodedFeatureMap::encode(input, self.cfg.tile)?;
-        let weight_bytes = weight_bytes(weights);
-        let mut weight_buf = BufferModel::new("weight buffer", self.cfg.weight_buffer_bytes);
-        weight_buf.fill(weight_bytes)?;
-        let mut act_buf = BufferModel::new("activation buffer", self.cfg.act_buffer_bytes);
-        let mut mask_buf = BufferModel::new("mask buffer", self.cfg.mask_buffer_bytes);
-        let mut out_buf = BufferModel::new("output buffer", self.cfg.out_buffer_bytes);
-
-        // --- DRAM traffic. Resident geometry keeps its index masks and
-        // coordinate metadata on chip; only the activation values still
-        // stream in per frame.
-        let loaded_weight_bytes = if opts.load_weights { weight_bytes } else { 0 };
-        let feature_bytes = if resident {
-            enc.act_bytes()
-        } else {
-            enc.total_bytes()
-        };
-        stats.dram_bytes_in = (loaded_weight_bytes + feature_bytes) as u64;
-        stats.dram_bytes_out = (input.nnz() * weights.out_ch() * 2) as u64;
-
-        // --- Tile DMA (sequential): activations of tile + halo and the
-        // tile's masks in, outputs written back, in tile order — plus
-        // each tile's first match-group ordinal.
         let grid = zr.report.grid();
         let r = (self.cfg.kernel / 2) as i32;
         let active = zr.report.active();
+        let mut tile_sites = Vec::with_capacity(active.len());
         let mut first_groups = Vec::with_capacity(active.len());
         let mut next_group = 0usize;
         for info in active {
             let hi = info.max_corner(grid.shape(), grid.extent());
             let halo_lo = info.origin.offset(-r, -r, -r);
             let halo_hi = hi.offset(r, r, r);
-            let halo_nnz = enc.mask().count_in_box(halo_lo, halo_hi);
-            let tile_act_bytes = halo_nnz * enc.channels() * 2;
-            let tile_mask_bytes = (grid.shape().volume() as usize).div_ceil(8);
-            act_buf.fill(tile_act_bytes)?;
-            mask_buf.fill(tile_mask_bytes)?;
-            stats.tile_overhead_cycles += self.cfg.per_tile_overhead_cycles;
-            stats.peak_act_buffer_bytes =
-                stats.peak_act_buffer_bytes.max(act_buf.peak_bytes() as u64);
-            let tile_out_bytes = info.nnz * weights.out_ch() * 2;
-            out_buf.fill(tile_out_bytes)?;
-
+            tile_sites.push((info.nnz, enc.mask().count_in_box(halo_lo, halo_hi)));
             first_groups.push(next_group);
             next_group += info.nnz;
-
-            out_buf.record_writes(info.nnz as u64 * weights.out_ch() as u64);
-            // Write-back to DRAM retires the tile's outputs.
-            out_buf.drain(tile_out_bytes);
-            act_buf.drain(tile_act_bytes);
-            mask_buf.drain(tile_mask_bytes);
         }
         debug_assert_eq!(next_group, input.nnz());
 
@@ -349,12 +444,7 @@ impl Esca {
                     stats: &mut CycleStats,
                     tele: &mut LayerTelemetry,
                     trace: &mut PipelineTrace| {
-            let mut cc = ComputingCore::new(
-                weights.in_ch(),
-                weights.out_ch(),
-                self.cfg.ic_parallel,
-                self.cfg.oc_parallel,
-            );
+            let mut cc = ComputingCore::new(group_loop);
             for (info, &first) in tiles.iter().zip(groups) {
                 let next = self.run_tile(
                     &enc, info, &grid, &mut cc, first, resident, stats, tele, trace,
@@ -362,59 +452,106 @@ impl Esca {
                 debug_assert_eq!(next, first + info.nnz);
             }
         };
-        let shards = opts.shards.min(active.len());
+        let shards = shards.min(active.len());
         if shards <= 1 {
             walk(active, &first_groups, &mut stats, &mut tele, &mut trace);
         } else {
-            struct Shard {
-                stats: CycleStats,
-                telemetry: LayerTelemetry,
-                trace: PipelineTrace,
-            }
             let chunk = active.len().div_ceil(shards);
             let walk = &walk;
-            let done: Vec<Shard> = crossbeam::scope(|s| {
-                let handles: Vec<_> = active
-                    .chunks(chunk)
-                    .zip(first_groups.chunks(chunk))
-                    .map(|(tiles, groups)| {
-                        s.spawn(move |_| {
-                            let mut shard = Shard {
-                                stats: CycleStats::default(),
-                                telemetry: LayerTelemetry::new(),
-                                trace: PipelineTrace::new(self.cfg.record_trace),
-                            };
-                            walk(
-                                tiles,
-                                groups,
-                                &mut shard.stats,
-                                &mut shard.telemetry,
-                                &mut shard.trace,
-                            );
-                            shard
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("tile shard thread panicked"))
-                    .collect()
-            })
-            .expect("tile shard scope panicked");
-            for shard in done {
-                stats += &shard.stats;
-                tele.merge(&shard.telemetry);
-                trace.extend(shard.trace);
+            let chunks = active.chunks(chunk).zip(first_groups.chunks(chunk));
+            let jobs = chunks.map(|(tiles, groups)| {
+                move || {
+                    let mut stats = CycleStats::default();
+                    let mut tele = LayerTelemetry::new();
+                    let mut trace = PipelineTrace::new(self.cfg.record_trace);
+                    walk(tiles, groups, &mut stats, &mut tele, &mut trace);
+                    (stats, tele, trace)
+                }
+            });
+            for (shard_stats, shard_tele, shard_trace) in run_scoped(jobs)? {
+                stats += &shard_stats;
+                tele.merge(&shard_tele);
+                trace.extend(shard_trace);
             }
         }
 
+        let walk = TileWalk {
+            stats,
+            telemetry: tele,
+            tile_sites,
+            tile_mask_bytes: (grid.shape().volume() as usize).div_ceil(8),
+            metadata_bytes: enc.active_mask_bytes() + enc.coord_bytes(),
+        };
+        Ok((walk, trace))
+    }
+
+    /// The per-layer half of the timing pass: `walk`, ticked under
+    /// `group_loop`, priced for one layer of `weights` over `input`. The
+    /// buffer/DMA model streams each active tile's activations (tile +
+    /// halo) and masks in and its outputs back, in tile order, so capacity
+    /// errors surface per layer in the order a tile walk meets them; then
+    /// come the width counters, the DRAM bytes and the DRAM stall.
+    fn price_layer(
+        &self,
+        walk: &TileWalk,
+        group_loop: GroupLoop,
+        input: &SparseTensor<Q16>,
+        weights: &QuantizedWeights,
+        opts: LayerOpts,
+    ) -> Result<(CycleStats, LayerTelemetry)> {
+        let mut stats = walk.stats.clone();
+        let mut tele = walk.telemetry.clone();
+        let (in_ch, out_ch) = (weights.in_ch(), weights.out_ch());
+
+        let weight_bytes = weight_bytes(weights);
+        let mut weight_buf = BufferModel::new("weight buffer", self.cfg.weight_buffer_bytes);
+        weight_buf.fill(weight_bytes)?;
+        let mut act_buf = BufferModel::new("activation buffer", self.cfg.act_buffer_bytes);
+        let mut mask_buf = BufferModel::new("mask buffer", self.cfg.mask_buffer_bytes);
+        let mut out_buf = BufferModel::new("output buffer", self.cfg.out_buffer_bytes);
+        for &(nnz, halo_nnz) in &walk.tile_sites {
+            let tile_act_bytes = halo_nnz * in_ch * 2;
+            act_buf.fill(tile_act_bytes)?;
+            mask_buf.fill(walk.tile_mask_bytes)?;
+            stats.tile_overhead_cycles += self.cfg.per_tile_overhead_cycles;
+            stats.peak_act_buffer_bytes =
+                stats.peak_act_buffer_bytes.max(act_buf.peak_bytes() as u64);
+            let tile_out_bytes = nnz * out_ch * 2;
+            out_buf.fill(tile_out_bytes)?;
+            out_buf.record_writes(nnz as u64 * out_ch as u64);
+            // Write-back to DRAM retires the tile's outputs.
+            out_buf.drain(tile_out_bytes);
+            act_buf.drain(tile_act_bytes);
+            mask_buf.drain(walk.tile_mask_bytes);
+        }
+
+        count_widths(
+            &mut stats,
+            in_ch,
+            out_ch,
+            group_loop,
+            self.cfg.ic_parallel * self.cfg.oc_parallel,
+        );
+
+        // --- DRAM traffic. Resident geometry keeps its index masks and
+        // coordinate metadata on chip; only the activation values still
+        // stream in per frame.
+        let loaded_weight_bytes = if opts.load_weights { weight_bytes } else { 0 };
+        let act_bytes = input.nnz() * in_ch * 2;
+        let feature_bytes = if stats.matching_resident {
+            act_bytes
+        } else {
+            walk.metadata_bytes + act_bytes
+        };
+        stats.dram_bytes_in = (loaded_weight_bytes + feature_bytes) as u64;
+        stats.dram_bytes_out = (input.nnz() * out_ch * 2) as u64;
         self.price_dram(&mut stats, loaded_weight_bytes as u64)?;
         stats.layer_overhead_cycles = self.cfg.per_layer_overhead_cycles;
 
         for buf in [&weight_buf, &act_buf, &mask_buf, &out_buf] {
             tele.buffers.push(buf.telemetry());
         }
-        Ok((stats, trace, tele))
+        Ok((stats, tele))
     }
 
     /// Sets a layer's `dram_stall_cycles` from its DRAM byte counts, of
@@ -559,8 +696,7 @@ impl Esca {
             } else if let Some(desc) = current_desc {
                 if dispatched < desc.total_matches {
                     if let Some(m) = sdmu.fifos.pop_for_group(desc.group) {
-                        let features = enc.lines().entry_features(m.entry);
-                        cc.dispatch(m, features, cycle, stats, tele, trace);
+                        cc.dispatch(m, cycle, stats, trace);
                         // The dispatch cycle is the first busy cycle.
                         cc.tick();
                         stats.compute_busy_cycles += 1;
@@ -1190,6 +1326,78 @@ mod tests {
         let run_w = esca().run_layer(&qin, &wide, false).unwrap();
         // 64 OCs = 4 group iterations per match: compute time must grow.
         assert!(run_w.stats.compute_busy_cycles > run_n.stats.compute_busy_cycles);
+    }
+
+    /// Runs `layers` as one frame and returns how many tile walks it
+    /// ticked.
+    fn walks_ticked(acc: &Esca, qin: &SparseTensor<Q16>, widths: &[usize]) -> usize {
+        let mut frame = FramePass::default();
+        let mut x = qin.clone();
+        for (i, w) in widths.windows(2).enumerate() {
+            let qw = QuantizedWeights::auto(&ConvWeights::seeded(3, w[0], w[1], i as u64), 8, 10)
+                .unwrap();
+            x = acc
+                .run_frame_layer(&x, &qw, true, LayerOpts::default(), &mut frame)
+                .unwrap()
+                .output;
+        }
+        frame.walks.len()
+    }
+
+    #[test]
+    fn a_frame_ticks_one_walk_per_distinct_group_loop() {
+        let qin = random_qinput(23, 16, 1, 80);
+        // The benchmark stack: every layer has the (1, 1) group loop.
+        assert_eq!(walks_ticked(&esca(), &qin, &[1, 16, 16, 16]), 1);
+        // (1, 1), (3, 3), (3, 1), then (1, 1) again.
+        assert_eq!(walks_ticked(&esca(), &qin, &[1, 16, 40, 16, 16]), 3);
+        // Traced runs tick every layer and keep no walk.
+        let mut cfg = EscaConfig::default();
+        cfg.record_trace = true;
+        let traced = Esca::new(cfg).unwrap();
+        assert_eq!(walks_ticked(&traced, &qin, &[1, 16, 16, 16]), 0);
+    }
+
+    #[test]
+    fn a_panicking_shard_is_a_typed_error() {
+        let jobs = (0..3).map(|i| {
+            move || {
+                assert!(i != 1, "shard {i} fails");
+                i
+            }
+        });
+        assert!(matches!(run_scoped(jobs), Err(EscaError::ShardPanic)));
+        let jobs = (0..3).map(|i| move || i * 10);
+        assert_eq!(run_scoped(jobs).unwrap(), vec![0, 10, 20]);
+    }
+
+    #[test]
+    fn effective_mac_histogram_counts_nonzero_input_channels_per_pair() {
+        // One z-line of three sites: under K = 3 the ends gather two pairs
+        // each and the middle three.
+        let mut qin = SparseTensor::<Q16>::new(Extent3::cube(4), 3);
+        for (z, f) in [[1, 0, -2], [0, 0, 0], [5, 6, 7]].iter().enumerate() {
+            let f: Vec<Q16> = f.iter().map(|&v| Q16(v)).collect();
+            qin.insert(Coord3::new(0, 0, z as i32), &f).unwrap();
+        }
+        let book = Rulebook::build(&qin, 3);
+        assert_eq!(pairs_per_site(&book), vec![2, 3, 2]);
+        let mut h = Histogram::new();
+        observe_effective_macs(&mut h, &qin, &pairs_per_site(&book), 4);
+        // 2, 0 and 3 nonzero ICs times 4 OCs.
+        assert_eq!(
+            (h.count(), h.sum(), h.min(), h.max()),
+            (7, 2 * 8 + 2 * 12, Some(0), Some(12))
+        );
+        let run = esca()
+            .run_layer(
+                &qin,
+                &QuantizedWeights::auto(&ConvWeights::seeded(3, 3, 4, 8), 8, 10).unwrap(),
+                false,
+            )
+            .unwrap();
+        assert_eq!(run.telemetry.match_effective_macs, h);
+        assert_eq!(run.stats.matches, 7);
     }
 
     #[test]

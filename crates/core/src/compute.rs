@@ -9,30 +9,66 @@
 //! partial sums of a match group and releases the SRF's output at group
 //! end.
 //!
-//! This model is **timing-only**: it consumes the SDMU's match stream and
-//! accounts the array, drain and work counters, but computes no values.
-//! A layer's output comes from the flat quantized kernel
-//! ([`esca_sscn::engine::apply_rulebook_flat_q_with`]) over the same
-//! rulebook the match stream realises, which is bit-exact with the golden
-//! model on every GEMM backend.
+//! This model is **timing-only** and **width-free**: it consumes the
+//! SDMU's match stream and counts matches and groups, busy and drain
+//! cycles, but reads no feature values and computes nothing. All it
+//! knows of a layer is its [`GroupLoop`], so two layers with the same
+//! group loop over the same active set tick the same walk. The counters
+//! that scale with the layer's channel widths (MACs, weight reads, lane
+//! slots, output writes) are derived from the match and group counts by
+//! the layer pricing. A layer's output comes from the flat quantized
+//! kernel ([`esca_sscn::engine::apply_rulebook_flat_q_with`]) over the
+//! same rulebook the match stream realises, which is bit-exact with the
+//! golden model on every GEMM backend.
 
 use crate::sdmu::MatchEntry;
 use crate::stats::CycleStats;
-use crate::telemetry::LayerTelemetry;
 use crate::trace::{PipelineTrace, Stage, TraceDetail};
-use esca_tensor::Q16;
 
-/// The computing core's timing state for one layer run.
-#[derive(Debug)]
-pub struct ComputingCore {
+/// A layer's array group loop (Fig. 8(a)): the only part of its shape
+/// the computing core's timing depends on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GroupLoop {
+    /// Array cycles one match occupies: `⌈IC/16⌉ × ⌈OC/16⌉`.
+    pub match_cycles: u64,
+    /// Drain cycles per closed group: one per OC group.
+    pub drain_cycles: u64,
+}
+
+impl GroupLoop {
+    /// The group loop of a layer of `in_ch → out_ch` channels on an array
+    /// of `ic_parallel × oc_parallel` lanes.
+    pub fn new(in_ch: usize, out_ch: usize, ic_parallel: usize, oc_parallel: usize) -> Self {
+        GroupLoop {
+            match_cycles: (in_ch.div_ceil(ic_parallel) * out_ch.div_ceil(oc_parallel)) as u64,
+            drain_cycles: out_ch.div_ceil(oc_parallel) as u64,
+        }
+    }
+}
+
+/// Sets the width counters of a layer of `in_ch → out_ch` channels from
+/// the `matches` and `match_groups` its walk counted: every match does
+/// and reads `IC × OC` MACs and weights and offers `lanes` lanes for each
+/// of its `match_cycles` array cycles, and every group writes `OC`
+/// outputs.
+pub(crate) fn count_widths(
+    stats: &mut CycleStats,
     in_ch: usize,
     out_ch: usize,
-    ic_parallel: usize,
-    oc_parallel: usize,
-    /// Array cycles one match occupies: `⌈IC/16⌉ × ⌈OC/16⌉`.
-    match_cycles: u64,
-    /// Drain cycles per closed group: one per OC group.
-    drain_cycles: u64,
+    group_loop: GroupLoop,
+    lanes: usize,
+) {
+    let macs = (in_ch * out_ch) as u64;
+    stats.effective_macs = stats.matches * macs;
+    stats.weight_reads = stats.matches * macs;
+    stats.lane_slots = stats.matches * group_loop.match_cycles * lanes as u64;
+    stats.out_writes = stats.match_groups * out_ch as u64;
+}
+
+/// The computing core's timing state for one tile walk.
+#[derive(Debug)]
+pub struct ComputingCore {
+    group_loop: GroupLoop,
     /// Remaining array cycles for the match in flight.
     busy: u64,
     /// The match group in flight, if any.
@@ -40,15 +76,10 @@ pub struct ComputingCore {
 }
 
 impl ComputingCore {
-    /// Creates the core for a layer of `in_ch → out_ch` channels.
-    pub fn new(in_ch: usize, out_ch: usize, ic_parallel: usize, oc_parallel: usize) -> Self {
+    /// Creates the core for a layer with the given group loop.
+    pub fn new(group_loop: GroupLoop) -> Self {
         ComputingCore {
-            in_ch,
-            out_ch,
-            ic_parallel,
-            oc_parallel,
-            match_cycles: (in_ch.div_ceil(ic_parallel) * out_ch.div_ceil(oc_parallel)) as u64,
-            drain_cycles: out_ch.div_ceil(oc_parallel) as u64,
+            group_loop,
             busy: 0,
             group: None,
         }
@@ -63,7 +94,7 @@ impl ComputingCore {
     /// Array cycles one match occupies: `⌈IC/16⌉ × ⌈OC/16⌉`.
     #[inline]
     pub fn match_cycles(&self) -> u64 {
-        self.match_cycles
+        self.group_loop.match_cycles
     }
 
     /// Begins a match group (a new active centre).
@@ -80,12 +111,8 @@ impl ComputingCore {
         self.group = Some(group);
     }
 
-    /// Dispatches one match into the array: accounts its MACs and sets
-    /// the busy counter to the group-iteration cycle count.
-    ///
-    /// `features` is the matched activation's IC vector (from the
-    /// activation buffer at `m.entry`); its nonzero channels are the
-    /// match's effective MACs in the telemetry histogram.
+    /// Dispatches one match into the array: counts it and sets the busy
+    /// counter to the group-iteration cycle count.
     ///
     /// # Panics
     ///
@@ -95,10 +122,8 @@ impl ComputingCore {
     pub fn dispatch(
         &mut self,
         m: MatchEntry,
-        features: &[Q16],
         cycle: u64,
         stats: &mut CycleStats,
-        tele: &mut LayerTelemetry,
         trace: &mut PipelineTrace,
     ) {
         assert!(self.is_free(), "computing core: dispatch while busy");
@@ -107,16 +132,8 @@ impl ComputingCore {
             Some(m.group),
             "computing core: match from a foreign group"
         );
-        debug_assert_eq!(features.len(), self.in_ch);
-        let nonzero_ics = features.iter().filter(|a| a.0 != 0).count() as u64;
-        let macs = (self.in_ch * self.out_ch) as u64;
-        self.busy = self.match_cycles;
+        self.busy = self.group_loop.match_cycles;
         stats.matches += 1;
-        stats.effective_macs += macs;
-        stats.lane_slots += self.busy * (self.ic_parallel * self.oc_parallel) as u64;
-        stats.weight_reads += macs;
-        tele.match_effective_macs
-            .observe(nonzero_ics * self.out_ch as u64);
         trace.record(
             cycle,
             Stage::Compute,
@@ -153,10 +170,9 @@ impl ComputingCore {
     ) -> u64 {
         let group = self.group.take().expect("no group to close");
         assert!(self.is_free(), "closing a group while the array is busy");
-        stats.out_writes += self.out_ch as u64;
         stats.match_groups += 1;
         trace.record(cycle, Stage::Drain, TraceDetail::Group(group));
-        self.drain_cycles
+        self.group_loop.drain_cycles
     }
 }
 
@@ -173,28 +189,24 @@ mod tests {
         }
     }
 
-    /// Runs one group of `features.len()` matches through a core of
-    /// `in_ch → out_ch` channels, dispatching each match as soon as the
-    /// array frees up; returns the busy cycles and the drain length.
+    fn core(in_ch: usize, out_ch: usize) -> ComputingCore {
+        ComputingCore::new(GroupLoop::new(in_ch, out_ch, 16, 16))
+    }
+
+    /// Runs one group of `matches` matches through `cc`, dispatching each
+    /// match as soon as the array frees up; returns the busy cycles and
+    /// the drain length.
     fn run_group(
         cc: &mut ComputingCore,
         group: usize,
-        features: &[&[Q16]],
+        matches: usize,
         stats: &mut CycleStats,
-        tele: &mut LayerTelemetry,
     ) -> (u64, u64) {
         let mut trace = PipelineTrace::new(false);
         let mut busy = 0;
         cc.open_group(group);
-        for (cycle, f) in features.iter().enumerate() {
-            cc.dispatch(
-                mk_match(group, 13),
-                f,
-                cycle as u64,
-                stats,
-                tele,
-                &mut trace,
-            );
+        for cycle in 0..matches {
+            cc.dispatch(mk_match(group, 13), cycle as u64, stats, &mut trace);
             while cc.tick() {
                 busy += 1;
             }
@@ -205,15 +217,15 @@ mod tests {
 
     #[test]
     fn single_match_group_accounts_matches_groups_and_drain() {
-        let mut cc = ComputingCore::new(2, 2, 16, 16);
+        let mut cc = core(2, 2);
         let mut stats = CycleStats::default();
-        let mut tele = LayerTelemetry::default();
-        let (busy, drain) = run_group(&mut cc, 0, &[&[Q16(16), Q16(-8)]], &mut stats, &mut tele);
+        let (busy, drain) = run_group(&mut cc, 0, 1, &mut stats);
         assert!(cc.is_free());
         assert_eq!(busy, 1);
         assert_eq!(drain, 1);
         assert_eq!(stats.matches, 1);
         assert_eq!(stats.match_groups, 1);
+        count_widths(&mut stats, 2, 2, GroupLoop::new(2, 2, 16, 16), 256);
         assert_eq!(stats.effective_macs, 4);
         assert_eq!(stats.weight_reads, 4);
         assert_eq!(stats.out_writes, 2);
@@ -221,16 +233,16 @@ mod tests {
 
     #[test]
     fn wide_layers_take_multiple_group_iterations() {
-        let mut cc = ComputingCore::new(32, 48, 16, 16);
-        assert_eq!(cc.match_cycles(), 2 * 3);
+        let group_loop = GroupLoop::new(32, 48, 16, 16);
+        assert_eq!(group_loop.match_cycles, 2 * 3);
+        let mut cc = ComputingCore::new(group_loop);
         let mut stats = CycleStats::default();
-        let mut tele = LayerTelemetry::default();
-        let f = vec![Q16(1); 32];
-        let (busy, drain) = run_group(&mut cc, 3, &[&f, &f], &mut stats, &mut tele);
+        let (busy, drain) = run_group(&mut cc, 3, 2, &mut stats);
         // Two matches of six array cycles each; one drain cycle per OC
         // group.
         assert_eq!(busy, 12);
         assert_eq!(drain, 3);
+        count_widths(&mut stats, 32, 48, group_loop, 256);
         assert_eq!(stats.lane_slots, 12 * 256);
         assert_eq!(stats.effective_macs, 2 * 32 * 48);
     }
@@ -238,77 +250,42 @@ mod tests {
     #[test]
     fn lane_slot_accounting_reflects_underfill() {
         // IC = 1 underfills the 16-lane CUs: effective MACs ≪ lane slots.
-        let mut cc = ComputingCore::new(1, 16, 16, 16);
-        let mut stats = CycleStats::default();
-        let mut tele = LayerTelemetry::default();
-        run_group(&mut cc, 0, &[&[Q16(16)]], &mut stats, &mut tele);
+        let mut stats = CycleStats {
+            matches: 1,
+            ..CycleStats::default()
+        };
+        count_widths(&mut stats, 1, 16, GroupLoop::new(1, 16, 16, 16), 256);
         assert_eq!(stats.effective_macs, 16);
         assert_eq!(stats.lane_slots, 256);
     }
 
     #[test]
-    fn effective_mac_histogram_counts_nonzero_input_channels() {
-        let mut cc = ComputingCore::new(3, 4, 16, 16);
-        let mut stats = CycleStats::default();
-        let mut tele = LayerTelemetry::default();
-        let matches: [&[Q16]; 3] = [
-            &[Q16(1), Q16(0), Q16(-2)],
-            &[Q16(0), Q16(0), Q16(0)],
-            &[Q16(5), Q16(6), Q16(7)],
-        ];
-        run_group(&mut cc, 7, &matches, &mut stats, &mut tele);
-        // 2, 0 and 3 nonzero ICs, times 4 OCs; the counters still charge
-        // every MAC of every match.
-        let h = &tele.match_effective_macs;
-        assert_eq!(
-            (h.count(), h.sum(), h.min(), h.max()),
-            (3, 20, Some(0), Some(12))
-        );
-        assert_eq!(stats.matches, 3);
-        assert_eq!(stats.effective_macs, 3 * 12);
-    }
-
-    #[test]
     fn groups_close_and_reopen_in_sequence() {
-        let mut cc = ComputingCore::new(1, 1, 16, 16);
+        let mut cc = core(1, 1);
         let mut stats = CycleStats::default();
-        let mut tele = LayerTelemetry::default();
         for group in 0..3 {
-            run_group(
-                &mut cc,
-                group,
-                &[&[Q16(1)], &[Q16(2)]],
-                &mut stats,
-                &mut tele,
-            );
+            run_group(&mut cc, group, 2, &mut stats);
         }
         assert_eq!(stats.match_groups, 3);
         assert_eq!(stats.matches, 6);
+        count_widths(&mut stats, 1, 1, GroupLoop::new(1, 1, 16, 16), 256);
         assert_eq!(stats.out_writes, 3);
     }
 
     #[test]
     #[should_panic(expected = "foreign group")]
     fn cross_group_dispatch_panics() {
-        let mut cc = ComputingCore::new(1, 1, 16, 16);
+        let mut cc = core(1, 1);
         let mut stats = CycleStats::default();
         let mut trace = PipelineTrace::new(false);
-        let mut tele = LayerTelemetry::default();
         cc.open_group(0);
-        cc.dispatch(
-            mk_match(1, 13),
-            &[Q16(1)],
-            0,
-            &mut stats,
-            &mut tele,
-            &mut trace,
-        );
+        cc.dispatch(mk_match(1, 13), 0, &mut stats, &mut trace);
     }
 
     #[test]
     #[should_panic(expected = "still open")]
     fn opening_over_an_open_group_panics() {
-        let mut cc = ComputingCore::new(1, 1, 16, 16);
+        let mut cc = core(1, 1);
         cc.open_group(0);
         cc.open_group(1);
     }

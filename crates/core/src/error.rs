@@ -55,6 +55,9 @@ pub enum EscaError {
     /// The worker-pool queue channel was disconnected; the submitted job
     /// was rejected and will never run.
     PoolClosed,
+    /// A thread of a layer's sharded tile walk panicked; the panic was
+    /// caught and the layer failed.
+    ShardPanic,
 }
 
 impl fmt::Display for EscaError {
@@ -90,6 +93,7 @@ impl fmt::Display for EscaError {
                 write!(f, "worker panicked running frame {frame} (caught)")
             }
             EscaError::PoolClosed => write!(f, "worker pool closed: job rejected"),
+            EscaError::ShardPanic => write!(f, "tile shard thread panicked (caught)"),
         }
     }
 }

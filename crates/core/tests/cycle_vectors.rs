@@ -38,7 +38,8 @@
 //! commit the rewritten file.
 
 use esca::streaming::StreamingSession;
-use esca::{CycleStats, Esca, EscaConfig, LayerOpts, LayerRun};
+use esca::telemetry::LayerSpan;
+use esca::{CycleStats, Esca, EscaConfig, LayerOpts, LayerRun, LayerTelemetry};
 use esca_sscn::quant::{submanifold_conv3d_q, LayerQuant, QuantizedWeights};
 use esca_sscn::weights::ConvWeights;
 use esca_tensor::{Coord3, Extent3, SparseTensor, TileShape, Q16};
@@ -104,7 +105,7 @@ enum Mode {
     Layer,
     /// One layer over the same sites stored in a shuffled order.
     InsertionOrder,
-    /// `run_network` over three ReLU layers `in → out → out → in`, so the
+    /// `run_chain` over three ReLU layers `in → out → out → in`, so the
     /// zeros one layer's ReLU leaves feed the next layer's match stream.
     Chain,
 }
@@ -787,6 +788,95 @@ fn cycle_model_reproduces_committed_vector() {
         render(&actual) == committed,
         "rendered vector differs from the committed file"
     );
+}
+
+/// A chain shares one tile walk among the layers with the same array
+/// group loop; layer by layer, `run_layer_with` ticks each walk afresh.
+/// Over the stack 1→16→40→16→16, whose group loops are (1, 1), (3, 3),
+/// (3, 1) and (1, 1) again, the two must agree on every per-layer
+/// [`CycleStats`] and on the merged [`LayerTelemetry`], including the
+/// MAC histogram over the zeros each ReLU leaves, across tile sides,
+/// FIFO depths, kernels, residency, shard counts and tracing.
+#[test]
+fn shared_tile_walks_match_layer_by_layer_runs() {
+    let widths = [1usize, 16, 40, 16, 16];
+    for kernel in [3u32, 5] {
+        let layers: Vec<(QuantizedWeights, bool)> = widths
+            .windows(2)
+            .enumerate()
+            .map(|(i, w)| {
+                let cw = ConvWeights::seeded(kernel, w[0], w[1], 70 + i as u64);
+                (QuantizedWeights::auto(&cw, 8, 10).unwrap(), true)
+            })
+            .collect();
+        let qin = input(10, 1, u64::from(kernel));
+        for (tile, fifo_depth, resident, shards, record_trace) in walk_settings() {
+            let mut cfg = EscaConfig::default();
+            cfg.tile = TileShape::cube(tile);
+            cfg.kernel = kernel;
+            cfg.fifo_depth = fifo_depth;
+            cfg.record_trace = record_trace;
+            let esca = Esca::new(cfg).unwrap();
+            let opts = LayerOpts {
+                load_weights: !resident,
+                matching_resident: resident,
+                shards,
+            };
+            let what = format!(
+                "k{kernel} t{tile} f{fifo_depth} resident {resident} shards {shards} \
+                 trace {record_trace}"
+            );
+            let net = esca.run_chain(&qin, &layers, opts).unwrap();
+            let mut x = qin.clone();
+            let mut total = CycleStats::default();
+            let mut telemetry = LayerTelemetry::new();
+            let mut per_layer = Vec::new();
+            for (layer, (w, relu)) in layers.iter().enumerate() {
+                let run = esca.run_layer_with(&x, w, *relu, opts).unwrap();
+                let start_cycle = total.total_cycles();
+                total += &run.stats;
+                telemetry.merge(&run.telemetry);
+                telemetry.push_layer_span(LayerSpan {
+                    layer: layer as u32,
+                    start_cycle,
+                    end_cycle: total.total_cycles(),
+                    matching_resident: run.stats.matching_resident,
+                });
+                per_layer.push(run.stats);
+                x = run.output;
+            }
+            assert_eq!(net.per_layer, per_layer, "{what}: per-layer stats");
+            assert_eq!(net.total, total, "{what}: total");
+            assert_eq!(net.telemetry, telemetry, "{what}: telemetry");
+            assert_eq!(net.output.features(), x.features(), "{what}: output");
+            let macs = &net.telemetry.match_effective_macs;
+            assert_eq!(
+                macs.count(),
+                total.matches,
+                "{what}: one MAC sample per match"
+            );
+            assert!(
+                macs.sum() < total.effective_macs,
+                "{what}: ReLU zeros never reached a match"
+            );
+        }
+    }
+}
+
+/// Every (tile side, FIFO depth, residency, shards, tracing) setting the
+/// shared-walk test sweeps.
+fn walk_settings() -> impl Iterator<Item = (u32, usize, bool, usize, bool)> {
+    [4u32, 8].into_iter().flat_map(|tile| {
+        [2usize, 16].into_iter().flat_map(move |fifo| {
+            [false, true].into_iter().flat_map(move |resident| {
+                [1usize, 3].into_iter().flat_map(move |shards| {
+                    [false, true]
+                        .into_iter()
+                        .map(move |trace| (tile, fifo, resident, shards, trace))
+                })
+            })
+        })
+    })
 }
 
 /// A bandwidth `validate()` accepts but whose transfers would overflow

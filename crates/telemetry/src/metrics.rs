@@ -70,6 +70,22 @@ impl Histogram {
         }
     }
 
+    /// Records `n` observations of `v`: [`Histogram::observe`] repeated
+    /// `n` times, in one step.
+    pub fn observe_n(&mut self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.count += n;
+        self.sum = self.sum.saturating_add(v.saturating_mul(n));
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+        let idx = bucket_index(v).min(LOG2_BUCKETS - 1);
+        if let Some(b) = self.buckets.get_mut(idx) {
+            *b += n;
+        }
+    }
+
     /// Folds another histogram into this one (buckets add, min/max fold).
     pub fn merge(&mut self, other: &Histogram) {
         self.count += other.count;
@@ -302,6 +318,21 @@ mod tests {
         assert_eq!(h.min(), Some(0));
         assert_eq!(h.max(), Some(17));
         assert_eq!(h.mean(), Some(6.25));
+    }
+
+    #[test]
+    fn observe_n_equals_repeated_observe() {
+        let mut bulk = Histogram::new();
+        let mut each = Histogram::new();
+        for (v, n) in [(12, 3), (0, 2), (7, 0), (u64::MAX / 2, 3)] {
+            bulk.observe_n(v, n);
+            for _ in 0..n {
+                each.observe(v);
+            }
+        }
+        assert_eq!(bulk, each);
+        assert_eq!(bulk.sum(), u64::MAX);
+        assert_eq!(bulk.min(), Some(0));
     }
 
     #[test]
