@@ -499,6 +499,11 @@ impl Esca {
         weights: &QuantizedWeights,
         opts: LayerOpts,
     ) -> Result<(CycleStats, LayerTelemetry)> {
+        // A shared walk is only valid over the active set it was ticked on.
+        debug_assert_eq!(
+            walk.tile_sites.iter().map(|&(nnz, _)| nnz).sum::<usize>(),
+            input.nnz()
+        );
         let mut stats = walk.stats.clone();
         let mut tele = walk.telemetry.clone();
         let (in_ch, out_ch) = (weights.in_ch(), weights.out_ch());
