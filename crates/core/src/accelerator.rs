@@ -15,8 +15,8 @@
 //!
 //! Sub-Conv keeps the active set, so the layers of a frame that share a
 //! group loop share one walk: [`Esca::run_chain`] ticks each distinct walk
-//! once per frame and prices it per layer. Traced runs tick every layer,
-//! so each layer's trace is its own.
+//! once per frame and prices it per layer. A layer's trace is the walk's
+//! when that layer ticked it and empty when it reused an earlier one.
 //!
 //! Layer outputs come from a functional pass, the flat quantized kernel
 //! over the frame's Sub-Conv rulebook, which is bit-exact with the golden
@@ -27,7 +27,7 @@
 use crate::buffers::BufferModel;
 use crate::compute::{count_widths, ComputingCore, GroupLoop};
 use crate::config::EscaConfig;
-use crate::encode::EncodedFeatureMap;
+use crate::encode::{activation_bytes, EncodedFeatureMap};
 use crate::error::EscaError;
 use crate::sdmu::{FetchOutcome, MatchGroupDesc, ScanOutcome, TileSdmu};
 use crate::stats::CycleStats;
@@ -84,7 +84,8 @@ pub struct LayerRun {
     pub output: SparseTensor<Q16>,
     /// Cycle/activity statistics.
     pub stats: CycleStats,
-    /// Pipeline trace (empty unless `record_trace` was set).
+    /// Pipeline trace (empty unless `record_trace` was set, and empty for
+    /// a chain layer that reused an earlier layer's tile walk).
     pub trace: PipelineTrace,
     /// Cycle-domain telemetry (always on; per-FIFO occupancy, stall
     /// causes, match-group/MAC histograms, buffer peaks).
@@ -135,8 +136,7 @@ struct TileWalk {
     tile_sites: Vec<(usize, usize)>,
     /// Index-mask bytes one tile ships on chip.
     tile_mask_bytes: usize,
-    /// Bytes of the encoded map that do not scale with channels: the
-    /// active tiles' index masks and the coordinate metadata.
+    /// The encoded map's [`EncodedFeatureMap::metadata_bytes`].
     metadata_bytes: usize,
 }
 
@@ -153,16 +153,20 @@ struct FramePass {
 }
 
 impl FramePass {
-    /// The frame's walk under `key`, ticked by `tick` the first time.
-    fn walk(&mut self, key: WalkKey, tick: impl FnOnce() -> Result<TileWalk>) -> Result<&TileWalk> {
-        let at = match self.walks.iter().position(|(k, _)| *k == key) {
-            Some(at) => at,
-            None => {
-                self.walks.push((key, tick()?));
-                self.walks.len() - 1
-            }
-        };
-        Ok(&self.walks[at].1)
+    /// The frame's walk under `key`, ticked by `tick` the first time, with
+    /// the trace that tick recorded; `None` when an earlier layer of the
+    /// frame already ticked it.
+    fn walk(
+        &mut self,
+        key: WalkKey,
+        tick: impl FnOnce() -> Result<(TileWalk, PipelineTrace)>,
+    ) -> Result<(&TileWalk, Option<PipelineTrace>)> {
+        if let Some(at) = self.walks.iter().position(|(k, _)| *k == key) {
+            return Ok((&self.walks[at].1, None));
+        }
+        let (walk, trace) = tick()?;
+        self.walks.push((key, walk));
+        Ok((&self.walks[self.walks.len() - 1].1, Some(trace)))
     }
 }
 
@@ -316,7 +320,7 @@ impl Esca {
     /// storage order, so the rulebook the frame's first layer builds
     /// serves every later layer, and so does each tile walk: the walk is
     /// ticked once per distinct [`WalkKey`] and priced for every layer.
-    /// With `record_trace` set every layer ticks its own walk.
+    /// The trace is the walk's when this layer ticked it, else empty.
     fn run_frame_layer(
         &self,
         input: &SparseTensor<Q16>,
@@ -350,18 +354,8 @@ impl Esca {
             group_loop,
             opts.matching_resident || self.cfg.matching_resident,
         );
-        let traced;
-        let (walk, trace) = if self.cfg.record_trace {
-            let (walk, trace) = self.walk_tiles(input, key, opts.shards)?;
-            traced = walk;
-            (&traced, trace)
-        } else {
-            let tick = || {
-                self.walk_tiles(input, key, opts.shards)
-                    .map(|(walk, _)| walk)
-            };
-            (frame.walk(key, tick)?, PipelineTrace::new(false))
-        };
+        let (walk, trace) = frame.walk(key, || self.walk_tiles(input, key, opts.shards))?;
+        let trace = trace.unwrap_or_else(|| PipelineTrace::new(self.cfg.record_trace));
         let (stats, mut telemetry) = self.price_layer(walk, group_loop, input, weights, opts)?;
 
         let site_pairs = &mut frame.site_pairs;
@@ -480,7 +474,7 @@ impl Esca {
             telemetry: tele,
             tile_sites,
             tile_mask_bytes: (grid.shape().volume() as usize).div_ceil(8),
-            metadata_bytes: enc.active_mask_bytes() + enc.coord_bytes(),
+            metadata_bytes: enc.metadata_bytes(),
         };
         Ok((walk, trace))
     }
@@ -515,13 +509,13 @@ impl Esca {
         let mut mask_buf = BufferModel::new("mask buffer", self.cfg.mask_buffer_bytes);
         let mut out_buf = BufferModel::new("output buffer", self.cfg.out_buffer_bytes);
         for &(nnz, halo_nnz) in &walk.tile_sites {
-            let tile_act_bytes = halo_nnz * in_ch * 2;
+            let tile_act_bytes = activation_bytes(halo_nnz, in_ch);
             act_buf.fill(tile_act_bytes)?;
             mask_buf.fill(walk.tile_mask_bytes)?;
             stats.tile_overhead_cycles += self.cfg.per_tile_overhead_cycles;
             stats.peak_act_buffer_bytes =
                 stats.peak_act_buffer_bytes.max(act_buf.peak_bytes() as u64);
-            let tile_out_bytes = nnz * out_ch * 2;
+            let tile_out_bytes = activation_bytes(nnz, out_ch);
             out_buf.fill(tile_out_bytes)?;
             out_buf.record_writes(nnz as u64 * out_ch as u64);
             // Write-back to DRAM retires the tile's outputs.
@@ -542,14 +536,14 @@ impl Esca {
         // coordinate metadata on chip; only the activation values still
         // stream in per frame.
         let loaded_weight_bytes = if opts.load_weights { weight_bytes } else { 0 };
-        let act_bytes = input.nnz() * in_ch * 2;
+        let act_bytes = activation_bytes(input.nnz(), in_ch);
         let feature_bytes = if stats.matching_resident {
             act_bytes
         } else {
             walk.metadata_bytes + act_bytes
         };
         stats.dram_bytes_in = (loaded_weight_bytes + feature_bytes) as u64;
-        stats.dram_bytes_out = (input.nnz() * out_ch * 2) as u64;
+        stats.dram_bytes_out = activation_bytes(input.nnz(), out_ch) as u64;
         self.price_dram(&mut stats, loaded_weight_bytes as u64)?;
         stats.layer_overhead_cycles = self.cfg.per_layer_overhead_cycles;
 
@@ -1356,11 +1350,6 @@ mod tests {
         assert_eq!(walks_ticked(&esca(), &qin, &[1, 16, 16, 16]), 1);
         // (1, 1), (3, 3), (3, 1), then (1, 1) again.
         assert_eq!(walks_ticked(&esca(), &qin, &[1, 16, 40, 16, 16]), 3);
-        // Traced runs tick every layer and keep no walk.
-        let mut cfg = EscaConfig::default();
-        cfg.record_trace = true;
-        let traced = Esca::new(cfg).unwrap();
-        assert_eq!(walks_ticked(&traced, &qin, &[1, 16, 16, 16]), 0);
     }
 
     #[test]

@@ -10,6 +10,12 @@
 use crate::Result;
 use esca_tensor::{LineCsr, OccupancyMask, SparseTensor, TileGrid, TileReport, TileShape, Q16};
 
+/// Bytes of valid data for `sites` active sites of `channels` INT16
+/// features each.
+pub(crate) fn activation_bytes(sites: usize, channels: usize) -> usize {
+    sites * channels * 2
+}
+
 /// A feature map in the accelerator's encoded form.
 #[derive(Debug, Clone)]
 pub struct EncodedFeatureMap {
@@ -81,7 +87,7 @@ impl EncodedFeatureMap {
 
     /// Bytes of valid activation data (INT16 features).
     pub fn act_bytes(&self) -> usize {
-        self.nnz * self.channels * 2
+        activation_bytes(self.nnz, self.channels)
     }
 
     /// Bytes of coordinate metadata shipped with the valid data: one
@@ -91,9 +97,15 @@ impl EncodedFeatureMap {
         self.nnz * 4
     }
 
+    /// Bytes that do not scale with the channel count: the active tiles'
+    /// index masks and the coordinate metadata.
+    pub fn metadata_bytes(&self) -> usize {
+        self.active_mask_bytes() + self.coord_bytes()
+    }
+
     /// Total DRAM footprint of the encoded map.
     pub fn total_bytes(&self) -> usize {
-        self.active_mask_bytes() + self.act_bytes() + self.coord_bytes()
+        self.metadata_bytes() + self.act_bytes()
     }
 
     /// Compression ratio versus a dense INT16 layout of the same grid.
@@ -138,6 +150,7 @@ mod tests {
         // 3 entries × 2 ch × 2 B = 12 bytes of activations.
         assert_eq!(e.act_bytes(), 12);
         assert_eq!(e.coord_bytes(), 12);
+        assert_eq!(e.metadata_bytes(), 140);
         assert_eq!(e.total_bytes(), 152);
         assert!(e.compression_vs_dense() > 50.0);
     }
