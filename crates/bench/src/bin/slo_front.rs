@@ -94,7 +94,6 @@ fn run_point(
         recovery: RecoveryPolicy {
             max_retries,
             cycle_budget: (cycle_budget > 0).then_some(cycle_budget),
-            ..RecoveryPolicy::default()
         },
         ..FaultConfig::off(CAMPAIGN_SEED)
     };

@@ -228,6 +228,20 @@ impl Esca {
         &self.cfg
     }
 
+    /// Rejects a layer whose kernel size is not the configured one.
+    fn check_kernel(&self, weights: &QuantizedWeights) -> Result<()> {
+        if weights.k() == self.cfg.kernel {
+            return Ok(());
+        }
+        Err(EscaError::Config {
+            reason: format!(
+                "layer kernel {} does not match configured kernel {}",
+                weights.k(),
+                self.cfg.kernel
+            ),
+        })
+    }
+
     /// Runs one submanifold sparse convolution layer.
     ///
     /// # Errors
@@ -335,15 +349,7 @@ impl Esca {
                 got: input.channels(),
             });
         }
-        if weights.k() != self.cfg.kernel {
-            return Err(EscaError::Config {
-                reason: format!(
-                    "layer kernel {} does not match configured kernel {}",
-                    weights.k(),
-                    self.cfg.kernel
-                ),
-            });
-        }
+        self.check_kernel(weights)?;
         let group_loop = GroupLoop::new(
             weights.in_ch(),
             weights.out_ch(),
@@ -843,29 +849,17 @@ impl Esca {
     }
 
     /// Runs a sequence of quantized Sub-Conv layers back-to-back, feeding
-    /// each layer's output to the next (channel counts must chain).
-    ///
-    /// # Errors
-    ///
-    /// As [`Esca::run_layer`].
-    pub fn run_network(
-        &self,
-        input: &SparseTensor<Q16>,
-        layers: &[(QuantizedWeights, bool)],
-    ) -> Result<NetworkRun> {
-        self.run_chain(input, layers, LayerOpts::default())
-    }
-
-    /// The one layer chain behind [`Esca::run_network`],
-    /// [`Esca::run_network_stream`] and the streaming runners: every layer
-    /// runs under the same `opts`, its telemetry merges into the frame's,
-    /// and a [`LayerSpan`] records its frame-relative cycle interval. The
-    /// spans are computed from the merged per-layer stats, so the shard
-    /// count cannot show in them. The frame builds one Sub-Conv rulebook
-    /// for all its layers and drops it at the end (it never enters a
-    /// [`RulebookCache`], whose contents decide matching residency); each
-    /// layer's flat output feeds the next layer, and the last one is
-    /// returned in raster order.
+    /// each layer's output to the next (channel counts must chain);
+    /// [`LayerOpts::default()`] gives a plain cold run. This is the one
+    /// layer chain, also behind [`Esca::run_network_stream`] and the
+    /// streaming runners: every layer runs under the same `opts`, its
+    /// telemetry merges into the frame's, and a [`LayerSpan`] records its
+    /// frame-relative cycle interval. The spans are computed from the
+    /// merged per-layer stats, so the shard count cannot show in them.
+    /// The frame builds one Sub-Conv rulebook for all its layers and drops
+    /// it at the end (it never enters a [`RulebookCache`], whose contents
+    /// decide matching residency); each layer's flat output feeds the next
+    /// layer, and the last one is returned in raster order.
     ///
     /// # Errors
     ///
@@ -907,20 +901,20 @@ impl Esca {
         })
     }
 
-    /// Host-side **golden** companion of [`Esca::run_network`]: runs the
+    /// Host-side **golden** companion of [`Esca::run_chain`]: runs the
     /// same quantized layer stack through the matching-reuse flat engine
     /// ([`esca_sscn::engine`]) on `backend`, with rulebooks served from
     /// `cache` — so a whole stack over one frame costs a single
     /// coordinate-matching pass, and repeated frames over the same
     /// geometry cost none. The quantized path accumulates in exact integer
     /// arithmetic, so the output is **bit-identical** to
-    /// [`Esca::run_network`]'s on every backend; the tier only changes
+    /// [`Esca::run_chain`]'s on every backend; the tier only changes
     /// host wall-clock. **No cycle model runs**: this path produces no
     /// [`CycleStats`] and cannot perturb them.
     ///
     /// # Errors
     ///
-    /// As [`Esca::run_network`] for channel/kernel mismatches.
+    /// As [`Esca::run_chain`] for channel/kernel mismatches.
     pub fn run_network_golden(
         &self,
         input: &SparseTensor<Q16>,
@@ -929,15 +923,7 @@ impl Esca {
         backend: GemmBackendKind,
     ) -> Result<SparseTensor<Q16>> {
         for (w, _) in layers {
-            if w.k() != self.cfg.kernel {
-                return Err(EscaError::Config {
-                    reason: format!(
-                        "layer kernel {} does not match configured kernel {}",
-                        w.k(),
-                        self.cfg.kernel
-                    ),
-                });
-            }
+            self.check_kernel(w)?;
         }
         if layers.is_empty() {
             return Ok(input.clone());
@@ -1126,7 +1112,11 @@ mod tests {
         let w1 = QuantizedWeights::auto(&ConvWeights::seeded(3, 2, 4, 10), 8, 10).unwrap();
         let w2 = QuantizedWeights::auto(&ConvWeights::seeded(3, 4, 2, 11), 8, 10).unwrap();
         let net = esca()
-            .run_network(&qin, &[(w1.clone(), true), (w2.clone(), false)])
+            .run_chain(
+                &qin,
+                &[(w1.clone(), true), (w2.clone(), false)],
+                LayerOpts::default(),
+            )
             .unwrap();
         assert_eq!(net.per_layer.len(), 2);
         assert_eq!(net.output.channels(), 2);
@@ -1147,7 +1137,7 @@ mod tests {
         let w2 = QuantizedWeights::auto(&ConvWeights::seeded(3, 6, 3, 31), 8, 10).unwrap();
         let stack = vec![(w1, true), (w2, false)];
         let acc = esca();
-        let cycle = acc.run_network(&qin, &stack).unwrap();
+        let cycle = acc.run_chain(&qin, &stack, LayerOpts::default()).unwrap();
         let cache = Arc::new(RulebookCache::new());
         let golden = acc
             .run_network_golden(&qin, &stack, &cache, GemmBackendKind::from_env())
@@ -1164,7 +1154,7 @@ mod tests {
         assert_eq!(again.features(), golden.features());
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 3);
-        // Empty stack mirrors run_network: the input comes back unchanged.
+        // Empty stack mirrors run_chain: the input comes back unchanged.
         let noop = acc
             .run_network_golden(&qin, &[], &cache, GemmBackendKind::from_env())
             .unwrap();

@@ -121,12 +121,12 @@ impl Default for AdmissionConfig {
 }
 
 impl AdmissionConfig {
-    /// The queue configuration that reproduces the pre-queue one-burst
-    /// admission mask of [`crate::resilience::RecoveryPolicy`]: every
-    /// frame arrives at cycle 0, nothing drains mid-burst, no quotas, no
-    /// degrade rung. `RejectNew` admits the first `depth` arrivals
-    /// exactly as before; `DropOldest` keeps the (non-preemptible)
-    /// in-service head plus the newest `depth - 1` arrivals.
+    /// One-burst admission for a batch of `frames` arriving together at
+    /// cycle 0: nothing drains mid-burst, no quotas, no degrade rung, and
+    /// `depth` (`None`: the whole batch) bounds the queue. `RejectNew`
+    /// admits the first `depth` arrivals; `DropOldest` keeps the
+    /// (non-preemptible) in-service head plus the newest `depth - 1`
+    /// arrivals.
     pub fn legacy_burst(
         depth: Option<usize>,
         backpressure: BackpressurePolicy,

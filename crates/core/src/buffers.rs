@@ -107,14 +107,6 @@ impl BufferModel {
         self.writes += n;
     }
 
-    /// Protected lines under the fault model's per-line parity scheme
-    /// (`line_bytes` per line, one parity bit each — the granularity
-    /// [`crate::resilience`] injects BRAM bit flips at). At least 1, so
-    /// fault-site selection is total even for degenerate configs.
-    pub fn parity_lines(&self, line_bytes: usize) -> usize {
-        (self.capacity_bytes / line_bytes.max(1)).max(1)
-    }
-
     /// 36 Kb BRAM blocks this buffer consumes (ZCU102 BRAM36 units),
     /// assuming full-depth packing.
     pub fn bram36(&self) -> f64 {

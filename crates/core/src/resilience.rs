@@ -354,7 +354,8 @@ pub enum BackpressurePolicy {
     DropOldest,
 }
 
-/// Retry, deadline and admission policy for a resilient batch.
+/// Retry and deadline policy for a resilient batch (admission is
+/// [`AdmissionConfig`]'s).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RecoveryPolicy {
     /// Retries per frame after the first attempt (detected faults only).
@@ -362,10 +363,6 @@ pub struct RecoveryPolicy {
     /// Cumulative simulated-cycle deadline per frame across attempts
     /// (injected stalls included); `None` disables the deadline.
     pub cycle_budget: Option<u64>,
-    /// Bounded admission-queue depth; `None` admits every frame.
-    pub admission_depth: Option<usize>,
-    /// Policy when arrivals exceed [`RecoveryPolicy::admission_depth`].
-    pub backpressure: BackpressurePolicy,
 }
 
 impl Default for RecoveryPolicy {
@@ -373,8 +370,6 @@ impl Default for RecoveryPolicy {
         RecoveryPolicy {
             max_retries: 2,
             cycle_budget: None,
-            admission_depth: None,
-            backpressure: BackpressurePolicy::RejectNew,
         }
     }
 }
@@ -390,7 +385,7 @@ pub struct FaultConfig {
     pub max_stall_cycles: u64,
     /// Detection mechanisms the modeled hardware implements.
     pub detection: DetectionModel,
-    /// Retry / deadline / admission policy.
+    /// Retry / deadline policy.
     pub recovery: RecoveryPolicy,
 }
 
@@ -1256,6 +1251,9 @@ impl StreamingSession {
     /// telemetry domain — is a pure function of `(cfg.seed, frames)` and
     /// replays exactly for any worker or shard count.
     ///
+    /// Every frame is admitted; for a bounded queue, quotas or shedding
+    /// call [`StreamingSession::run_batch_ingest`].
+    ///
     /// # Errors
     ///
     /// Only infrastructure errors surface here (a closed worker pool);
@@ -1265,12 +1263,8 @@ impl StreamingSession {
         frames: &[SparseTensor<Q16>],
         cfg: &FaultConfig,
     ) -> crate::Result<ResilientReport> {
-        // Legacy one-burst admission, expressed as a queue policy:
-        // every frame of one tenant arrives at cycle 0 and nothing
-        // drains mid-burst, so `RejectNew` admits the first
-        // `admission_depth` arrivals exactly as the old mask did, and
-        // `DropOldest` keeps the in-service head plus the newest
-        // `depth - 1` arrivals.
+        // One burst of one tenant with a queue as deep as the batch:
+        // every frame is admitted.
         let arrivals: Vec<Arrival> = (0..frames.len())
             .map(|frame| Arrival {
                 frame,
@@ -1278,11 +1272,8 @@ impl StreamingSession {
                 at_cycle: 0,
             })
             .collect();
-        let admission = AdmissionConfig::legacy_burst(
-            cfg.recovery.admission_depth,
-            cfg.recovery.backpressure,
-            frames.len(),
-        );
+        let admission =
+            AdmissionConfig::legacy_burst(None, BackpressurePolicy::RejectNew, frames.len());
         self.run_batch_ingest(frames, &arrivals, cfg, &admission)
     }
 

@@ -14,14 +14,12 @@
 
 use crate::accelerator::{Esca, LayerOpts, NetworkRun};
 use crate::stats::CycleStats;
-use crate::system::{run_unet, HostModel, SystemRun};
 use crate::telemetry::LayerSpan;
 use crate::Result;
 use crossbeam::channel;
 use esca_sscn::engine::RulebookCache;
 use esca_sscn::gemm::GemmBackendKind;
 use esca_sscn::quant::QuantizedWeights;
-use esca_sscn::unet::SsUNet;
 use esca_telemetry::serve::{HealthReport, ObservabilityHub, OperatingPoint};
 use esca_telemetry::{host, ChromeTrace, FlightEvent, FrameSpanCtx, Registry, TelemetrySnapshot};
 use esca_tensor::{SparseTensor, Q16};
@@ -588,28 +586,6 @@ impl StreamingSession {
         self.fan_out(frames.to_vec(), job, |_, _| {})?.into_values()
     }
 
-    /// Runs a batch of float frames through a full SS U-Net system
-    /// pipeline ([`run_unet`]: Sub-Conv layers on the accelerator, the
-    /// rest on the host model), one frame per pool job. Results are in
-    /// frame order and identical to a sequential [`run_unet`] loop.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the error of the lowest-indexed failing frame.
-    pub fn run_unet_batch(
-        &self,
-        net: &SsUNet,
-        host: &HostModel,
-        frames: &[SparseTensor<f32>],
-        act_bits: u8,
-    ) -> Result<Vec<SystemRun>> {
-        let esca = Arc::clone(&self.esca);
-        let net = net.clone();
-        let host = *host;
-        let job = move |frame: SparseTensor<f32>| run_unet(&net, &esca, &host, &frame, act_bits);
-        self.fan_out(frames.to_vec(), job, |_, _| {})?.into_values()
-    }
-
     /// The one ordered fan-out behind every batch runner: submits one pool
     /// job per input (slot `i` runs `job(inputs[i])` and frees its input
     /// when done), times each job, and hands each arrival — in completion
@@ -1089,7 +1065,7 @@ mod tests {
         let session = StreamingSession::new(esca.clone(), layers(), 2);
         let report = session.run_batch(&frames).unwrap();
         for (f, out) in frames.iter().zip(&report.outputs) {
-            let net = esca.run_network(f, &layers()).unwrap();
+            let net = esca.run_chain(f, &layers(), LayerOpts::default()).unwrap();
             assert!(net.output.same_content(out));
         }
     }

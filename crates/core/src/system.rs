@@ -8,7 +8,6 @@
 use crate::accelerator::Esca;
 use crate::stats::CycleStats;
 use crate::Result;
-use esca_sscn::quant::{dequantize_tensor, quantize_tensor, QuantizedWeights};
 use esca_sscn::unet::SsUNet;
 use esca_tensor::SparseTensor;
 use serde::{Deserialize, Serialize};
@@ -65,15 +64,16 @@ impl SystemRun {
 }
 
 /// Runs a full SS U-Net with Sub-Conv layers offloaded to `esca` (each
-/// layer quantized at `act_bits` activation fractional bits) and host
-/// layers costed by `host`.
+/// layer through [`Esca::run_layer_f32`] at `act_bits` activation
+/// fractional bits) and host layers costed by `host`.
 ///
 /// The float output differs from [`SsUNet::forward`] only by the
 /// quantization error of the offloaded layers.
 ///
 /// # Errors
 ///
-/// Propagates accelerator errors (capacity/config) and network errors.
+/// Propagates accelerator errors (capacity/config), quantizer errors
+/// (as [`crate::EscaError::Sscn`]) and network errors.
 pub fn run_unet(
     net: &SsUNet,
     esca: &Esca,
@@ -85,17 +85,11 @@ pub fn run_unet(
     let mut marshal_elems = 0u64;
     let mut exec_err: Option<crate::EscaError> = None;
     let logits = net.forward_with(input, |_, _, w, x| {
-        let qw = QuantizedWeights::auto(w, act_bits, 12).map_err(|e| {
-            esca_sscn::SscnError::InvalidConfig {
-                reason: format!("quantization failed: {e}"),
-            }
-        })?;
-        let qin = quantize_tensor(x, qw.quant().act);
-        match esca.run_layer(&qin, &qw, true) {
-            Ok(run) => {
+        match esca.run_layer_f32(x, w, true, act_bits) {
+            Ok((run, out)) => {
                 accel += &run.stats;
                 marshal_elems += (x.nnz() * (w.in_ch() + w.out_ch())) as u64;
-                Ok(dequantize_tensor(&run.output, qw.quant().out))
+                Ok(out)
             }
             Err(e) => {
                 let msg = e.to_string();
@@ -210,5 +204,21 @@ mod tests {
         let esca = Esca::new(cfg).unwrap();
         let err = run_unet(&net, &esca, &HostModel::default(), &blob(), 8).unwrap_err();
         assert!(matches!(err, crate::EscaError::CapacityExceeded { .. }));
+    }
+
+    #[test]
+    fn out_of_range_act_bits_is_a_typed_quantizer_error() {
+        let net = small_net();
+        let esca = Esca::new(EscaConfig::default()).unwrap();
+        let err = run_unet(&net, &esca, &HostModel::default(), &blob(), 31).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                crate::EscaError::Sscn(esca_sscn::SscnError::Tensor(
+                    esca_tensor::TensorError::InvalidQuantParams { .. }
+                ))
+            ),
+            "{err:?}"
+        );
     }
 }

@@ -13,6 +13,7 @@
 //! 4. degradation is policy-shaped: bounded admission, cycle deadlines
 //!    and the rulebook→direct-kernel fallback all behave as configured.
 
+use esca::admission::{AdmissionConfig, Arrival};
 use esca::resilience::{BackpressurePolicy, DetectionModel, DropReason, FaultConfig, FrameOutcome};
 use esca::streaming::StreamingSession;
 use esca::{Esca, EscaConfig};
@@ -216,10 +217,21 @@ fn cycle_telemetry_is_invariant_under_injection() {
 #[test]
 fn admission_policies_bound_the_batch() {
     let frames: Vec<_> = (0..6).map(|i| frame(i + 800)).collect();
-    let mut cfg = FaultConfig::off(11);
-    cfg.recovery.admission_depth = Some(2);
-    cfg.recovery.backpressure = BackpressurePolicy::RejectNew;
-    let reject = session(2).run_batch_resilient(&frames, &cfg).unwrap();
+    let cfg = FaultConfig::off(11);
+    let arrivals: Vec<Arrival> = (0..frames.len())
+        .map(|frame| Arrival {
+            frame,
+            tenant: 0,
+            at_cycle: 0,
+        })
+        .collect();
+    let run = |policy| {
+        let admission = AdmissionConfig::legacy_burst(Some(2), policy, frames.len());
+        session(2)
+            .run_batch_ingest(&frames, &arrivals, &cfg, &admission)
+            .unwrap()
+    };
+    let reject = run(BackpressurePolicy::RejectNew);
     assert_eq!(reject.completed(), 2);
     for fr in &reject.frames {
         if fr.frame < 2 {
@@ -234,8 +246,7 @@ fn admission_policies_bound_the_batch() {
             assert!(reject.outputs[fr.frame].is_none());
         }
     }
-    cfg.recovery.backpressure = BackpressurePolicy::DropOldest;
-    let drop_oldest = session(2).run_batch_resilient(&frames, &cfg).unwrap();
+    let drop_oldest = run(BackpressurePolicy::DropOldest);
     assert_eq!(drop_oldest.completed(), 2);
     // The ingest queue never preempts the frame already in service, so a
     // zero-cycle burst keeps the head (frame 0) plus the newest waiting

@@ -889,7 +889,7 @@ fn tiny_dram_bandwidth_is_a_config_error_not_an_overflow() {
     cfg.dram_bytes_per_cycle = 1e-18;
     let esca = Esca::new(cfg).unwrap();
     let err = esca
-        .run_network(&case_input(case), &chain_layers(case))
+        .run_chain(&case_input(case), &chain_layers(case), LayerOpts::default())
         .unwrap_err();
     assert!(
         matches!(&err, esca::EscaError::Config { reason } if reason.contains("dram bandwidth")),

@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use esca::admission::{AdmissionConfig, Arrival, TenantQuota};
-use esca::resilience::{FaultClass, FaultConfig};
+use esca::resilience::{BackpressurePolicy, FaultClass, FaultConfig};
 use esca::streaming::StreamingSession;
 use esca::{Esca, EscaConfig};
 use esca_sscn::quant::{quantize_tensor, QuantizedWeights};
@@ -180,13 +180,23 @@ fn chaos_campaign_flight_dump_has_one_terminal_event_per_frame() {
     let frames: Vec<_> = (0..12).map(|i| frame(0xF11 + i)).collect();
     // Campaign rates inject worker panics (verified below); bounded
     // admission additionally forces rejected frames into the dump.
-    let mut cfg = FaultConfig::campaign(0xC4A05);
-    cfg.recovery.admission_depth = Some(10);
+    let cfg = FaultConfig::campaign(0xC4A05);
+    let arrivals: Vec<Arrival> = (0..frames.len())
+        .map(|frame| Arrival {
+            frame,
+            tenant: 0,
+            at_cycle: 0,
+        })
+        .collect();
+    let admission =
+        AdmissionConfig::legacy_burst(Some(10), BackpressurePolicy::RejectNew, frames.len());
 
     let hub = Arc::new(ObservabilityHub::new());
     let esca = Esca::new(EscaConfig::default()).unwrap();
     let session = StreamingSession::new(esca, stack(), 3).with_hub(Arc::clone(&hub));
-    let report = session.run_batch_resilient(&frames, &cfg).unwrap();
+    let report = session
+        .run_batch_ingest(&frames, &arrivals, &cfg, &admission)
+        .unwrap();
 
     assert!(
         report.counters.injected[FaultClass::WorkerPanic as usize] > 0,

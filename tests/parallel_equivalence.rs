@@ -184,7 +184,11 @@ fn streaming_session_matches_sequential_stream_for_all_worker_counts() {
         let seq: Vec<CycleStats> = esca.run_network_stream(&frames, &stack).unwrap();
         let seq_outputs: Vec<_> = frames
             .iter()
-            .map(|f| esca.run_network(f, &stack).unwrap().output)
+            .map(|f| {
+                esca.run_chain(f, &stack, LayerOpts::default())
+                    .unwrap()
+                    .output
+            })
             .collect();
         // Frame 0 simulated with its weights resident: the second frame of
         // a stream that repeats it.
