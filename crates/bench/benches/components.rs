@@ -9,7 +9,7 @@ use esca::{Esca, EscaConfig};
 use esca_bench::workloads;
 use esca_sscn::quant::{quantize_tensor, submanifold_conv3d_q, QuantizedWeights};
 use esca_sscn::{conv, ops};
-use esca_tensor::{LineCsr, QuantParams, TileShape};
+use esca_tensor::{LineRuns, QuantParams, TileShape};
 
 fn bench(c: &mut Criterion) {
     let layers = workloads::unet_subconv_workload(workloads::EVAL_SEEDS[0]);
@@ -21,18 +21,18 @@ fn bench(c: &mut Criterion) {
         b.iter(|| EncodedFeatureMap::encode(&qin, TileShape::cube(8)).unwrap());
     });
 
-    c.bench_function("components/line_csr_build", |b| {
-        b.iter(|| LineCsr::from_sparse(&qin));
+    c.bench_function("components/line_runs_build", |b| {
+        b.iter(|| LineRuns::new(qin.coords()));
     });
 
-    let csr = LineCsr::from_sparse(&qin);
-    c.bench_function("components/line_csr_window_queries", |b| {
+    let runs = LineRuns::new(qin.coords());
+    c.bench_function("components/line_runs_window_queries", |b| {
         b.iter(|| {
             let mut total = 0usize;
             for &coord in qin.coords() {
                 for dx in -1..=1 {
                     for dy in -1..=1 {
-                        total += csr
+                        total += runs
                             .window(coord.x + dx, coord.y + dy, coord.z - 1, coord.z + 2)
                             .len();
                     }

@@ -408,22 +408,23 @@ impl Esca {
         let mut trace = PipelineTrace::new(self.cfg.record_trace);
         let mut tele = LayerTelemetry::new();
 
-        // --- Zero removing pre-pass (streaming over the coordinate list).
-        // Resident geometry was already zero-removed on an earlier frame,
-        // so the pre-pass charges nothing (the report itself is still
-        // needed to drive the tile walk).
-        let zr = ZeroRemovingUnit::default().run(input, self.cfg.tile);
-        stats.zero_removing_cycles = if resident { 0 } else { zr.cycles };
-        stats.matching_resident = resident;
-        stats.active_tiles = zr.report.active_tiles() as u64;
-        stats.total_tiles = zr.report.total_tiles() as u64;
-
-        // --- Encoding (index mask + valid data), each tile's halo count
-        // for the DMA model, and each tile's first match-group ordinal.
+        // --- Encoding (index mask + z-line index) and the zero removing
+        // pre-pass's active-tile report it carries. Resident geometry was
+        // already zero-removed on an earlier frame, so the pre-pass charges
+        // nothing (the report itself is still needed to drive the walk).
         let enc = EncodedFeatureMap::encode(input, self.cfg.tile)?;
-        let grid = zr.report.grid();
+        let report = enc.tiles();
+        let zr_cycles = ZeroRemovingUnit::default().cycles(input.nnz(), report);
+        stats.zero_removing_cycles = if resident { 0 } else { zr_cycles };
+        stats.matching_resident = resident;
+        stats.active_tiles = report.active_tiles() as u64;
+        stats.total_tiles = report.total_tiles() as u64;
+
+        // --- Each tile's halo count for the DMA model, and each tile's
+        // first match-group ordinal.
+        let grid = report.grid();
         let r = (self.cfg.kernel / 2) as i32;
-        let active = zr.report.active();
+        let active = report.active();
         let mut tile_sites = Vec::with_capacity(active.len());
         let mut first_groups = Vec::with_capacity(active.len());
         let mut next_group = 0usize;

@@ -93,7 +93,7 @@ pub struct AdmissionConfig {
     pub queue_depth: usize,
     /// Modeled service time per frame, cycles: the rate the single
     /// server drains the queue at. `u64::MAX` means nothing drains
-    /// within a batch (the legacy one-burst mask).
+    /// within a batch (one-burst admission, [`AdmissionConfig::one_burst`]).
     pub drain_cycles: u64,
     /// Queue occupancy percentage (pre-insert, `in_system * 100 /
     /// queue_depth`) at/above which new admissions run degraded
@@ -127,7 +127,7 @@ impl AdmissionConfig {
     /// admits the first `depth` arrivals; `DropOldest` keeps the
     /// (non-preemptible) in-service head plus the newest `depth - 1`
     /// arrivals.
-    pub fn legacy_burst(
+    pub fn one_burst(
         depth: Option<usize>,
         backpressure: BackpressurePolicy,
         frames: usize,
@@ -724,7 +724,7 @@ mod tests {
 
     #[test]
     fn drop_oldest_evicts_waiting_never_the_head() {
-        let cfg = AdmissionConfig::legacy_burst(Some(2), BackpressurePolicy::DropOldest, 6);
+        let cfg = AdmissionConfig::one_burst(Some(2), BackpressurePolicy::DropOldest, 6);
         let out = IngestQueue::evaluate(
             &cfg,
             &arrivals(&[
@@ -745,8 +745,8 @@ mod tests {
     }
 
     #[test]
-    fn legacy_burst_reject_new_matches_the_old_mask() {
-        let cfg = AdmissionConfig::legacy_burst(Some(3), BackpressurePolicy::RejectNew, 5);
+    fn one_burst_reject_new_admits_the_first_depth_arrivals() {
+        let cfg = AdmissionConfig::one_burst(Some(3), BackpressurePolicy::RejectNew, 5);
         let out = IngestQueue::evaluate(
             &cfg,
             &arrivals(&[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 0)]),

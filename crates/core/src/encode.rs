@@ -2,13 +2,15 @@
 //! (one bit per site) plus **valid data** (the nonzero activations, banked
 //! per column line, and the weights).
 //!
-//! [`EncodedFeatureMap`] is what the DMA engine deposits into the on-chip
-//! buffers: the mask feeds the mask buffer and the SDMU's mask judger; the
-//! line-CSR activation banks feed the activation buffer, laid out exactly
-//! so the `(A, B)` state index addresses them as contiguous fragments.
+//! [`EncodedFeatureMap`] is the geometry of what the DMA engine deposits
+//! into the on-chip buffers: the mask feeds the mask buffer and the SDMU's
+//! mask judger; the z-line index ([`LineRuns`]) lays out the activation
+//! banks exactly so the `(A, B)` state index addresses them as contiguous
+//! fragments. The map holds no feature values; its byte accounting prices
+//! the valid data they make up.
 
 use crate::Result;
-use esca_tensor::{LineCsr, OccupancyMask, SparseTensor, TileGrid, TileReport, TileShape, Q16};
+use esca_tensor::{LineRuns, OccupancyMask, SparseTensor, TileGrid, TileReport, TileShape, Q16};
 
 /// Bytes of valid data for `sites` active sites of `channels` INT16
 /// features each.
@@ -20,7 +22,7 @@ pub(crate) fn activation_bytes(sites: usize, channels: usize) -> usize {
 #[derive(Debug, Clone)]
 pub struct EncodedFeatureMap {
     mask: OccupancyMask,
-    lines: LineCsr<Q16>,
+    lines: LineRuns,
     tiles: TileReport,
     channels: usize,
     nnz: usize,
@@ -36,7 +38,7 @@ impl EncodedFeatureMap {
     /// buffer-capacity checks done by the accelerator.
     pub fn encode(t: &SparseTensor<Q16>, tile: TileShape) -> Result<Self> {
         let mask = t.occupancy_mask();
-        let lines = LineCsr::from_sparse(t);
+        let lines = LineRuns::new(t.coords());
         let grid = TileGrid::new(t.extent(), tile);
         let tiles = grid.classify(&mask);
         Ok(EncodedFeatureMap {
@@ -54,9 +56,9 @@ impl EncodedFeatureMap {
         &self.mask
     }
 
-    /// The per-line activation banks (valid data).
+    /// The z-line index that addresses the activation banks (valid data).
     #[inline]
-    pub fn lines(&self) -> &LineCsr<Q16> {
+    pub fn lines(&self) -> &LineRuns {
         &self.lines
     }
 
@@ -136,7 +138,7 @@ mod tests {
         assert_eq!(e.nnz(), 3);
         assert_eq!(e.channels(), 2);
         assert_eq!(e.mask().count_ones(), 3);
-        assert_eq!(e.lines().len(), 3);
+        assert_eq!(e.lines().zs().len(), 3);
         assert_eq!(e.tiles().active_tiles(), 2);
         assert_eq!(e.tiles().total_tiles(), 8);
     }
@@ -171,7 +173,6 @@ mod tests {
         let mut t = SparseTensor::<Q16>::new(Extent3::cube(16), 1);
         t.insert(Coord3::new(7, 7, 7), &[Q16(3)]).unwrap();
         let e = EncodedFeatureMap::encode(&t, TileShape::cube(8)).unwrap();
-        let w = e.lines().window(7, 7, 6, 9);
-        assert_eq!(w.len(), 1);
+        assert_eq!(e.lines().window(7, 7, 6, 9).len(), 1);
     }
 }

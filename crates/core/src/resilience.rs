@@ -1273,7 +1273,7 @@ impl StreamingSession {
             })
             .collect();
         let admission =
-            AdmissionConfig::legacy_burst(None, BackpressurePolicy::RejectNew, frames.len());
+            AdmissionConfig::one_burst(None, BackpressurePolicy::RejectNew, frames.len());
         self.run_batch_ingest(frames, &arrivals, cfg, &admission)
     }
 

@@ -36,7 +36,7 @@ pub struct MatchEntry {
     pub column: usize,
     /// Kernel tap index (positional weight correspondence).
     pub tap: usize,
-    /// Global activation-buffer entry index (into the line CSR).
+    /// Global activation-buffer entry index (into the z-line index).
     pub entry: usize,
     /// Match-group ordinal (centre id within the layer run).
     pub group: usize,
@@ -312,7 +312,7 @@ impl<'a> TileSdmu<'a> {
     }
 
     /// Hardware/functional cross-check (debug builds): the (A, B)
-    /// registers address exactly the line-CSR window of every column.
+    /// registers address exactly the z-line window of every column.
     fn debug_check_addresses(&self, centre: Coord3, ranges: &[Range<usize>]) {
         if cfg!(debug_assertions) {
             let r = self.offsets.radius();
@@ -325,9 +325,8 @@ impl<'a> TileSdmu<'a> {
                     centre.z + r + 1,
                 );
                 assert_eq!(
-                    *range,
-                    w.global_range(),
-                    "state index disagrees with CSR window at {centre} col {col}"
+                    *range, w,
+                    "state index disagrees with the line window at {centre} col {col}"
                 );
             }
         }
@@ -362,14 +361,15 @@ impl<'a> TileSdmu<'a> {
         self.judger.load_line(self.enc.mask(), first.x, first.y);
         for (col, base) in self.bank_bases.iter_mut().enumerate() {
             let (dx, dy) = self.offsets.column_offset(col);
-            let (lx, ly) = (first.x + dx, first.y + dy);
             // Before the first step at z = first.z, the accumulators must
-            // reflect the window trailing edge at z + r − 1 and leading
-            // edge past z − r − 2.
-            let a = lines.prefix_count(lx, ly, first.z + r - 1);
-            let a_lead = lines.prefix_count(lx, ly, first.z - r - 2);
+            // count the line's entries up to the window trailing edge at
+            // z + r − 1 and up to z − r − 2, past its leading edge.
+            let line = lines.line_at(first.x + dx, first.y + dy);
+            let zs = &lines.zs()[line.clone()];
+            let a = zs.partition_point(|&z| z < first.z + r);
+            let a_lead = zs.partition_point(|&z| z < first.z - r - 1);
             self.state_index.preload(col, a, a_lead);
-            *base = lines.line_range(lx, ly).start;
+            *base = line.start;
         }
     }
 

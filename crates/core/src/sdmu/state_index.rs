@@ -6,7 +6,7 @@
 //! The hardware maintains `A` with a simple adder fed by the incoming mask
 //! bits ("Acc" in Fig. 6); this model does the same, and the SDMU fetches
 //! from these registers alone. Debug builds cross-check every fragment
-//! against the line-CSR window — hardware addressing and functional
+//! against the z-line index's window — hardware addressing and functional
 //! addressing must agree bit-for-bit.
 
 use serde::{Deserialize, Serialize};

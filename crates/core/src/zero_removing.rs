@@ -54,12 +54,15 @@ impl ZeroRemovingUnit {
     pub fn run(&self, t: &SparseTensor<Q16>, tile: TileShape) -> ZeroRemovingRun {
         let grid = TileGrid::new(t.extent(), tile);
         let report = grid.classify(&t.occupancy_mask());
-        let coord_cycles = (t.nnz() as u64).div_ceil(self.cost.coords_per_cycle.max(1));
-        let emit_cycles = report.active_tiles() as u64 * self.cost.cycles_per_active_tile;
-        ZeroRemovingRun {
-            report,
-            cycles: coord_cycles + emit_cycles,
-        }
+        let cycles = self.cycles(t.nnz(), &report);
+        ZeroRemovingRun { report, cycles }
+    }
+
+    /// Cycles the pass takes to stream `nnz` coordinates and emit the
+    /// active tiles of `report`, per the cost model.
+    pub fn cycles(&self, nnz: usize, report: &TileReport) -> u64 {
+        let coord_cycles = (nnz as u64).div_ceil(self.cost.coords_per_cycle.max(1));
+        coord_cycles + report.active_tiles() as u64 * self.cost.cycles_per_active_tile
     }
 }
 

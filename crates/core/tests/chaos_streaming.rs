@@ -226,7 +226,7 @@ fn admission_policies_bound_the_batch() {
         })
         .collect();
     let run = |policy| {
-        let admission = AdmissionConfig::legacy_burst(Some(2), policy, frames.len());
+        let admission = AdmissionConfig::one_burst(Some(2), policy, frames.len());
         session(2)
             .run_batch_ingest(&frames, &arrivals, &cfg, &admission)
             .unwrap()

@@ -26,7 +26,7 @@
 //! | 6 | {5, 6, 7}   | 4 | 2 | (2, 4] → e2, e3   |
 //! | 7 | {6, 7, 8}   | 4 | 1 | (3, 4] → e3       |
 
-use esca_tensor::{Coord3, Extent3, LineCsr, SparseTensor, Q16};
+use esca_tensor::{Coord3, Extent3, LineRuns, SparseTensor, Q16};
 
 const OCC: [i32; 4] = [1, 2, 5, 7]; // z of e0..e3
 
@@ -41,8 +41,9 @@ fn line_tensor() -> SparseTensor<Q16> {
 }
 
 #[test]
-fn line_csr_reproduces_the_worked_table() {
-    let csr = LineCsr::from_sparse(&line_tensor());
+fn line_runs_reproduce_the_worked_table() {
+    let runs = LineRuns::new(line_tensor().coords());
+    let base = runs.line_at(1, 1).start;
     // (centre z, expected A, expected B, expected fragment start..end)
     let expected = [
         (0, 1, 1, 0..1),
@@ -55,10 +56,10 @@ fn line_csr_reproduces_the_worked_table() {
         (7, 4, 1, 3..4),
     ];
     for (z, a, b, frag) in expected {
-        let w = csr.window(1, 1, z - 1, z + 2);
-        assert_eq!(w.a_index(), a, "A at centre z={z}");
+        let w = runs.window(1, 1, z - 1, z + 2);
+        assert_eq!(w.end - base, a, "A at centre z={z}");
         assert_eq!(w.len(), b, "B at centre z={z}");
-        assert_eq!(w.global_range(), frag, "fragment at centre z={z}");
+        assert_eq!(w, frag, "fragment at centre z={z}");
     }
 }
 

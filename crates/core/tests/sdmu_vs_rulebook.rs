@@ -5,7 +5,7 @@
 //!
 //! The match-stream comparison runs in every build profile, so it is the
 //! release-mode check on the SDMU's fetch addresses (debug builds also
-//! cross-check each address against the line CSR inside the SDMU).
+//! cross-check each address against the z-line index inside the SDMU).
 
 use esca::encode::EncodedFeatureMap;
 use esca::sdmu::{MatchGroupDesc, ScanOutcome, TileSdmu};
@@ -68,7 +68,8 @@ fn sdmu_matches(t: &SparseTensor<Q16>, k: u32, tile: u32, fifo_depth: usize) -> 
                 if *popped == desc.total_matches {
                     groups.pop_front();
                 } else if let Some(m) = sdmu.fifos.pop_for_group(desc.group) {
-                    out.push((desc.centre, m.tap, enc.lines().entry_coord(m.entry)));
+                    let site = t.coords()[enc.lines().order()[m.entry] as usize];
+                    out.push((desc.centre, m.tap, site));
                     *popped += 1;
                 }
             }

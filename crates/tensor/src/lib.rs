@@ -19,12 +19,12 @@
 //! * [`TileGrid`] — fixed-size tiling of a grid with active/empty
 //!   classification, the substrate of the paper's *tile-based zero removing
 //!   strategy* (§III-A);
-//! * [`LineCsr`] — per-(x, y)-line CSR storage of nonzeros ordered along z.
+//! * [`LineRuns`] — the z-line index of a coordinate set: non-empty
+//!   (x, y) lines in raster order, each a run of entries ordered along z.
 //!   This is precisely the *valid data* layout that makes the SDMU's
-//!   `(A, B)` state-index addressing work: within a line, the nonzeros of
+//!   `(A, B)` state-index addressing work: within a line, the entries of
 //!   any sliding window form a contiguous address fragment `(A−B, A]`
-//!   (§III-C); [`LineRuns`] is the same layout over a bare coordinate set,
-//!   the index the hash-free geometry builders merge over;
+//!   (§III-C); the hash-free geometry builders merge over the same index;
 //! * [`fixed`] — INT8 weight / INT16 activation fixed-point arithmetic with
 //!   32-bit accumulation, matching the paper's quantization scheme (§IV-A).
 //!
@@ -63,7 +63,7 @@ pub use coord::{Coord3, Extent3, KernelOffsets};
 pub use dense::Dense3;
 pub use error::TensorError;
 pub use fixed::{requantize, requantize_i64, Acc32, QuantParams, Q16, Q8};
-pub use line::{LineCsr, LineRuns, LineWindow};
+pub use line::LineRuns;
 pub use mask::OccupancyMask;
 pub use sparse::{ActiveSetFingerprint, SparseTensor};
 pub use tile::{TileGrid, TileInfo, TileReport, TileShape};

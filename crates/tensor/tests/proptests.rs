@@ -2,7 +2,7 @@
 //! accelerator model depends on.
 
 use esca_tensor::{
-    Coord3, Extent3, KernelOffsets, LineCsr, OccupancyMask, QuantParams, SparseTensor, TileGrid,
+    Coord3, Extent3, KernelOffsets, LineRuns, OccupancyMask, QuantParams, SparseTensor, TileGrid,
     TileShape,
 };
 use proptest::prelude::*;
@@ -49,30 +49,38 @@ proptest! {
         }
     }
 
-    /// Line-CSR holds every entry exactly once, sorted by z per line, and
-    /// every window query equals the brute-force filter.
+    /// The z-line index holds every entry exactly once, sorted by z per
+    /// line, and every window query, including on the absent lines one
+    /// past each grid edge, equals the brute-force filter.
     #[test]
-    fn line_csr_windows_match_bruteforce(t in sparse_tensor_strategy(), z0 in -2i32..18, span in 1i32..5) {
-        let csr = LineCsr::from_sparse(&t);
-        prop_assert_eq!(csr.len(), t.nnz());
+    fn line_runs_windows_match_bruteforce(t in sparse_tensor_strategy(), z0 in -2i32..18, span in 1i32..5) {
+        let runs = LineRuns::new(t.coords());
+        prop_assert_eq!(runs.zs().len(), t.nnz());
         let z1 = z0 + span;
+        let prefix_count = |x: i32, y: i32, z: i32| {
+            runs.zs()[runs.line_at(x, y)].partition_point(|&zz| zz <= z)
+        };
         for x in -1..t.extent().x as i32 + 1 {
             for y in -1..t.extent().y as i32 + 1 {
-                let w = csr.window(x, y, z0, z1);
+                let w = runs.window(x, y, z0, z1);
                 let mut expect: Vec<(i32, f32)> = t
                     .iter()
                     .filter(|(c, _)| c.x == x && c.y == y && c.z >= z0 && c.z < z1)
                     .map(|(c, f)| (c.z, f[0]))
                     .collect();
                 expect.sort_by_key(|(z, _)| *z);
-                let got: Vec<(i32, f32)> = w.iter().map(|(z, f)| (z, f[0])).collect();
+                let got: Vec<(i32, f32)> = w
+                    .clone()
+                    .map(|e| {
+                        let pos = runs.order()[e] as usize;
+                        (runs.zs()[e], t.features()[pos * t.channels()])
+                    })
+                    .collect();
                 prop_assert_eq!(got, expect);
                 // (A, B) arithmetic always holds.
-                prop_assert_eq!(w.a_index(), csr.prefix_count(x, y, z1 - 1));
-                prop_assert_eq!(
-                    w.len(),
-                    w.a_index() - csr.prefix_count(x, y, z0 - 1)
-                );
+                let a = w.end - runs.line_at(x, y).start;
+                prop_assert_eq!(a, prefix_count(x, y, z1 - 1));
+                prop_assert_eq!(w.len(), a - prefix_count(x, y, z0 - 1));
             }
         }
     }

@@ -374,8 +374,7 @@ fn ingest_with_reuse_matches_run_batch_frame_for_frame() {
             at_cycle: 0,
         })
         .collect();
-    let admit_all =
-        AdmissionConfig::legacy_burst(None, BackpressurePolicy::RejectNew, frames.len());
+    let admit_all = AdmissionConfig::one_burst(None, BackpressurePolicy::RejectNew, frames.len());
     let report = session
         .run_batch_ingest(&frames, &arrivals, &FaultConfig::off(7), &admit_all)
         .unwrap();

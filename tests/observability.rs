@@ -189,7 +189,7 @@ fn chaos_campaign_flight_dump_has_one_terminal_event_per_frame() {
         })
         .collect();
     let admission =
-        AdmissionConfig::legacy_burst(Some(10), BackpressurePolicy::RejectNew, frames.len());
+        AdmissionConfig::one_burst(Some(10), BackpressurePolicy::RejectNew, frames.len());
 
     let hub = Arc::new(ObservabilityHub::new());
     let esca = Esca::new(EscaConfig::default()).unwrap();
