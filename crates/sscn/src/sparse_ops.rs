@@ -221,12 +221,16 @@ pub fn transpose_conv3d(
 /// When both operands store the same coordinate sequence — the U-Net's
 /// case, since the transpose convolution restores the skip's canonical set
 /// — rows are interleaved onto `a`'s active set with no coordinate lookup.
+/// Operands that share one active set pass that test in O(1), on the
+/// pointer of their coordinate slice.
 ///
 /// # Errors
 ///
 /// Returns [`SscnError::InvalidConfig`] when extents or active sets differ.
 pub fn concat_channels(a: &SparseTensor<f32>, b: &SparseTensor<f32>) -> Result<SparseTensor<f32>> {
-    if a.extent() == b.extent() && a.coords() == b.coords() {
+    if a.extent() == b.extent()
+        && (std::ptr::eq(a.coords(), b.coords()) || a.coords() == b.coords())
+    {
         let (ca, cb) = (a.channels(), b.channels());
         let mut feats = Vec::with_capacity(a.nnz() * (ca + cb));
         for (fa, fb) in a

@@ -126,7 +126,7 @@ fn rulebook_roundtrip() {
 #[test]
 fn sparse_tensor_serde_rebuilds_index() {
     // SparseTensor skips its hash index during (de)serialization; the
-    // decoder rebuilds it, so lookups work straight after a round-trip.
+    // decoded tensor builds it again, so lookups work after a round-trip.
     let mut t = SparseTensor::<f32>::new(Extent3::cube(4), 1);
     t.insert(Coord3::new(1, 2, 3), &[5.0]).unwrap();
     t.insert(Coord3::new(0, 0, 1), &[6.0]).unwrap();
@@ -170,4 +170,25 @@ fn sparse_tensor_decode_rejects_inconsistent_payloads() {
         let json = format!("{{{extent},{body}}}");
         assert!(decode(&json).is_err(), "{what} payload must be rejected");
     }
+}
+
+#[test]
+fn sparse_tensor_json_wire_shape_is_pinned() {
+    // A shuffled (non-raster) tensor: storage order must reach the wire.
+    let mut t = SparseTensor::<f32>::new(Extent3::new(4, 5, 6), 2);
+    t.insert(Coord3::new(3, 0, 5), &[1.5, -2.0]).unwrap();
+    t.insert(Coord3::new(0, 4, 1), &[0.25, 3.0]).unwrap();
+    t.insert(Coord3::new(0, 0, 0), &[-0.125, 1e-3]).unwrap();
+    let json = serde_json::to_string(&t).unwrap();
+    assert_eq!(
+        json,
+        concat!(
+            r#"{"extent":{"x":4,"y":5,"z":6},"channels":2,"#,
+            r#""coords":[{"x":3,"y":0,"z":5},{"x":0,"y":4,"z":1},{"x":0,"y":0,"z":0}],"#,
+            r#""features":[1.5,-2.0,0.25,3.0,-0.125,0.001]}"#
+        )
+    );
+    let back: SparseTensor<f32> = serde_json::from_str(&json).unwrap();
+    assert_eq!(back.coords(), t.coords());
+    assert_eq!(back.features(), t.features());
 }

@@ -60,6 +60,8 @@ pub enum TensorError {
     },
     /// A validated ingestion path was handed a frame with no active sites.
     EmptyFrame,
+    /// A validated ingestion path was handed a channel count of zero.
+    ZeroChannels,
 }
 
 impl fmt::Display for TensorError {
@@ -91,6 +93,9 @@ impl fmt::Display for TensorError {
             }
             TensorError::EmptyFrame => {
                 write!(f, "empty frame: no active sites")
+            }
+            TensorError::ZeroChannels => {
+                write!(f, "channel count must be nonzero")
             }
         }
     }

@@ -11,9 +11,10 @@
 //! * [`Dense3`] — a dense row-major 3-D tensor with a channel dimension
 //!   (used by the *traditional convolution* reference and as an exchange
 //!   format);
-//! * [`SparseTensor`] — the canonical coordinate-list sparse tensor with a
-//!   hash index, the functional representation used by the golden SSCN
-//!   model;
+//! * [`SparseTensor`] — the canonical coordinate-list sparse tensor, the
+//!   functional representation used by the golden SSCN model. Tensors on
+//!   the same sites share one active set: coordinates, fingerprint memo
+//!   and a hash index built on the first point lookup;
 //! * [`OccupancyMask`] — a bit-packed occupancy grid, the bulk form of the
 //!   paper's *index mask*;
 //! * [`TileGrid`] — fixed-size tiling of a grid with active/empty

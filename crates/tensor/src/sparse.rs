@@ -2,9 +2,14 @@
 //! of a voxelized point-cloud feature map.
 //!
 //! A [`SparseTensor`] stores only the *active* (nonzero) sites together with
-//! their feature vectors, plus a hash index for O(1) neighbor lookup. This
-//! is the representation the golden SSCN model computes on, and the source
-//! from which the accelerator's index-mask / valid-data encoding is built.
+//! their feature vectors. The sites live in one shared, reference-counted
+//! active set: every tensor on the same sites in the same order (a
+//! submanifold layer's output, a channel concat, a quantized copy) points
+//! at the same coordinates, fingerprint memo and coordinate index. The
+//! index is a hash map built on the first point lookup, so tensors that
+//! are only streamed in storage order never pay for it. This is the
+//! representation the golden SSCN model computes on, and the source from
+//! which the accelerator's index-mask / valid-data encoding is built.
 
 use crate::coord::{Coord3, Extent3};
 use crate::dense::Dense3;
@@ -13,7 +18,7 @@ use crate::mask::OccupancyMask;
 use crate::Result;
 use serde::{Content, Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A sparse 3-D tensor: a set of active sites with `channels` features each.
 ///
@@ -29,10 +34,13 @@ use std::sync::OnceLock;
 /// but different storage order compare equal under
 /// [`SparseTensor::same_content`].
 ///
+/// Cloning, [`SparseTensor::map`] and [`SparseTensor::from_template`]
+/// share the active set in O(1); inserting a new site copies it first, so
+/// the tensors that shared it never see the change.
+///
 /// Deserialization goes through [`SparseTensor::from_coord_features`], so
-/// a decoded tensor has a working index, and a payload with an
-/// out-of-bounds or repeated coordinate or a wrong feature length is
-/// rejected.
+/// a payload with an out-of-bounds or repeated coordinate or a wrong
+/// feature length is rejected.
 ///
 /// # Example
 ///
@@ -46,24 +54,56 @@ use std::sync::OnceLock;
 /// assert_eq!(t.feature(Coord3::new(0, 0, 0)), None);
 /// # Ok::<(), esca_tensor::TensorError>(())
 /// ```
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SparseTensor<T = f32> {
     extent: Extent3,
     channels: usize,
-    coords: Vec<Coord3>,
     features: Vec<T>,
-    #[serde(skip)]
-    index: HashMap<Coord3, usize>,
-    /// Memo of [`SparseTensor::active_fingerprint`]. Tensors built on the
-    /// same coordinate sequence inherit it; adding a coordinate or
-    /// reordering storage clears it.
-    #[serde(skip)]
+    set: Arc<ActiveSet>,
+}
+
+/// The geometry half of a tensor, shared by every tensor on the same
+/// coordinate sequence. Adding a site goes through [`Arc::make_mut`], so a
+/// shared set is copied before it changes; reordering installs a new set.
+#[derive(Debug, Clone, Default)]
+struct ActiveSet {
+    /// Active coordinates in storage order.
+    coords: Vec<Coord3>,
+    /// Memo of [`SparseTensor::active_fingerprint`]; cleared when a site
+    /// is added.
     fingerprint: OnceLock<ActiveSetFingerprint>,
+    /// Coordinate → storage position, built on the first point lookup.
+    index: OnceLock<HashMap<Coord3, usize>>,
+}
+
+impl ActiveSet {
+    fn index(&self) -> &HashMap<Coord3, usize> {
+        self.index.get_or_init(|| {
+            self.coords
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| (c, i))
+                .collect()
+        })
+    }
+}
+
+/// The wire shape is the flat `{extent, channels, coords, features}` map;
+/// the index and the fingerprint memo are not serialized.
+impl<T: Serialize> Serialize for SparseTensor<T> {
+    fn to_content(&self) -> Content {
+        Content::Map(vec![
+            ("extent".to_string(), self.extent.to_content()),
+            ("channels".to_string(), self.channels.to_content()),
+            ("coords".to_string(), self.set.coords.to_content()),
+            ("features".to_string(), self.features.to_content()),
+        ])
+    }
 }
 
 impl<T: Copy + Deserialize> Deserialize for SparseTensor<T> {
     fn from_content(content: &Content) -> std::result::Result<Self, serde::Error> {
-        /// The serialized fields; the index and the memo are rebuilt.
+        /// The serialized fields; the index and the memo are not sent.
         #[derive(Deserialize)]
         struct Wire<T> {
             extent: Extent3,
@@ -73,7 +113,7 @@ impl<T: Copy + Deserialize> Deserialize for SparseTensor<T> {
         }
         let w = Wire::<T>::from_content(content)?;
         if w.channels == 0 {
-            return Err(serde::Error::custom("channel count must be nonzero"));
+            return Err(serde::Error::custom(TensorError::ZeroChannels));
         }
         SparseTensor::from_coord_features(w.extent, w.channels, w.coords, w.features)
             .map_err(serde::Error::custom)
@@ -155,10 +195,8 @@ impl<T: Copy> SparseTensor<T> {
         SparseTensor {
             extent,
             channels,
-            coords: Vec::new(),
             features: Vec::new(),
-            index: HashMap::new(),
-            fingerprint: OnceLock::new(),
+            set: Arc::default(),
         }
     }
 
@@ -189,9 +227,12 @@ impl<T: Copy> SparseTensor<T> {
     /// # Errors
     ///
     /// Returns [`TensorError::ChannelMismatch`] when the feature length is
-    /// not `coords.len() * channels`, [`TensorError::OutOfBounds`] for a
-    /// coordinate outside `extent` and [`TensorError::DuplicateCoord`]
-    /// when a coordinate repeats.
+    /// not `coords.len() * channels`, and otherwise the error of the first
+    /// bad position in `coords`: [`TensorError::OutOfBounds`] for a
+    /// coordinate outside `extent`, [`TensorError::DuplicateCoord`] for a
+    /// repeat of an earlier one. A strictly raster-increasing list cannot
+    /// repeat, so it is checked for bounds only and its index is left to
+    /// the first lookup.
     ///
     /// # Panics
     ///
@@ -209,31 +250,41 @@ impl<T: Copy> SparseTensor<T> {
                 got: features.len(),
             });
         }
-        let mut index = HashMap::with_capacity(coords.len());
-        for (i, &c) in coords.iter().enumerate() {
-            if !extent.contains(c) {
+        let index = if coords.windows(2).all(|w| w[0] < w[1]) {
+            if let Some(&c) = coords.iter().find(|&&c| !extent.contains(c)) {
                 return Err(TensorError::OutOfBounds { coord: c, extent });
             }
-            if index.insert(c, i).is_some() {
-                return Err(TensorError::DuplicateCoord { coord: c });
+            OnceLock::new()
+        } else {
+            let mut map = HashMap::with_capacity(coords.len());
+            for (i, &c) in coords.iter().enumerate() {
+                if !extent.contains(c) {
+                    return Err(TensorError::OutOfBounds { coord: c, extent });
+                }
+                if map.insert(c, i).is_some() {
+                    return Err(TensorError::DuplicateCoord { coord: c });
+                }
             }
-        }
+            OnceLock::from(map)
+        };
         Ok(SparseTensor {
             extent,
             channels,
-            coords,
             features,
-            index,
-            fingerprint: OnceLock::new(),
+            set: Arc::new(ActiveSet {
+                coords,
+                index,
+                ..ActiveSet::default()
+            }),
         })
     }
 
     /// Builds a tensor on `template`'s active set — same extent, same
     /// coordinates in the same storage order — carrying new flat features
-    /// (`template.nnz() * channels` elements, site-major). The coordinate
-    /// index and the fingerprint memo are cloned from the template instead
-    /// of being recomputed, so this is the cheap output-assembly path for
-    /// submanifold kernels.
+    /// (`template.nnz() * channels` elements, site-major). The output
+    /// shares the template's active set (coordinates, index and
+    /// fingerprint memo) in O(1), so this is the cheap output-assembly
+    /// path for submanifold kernels.
     ///
     /// # Errors
     ///
@@ -258,20 +309,20 @@ impl<T: Copy> SparseTensor<T> {
         Ok(SparseTensor {
             extent: template.extent,
             channels,
-            coords: template.coords.clone(),
             features,
-            index: template.index.clone(),
-            fingerprint: template.fingerprint.clone(),
+            set: Arc::clone(&template.set),
         })
     }
 
     /// The order-sensitive [`ActiveSetFingerprint`] of this tensor's
     /// active set — the matching-reuse cache key. O(nnz) on first use,
-    /// then memoized until the coordinate sequence changes.
+    /// then memoized on the shared active set until the coordinate
+    /// sequence changes.
     pub fn active_fingerprint(&self) -> ActiveSetFingerprint {
         *self
+            .set
             .fingerprint
-            .get_or_init(|| ActiveSetFingerprint::of_coords(self.extent, &self.coords))
+            .get_or_init(|| ActiveSetFingerprint::of_coords(self.extent, &self.set.coords))
     }
 
     /// Grid extent.
@@ -289,13 +340,13 @@ impl<T: Copy> SparseTensor<T> {
     /// Number of active sites.
     #[inline]
     pub fn nnz(&self) -> usize {
-        self.coords.len()
+        self.set.coords.len()
     }
 
     /// Whether no site is active.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.coords.is_empty()
+        self.set.coords.is_empty()
     }
 
     /// Fraction of inactive sites, the paper's notion of sparsity
@@ -307,12 +358,13 @@ impl<T: Copy> SparseTensor<T> {
     /// Whether `c` is an active site.
     #[inline]
     pub fn contains(&self, c: Coord3) -> bool {
-        self.index.contains_key(&c)
+        self.set.index().contains_key(&c)
     }
 
     /// The feature vector at `c`, or `None` when the site is inactive.
     pub fn feature(&self, c: Coord3) -> Option<&[T]> {
-        self.index
+        self.set
+            .index()
             .get(&c)
             .map(|&i| &self.features[i * self.channels..(i + 1) * self.channels])
     }
@@ -320,12 +372,15 @@ impl<T: Copy> SparseTensor<T> {
     /// Mutable feature vector at `c`, or `None` when inactive.
     pub fn feature_mut(&mut self, c: Coord3) -> Option<&mut [T]> {
         let ch = self.channels;
-        self.index
+        self.set
+            .index()
             .get(&c)
             .map(|&i| &mut self.features[i * ch..(i + 1) * ch])
     }
 
-    /// Inserts (or overwrites) the feature vector at `c`.
+    /// Inserts (or overwrites) the feature vector at `c`. A new site
+    /// copies a shared active set before adding to it; an overwrite leaves
+    /// the set shared.
     ///
     /// # Errors
     ///
@@ -344,14 +399,17 @@ impl<T: Copy> SparseTensor<T> {
                 got: features.len(),
             });
         }
-        if let Some(&i) = self.index.get(&c) {
+        if let Some(&i) = self.set.index().get(&c) {
             self.features[i * self.channels..(i + 1) * self.channels].copy_from_slice(features);
         } else {
-            let i = self.coords.len();
-            self.coords.push(c);
+            let set = Arc::make_mut(&mut self.set);
+            let i = set.coords.len();
+            set.coords.push(c);
+            set.fingerprint.take();
+            if let Some(index) = set.index.get_mut() {
+                index.insert(c, i);
+            }
             self.features.extend_from_slice(features);
-            self.index.insert(c, i);
-            self.fingerprint.take();
         }
         Ok(())
     }
@@ -359,43 +417,37 @@ impl<T: Copy> SparseTensor<T> {
     /// Whether storage order is raster order (z fastest), i.e. whether
     /// [`SparseTensor::canonicalize`] would leave the tensor unchanged.
     pub fn is_canonical(&self) -> bool {
-        self.coords.windows(2).all(|w| w[0] < w[1])
+        self.set.coords.windows(2).all(|w| w[0] < w[1])
     }
 
-    /// Sorts entries into raster order (z fastest). Idempotent: an
-    /// already canonical tensor is left untouched.
+    /// Sorts entries into raster order (z fastest) on a new active set.
+    /// Idempotent: an already canonical tensor is left untouched.
     pub fn canonicalize(&mut self) {
         if self.is_canonical() {
             return;
         }
-        self.fingerprint.take();
-        let e = self.extent;
-        let mut order: Vec<usize> = (0..self.coords.len()).collect();
-        order.sort_by_key(|&i| e.linear_unchecked(self.coords[i]));
+        let (e, old) = (self.extent, &self.set.coords);
+        let mut order: Vec<usize> = (0..old.len()).collect();
+        order.sort_by_key(|&i| e.linear_unchecked(old[i]));
         let ch = self.channels;
-        let coords = order.iter().map(|&i| self.coords[i]).collect::<Vec<_>>();
+        let coords = order.iter().map(|&i| old[i]).collect::<Vec<_>>();
         let mut features = Vec::with_capacity(self.features.len());
         for &i in &order {
             features.extend_from_slice(&self.features[i * ch..(i + 1) * ch]);
         }
-        self.coords = coords;
+        self.set = Arc::new(ActiveSet {
+            coords,
+            ..ActiveSet::default()
+        });
         self.features = features;
-        self.rebuild_index();
     }
 
-    fn rebuild_index(&mut self) {
-        self.index = self
-            .coords
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (c, i))
-            .collect();
-    }
-
-    /// Active coordinates in storage order.
+    /// Active coordinates in storage order. Tensors that share one active
+    /// set return the same slice, so `std::ptr::eq` on two results is an
+    /// O(1) test for "same sites in the same order".
     #[inline]
     pub fn coords(&self) -> &[Coord3] {
-        &self.coords
+        &self.set.coords
     }
 
     /// Flat feature storage (`nnz * channels` elements, site-major).
@@ -406,7 +458,8 @@ impl<T: Copy> SparseTensor<T> {
 
     /// Iterates `(coord, features)` in storage order.
     pub fn iter(&self) -> impl Iterator<Item = (Coord3, &[T])> {
-        self.coords
+        self.set
+            .coords
             .iter()
             .copied()
             .zip(self.features.chunks_exact(self.channels))
@@ -416,21 +469,19 @@ impl<T: Copy> SparseTensor<T> {
     /// *index mask*.
     pub fn occupancy_mask(&self) -> OccupancyMask {
         let mut m = OccupancyMask::new(self.extent);
-        for &c in &self.coords {
+        for &c in &self.set.coords {
             m.set(c, true).expect("stored coords are in bounds");
         }
         m
     }
 
-    /// Maps every feature element through `f`, preserving the active set.
+    /// Maps every feature element through `f`, sharing the active set.
     pub fn map<U: Copy, F: FnMut(T) -> U>(&self, mut f: F) -> SparseTensor<U> {
         SparseTensor {
             extent: self.extent,
             channels: self.channels,
-            coords: self.coords.clone(),
             features: self.features.iter().map(|&v| f(v)).collect(),
-            index: self.index.clone(),
-            fingerprint: self.fingerprint.clone(),
+            set: Arc::clone(&self.set),
         }
     }
 
@@ -450,11 +501,12 @@ impl<T: Copy> SparseTensor<T> {
     }
 
     /// Whether both tensors have exactly the same active set (the
-    /// submanifold property: output pattern == input pattern).
+    /// submanifold property: output pattern == input pattern), in any
+    /// storage order. O(1) when the two share one active set.
     pub fn same_active_set<U: Copy>(&self, other: &SparseTensor<U>) -> bool {
         self.extent == other.extent
-            && self.nnz() == other.nnz()
-            && self.coords.iter().all(|c| other.contains(*c))
+            && (Arc::ptr_eq(&self.set, &other.set)
+                || self.nnz() == other.nnz() && self.set.coords.iter().all(|c| other.contains(*c)))
     }
 }
 
@@ -470,26 +522,26 @@ impl SparseTensor<f32> {
     /// # Errors
     ///
     /// Everything [`SparseTensor::from_coord_features`] rejects, plus
+    /// [`TensorError::ZeroChannels`] when `channels == 0`,
     /// [`TensorError::EmptyFrame`] when `coords` is empty and
     /// [`TensorError::NonFiniteFeature`] (naming the first offending
     /// site/channel) when any feature value is NaN or infinite.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channels == 0`.
     pub fn try_from_coord_features(
         extent: Extent3,
         channels: usize,
         coords: Vec<Coord3>,
         features: Vec<f32>,
     ) -> Result<Self> {
+        if channels == 0 {
+            return Err(TensorError::ZeroChannels);
+        }
         if coords.is_empty() {
             return Err(TensorError::EmptyFrame);
         }
         if let Some(bad) = features.iter().position(|v| !v.is_finite()) {
             return Err(TensorError::NonFiniteFeature {
-                site: bad / channels.max(1),
-                channel: bad % channels.max(1),
+                site: bad / channels,
+                channel: bad % channels,
             });
         }
         SparseTensor::from_coord_features(extent, channels, coords, features)
@@ -503,7 +555,7 @@ impl SparseTensor<f32> {
                 t.insert(c, f).expect("dense iter yields in-bounds coords");
             }
         }
-        // Dense iteration is already raster order; index is consistent.
+        // Dense iteration is already raster order: no canonicalize needed.
         t
     }
 
@@ -806,10 +858,59 @@ mod tests {
             ),
             Err(TensorError::DuplicateCoord { .. })
         ));
+        // The first bad position decides the error on both paths: the
+        // raster-increasing one (bounds only) and the general one.
+        let (a, b, oob) = (
+            Coord3::new(0, 0, 0),
+            Coord3::new(1, 1, 1),
+            Coord3::new(4, 0, 0),
+        );
+        let cases = [
+            (
+                vec![a, b, oob],
+                TensorError::OutOfBounds {
+                    coord: oob,
+                    extent: Extent3::cube(4),
+                },
+            ),
+            (vec![b, a, b, oob], TensorError::DuplicateCoord { coord: b }),
+            (
+                vec![b, a, oob, b],
+                TensorError::OutOfBounds {
+                    coord: oob,
+                    extent: Extent3::cube(4),
+                },
+            ),
+        ];
+        for (coords, want) in cases {
+            let n = coords.len();
+            let got = SparseTensor::from_coord_features(Extent3::cube(4), 1, coords, vec![0.0; n]);
+            assert_eq!(got.unwrap_err(), want);
+        }
+        // A raster-increasing list leaves its index to the first lookup;
+        // any other list has it built by the validation pass.
+        let sorted =
+            SparseTensor::from_coord_features(Extent3::cube(4), 1, vec![a, b], vec![1.0, 2.0])
+                .unwrap();
+        assert!(sorted.set.index.get().is_none());
+        assert_eq!(sorted.feature(b), Some(&[2.0][..]));
+        assert!(sorted.set.index.get().is_some());
+        let unsorted =
+            SparseTensor::from_coord_features(Extent3::cube(4), 1, vec![b, a], vec![2.0, 1.0])
+                .unwrap();
+        assert!(unsorted.set.index.get().is_some());
     }
 
     #[test]
     fn try_from_coord_features_accepts_valid_and_rejects_malformed() {
+        // A zero channel count is a typed error, not a panic.
+        for (coords, features) in [(vec![Coord3::new(0, 0, 0)], vec![]), (vec![], vec![1.0])] {
+            assert_eq!(
+                SparseTensor::try_from_coord_features(Extent3::cube(4), 0, coords, features)
+                    .unwrap_err(),
+                TensorError::ZeroChannels
+            );
+        }
         // A well-formed frame passes through unchanged, order preserved.
         let t = SparseTensor::try_from_coord_features(
             Extent3::cube(4),
@@ -885,6 +986,94 @@ mod tests {
             SparseTensor::<f32>::from_template(&t, 2, vec![0.0; 5]),
             Err(TensorError::ChannelMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn template_map_and_clone_share_one_set_and_one_index() {
+        let t = SparseTensor::from_coord_features(
+            Extent3::cube(4),
+            1,
+            vec![Coord3::new(0, 0, 1), Coord3::new(2, 0, 0)],
+            vec![1.0, 2.0],
+        )
+        .unwrap();
+        let u: SparseTensor<f32> = SparseTensor::from_template(&t, 2, vec![0.0; 4]).unwrap();
+        let q = u.map(|v| v as i32);
+        let c = q.clone();
+        for set in [&u.set, &q.set, &c.set] {
+            assert!(Arc::ptr_eq(&t.set, set));
+        }
+        assert!(t.same_active_set(&c));
+        assert!(std::ptr::eq(t.coords(), c.coords()));
+        // One lookup on any of them builds the one index all of them use.
+        assert!(t.set.index.get().is_none());
+        assert!(c.contains(Coord3::new(2, 0, 0)));
+        assert!(t.set.index.get().is_some());
+        assert_eq!(t.feature(Coord3::new(2, 0, 0)), Some(&[2.0][..]));
+        assert_eq!(u.feature(Coord3::new(2, 0, 0)), Some(&[0.0, 0.0][..]));
+    }
+
+    #[test]
+    fn inserting_a_new_site_leaves_siblings_unchanged() {
+        for build_index_first in [false, true] {
+            let t = tiny();
+            let before = t.active_fingerprint();
+            if build_index_first {
+                assert!(t.contains(Coord3::new(0, 0, 0)));
+            }
+            let mut u = t.clone();
+            let q = t.map(|v| v as i32);
+            let new = Coord3::new(2, 2, 2);
+            u.insert(new, &[7.0, 8.0]).unwrap();
+            assert!(!Arc::ptr_eq(&t.set, &u.set));
+            assert!(Arc::ptr_eq(&t.set, &q.set));
+            for coords in [t.coords(), q.coords()] {
+                assert_eq!(coords, tiny().coords());
+            }
+            assert!(!t.contains(new) && !q.contains(new));
+            assert_eq!(t.feature(Coord3::new(3, 0, 0)), Some(&[1.0, 2.0][..]));
+            assert_eq!(t.active_fingerprint(), before);
+            assert_eq!(q.active_fingerprint(), before);
+            memo_is_fresh(&t);
+            assert_eq!(u.nnz(), 4);
+            assert_eq!(u.feature(new), Some(&[7.0, 8.0][..]));
+            assert_eq!(u.feature(Coord3::new(0, 0, 0)), Some(&[5.0, 6.0][..]));
+            memo_is_fresh(&u);
+        }
+    }
+
+    #[test]
+    fn overwriting_a_site_keeps_the_set_shared() {
+        let t = tiny();
+        let mut u = t.clone();
+        u.insert(Coord3::new(0, 0, 1), &[9.0, 9.0]).unwrap();
+        u.feature_mut(Coord3::new(3, 0, 0)).unwrap()[0] = -1.0;
+        assert!(Arc::ptr_eq(&t.set, &u.set));
+        assert_eq!(u.feature(Coord3::new(0, 0, 1)), Some(&[9.0, 9.0][..]));
+        assert_eq!(t.feature(Coord3::new(0, 0, 1)), Some(&[3.0, 4.0][..]));
+        assert_eq!(t.feature(Coord3::new(3, 0, 0)), Some(&[1.0, 2.0][..]));
+    }
+
+    #[test]
+    fn canonicalize_installs_a_fresh_set_only_when_it_reorders() {
+        let t = tiny();
+        let before = t.active_fingerprint();
+        let mut u = t.clone();
+        u.canonicalize();
+        assert!(!Arc::ptr_eq(&t.set, &u.set));
+        assert_eq!(t.coords(), tiny().coords());
+        assert_eq!(t.active_fingerprint(), before);
+        memo_is_fresh(&u);
+        assert_eq!(u.feature(Coord3::new(3, 0, 0)), Some(&[1.0, 2.0][..]));
+        let mut v = u.clone();
+        v.canonicalize();
+        assert!(Arc::ptr_eq(&u.set, &v.set));
+    }
+
+    #[test]
+    fn sparse_tensor_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<SparseTensor<f32>>();
     }
 
     #[test]
