@@ -135,14 +135,15 @@ impl SscnClassifier {
     /// Runs the network through a matching-reuse [`FlatEngine`]: both
     /// Sub-Conv layers of each stage share one cached rulebook (pooling
     /// changes the active set between stages), and the inter-stage max
-    /// pooling executes over a cached [`crate::plan::PoolMap`]
-    /// (bit-identical to [`crate::pool::sparse_max_pool`]). Exactness
+    /// pooling replays a cached [`crate::plan::StridedMap`] through
+    /// [`crate::plan::StridedMap::max_pool`] (bit-identical to
+    /// [`crate::pool::sparse_max_pool`]). Exactness
     /// follows the engine's GEMM backend tier ([`crate::gemm`]):
     /// bit-identical to [`SscnClassifier::forward`] under the scalar
     /// reference tier, epsilon-bounded under the default blocked tier.
     ///
     /// A repeated frame geometry replays every stage's rulebook and
-    /// pooling map from the engine's per-op cache with zero matching work.
+    /// site map from the engine's per-op cache with zero matching work.
     ///
     /// # Errors
     ///
@@ -317,7 +318,7 @@ mod tests {
         let flat = net.forward_engine(&input, &mut engine).unwrap();
         assert_eq!(flat, direct, "logits not bitwise equal");
         // One rulebook per stage (second conv of each stage hits it) plus
-        // one inter-stage pooling map.
+        // one inter-stage site map, which the max pooling replays.
         assert_eq!(engine.cache().misses(), 3);
         assert_eq!(engine.cache().hits(), 2);
         // Blocked tier: epsilon-bounded logits over the same reuse.

@@ -15,17 +15,19 @@
 //! worker threads.
 //!
 //! The same argument covers every other geometry-determined map the
-//! networks execute — strided/transpose convolutions and max pooling have
-//! fixed in/out site maps per active set too — so the cache stores any
-//! [`CachedGeometry`] artifact under a hardened [`GeometryKey`] folding
-//! the op kind, the stride/kernel parameter and (for transpose) the
-//! target set's fingerprint alongside the input fingerprint: a
-//! downsampled level can never alias a same-coordinate tensor from
-//! another level, parameter or op. This per-op cache is the only geometry
-//! cache: a repeated frame replays every layer's artifact from it with
-//! zero matching work, and the cycle model's matching-residency hints are
-//! derived from it ([`RulebookCache::contains_rulebook`]). Artifacts
-//! depend only on geometry and kernel size, never on which network asks.
+//! networks execute — strided and transpose convolutions have fixed
+//! in/out site maps per active set too, and max pooling replays the
+//! strided map of the same set and window — so the cache stores a
+//! [`Rulebook`], [`StridedMap`] or [`TransposeMap`] under a hardened key
+//! folding the artifact type, the kernel/stride parameter and (for
+//! transpose) the target set's fingerprint alongside the input
+//! fingerprint: a downsampled level can never alias a same-coordinate
+//! tensor from another level, parameter or op. This per-op cache is the
+//! only geometry cache: a repeated frame replays every layer's artifact
+//! from it with zero matching work, and the cycle model's
+//! matching-residency hints are derived from it
+//! ([`RulebookCache::contains_rulebook`]). Artifacts depend only on
+//! geometry and kernel size, never on which network asks.
 //!
 //! The per-tap GEMM at the core of the flat kernels is **pluggable**
 //! ([`crate::gemm`]): [`apply_rulebook_flat_with`] and
@@ -44,7 +46,7 @@
 
 use crate::error::SscnError;
 use crate::gemm::{GemmBackend, GemmBackendKind};
-use crate::plan::{PoolMap, StridedMap, TransposeMap};
+use crate::plan::{StridedMap, TransposeMap};
 use crate::pool::sparse_max_pool;
 use crate::quant::QuantizedWeights;
 use crate::rulebook::Rulebook;
@@ -53,66 +55,55 @@ use crate::weights::ConvWeights;
 use crate::Result;
 use esca_telemetry::Registry;
 use esca_tensor::{requantize_i64, ActiveSetFingerprint, Coord3, Extent3, SparseTensor, Q16};
+use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-/// Which geometry-determined artifact a cache entry holds. Part of the
-/// cache key, so ops can never alias each other.
+/// A geometry artifact the cache can hold: immutable, shareable across
+/// threads, and priced in heap bytes for the LRU budget.
+trait Artifact: Any + Send + Sync {
+    fn heap_bytes(&self) -> usize;
+}
+
+impl Artifact for Rulebook {
+    fn heap_bytes(&self) -> usize {
+        Rulebook::heap_bytes(self)
+    }
+}
+
+impl Artifact for StridedMap {
+    fn heap_bytes(&self) -> usize {
+        StridedMap::heap_bytes(self)
+    }
+}
+
+impl Artifact for TransposeMap {
+    fn heap_bytes(&self) -> usize {
+        TransposeMap::heap_bytes(self)
+    }
+}
+
+/// Hardened cache key: the artifact type, the kernel/stride parameter,
+/// the order-sensitive input active-set identity (which itself folds the
+/// grid extent and site count), and — for transpose convolution, whose
+/// map also depends on the target set — that set's digest lanes. Two
+/// entries can collide only if every one of these agrees.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum GeometryOp {
-    /// A submanifold rulebook ([`Rulebook`]).
-    SubConv,
-    /// A strided-convolution site map ([`StridedMap`]).
-    Strided,
-    /// A transpose-convolution gather map ([`TransposeMap`]).
-    Transpose,
-    /// A max-pooling reduction map ([`PoolMap`]).
-    Pool,
+struct Key {
+    kind: TypeId,
+    param: u32,
+    set: ActiveSetFingerprint,
+    aux: [u64; 2],
 }
 
-/// Hardened cache key: op kind, kernel/stride parameter, the
-/// order-sensitive input active-set identity (which itself folds the grid
-/// extent and site count), and — for ops whose map depends on a second
-/// active set, like transpose convolution's target — that set's digest
-/// lanes. Two entries can collide only if every one of these agrees.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct GeometryKey {
-    /// The artifact kind.
-    pub op: GeometryOp,
-    /// Kernel size (Sub-Conv) or stride/window K_d (the other ops).
-    pub param: u32,
-    /// The input active set's fingerprint (extent + nnz + ordered-coord
-    /// digests).
-    pub set: ActiveSetFingerprint,
-    /// Auxiliary digest, first lane (transpose: the target set's
-    /// `digest_lo`; zero elsewhere).
-    pub aux_lo: u64,
-    /// Auxiliary digest, second lane.
-    pub aux_hi: u64,
-}
-
-/// A cached geometry artifact, shared read-only behind [`Arc`].
-#[derive(Debug, Clone)]
-pub enum CachedGeometry {
-    /// A submanifold rulebook.
-    Book(Arc<Rulebook>),
-    /// A strided-convolution site map.
-    Strided(Arc<StridedMap>),
-    /// A transpose-convolution gather map.
-    Transpose(Arc<TransposeMap>),
-    /// A max-pooling reduction map.
-    Pool(Arc<PoolMap>),
-}
-
-impl CachedGeometry {
-    /// Heap bytes of the underlying artifact (the LRU currency).
-    pub fn heap_bytes(&self) -> usize {
-        match self {
-            CachedGeometry::Book(b) => b.heap_bytes(),
-            CachedGeometry::Strided(m) => m.heap_bytes(),
-            CachedGeometry::Transpose(m) => m.heap_bytes(),
-            CachedGeometry::Pool(m) => m.heap_bytes(),
+impl Key {
+    fn of<A: Artifact, T: Copy>(input: &SparseTensor<T>, param: u32, aux: [u64; 2]) -> Key {
+        Key {
+            kind: TypeId::of::<A>(),
+            param,
+            set: input.active_fingerprint(),
+            aux,
         }
     }
 }
@@ -120,7 +111,7 @@ impl CachedGeometry {
 /// One cached geometry artifact plus the bookkeeping the LRU budget needs.
 #[derive(Debug)]
 struct CacheEntry {
-    geo: CachedGeometry,
+    artifact: Arc<dyn Any + Send + Sync>,
     /// Artifact heap bytes at insert time (artifacts are immutable).
     bytes: usize,
     /// Logical timestamp of the last hit/insert; atomic so hits can touch
@@ -129,31 +120,31 @@ struct CacheEntry {
 }
 
 /// The lock-guarded part of the cache: the entry map plus the running
-/// byte total of every entry's rule/index lists.
+/// byte total of every entry's index lists.
 #[derive(Debug, Default)]
 struct CacheInner {
-    books: HashMap<GeometryKey, CacheEntry>,
+    entries: HashMap<Key, CacheEntry>,
     bytes: usize,
 }
 
-/// A thread-safe cache of geometry artifacts — submanifold rulebooks plus
-/// strided/transpose/pooling maps — keyed by [`GeometryKey`].
+/// A thread-safe cache of geometry artifacts: submanifold rulebooks,
+/// strided-convolution site maps (which max pooling replays too) and
+/// transpose-convolution gather maps, each under a hardened key.
 ///
 /// Shared behind an [`Arc`], one cache serves all layers of a network
 /// pass *and* all frames/workers of a streaming batch: the first request
 /// per geometry builds the artifact (a miss), every later request returns
-/// the shared [`Arc`] without rebuilding it (a hit). Hit/miss counters are atomic, so rates can be read concurrently
-/// with use. (The name predates the non-rulebook artifacts; the
-/// historical API — [`RulebookCache::get_or_build`] and the counters — is
-/// unchanged.)
+/// the shared [`Arc`] without rebuilding it (a hit). Hit/miss counters
+/// are atomic, so rates can be read concurrently with use.
 ///
 /// By default the cache is unbounded. [`with_capacity_bytes`] bounds the
-/// total [`Rulebook::heap_bytes`] it retains, evicting least-recently-used
+/// total heap bytes its artifacts retain, evicting least-recently-used
 /// entries past the budget — modeling a deployment that cannot keep every
-/// frame geometry's rule lists resident. Eviction only affects *when* a
-/// rulebook must be rebuilt, never what it contains: outputs and cycle
+/// frame geometry's maps resident. Eviction only affects *when* an
+/// artifact must be rebuilt, never what it contains: outputs and cycle
 /// stats are byte-identical under any budget (the determinism contract's
-/// cache-invariance invariant, tested in `tests/cache_eviction.rs`).
+/// cache-invariance invariant, tested in
+/// `crates/sscn/tests/cache_eviction.rs`).
 ///
 /// [`with_capacity_bytes`]: RulebookCache::with_capacity_bytes
 #[derive(Debug, Default)]
@@ -175,11 +166,11 @@ impl RulebookCache {
         RulebookCache::default()
     }
 
-    /// Creates an empty cache that retains at most `cap` bytes of rule
-    /// lists (as counted by [`Rulebook::heap_bytes`]), evicting the
+    /// Creates an empty cache that retains at most `cap` heap bytes of
+    /// artifacts (rulebooks and site maps alike), evicting the
     /// least-recently-used entries when an insert exceeds the budget. The
     /// entry being inserted is never evicted, so a single oversized
-    /// rulebook still works — the cache then simply holds that one entry
+    /// artifact still works — the cache then simply holds that one entry
     /// over budget until the next insert.
     pub fn with_capacity_bytes(cap: usize) -> Self {
         RulebookCache {
@@ -188,62 +179,67 @@ impl RulebookCache {
         }
     }
 
-    /// The generic lookup/build/insert path every artifact kind shares:
-    /// a read-locked probe (hit), then an unlocked build and a
-    /// write-locked insert (miss). Two concurrent first requests may both
-    /// build; one result wins the insert and both callers get structurally
-    /// equal artifacts (builds are pure functions of the key).
-    fn get_or_insert(
+    /// The lookup/build/insert path every artifact type shares: a
+    /// read-locked probe (hit), then an unlocked build and a write-locked
+    /// insert (miss). Two concurrent first requests may both build; one
+    /// result wins the insert and both callers get structurally equal
+    /// artifacts (builds are pure functions of the key).
+    fn get_or_insert<A: Artifact, T: Copy>(
         &self,
-        key: GeometryKey,
-        build: impl FnOnce() -> Result<CachedGeometry>,
-    ) -> Result<CachedGeometry> {
-        if let Some(entry) = self.inner.read().expect("cache lock").books.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            entry
-                .last_used
-                .store(self.tick.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
-            return Ok(entry.geo.clone());
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let built = build()?;
-        let mut inner = self.inner.write().expect("cache lock");
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        let geo = match inner.books.entry(key) {
-            // A racing builder inserted first; its build wins.
-            std::collections::hash_map::Entry::Occupied(e) => {
-                e.get().last_used.store(tick, Ordering::Relaxed);
-                e.get().geo.clone()
+        input: &SparseTensor<T>,
+        param: u32,
+        aux: [u64; 2],
+        build: impl FnOnce() -> Result<A>,
+    ) -> Result<Arc<A>> {
+        let key = Key::of::<A, T>(input, param, aux);
+        let cached = self
+            .inner
+            .read()
+            .expect("cache lock")
+            .entries
+            .get(&key)
+            .map(|e| {
+                e.last_used
+                    .store(self.tick.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
+                Arc::clone(&e.artifact)
+            });
+        let artifact = match cached {
+            Some(artifact) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                artifact
             }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let bytes = built.heap_bytes();
-                let geo = v
-                    .insert(CacheEntry {
-                        geo: built,
-                        bytes,
-                        last_used: AtomicU64::new(tick),
-                    })
-                    .geo
-                    .clone();
-                inner.bytes += bytes;
-                if let Some(cap) = self.cap_bytes {
-                    self.evict_to_cap(&mut inner, cap, &key);
-                }
-                geo
+            None => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.insert(key, Arc::new(build()?))
             }
         };
-        Ok(geo)
+        Ok(Arc::downcast(artifact).expect("the artifact type is part of the cache key"))
     }
 
-    /// The key of `input`'s Sub-Conv rulebook under a K×K×K kernel.
-    fn rulebook_key<T: Copy>(input: &SparseTensor<T>, k: u32) -> GeometryKey {
-        GeometryKey {
-            op: GeometryOp::SubConv,
-            param: k,
-            set: input.active_fingerprint(),
-            aux_lo: 0,
-            aux_hi: 0,
+    /// Inserts a freshly built artifact and returns the resident one: a
+    /// racing builder that inserted first wins, and the budget is enforced
+    /// after a real insert.
+    fn insert<A: Artifact>(&self, key: Key, built: Arc<A>) -> Arc<dyn Any + Send + Sync> {
+        let mut inner = self.inner.write().expect("cache lock");
+        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
+        if let Some(e) = inner.entries.get(&key) {
+            e.last_used.store(tick, Ordering::Relaxed);
+            return Arc::clone(&e.artifact);
         }
+        let bytes = built.heap_bytes();
+        inner.entries.insert(
+            key,
+            CacheEntry {
+                artifact: built.clone(),
+                bytes,
+                last_used: AtomicU64::new(tick),
+            },
+        );
+        inner.bytes += bytes;
+        if let Some(cap) = self.cap_bytes {
+            self.evict_to_cap(&mut inner, cap, &key);
+        }
+        built
     }
 
     /// Whether `input`'s Sub-Conv rulebook under a K×K×K kernel is
@@ -252,71 +248,25 @@ impl RulebookCache {
     /// deterministic matching-residency hints from — it must not perturb
     /// the host-domain accounting of the golden path.
     pub fn contains_rulebook<T: Copy>(&self, input: &SparseTensor<T>, k: u32) -> bool {
-        let key = RulebookCache::rulebook_key(input, k);
-        self.inner
-            .read()
-            .expect("cache lock")
-            .books
-            .contains_key(&key)
+        let key = Key::of::<Rulebook, T>(input, k, [0; 2]);
+        let inner = self.inner.read().expect("cache lock");
+        inner.entries.contains_key(&key)
     }
 
     /// Returns the rulebook for `input`'s active set under a K×K×K
     /// submanifold kernel, building and caching it on first use.
     pub fn get_or_build<T: Copy>(&self, input: &SparseTensor<T>, k: u32) -> Arc<Rulebook> {
-        let key = RulebookCache::rulebook_key(input, k);
-        let geo = self
-            .get_or_insert(key, || {
-                Ok(CachedGeometry::Book(Arc::new(Rulebook::build(input, k))))
-            })
-            .expect("rulebook build is infallible");
-        match geo {
-            CachedGeometry::Book(b) => b,
-            _ => unreachable!("op kind is part of the cache key"),
-        }
+        self.get_or_insert(input, k, [0; 2], || Ok(Rulebook::build(input, k)))
+            .expect("rulebook build is infallible")
     }
 
-    /// Returns the strided-convolution site map for `input`'s active set
-    /// under stride `kd`, building and caching it on first use.
+    /// Returns the coarse site map for `input`'s active set under stride
+    /// (or pooling window) `kd`, building and caching it on first use.
+    /// Strided convolution ([`StridedMap::apply`]) and max pooling
+    /// ([`StridedMap::max_pool`]) over one set and `kd` share this entry.
     pub fn strided_map<T: Copy>(&self, input: &SparseTensor<T>, kd: u32) -> Arc<StridedMap> {
-        let key = GeometryKey {
-            op: GeometryOp::Strided,
-            param: kd,
-            set: input.active_fingerprint(),
-            aux_lo: 0,
-            aux_hi: 0,
-        };
-        let geo = self
-            .get_or_insert(key, || {
-                Ok(CachedGeometry::Strided(Arc::new(StridedMap::build(
-                    input, kd,
-                ))))
-            })
-            .expect("strided map build is infallible");
-        match geo {
-            CachedGeometry::Strided(m) => m,
-            _ => unreachable!("op kind is part of the cache key"),
-        }
-    }
-
-    /// Returns the max-pooling reduction map for `input`'s active set
-    /// under window `kd`, building and caching it on first use.
-    pub fn pool_map<T: Copy>(&self, input: &SparseTensor<T>, kd: u32) -> Arc<PoolMap> {
-        let key = GeometryKey {
-            op: GeometryOp::Pool,
-            param: kd,
-            set: input.active_fingerprint(),
-            aux_lo: 0,
-            aux_hi: 0,
-        };
-        let geo = self
-            .get_or_insert(key, || {
-                Ok(CachedGeometry::Pool(Arc::new(PoolMap::build(input, kd))))
-            })
-            .expect("pool map build is infallible");
-        match geo {
-            CachedGeometry::Pool(m) => m,
-            _ => unreachable!("op kind is part of the cache key"),
-        }
+        self.get_or_insert(input, kd, [0; 2], || Ok(StridedMap::build(input, kd)))
+            .expect("strided map build is infallible")
     }
 
     /// Returns the transpose-convolution gather map from `input`'s coarse
@@ -335,41 +285,25 @@ impl RulebookCache {
         target: &[Coord3],
     ) -> Result<Arc<TransposeMap>> {
         let aux = ActiveSetFingerprint::of_coords(fine_extent, target);
-        let key = GeometryKey {
-            op: GeometryOp::Transpose,
-            param: kd,
-            set: input.active_fingerprint(),
-            aux_lo: aux.digest_lo,
-            aux_hi: aux.digest_hi,
-        };
-        let geo = self.get_or_insert(key, || {
-            Ok(CachedGeometry::Transpose(Arc::new(TransposeMap::build(
-                input,
-                kd,
-                fine_extent,
-                target,
-            )?)))
-        })?;
-        match geo {
-            CachedGeometry::Transpose(m) => Ok(m),
-            _ => unreachable!("op kind is part of the cache key"),
-        }
+        self.get_or_insert(input, kd, [aux.digest_lo, aux.digest_hi], || {
+            TransposeMap::build(input, kd, fine_extent, target)
+        })
     }
 
     /// Evicts least-recently-used entries (never `keep`, the entry just
     /// inserted) until the byte budget is met or only `keep` remains.
     /// Victim choice is deterministic: `last_used` timestamps are unique,
     /// so the minimum is unambiguous regardless of map iteration order.
-    fn evict_to_cap(&self, inner: &mut CacheInner, cap: usize, keep: &GeometryKey) {
-        while inner.bytes > cap && inner.books.len() > 1 {
+    fn evict_to_cap(&self, inner: &mut CacheInner, cap: usize, keep: &Key) {
+        while inner.bytes > cap && inner.entries.len() > 1 {
             let victim = inner
-                .books
+                .entries
                 .iter()
                 .filter(|(k, _)| *k != keep)
                 .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
                 .map(|(k, _)| *k);
             let Some(victim) = victim else { break };
-            if let Some(e) = inner.books.remove(&victim) {
+            if let Some(e) = inner.entries.remove(&victim) {
                 inner.bytes -= e.bytes;
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
@@ -381,7 +315,7 @@ impl RulebookCache {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Number of cache misses (rulebook builds) so far.
+    /// Number of cache misses (artifact builds) so far.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -404,19 +338,18 @@ impl RulebookCache {
 
     /// Number of distinct geometry artifacts cached.
     pub fn len(&self) -> usize {
-        self.inner.read().expect("cache lock").books.len()
+        self.inner.read().expect("cache lock").entries.len()
     }
 
-    /// Whether no rulebook is cached.
+    /// Whether no artifact is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Total [`Rulebook::heap_bytes`] currently retained.
+    /// Total heap bytes of every cached artifact currently retained.
     pub fn bytes(&self) -> usize {
         self.inner.read().expect("cache lock").bytes
     }
-
     /// The byte budget, or `None` for the unbounded default.
     pub fn capacity_bytes(&self) -> Option<usize> {
         self.cap_bytes
@@ -445,10 +378,10 @@ impl RulebookCache {
         }
     }
 
-    /// Drops every cached rulebook and resets the counters.
+    /// Drops every cached artifact and resets the counters.
     pub fn clear(&self) {
         let mut inner = self.inner.write().expect("cache lock");
-        inner.books.clear();
+        inner.entries.clear();
         inner.bytes = 0;
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
@@ -868,10 +801,11 @@ impl LayerExec for FlatEngine {
         Ok(out)
     }
 
-    /// Through the cached reduction map — **bit-identical** to
+    /// Through the cached coarse site map, shared with a strided
+    /// convolution over the same set and `kd` — **bit-identical** to
     /// [`sparse_max_pool`].
     fn max_pool(&mut self, x: &SparseTensor<f32>, kd: u32) -> Result<SparseTensor<f32>> {
-        self.cache.pool_map(x, kd).apply(x)
+        self.cache.strided_map(x, kd).max_pool(x)
     }
 }
 
@@ -1112,9 +1046,10 @@ mod tests {
     }
 
     /// Collision regression for the hardened key: the same active set
-    /// requested as different ops, parameters, or transpose targets must
-    /// produce distinct entries — and same-coordinate sets on different
-    /// grid extents never alias (extent is folded into the fingerprint).
+    /// requested as different artifact types, parameters, or transpose
+    /// targets must produce distinct entries — and same-coordinate sets on
+    /// different grid extents never alias (extent is folded into the
+    /// fingerprint).
     #[test]
     fn hardened_key_separates_ops_params_and_targets() {
         use crate::sparse_ops::downsampled_extent;
@@ -1122,12 +1057,11 @@ mod tests {
         let t = random_input(70, 8, 1, 25);
         let _ = cache.get_or_build(&t, 3);
         let _ = cache.strided_map(&t, 3);
-        let _ = cache.pool_map(&t, 3);
-        // Three ops over one active set and one parameter: three entries.
-        assert_eq!((cache.len(), cache.hits(), cache.misses()), (3, 0, 3));
-        // Same op, different parameter: a fourth entry.
+        // A rulebook and a site map over one set and parameter: two entries.
+        assert_eq!((cache.len(), cache.hits(), cache.misses()), (2, 0, 2));
+        // Same artifact, different parameter: a third entry.
         let _ = cache.strided_map(&t, 2);
-        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.len(), 3);
         // Transpose: same coarse set + stride, different targets.
         let coarse = cache.strided_map(&t, 2).out_coords().to_vec();
         let coarse_t = {
@@ -1149,7 +1083,7 @@ mod tests {
         assert!(!Arc::ptr_eq(&m1, &m2), "distinct targets must not alias");
         assert_eq!(
             cache.len(),
-            6,
+            5,
             "strided@2 re-fetch hits; 2 transpose entries"
         );
         // Same coordinates on a larger grid: a distinct fingerprint.
@@ -1158,8 +1092,27 @@ mod tests {
             big.insert(c, &[1.0]).unwrap();
         }
         big.canonicalize();
-        let _ = cache.pool_map(&big, 3);
-        assert_eq!(cache.len(), 7, "extent must separate same-coord sets");
+        let _ = cache.strided_map(&big, 3);
+        assert_eq!(cache.len(), 6, "extent must separate same-coord sets");
+    }
+
+    /// Max pooling replays the strided convolution's coarse site map: one
+    /// build serves both ops over one set and `kd`.
+    #[test]
+    fn strided_conv_and_max_pool_share_one_site_map() {
+        let fine = random_input(32, 12, 3, 70);
+        let down = StridedWeights::seeded(2, 3, 4, 99);
+        let mut eng = FlatEngine::new();
+        let _ = eng.strided(&fine, &down).unwrap();
+        let pooled = eng.max_pool(&fine, 2).unwrap();
+        assert_eq!((eng.cache().misses(), eng.cache().hits()), (1, 1));
+        assert_eq!(eng.cache().len(), 1);
+        let direct = sparse_max_pool(&fine, 2);
+        assert_eq!(pooled.extent(), direct.extent());
+        assert_eq!(pooled.coords(), direct.coords());
+        let bits =
+            |t: &SparseTensor<f32>| t.features().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&pooled), bits(&direct), "not bitwise equal");
     }
 
     #[test]

@@ -25,9 +25,9 @@
 //!   geometry cache keyed by active-set identity plus flat
 //!   gather → per-tap GEMM → scatter kernels;
 //! * [`plan`] — replayable **geometry maps** for strided/transpose
-//!   convolution and pooling, stored in the engine's per-op cache beside
-//!   the rulebooks, so a static-scene stream does zero matching work
-//!   after its first frame;
+//!   convolution (max pooling replays the strided map), stored in the
+//!   engine's per-op cache beside the rulebooks, so a static-scene stream
+//!   does zero matching work after its first frame;
 //! * [`gemm`] — pluggable per-tap GEMM backends behind the flat engine:
 //!   the bit-exact [`gemm::ScalarRef`] reference tier and the
 //!   cache-blocked [`gemm::Blocked`] throughput tier (epsilon-bounded on

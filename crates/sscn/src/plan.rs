@@ -10,11 +10,11 @@
 //!
 //! * [`StridedMap`] — the in→out site map of
 //!   [`crate::sparse_ops::strided_conv3d`] (which fine site feeds which
-//!   coarse row through which tap);
+//!   coarse row through which tap). Max pooling shares the strided
+//!   convolution's active-set rule, so [`StridedMap::max_pool`] replays
+//!   the same map as [`crate::pool::sparse_max_pool`];
 //! * [`TransposeMap`] — the out→in gather map of
-//!   [`crate::sparse_ops::transpose_conv3d`];
-//! * [`PoolMap`] — the in→out reduction map of
-//!   [`crate::pool::sparse_max_pool`].
+//!   [`crate::sparse_ops::transpose_conv3d`].
 //!
 //! **Bit-identity contract.** Replaying a cached map reproduces the
 //! direct kernel's output *bit for bit*: each map stores canonical
@@ -43,7 +43,8 @@ pub const NO_SOURCE: u32 = u32::MAX;
 ///
 /// The map depends only on the input's active set and `kd` — never on
 /// feature values or channel counts — so one map serves every layer and
-/// frame that shares the geometry.
+/// frame that shares the geometry, and max pooling over the same set and
+/// window ([`StridedMap::max_pool`]) as well.
 #[derive(Debug, Clone)]
 pub struct StridedMap {
     kd: u32,
@@ -122,6 +123,41 @@ impl StridedMap {
         }
         // `out_coords` is already raster-sorted, so no canonicalize pass.
         SparseTensor::from_coord_features(self.out_extent, out_ch, self.out_coords.clone(), acc)
+            .map_err(SscnError::from)
+    }
+
+    /// Replays the map as a max pooling with window = stride = K_d: first
+    /// touch of an output row copies the feature vector, later touches
+    /// take the per-channel maximum — exactly the occupied/vacant split of
+    /// [`crate::pool::sparse_max_pool`], so the output is
+    /// **bit-identical** on the geometry the map was built from.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SscnError::InvalidConfig`] when the map does not fit the
+    /// input.
+    pub fn max_pool(&self, input: &SparseTensor<f32>) -> Result<SparseTensor<f32>> {
+        if self.rows.len() != input.nnz() || self.in_extent != input.extent() {
+            return Err(SscnError::InvalidConfig {
+                reason: "strided map does not match this input".into(),
+            });
+        }
+        let ch = input.channels();
+        let mut acc = vec![0.0f32; self.out_coords.len() * ch];
+        let mut seen = vec![false; self.out_coords.len()];
+        for (f, &row) in input.features().chunks_exact(ch).zip(&self.rows) {
+            let r = row as usize;
+            let dst = &mut acc[r * ch..][..ch];
+            if seen[r] {
+                for (dst, &v) in dst.iter_mut().zip(f) {
+                    *dst = dst.max(v);
+                }
+            } else {
+                dst.copy_from_slice(f);
+                seen[r] = true;
+            }
+        }
+        SparseTensor::from_coord_features(self.out_extent, ch, self.out_coords.clone(), acc)
             .map_err(SscnError::from)
     }
 
@@ -332,94 +368,6 @@ impl TransposeMap {
     }
 }
 
-/// The cached geometry of one strided max pooling: for every input site
-/// (in storage order) the canonical output row it reduces into.
-#[derive(Debug, Clone)]
-pub struct PoolMap {
-    kd: u32,
-    in_extent: Extent3,
-    out_extent: Extent3,
-    /// Per input site (storage order): canonical coarse output row.
-    rows: Vec<u32>,
-    /// Coarse active set in raster (canonical) order.
-    out_coords: Vec<Coord3>,
-}
-
-impl PoolMap {
-    /// Builds the map from an input geometry, as [`StridedMap::build`]
-    /// does.
-    pub fn build<T: Copy>(input: &SparseTensor<T>, kd: u32) -> PoolMap {
-        assert!(kd > 0, "pool window must be nonzero");
-        let (out_coords, rows) = coarse_rows(input.extent(), input.coords(), kd);
-        PoolMap {
-            kd,
-            in_extent: input.extent(),
-            out_extent: downsampled_extent(input.extent(), kd),
-            rows,
-            out_coords,
-        }
-    }
-
-    /// Replays the map: first touch of an output row copies the feature
-    /// vector, later touches take the per-channel maximum — exactly the
-    /// occupied/vacant split of [`crate::pool::sparse_max_pool`], so the
-    /// output is **bit-identical** on the geometry the map was built from.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SscnError::InvalidConfig`] when the map does not fit the
-    /// input.
-    pub fn apply(&self, input: &SparseTensor<f32>) -> Result<SparseTensor<f32>> {
-        if self.rows.len() != input.nnz() || self.in_extent != input.extent() {
-            return Err(SscnError::InvalidConfig {
-                reason: "pool map does not match this input".into(),
-            });
-        }
-        let ch = input.channels();
-        let mut acc = vec![0.0f32; self.out_coords.len() * ch];
-        let mut seen = vec![false; self.out_coords.len()];
-        for (f, &row) in input.features().chunks_exact(ch).zip(&self.rows) {
-            let r = row as usize;
-            let dst = &mut acc[r * ch..][..ch];
-            if seen[r] {
-                for (dst, &v) in dst.iter_mut().zip(f) {
-                    *dst = dst.max(v);
-                }
-            } else {
-                dst.copy_from_slice(f);
-                seen[r] = true;
-            }
-        }
-        SparseTensor::from_coord_features(self.out_extent, ch, self.out_coords.clone(), acc)
-            .map_err(SscnError::from)
-    }
-
-    /// Pool window K_d.
-    pub fn kd(&self) -> u32 {
-        self.kd
-    }
-
-    /// Number of input sites the map covers.
-    pub fn sites(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// The coarse (output) active set, raster-ordered.
-    pub fn out_coords(&self) -> &[Coord3] {
-        &self.out_coords
-    }
-
-    /// Per input site (storage order): its row in [`PoolMap::out_coords`].
-    pub fn rows(&self) -> &[u32] {
-        &self.rows
-    }
-
-    /// Heap bytes retained by the map's index arrays.
-    pub fn heap_bytes(&self) -> usize {
-        self.rows.len() * 4 + self.out_coords.len() * size_of::<Coord3>()
-    }
-}
-
 /// The coarse site covering fine site `c` under window `kd`.
 fn parent(c: Coord3, kd: u32) -> Coord3 {
     let kd = kd as i32;
@@ -550,12 +498,12 @@ mod tests {
     }
 
     #[test]
-    fn pool_map_replay_is_bit_identical_to_direct() {
+    fn max_pool_replay_is_bit_identical_to_direct() {
         for seed in 0..4 {
             let input = random_input(seed + 20, 11, 4, 70);
             let direct = sparse_max_pool(&input, 2);
-            let map = PoolMap::build(&input, 2);
-            let replay = map.apply(&input).unwrap();
+            let map = StridedMap::build(&input, 2);
+            let replay = map.max_pool(&input).unwrap();
             assert_eq!(replay.coords(), direct.coords(), "storage order differs");
             assert_eq!(replay.features(), direct.features(), "not bitwise equal");
         }
@@ -589,17 +537,20 @@ mod tests {
             map.apply(&a, &w_bad),
             Err(SscnError::ChannelMismatch { .. })
         ));
-        let pool = PoolMap::build(&a, 2);
-        assert!(pool.apply(&b).is_err());
+        assert!(matches!(
+            map.max_pool(&b),
+            Err(SscnError::InvalidConfig { .. })
+        ));
     }
 
     #[test]
     fn empty_input_maps_work() {
         let t = SparseTensor::<f32>::new(Extent3::cube(8), 2);
         let w = StridedWeights::seeded(2, 2, 3, 92);
-        let out = StridedMap::build(&t, 2).apply(&t, &w).unwrap();
+        let map = StridedMap::build(&t, 2);
+        let out = map.apply(&t, &w).unwrap();
         assert!(out.is_empty());
-        let pooled = PoolMap::build(&t, 2).apply(&t).unwrap();
+        let pooled = map.max_pool(&t).unwrap();
         assert!(pooled.is_empty());
     }
 }

@@ -1,13 +1,13 @@
 //! The hash-free geometry builders against hash-map oracles.
 //!
-//! `Rulebook::build`, `StridedMap::build`, `PoolMap::build` and
-//! `TransposeMap::build` match by line merge, sort-and-dedup and binary
+//! `Rulebook::build`, `StridedMap::build` (whose map max pooling replays
+//! too) and `TransposeMap::build` match by line merge, sort-and-dedup and binary
 //! search. The oracles below are the coordinate-hashing builders they
 //! replaced, kept verbatim in behaviour: the new builders must produce the
 //! same per-tap pair order, the same canonical rows and the same error
 //! variants, on canonical and shuffled storage orders alike.
 
-use esca_sscn::plan::{PoolMap, StridedMap, TransposeMap, NO_SOURCE};
+use esca_sscn::plan::{StridedMap, TransposeMap, NO_SOURCE};
 use esca_sscn::rulebook::{Rulebook, TapRules};
 use esca_sscn::sparse_ops::downsampled_extent;
 use esca_sscn::SscnError;
@@ -231,9 +231,19 @@ fn strided_and_pool_maps_equal_hash_oracle() {
             assert_eq!(strided.rows(), &rows[..], "case {i}, kd={kd}");
             assert_eq!(strided.taps(), &taps[..], "case {i}, kd={kd}");
             assert_eq!(strided.sites(), input.nnz());
-            let pool = PoolMap::build(input, kd);
-            assert_eq!(pool.out_coords(), &coarse[..], "case {i}, kd={kd}");
-            assert_eq!(pool.rows(), &rows[..], "case {i}, kd={kd}");
+            // Max pooling replays the same map: with a distinct value per
+            // site, each coarse row holds the maximum over exactly the
+            // sites the oracle assigns to it.
+            let values: Vec<f32> = (0..input.nnz()).map(|s| (s * 7 % 11) as f32).collect();
+            let valued = SparseTensor::from_template(input, 1, values.clone()).unwrap();
+            let pooled = strided.max_pool(&valued).unwrap();
+            assert_eq!(pooled.extent(), downsampled_extent(input.extent(), kd));
+            assert_eq!(pooled.coords(), &coarse[..], "case {i}, kd={kd}");
+            let mut want = vec![f32::NEG_INFINITY; coarse.len()];
+            for (&row, &v) in rows.iter().zip(&values) {
+                want[row as usize] = want[row as usize].max(v);
+            }
+            assert_eq!(pooled.features(), &want[..], "case {i}, kd={kd}");
         }
     }
 }

@@ -5,7 +5,8 @@
 //!   every frame after the first replays the cached rulebook with zero
 //!   matching work;
 //! * the same holds for the full networks that carry strided/transpose
-//!   site maps (SS U-Net) and pooling maps (SSCN classifier);
+//!   site maps (SS U-Net) and the site maps max pooling replays (SSCN
+//!   classifier);
 //! * with matching reuse on, the cycle-domain telemetry snapshot stays
 //!   byte-identical across (workers, shards) splits and GEMM backends,
 //!   with every static frame after the first matching-resident at zero
@@ -154,7 +155,8 @@ fn unet_and_classifier_build_no_geometry_after_the_first_pass() {
         "repeat passes must not grow the cache"
     );
 
-    // SSCN classifier: the same contract over its pooling maps.
+    // SSCN classifier: the same contract over the site maps its max
+    // pooling replays.
     let net = SscnClassifier::new(ClassifierConfig {
         input_channels: 1,
         stages: 2,
