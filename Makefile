@@ -11,7 +11,10 @@ test:
 	cargo test --workspace
 
 # The CI gate: offline, lockfile-pinned build + tests + lint-clean (clippy
-# and rustdoc, both with warnings denied), plus
+# and rustdoc, both with warnings denied, and rustfmt's check), the
+# analyzer's diff against the committed ANALYZE_report.json (new findings
+# fail; reports go to /tmp so the committed base stays readable) before
+# its absolute gate, plus
 # a smoke run of the matching-reuse engine bench (asserts bit-identity of
 # the flat path and refreshes BENCH_sscn.json) and a seeded smoke chaos
 # campaign on the resilient streaming path (replayable summary lands in
@@ -51,7 +54,9 @@ verify:
 	ESCA_GEMM_BACKEND=scalar cargo test -q --locked --offline -p esca-suite --test streaming_determinism --test geometry_plan
 	ESCA_GEMM_BACKEND=blocked cargo test -q --locked --offline -p esca-suite --test streaming_determinism --test geometry_plan
 	cargo clippy --workspace --all-targets --locked --offline -- -D warnings
+	cargo fmt --all -- --check
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked --offline
+	cargo run -q -p esca-analyze --locked --offline -- --diff-base ANALYZE_report.json --report /tmp/ANALYZE_diff.json --sarif /tmp/analyze_diff.sarif
 	cargo run -q -p esca-analyze --locked --offline -- --fail-stale
 	cargo run --release -q -p esca-bench --bin sscn_engine --locked --offline -- --smoke
 	cargo run --release --example pipeline_trace --locked --offline

@@ -261,8 +261,9 @@ impl Esca {
     /// [`Esca::run_layer`] with explicit control over the weight load:
     /// when `load_weights` is false the layer's weights are assumed
     /// resident in the weight buffer from a previous frame (the streaming
-    /// case — see [`Esca::run_network_stream`]) and neither DRAM traffic
-    /// nor load stalls are charged for them.
+    /// case: [`Esca::run_chain`] with [`LayerOpts::load_weights`] set on
+    /// frame 0 only) and neither DRAM traffic nor load stalls are charged
+    /// for them.
     ///
     /// # Errors
     ///
@@ -852,8 +853,9 @@ impl Esca {
     /// Runs a sequence of quantized Sub-Conv layers back-to-back, feeding
     /// each layer's output to the next (channel counts must chain);
     /// [`LayerOpts::default()`] gives a plain cold run. This is the one
-    /// layer chain, also behind [`Esca::run_network_stream`] and the
-    /// streaming runners: every layer runs under the same `opts`, its
+    /// layer chain, also behind the streaming runners, which set
+    /// [`LayerOpts::load_weights`] on frame 0 only: every layer runs under
+    /// the same `opts`, its
     /// telemetry merges into the frame's, and a [`LayerSpan`] records its
     /// frame-relative cycle interval. The spans are computed from the
     /// merged per-layer stats, so the shard count cannot show in them.
@@ -938,33 +940,6 @@ impl Esca {
         FlatEngine::with_cache_and_backend(Arc::clone(cache), backend)
             .run_stack_q(&x, layers)
             .map_err(EscaError::from)
-    }
-
-    /// Streaming inference: runs the same layer stack over a sequence of
-    /// frames (the AR/VR/autonomous-driving deployment the paper's
-    /// introduction motivates). Weights are loaded from DRAM once, on the
-    /// first frame, and stay resident in the weight buffer afterwards.
-    /// Returns per-frame totals.
-    ///
-    /// # Errors
-    ///
-    /// As [`Esca::run_layer`].
-    pub fn run_network_stream(
-        &self,
-        frames: &[SparseTensor<Q16>],
-        layers: &[(QuantizedWeights, bool)],
-    ) -> Result<Vec<CycleStats>> {
-        frames
-            .iter()
-            .enumerate()
-            .map(|(i, frame)| {
-                let opts = LayerOpts {
-                    load_weights: i == 0,
-                    ..LayerOpts::default()
-                };
-                self.run_chain(frame, layers, opts).map(|run| run.total)
-            })
-            .collect()
     }
 }
 

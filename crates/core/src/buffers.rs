@@ -95,12 +95,6 @@ impl BufferModel {
         self.occupancy_bytes = self.occupancy_bytes.saturating_sub(bytes);
     }
 
-    /// Records `n` read accesses.
-    #[inline]
-    pub fn record_reads(&mut self, n: u64) {
-        self.reads += n;
-    }
-
     /// Records `n` write accesses.
     #[inline]
     pub fn record_writes(&mut self, n: u64) {
@@ -171,9 +165,7 @@ mod tests {
     #[test]
     fn access_counters() {
         let mut b = BufferModel::new("mask buffer", 10);
-        b.record_reads(5);
         b.record_writes(2);
-        assert_eq!(b.reads(), 5);
         assert_eq!(b.writes(), 2);
     }
 }

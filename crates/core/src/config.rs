@@ -198,12 +198,6 @@ impl EscaConfig {
     pub fn match_cycles(&self, in_ch: usize, out_ch: usize) -> u64 {
         (in_ch.div_ceil(self.ic_parallel) * out_ch.div_ceil(self.oc_parallel)) as u64
     }
-
-    /// Seconds per cycle.
-    #[inline]
-    pub fn cycle_time_s(&self) -> f64 {
-        1.0 / (self.clock_mhz * 1e6)
-    }
 }
 
 #[cfg(test)]
@@ -255,11 +249,5 @@ mod tests {
             c.dram_bytes_per_cycle = bad;
             assert!(c.validate().is_err(), "dram bandwidth {bad}");
         }
-    }
-
-    #[test]
-    fn cycle_time() {
-        let c = EscaConfig::default();
-        assert!((c.cycle_time_s() - 1.0 / 270e6).abs() < 1e-18);
     }
 }

@@ -109,12 +109,6 @@ impl EncodedFeatureMap {
     pub fn total_bytes(&self) -> usize {
         self.metadata_bytes() + self.act_bytes()
     }
-
-    /// Compression ratio versus a dense INT16 layout of the same grid.
-    pub fn compression_vs_dense(&self) -> f64 {
-        let dense = self.mask.extent().volume() as f64 * self.channels as f64 * 2.0;
-        dense / self.total_bytes().max(1) as f64
-    }
 }
 
 #[cfg(test)]
@@ -154,7 +148,6 @@ mod tests {
         assert_eq!(e.coord_bytes(), 12);
         assert_eq!(e.metadata_bytes(), 140);
         assert_eq!(e.total_bytes(), 152);
-        assert!(e.compression_vs_dense() > 50.0);
     }
 
     #[test]

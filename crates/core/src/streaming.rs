@@ -3,9 +3,10 @@
 //! paper's introduction motivates), on a persistent worker pool.
 //!
 //! The simulated timing model is **unchanged** by concurrency: every
-//! frame's [`CycleStats`] is bit-identical to what the sequential
-//! [`Esca::run_network_stream`] path produces (weight load charged on
-//! frame 0 only, steady-state weights-resident frames afterwards), and
+//! frame's [`CycleStats`] is bit-identical to what a sequential loop of
+//! [`Esca::run_chain`] calls produces with [`LayerOpts::load_weights`]
+//! set on frame 0 only (weight load charged on frame 0, steady-state
+//! weights-resident frames afterwards), and
 //! batch results are returned in frame order regardless of completion
 //! order. What concurrency buys is host wall-clock — plus a deterministic
 //! *modeled* multi-engine deployment throughput derived purely from the
@@ -324,7 +325,10 @@ impl StreamingSession {
     /// depend on the cache. With reuse on
     /// ([`StreamingSession::with_matching_reuse`]) its pre-batch contents
     /// decide which frames run matching-resident, so residency and match
-    /// cycles do depend on it — outputs never do.
+    /// cycles do depend on it — outputs never do. With
+    /// [`RulebookCache::with_capacity_bytes`] this is the only way to
+    /// bound a session's cache memory, so it stays although only
+    /// `tests/geometry_plan.rs` and `tests/parallel_equivalence.rs` call it.
     pub fn with_rulebook_cache(mut self, cache: Arc<RulebookCache>) -> Self {
         self.rulebook_cache = cache;
         self
@@ -406,8 +410,9 @@ impl StreamingSession {
     /// Runs a batch of frames through the resident layer stack.
     ///
     /// Frame 0 is charged the DRAM weight load, later frames run with
-    /// weights resident — exactly the accounting of
-    /// [`Esca::run_network_stream`] — and frames execute concurrently on
+    /// weights resident — exactly the accounting of sequential
+    /// [`Esca::run_chain`] calls with [`LayerOpts::load_weights`] set on
+    /// frame 0 only — and frames execute concurrently on
     /// the pool, one job per frame. Results are ordered by frame index;
     /// per-frame [`CycleStats`] are bit-identical to the sequential path
     /// for any worker count. Frame 0's weights-resident steady state
@@ -694,7 +699,8 @@ pub struct StreamReport {
     /// Final layer outputs, in frame order.
     pub outputs: Vec<SparseTensor<Q16>>,
     /// Per-frame cycle statistics, in frame order — bit-identical to
-    /// [`Esca::run_network_stream`] on the same batch.
+    /// sequential [`Esca::run_chain`] calls on the same batch with
+    /// [`LayerOpts::load_weights`] set on frame 0 only.
     pub per_frame: Vec<CycleStats>,
     /// Host wall-clock each frame's job took.
     pub frame_wall: Vec<Duration>,
@@ -817,8 +823,9 @@ impl StreamReport {
         sorted[rank]
     }
 
-    /// Total simulated cycles of the sequential single-engine timeline
-    /// (the sum of per-frame totals — what `run_network_stream` models).
+    /// Total simulated cycles of the sequential single-engine timeline:
+    /// the sum of per-frame totals, as sequential [`Esca::run_chain`]
+    /// calls with weights loaded on frame 0 only would spend.
     pub fn sequential_cycles(&self) -> u64 {
         self.per_frame.iter().map(|s| s.total_cycles()).sum()
     }
@@ -1049,7 +1056,17 @@ mod tests {
     fn batch_matches_sequential_stream_accounting() {
         let frames: Vec<_> = (0..4).map(frame).collect();
         let esca = Esca::new(EscaConfig::default()).unwrap();
-        let seq = esca.run_network_stream(&frames, &layers()).unwrap();
+        let seq: Vec<CycleStats> = frames
+            .iter()
+            .enumerate()
+            .map(|(i, f)| {
+                let opts = LayerOpts {
+                    load_weights: i == 0,
+                    ..LayerOpts::default()
+                };
+                esca.run_chain(f, &layers(), opts).unwrap().total
+            })
+            .collect();
         let session = StreamingSession::new(esca, layers(), 3);
         let report = session.run_batch(&frames).unwrap();
         assert_eq!(report.per_frame, seq);

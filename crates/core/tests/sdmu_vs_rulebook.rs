@@ -213,10 +213,12 @@ proptest! {
 
 #[test]
 fn three_way_bit_exact_cross_validation() {
-    // Golden direct kernel, quantized rulebook, and the accelerator
-    // datapath: three independent implementations, one integer function.
+    // Golden direct kernel, the flat kernel over the rulebook under the
+    // scalar reference backend, and the accelerator's layer output: one
+    // integer function.
+    use esca_sscn::engine::{apply_rulebook_flat_q_with, FlatScratch};
+    use esca_sscn::gemm::ScalarRef;
     use esca_sscn::quant::{quantize_tensor, submanifold_conv3d_q, QuantizedWeights};
-    use esca_sscn::rulebook::apply_rulebook_q;
     use esca_sscn::weights::ConvWeights;
 
     for seed in 0..4u64 {
@@ -233,7 +235,15 @@ fn three_way_bit_exact_cross_validation() {
 
         let golden = submanifold_conv3d_q(&qin, &qw, true).unwrap();
         let rb = esca_sscn::rulebook::Rulebook::build(&qin, 3);
-        let via_rb = apply_rulebook_q(&qin, &rb, &qw, true).unwrap();
+        let via_rb = apply_rulebook_flat_q_with(
+            &qin,
+            &rb,
+            &qw,
+            true,
+            &mut FlatScratch::default(),
+            &ScalarRef,
+        )
+        .unwrap();
         let via_esca = Esca::new(EscaConfig::default())
             .unwrap()
             .run_layer(&qin, &qw, true)

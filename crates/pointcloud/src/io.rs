@@ -34,8 +34,9 @@ pub fn write_xyz<W: Write>(cloud: &PointCloud, mut w: W) -> io::Result<()> {
 ///
 /// # Errors
 ///
-/// Returns `io::ErrorKind::InvalidData` on malformed lines or inconsistent
-/// column counts, and propagates reader errors.
+/// Returns `io::ErrorKind::InvalidData` on malformed lines, non-finite
+/// values (`nan`, `inf`) or inconsistent column counts, and propagates
+/// reader errors.
 pub fn read_xyz<R: Read>(r: R) -> io::Result<PointCloud> {
     let reader = BufReader::new(r);
     let mut cloud: Option<PointCloud> = None;
@@ -48,12 +49,15 @@ pub fn read_xyz<R: Read>(r: R) -> io::Result<PointCloud> {
         let vals: Vec<f32> = line
             .split_whitespace()
             .map(|tok| {
-                tok.parse::<f32>().map_err(|e| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("line {}: bad number {tok:?}: {e}", lineno + 1),
-                    )
-                })
+                let reason = match tok.parse::<f32>() {
+                    Ok(v) if v.is_finite() => return Ok(v),
+                    Ok(_) => "non-finite value".to_string(),
+                    Err(e) => format!("{e}"),
+                };
+                Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("line {}: bad number {tok:?}: {reason}", lineno + 1),
+                ))
             })
             .collect::<io::Result<_>>()?;
         if vals.len() < 3 {
@@ -129,6 +133,20 @@ mod tests {
         let err = read_xyz("1 2 x\n".as_bytes()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let err = read_xyz("1 2\n".as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn non_finite_values_are_invalid_data() {
+        let err = read_xyz("nan 1 2\n".as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("line 1"), "{err}");
+        let err = read_xyz("0 0 0 1\n1 2 3 inf\n".as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("line 2"), "{err}");
+        let err = read_xyz("1 2 3 inf\n".as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let err = read_xyz("-nan 1 2\n".as_bytes()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 

@@ -517,7 +517,8 @@ pub fn nyu_like(seed: u64, cfg: &NyuConfig) -> PointCloud {
 
 /// A multi-object scene: `n` ShapeNet-like objects of rotating classes
 /// placed on a grid of centres — a heavier, more spread-out workload than
-/// a single object (stress case for tiling and buffer sizing).
+/// a single object (stress case for tiling and buffer sizing). No library
+/// path calls it; `tests/stress_workloads.rs` uses it as input.
 ///
 /// Deterministic in `(seed, n, base config)`.
 pub fn scene_of_objects(seed: u64, n: usize, cfg: &ShapeNetConfig) -> PointCloud {
@@ -573,7 +574,8 @@ impl Default for LidarConfig {
 /// plane plus a few obstacles sampled along laser rays from a single
 /// sensor position. A very different occupancy pattern from the paper's
 /// datasets — a thin, wide, ring-structured shell — used by the
-/// beyond-paper sparsity studies.
+/// beyond-paper sparsity studies. No library path calls it;
+/// `tests/stress_workloads.rs` uses it as input.
 ///
 /// Deterministic in `(seed, config)`.
 pub fn lidar_like(seed: u64, cfg: &LidarConfig) -> PointCloud {
@@ -642,7 +644,9 @@ pub fn lidar_like(seed: u64, cfg: &LidarConfig) -> PointCloud {
 }
 
 /// Uniform random points inside a box of side `side` centred at `center` —
-/// a worst-case (structureless) sparsity pattern for stress tests.
+/// a worst-case (structureless) sparsity pattern for stress tests. No
+/// library path calls it; `crates/bench/benches/ablations.rs` uses it as
+/// input.
 pub fn uniform_random(seed: u64, n: usize, center: [f32; 3], side: f32) -> PointCloud {
     let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0x0123_4567);
     let mut cloud = PointCloud::new();

@@ -28,7 +28,9 @@ pub fn scale(cloud: &PointCloud, factor: f32, pivot: [f32; 3]) -> PointCloud {
     out
 }
 
-/// Translates the cloud by `delta`.
+/// Translates the cloud by `delta`. No library path translates a cloud;
+/// this stays for `crates/pointcloud/tests/proptests.rs`, which checks
+/// that rigid transforms keep the point count.
 pub fn translate(cloud: &PointCloud, delta: [f32; 3]) -> PointCloud {
     let mut out = cloud.clone();
     for p in out.points_mut() {
@@ -39,21 +41,11 @@ pub fn translate(cloud: &PointCloud, delta: [f32; 3]) -> PointCloud {
     out
 }
 
-/// Adds isotropic Gaussian jitter with standard deviation `sigma`
-/// (deterministic in `seed`).
-pub fn jitter(cloud: &PointCloud, sigma: f32, seed: u64) -> PointCloud {
-    let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0x9e37_79b9);
-    let mut out = cloud.clone();
-    for p in out.points_mut() {
-        for c in p.iter_mut() {
-            *c += gaussian(&mut rng) * sigma;
-        }
-    }
-    out
-}
-
 /// Keeps each point independently with probability `fraction`
 /// (deterministic in `seed`). Features are preserved for kept points.
+/// No library path subsamples a cloud; this stays for
+/// `crates/pointcloud/tests/proptests.rs`, which checks that it never
+/// grows a cloud.
 ///
 /// # Panics
 ///
@@ -80,12 +72,6 @@ pub fn subsample(cloud: &PointCloud, fraction: f64, seed: u64) -> PointCloud {
         }
     }
     out
-}
-
-fn gaussian(rng: &mut ChaCha12Rng) -> f32 {
-    let u1: f32 = rng.gen::<f32>().max(1e-12);
-    let u2: f32 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
 }
 
 #[cfg(test)]
@@ -137,16 +123,6 @@ mod tests {
         let c = translate(&unit_cloud(), [1.0, 2.0, 3.0]);
         let b = c.bounds().unwrap();
         assert_eq!(b.min, [1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn jitter_is_deterministic_and_small() {
-        let a = jitter(&unit_cloud(), 0.01, 7);
-        let b = jitter(&unit_cloud(), 0.01, 7);
-        assert_eq!(a, b);
-        for (p, q) in unit_cloud().points().iter().zip(a.points()) {
-            assert!(dist(*p, *q) < 0.1);
-        }
     }
 
     #[test]

@@ -13,7 +13,8 @@ use std::collections::HashMap;
 /// cube of `target_voxels` centred in `grid`, preserving aspect ratio.
 /// Returns the transformed copy; the input is untouched.
 ///
-/// An empty cloud is returned unchanged.
+/// An empty cloud is returned unchanged. No library path calls this; it
+/// stays for `crates/pointcloud/tests/proptests.rs`, which checks the fit.
 pub fn normalize_to_grid(cloud: &PointCloud, grid: Extent3, target_voxels: f32) -> PointCloud {
     let Some(b) = cloud.bounds() else {
         return cloud.clone();
@@ -38,19 +39,29 @@ pub fn normalize_to_grid(cloud: &PointCloud, grid: Extent3, target_voxels: f32) 
     out
 }
 
+/// The voxel of `p` on `grid`, or `None` when `p` lies outside the grid or
+/// has a non-finite coordinate (a NaN would otherwise cast to voxel 0).
+fn voxel_of(p: [f32; 3], grid: Extent3) -> Option<Coord3> {
+    if !p.iter().all(|v| v.is_finite()) {
+        return None;
+    }
+    let c = Coord3::new(
+        p[0].floor() as i32,
+        p[1].floor() as i32,
+        p[2].floor() as i32,
+    );
+    grid.contains(c).then_some(c)
+}
+
 /// Voxelizes a cloud onto `grid`, producing a sparse occupancy tensor
 /// (single channel, value 1.0 at every occupied voxel). Points outside the
-/// grid are dropped. The result is in canonical raster order.
+/// grid or with a non-finite coordinate are dropped. The result is in
+/// canonical raster order.
 pub fn voxelize_occupancy(cloud: &PointCloud, grid: Extent3) -> SparseTensor<f32> {
     let mut t = SparseTensor::new(grid, 1);
     for &p in cloud.points() {
-        let c = Coord3::new(
-            p[0].floor() as i32,
-            p[1].floor() as i32,
-            p[2].floor() as i32,
-        );
-        if grid.contains(c) {
-            t.insert(c, &[1.0]).expect("contains() checked bounds");
+        if let Some(c) = voxel_of(p, grid) {
+            t.insert(c, &[1.0]).expect("voxel_of checked bounds");
         }
     }
     t.canonicalize();
@@ -59,8 +70,8 @@ pub fn voxelize_occupancy(cloud: &PointCloud, grid: Extent3) -> SparseTensor<f32
 
 /// Voxelizes a cloud onto `grid`, averaging per-point features over each
 /// voxel. Geometry-only clouds (zero feature channels) voxelize as
-/// occupancy. Points outside the grid are dropped. The result is in
-/// canonical raster order.
+/// occupancy. Points outside the grid or with a non-finite coordinate are
+/// dropped. The result is in canonical raster order.
 pub fn voxelize(cloud: &PointCloud, grid: Extent3) -> SparseTensor<f32> {
     let ch = cloud.feature_channels();
     if ch == 0 {
@@ -69,14 +80,9 @@ pub fn voxelize(cloud: &PointCloud, grid: Extent3) -> SparseTensor<f32> {
     // Accumulate sums and counts per voxel, then divide.
     let mut acc: HashMap<Coord3, (Vec<f32>, u32)> = HashMap::new();
     for (i, &p) in cloud.points().iter().enumerate() {
-        let c = Coord3::new(
-            p[0].floor() as i32,
-            p[1].floor() as i32,
-            p[2].floor() as i32,
-        );
-        if !grid.contains(c) {
+        let Some(c) = voxel_of(p, grid) else {
             continue;
-        }
+        };
         let f = cloud.feature(i).expect("ch > 0 implies features");
         let e = acc.entry(c).or_insert_with(|| (vec![0.0; ch], 0));
         for (dst, src) in e.0.iter_mut().zip(f) {
@@ -137,6 +143,19 @@ mod tests {
             .collect();
         let t = voxelize_occupancy(&cloud, Extent3::cube(4));
         assert_eq!(t.nnz(), 1);
+    }
+
+    #[test]
+    fn non_finite_points_dropped() {
+        let cloud: PointCloud = vec![[f32::NAN, 1.0, 1.0]].into_iter().collect();
+        assert_eq!(voxelize_occupancy(&cloud, Extent3::cube(4)).nnz(), 0);
+        let mut feat = PointCloud::with_features(1);
+        feat.push_with_features([1.0, f32::INFINITY, 1.0], &[2.0]);
+        feat.push_with_features([1.0, 1.0, f32::NAN], &[3.0]);
+        feat.push_with_features([2.0, 2.0, 2.0], &[4.0]);
+        let t = voxelize(&feat, Extent3::cube(4));
+        assert_eq!(t.nnz(), 1);
+        assert_eq!(t.feature(Coord3::new(2, 2, 2)), Some(&[4.0][..]));
     }
 
     #[test]

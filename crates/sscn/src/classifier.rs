@@ -215,21 +215,6 @@ impl SscnClassifier {
             .expect("single pooled site")
             .to_vec())
     }
-
-    /// Argmax class prediction.
-    ///
-    /// # Errors
-    ///
-    /// As [`SscnClassifier::forward`].
-    pub fn predict(&self, input: &SparseTensor<f32>) -> Result<usize> {
-        let logits = self.forward(input)?;
-        Ok(logits
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-            .map(|(i, _)| i)
-            .expect("classes > 0"))
-    }
 }
 
 #[cfg(test)]
@@ -265,13 +250,14 @@ mod tests {
         let logits = net.forward(&blob(0)).unwrap();
         assert_eq!(logits.len(), 5);
         assert!(logits.iter().all(|v| v.is_finite()));
-        let k = net.predict(&blob(0)).unwrap();
-        assert!(k < 5);
         // An executor that drops a site breaks the Sub-Conv contract.
         let dropped = net.forward_with(&blob(0), |_, _, w, x| {
             let y = relu(&conv::submanifold_conv3d(x, w)?);
-            let kept = y.iter().skip(1).map(|(c, f)| (c, f.to_vec()));
-            Ok(SparseTensor::from_entries(y.extent(), y.channels(), kept)?)
+            let mut kept = SparseTensor::new(y.extent(), y.channels());
+            for (c, f) in y.iter().skip(1) {
+                kept.insert(c, f)?;
+            }
+            Ok(kept)
         });
         assert!(matches!(dropped, Err(SscnError::InvalidConfig { .. })));
     }

@@ -87,9 +87,10 @@ pub fn dense_conv3d(input: &Dense3<f32>, weights: &ConvWeights) -> Result<Dense3
 }
 
 /// The *match group* of one active centre: every `(tap, neighbor)` pair
-/// that participates in its convolution, in kernel column order. Exposed
-/// for tests and for op counting; the accelerator's SDMU must discover
-/// exactly this set.
+/// that participates in its convolution, in kernel column order. The
+/// accelerator's SDMU must discover exactly this set: no library path
+/// calls it, and `crates/core/tests/sdmu_vs_rulebook.rs` uses it as the
+/// per-centre match-count oracle.
 pub fn match_group(input: &SparseTensor<f32>, k: u32, centre: Coord3) -> Vec<(usize, Coord3)> {
     let offsets = esca_tensor::KernelOffsets::new(k);
     offsets

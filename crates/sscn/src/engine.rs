@@ -53,7 +53,6 @@ use crate::rulebook::Rulebook;
 use crate::sparse_ops::{strided_conv3d, transpose_conv3d, StridedWeights};
 use crate::weights::ConvWeights;
 use crate::Result;
-use esca_telemetry::Registry;
 use esca_tensor::{requantize_i64, ActiveSetFingerprint, Coord3, Extent3, SparseTensor, Q16};
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
@@ -171,7 +170,10 @@ impl RulebookCache {
     /// least-recently-used entries when an insert exceeds the budget. The
     /// entry being inserted is never evicted, so a single oversized
     /// artifact still works — the cache then simply holds that one entry
-    /// over budget until the next insert.
+    /// over budget until the next insert. With
+    /// `StreamingSession::with_rulebook_cache` in `esca` this is the only
+    /// way to bound a session's cache memory, so it stays although only
+    /// suites call it.
     pub fn with_capacity_bytes(cap: usize) -> Self {
         RulebookCache {
             cap_bytes: Some(cap),
@@ -355,29 +357,6 @@ impl RulebookCache {
         self.cap_bytes
     }
 
-    /// Emits the cache's point-in-time totals into a telemetry registry:
-    /// hit/miss/eviction counters plus resident-byte and entry gauges.
-    ///
-    /// Counters carry the lifetime totals, so record into a *fresh*
-    /// registry (or one that has not seen this cache before). The
-    /// hit/miss split can race when workers contend on a cold geometry
-    /// (both may build), so these series belong in a **host-domain**
-    /// registry — they are host scheduling facts, never simulated cycles.
-    pub fn record_metrics(&self, reg: &mut Registry) {
-        reg.counter_add("esca_rulebook_cache_hits_total", &[], self.hits());
-        reg.counter_add("esca_rulebook_cache_misses_total", &[], self.misses());
-        reg.counter_add("esca_rulebook_cache_evictions_total", &[], self.evictions());
-        reg.gauge_max(
-            "esca_rulebook_cache_resident_bytes",
-            &[],
-            self.bytes() as u64,
-        );
-        reg.gauge_max("esca_rulebook_cache_entries", &[], self.len() as u64);
-        if let Some(cap) = self.capacity_bytes() {
-            reg.gauge_max("esca_rulebook_cache_capacity_bytes", &[], cap as u64);
-        }
-    }
-
     /// Drops every cached artifact and resets the counters.
     pub fn clear(&self) {
         let mut inner = self.inner.write().expect("cache lock");
@@ -404,13 +383,12 @@ pub struct FlatScratch {
 /// through an explicit [`GemmBackend`].
 ///
 /// Through [`crate::gemm::ScalarRef`] the output is **bit-identical** to
-/// `relu`-of-[`crate::conv::submanifold_conv3d`] (and to
-/// [`crate::rulebook::apply_rulebook`]): the scatter accumulates straight
-/// into the bias-initialized output row inside the per-tap loop, so every
-/// output element sees additions in exactly the reference order. This
-/// exactness contract is what the resilience layer's corrupt-rulebook
-/// fallback comparisons rely on. The blocked tier is epsilon-bounded (see
-/// [`crate::gemm`] for the tier contract).
+/// `relu`-of-[`crate::conv::submanifold_conv3d`]: the scatter
+/// accumulates straight into the bias-initialized output row inside the
+/// per-tap loop, so every output element sees additions in exactly the
+/// reference order. This exactness contract is what the resilience
+/// layer's corrupt-rulebook fallback comparisons rely on. The blocked tier
+/// is epsilon-bounded (see [`crate::gemm`] for the tier contract).
 ///
 /// # Errors
 ///
@@ -533,10 +511,10 @@ pub fn apply_rulebook_flat_q_with(
 /// quantized entry points are bit-exact on every backend; the float entry
 /// point is bit-exact only under [`GemmBackendKind::ScalarRef`].
 ///
-/// The engine also keeps deterministic GEMM work counters (rows routed
-/// through the per-tap GEMM and effective MACs, both pure functions of the
-/// rulebooks and layer shapes) which [`FlatEngine::record_gemm_metrics`]
-/// emits labeled with the backend identity.
+/// The engine also keeps deterministic GEMM work counters
+/// ([`FlatEngine::gemm_rows`], [`FlatEngine::gemm_macs`]): rows routed
+/// through the per-tap GEMM and effective MACs, both pure functions of
+/// the rulebooks and layer shapes, so identical across backends.
 #[derive(Debug)]
 pub struct FlatEngine {
     cache: Arc<RulebookCache>,
@@ -612,19 +590,6 @@ impl FlatEngine {
         let rows = sites as u64;
         self.gemm_rows += rows;
         self.gemm_macs += rows * w.in_ch() as u64 * w.out_ch() as u64;
-    }
-
-    /// Emits the engine's GEMM work counters into a telemetry registry,
-    /// labeled with the backend identity (`backend="scalar-ref"` /
-    /// `"blocked"`). The values are pure functions of the rulebooks and
-    /// layer shapes — identical across backends, worker counts and runs —
-    /// so they may join any registry without breaking snapshot
-    /// determinism; the label records which tier actually produced the
-    /// outputs.
-    pub fn record_gemm_metrics(&self, reg: &mut Registry) {
-        let labels = [("backend", self.backend.label())];
-        reg.counter_add("esca_flat_gemm_rows_total", &labels, self.gemm_rows);
-        reg.counter_add("esca_flat_gemm_macs_total", &labels, self.gemm_macs);
     }
 
     /// One float Sub-Conv layer (ReLU fused when `relu`), through the
@@ -923,7 +888,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_counts_gemm_work_and_labels_the_backend() {
+    fn engine_counts_gemm_work_on_every_backend() {
         let input = random_input(6, 10, 2, 40);
         let w = ConvWeights::seeded(3, 2, 4, 82);
         let rb = Rulebook::build(&input, 3);
@@ -935,17 +900,6 @@ mod tests {
             assert_eq!(eng.backend(), kind);
             assert_eq!(eng.gemm_rows(), want_rows);
             assert_eq!(eng.gemm_macs(), want_macs);
-            let mut reg = Registry::new();
-            eng.record_gemm_metrics(&mut reg);
-            let labels = [("backend", kind.label())];
-            assert_eq!(
-                reg.counter("esca_flat_gemm_rows_total", &labels),
-                Some(want_rows)
-            );
-            assert_eq!(
-                reg.counter("esca_flat_gemm_macs_total", &labels),
-                Some(want_macs)
-            );
         }
     }
 

@@ -25,14 +25,6 @@ pub struct BatchNorm {
 }
 
 impl BatchNorm {
-    /// Identity normalization over `channels`.
-    pub fn identity(channels: usize) -> Self {
-        BatchNorm {
-            scale: vec![1.0; channels],
-            shift: vec![0.0; channels],
-        }
-    }
-
     /// Creates from explicit per-channel scale and shift.
     ///
     /// # Panics
@@ -192,28 +184,6 @@ impl Linear {
         }
         Ok(SparseTensor::from_template(t, self.out_ch, feats)?)
     }
-
-    /// Per-site argmax of the layer output — class predictions for the
-    /// segmentation head.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Linear::apply`] errors.
-    pub fn predict(&self, t: &SparseTensor<f32>) -> Result<Vec<(esca_tensor::Coord3, usize)>> {
-        let logits = self.apply(t)?;
-        Ok(logits
-            .iter()
-            .map(|(c, f)| {
-                let best = f
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("logits are finite"))
-                    .map(|(i, _)| i)
-                    .expect("out_ch > 0");
-                (c, best)
-            })
-            .collect())
-    }
 }
 
 #[cfg(test)]
@@ -241,7 +211,9 @@ mod tests {
     #[test]
     fn batchnorm_identity_is_noop() {
         let t = tiny(3);
-        let out = BatchNorm::identity(3).apply(&t).unwrap();
+        let out = BatchNorm::new(vec![1.0; 3], vec![0.0; 3])
+            .apply(&t)
+            .unwrap();
         assert!(out.same_content(&t));
     }
 
@@ -274,20 +246,6 @@ mod tests {
         assert_eq!(out.feature(Coord3::new(2, 2, 2)), Some(&[1.0, 0.0][..]));
     }
 
-    #[test]
-    fn predict_argmax() {
-        let mut lin = Linear::seeded(2, 3, 1);
-        lin.w = vec![1.0, 0.0, 0.0, 0.0, 0.0, 1.0];
-        lin.b = vec![0.0; 3];
-        let t = tiny(2);
-        let preds = lin.predict(&t).unwrap();
-        assert_eq!(preds.len(), 2);
-        for (c, class) in preds {
-            assert!(t.contains(c));
-            assert!(class < 3);
-        }
-    }
-
     /// A non-canonical input with a zero feature, for the layout tests.
     fn shuffled(ch: usize) -> SparseTensor<f32> {
         let mut t = SparseTensor::new(Extent3::cube(4), ch);
@@ -295,10 +253,12 @@ mod tests {
             .into_iter()
             .enumerate()
         {
-            let f: Vec<f32> = (0..ch).map(|j| (i * ch + j) as f32 * 0.37 - 1.1).collect();
+            let mut f: Vec<f32> = (0..ch).map(|j| (i * ch + j) as f32 * 0.37 - 1.1).collect();
+            if c == (0, 1, 1) {
+                f[0] = 0.0;
+            }
             t.insert(Coord3::from(c), &f).unwrap();
         }
-        t.feature_mut(Coord3::new(0, 1, 1)).unwrap()[0] = 0.0;
         t
     }
 
@@ -353,9 +313,13 @@ mod tests {
     #[test]
     fn channel_mismatches_rejected() {
         let t = tiny(2);
-        assert!(BatchNorm::identity(3).apply(&t).is_err());
+        assert!(BatchNorm::new(vec![1.0; 3], vec![0.0; 3])
+            .apply(&t)
+            .is_err());
         assert!(Linear::seeded(3, 2, 1).apply(&t).is_err());
         let w = ConvWeights::zeros(3, 2, 4);
-        assert!(BatchNorm::identity(3).fold_into(&w).is_err());
+        assert!(BatchNorm::new(vec![1.0; 3], vec![0.0; 3])
+            .fold_into(&w)
+            .is_err());
     }
 }

@@ -34,13 +34,6 @@ pub fn effective_ops<T: Copy>(input: &SparseTensor<T>, k: u32, out_ch: usize) ->
     2 * effective_macs(input, k, out_ch)
 }
 
-/// Dense (traditional convolution) operation count over the same grid —
-/// what a sparsity-blind accelerator would execute. Used to quantify the
-/// redundancy the Sub-Conv formulation avoids.
-pub fn dense_ops<T: Copy>(input: &SparseTensor<T>, k: u32, out_ch: usize) -> u64 {
-    2 * input.extent().volume() * (k as u64).pow(3) * input.channels() as u64 * out_ch as u64
-}
-
 /// Matches of a **dense traversal** with kernel `k`: every (grid site,
 /// active neighbor) pair — what a sparsity-blind accelerator with per-tap
 /// zero gating still has to execute. Each active site q is a neighbor of
@@ -57,15 +50,6 @@ pub fn count_matches_dense_traversal<T: Copy>(input: &SparseTensor<T>, k: u32) -
         total += (wx * wy * wz) as u64;
     }
     total
-}
-
-/// Mean active neighbors per active centre (match-group size), a workload
-/// statistic that drives accelerator utilization.
-pub fn mean_match_group_size<T: Copy>(input: &SparseTensor<T>, k: u32) -> f64 {
-    if input.is_empty() {
-        return 0.0;
-    }
-    count_matches(input, k) as f64 / input.nnz() as f64
 }
 
 #[cfg(test)]
@@ -94,7 +78,6 @@ mod tests {
         // Each of the two centres sees itself and the other: 2 × 2.
         let t = input(&[Coord3::new(4, 4, 4), Coord3::new(4, 4, 5)]);
         assert_eq!(count_matches(&t, 3), 4);
-        assert!((mean_match_group_size(&t, 3) - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -107,12 +90,6 @@ mod tests {
     fn k1_counts_centres_only() {
         let t = input(&[Coord3::new(1, 1, 1), Coord3::new(1, 1, 2)]);
         assert_eq!(count_matches(&t, 1), 2);
-    }
-
-    #[test]
-    fn dense_ops_dwarf_effective_ops_at_high_sparsity() {
-        let t = input(&[Coord3::new(4, 4, 4)]);
-        assert!(dense_ops(&t, 3, 8) > 1000 * effective_ops(&t, 3, 8));
     }
 
     #[test]
@@ -142,6 +119,5 @@ mod tests {
     fn empty_input_zero_everything() {
         let t = SparseTensor::<f32>::new(Extent3::cube(4), 1);
         assert_eq!(count_matches(&t, 3), 0);
-        assert_eq!(mean_match_group_size(&t, 3), 0.0);
     }
 }

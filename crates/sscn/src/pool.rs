@@ -65,21 +65,6 @@ pub fn global_avg_pool(input: &SparseTensor<f32>) -> Vec<f32> {
     sum
 }
 
-/// Global max pooling over the active set. Returns `f32::NEG_INFINITY`
-/// channels for an empty tensor — callers should check
-/// [`SparseTensor::is_empty`] first; classification heads never see empty
-/// inputs in practice.
-pub fn global_max_pool(input: &SparseTensor<f32>) -> Vec<f32> {
-    let ch = input.channels();
-    let mut best = vec![f32::NEG_INFINITY; ch];
-    for (_, f) in input.iter() {
-        for (b, &v) in best.iter_mut().zip(f) {
-            *b = b.max(v);
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,16 +105,9 @@ mod tests {
     }
 
     #[test]
-    fn global_max_is_max_over_active() {
-        let m = global_max_pool(&input());
-        assert_eq!(m, vec![5.0, -2.0]);
-    }
-
-    #[test]
     fn empty_input_behaviour() {
         let t = SparseTensor::<f32>::new(Extent3::cube(4), 3);
         assert_eq!(global_avg_pool(&t), vec![0.0; 3]);
-        assert!(global_max_pool(&t).iter().all(|v| *v == f32::NEG_INFINITY));
         assert!(sparse_max_pool(&t, 2).is_empty());
     }
 }

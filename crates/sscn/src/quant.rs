@@ -24,8 +24,10 @@ pub struct LayerQuant {
 }
 
 impl LayerQuant {
-    /// A uniform scheme using the same fractional bits everywhere —
-    /// convenient for tests.
+    /// A uniform scheme using the same fractional bits everywhere. No
+    /// library path calls it; the `serde_models`, `cycle_vectors` and
+    /// `fixture_vectors` suites and the ablations bench build their
+    /// weights with it.
     ///
     /// # Errors
     ///

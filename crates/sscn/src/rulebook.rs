@@ -5,13 +5,10 @@
 //! This is how library implementations on CPU/GPU execute Sub-Conv
 //! (gather → per-tap GEMM → scatter), i.e. the software counterpart of
 //! what ESCA's SDMU does in hardware. The baseline models cost their
-//! execution in these terms, and [`apply_rulebook`] proves that the
-//! rulebook formulation computes exactly the same function as the direct
-//! reference kernel.
+//! execution in these terms; the flat kernels in [`crate::engine`]
+//! execute a rulebook, and through [`crate::gemm::ScalarRef`] they
+//! compute exactly the same function as the direct reference kernels.
 
-use crate::error::SscnError;
-use crate::weights::ConvWeights;
-use crate::Result;
 use esca_tensor::{KernelOffsets, LineRuns, SparseTensor};
 use serde::{Deserialize, Serialize};
 
@@ -221,120 +218,14 @@ impl Rulebook {
     }
 }
 
-/// Executes a Sub-Conv layer through the rulebook (gather → per-tap
-/// GEMM → scatter-accumulate) — the baseline platforms' algorithm.
-///
-/// # Errors
-///
-/// Returns [`SscnError::ChannelMismatch`] on a channel mismatch and
-/// [`SscnError::InvalidConfig`] when the rulebook was built over a
-/// different active set.
-pub fn apply_rulebook(
-    input: &SparseTensor<f32>,
-    rb: &Rulebook,
-    weights: &ConvWeights,
-) -> Result<SparseTensor<f32>> {
-    weights.check_input_channels(input.channels())?;
-    if rb.sites() != input.nnz() || rb.k() != weights.k() {
-        return Err(SscnError::InvalidConfig {
-            reason: "rulebook does not match this input/layer".into(),
-        });
-    }
-    let in_ch = weights.in_ch();
-    let out_ch = weights.out_ch();
-    // Output accumulators in the input's storage order, bias-initialized.
-    let mut acc = vec![0.0f32; input.nnz() * out_ch];
-    for site in 0..input.nnz() {
-        acc[site * out_ch..(site + 1) * out_ch].copy_from_slice(weights.bias());
-    }
-    let feats = input.features();
-    for (tap, rules) in (0..).zip(&rb.taps) {
-        for (&i, &o) in rules.input.iter().zip(&rules.output) {
-            let f = &feats[i as usize * in_ch..(i as usize + 1) * in_ch];
-            let dst = &mut acc[o as usize * out_ch..(o as usize + 1) * out_ch];
-            for (ic, &a) in f.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                for (d, &w) in dst.iter_mut().zip(weights.oc_slice(tap, ic)) {
-                    *d += a * w;
-                }
-            }
-        }
-    }
-    let mut out = SparseTensor::new(input.extent(), out_ch);
-    for (site, (c, _)) in input.iter().enumerate() {
-        out.insert(c, &acc[site * out_ch..(site + 1) * out_ch])?;
-    }
-    Ok(out)
-}
-
-/// Executes a **quantized** Sub-Conv layer through the rulebook — a third
-/// independent implementation of the same integer function (besides the
-/// direct golden kernel and the accelerator's SDMU datapath). All three
-/// must agree bit-for-bit; tests cross-validate them pairwise.
-///
-/// # Errors
-///
-/// Returns [`SscnError::ChannelMismatch`] on a channel mismatch and
-/// [`SscnError::InvalidConfig`] when the rulebook does not match.
-pub fn apply_rulebook_q(
-    input: &SparseTensor<esca_tensor::Q16>,
-    rb: &Rulebook,
-    weights: &crate::quant::QuantizedWeights,
-    relu: bool,
-) -> Result<SparseTensor<esca_tensor::Q16>> {
-    if input.channels() != weights.in_ch() {
-        return Err(SscnError::ChannelMismatch {
-            expected: weights.in_ch(),
-            got: input.channels(),
-        });
-    }
-    if rb.sites() != input.nnz() || rb.k() != weights.k() {
-        return Err(SscnError::InvalidConfig {
-            reason: "rulebook does not match this input/layer".into(),
-        });
-    }
-    let in_ch = weights.in_ch();
-    let out_ch = weights.out_ch();
-    let q = weights.quant();
-    let mut acc = vec![0i64; input.nnz() * out_ch];
-    for site in 0..input.nnz() {
-        acc[site * out_ch..(site + 1) * out_ch].copy_from_slice(weights.bias_acc());
-    }
-    let feats = input.features();
-    for (tap, rules) in (0..).zip(&rb.taps) {
-        for (&i, &o) in rules.input.iter().zip(&rules.output) {
-            let f = &feats[i as usize * in_ch..(i as usize + 1) * in_ch];
-            let dst = &mut acc[o as usize * out_ch..(o as usize + 1) * out_ch];
-            for (ic, &a) in f.iter().enumerate() {
-                if a.0 == 0 {
-                    continue;
-                }
-                for (d, &w) in dst.iter_mut().zip(weights.oc_slice(tap, ic)) {
-                    *d += a.0 as i64 * w.0 as i64;
-                }
-            }
-        }
-    }
-    let mut out = SparseTensor::new(input.extent(), out_ch);
-    for (site, (c, _)) in input.iter().enumerate() {
-        let feats: Vec<esca_tensor::Q16> = acc[site * out_ch..(site + 1) * out_ch]
-            .iter()
-            .map(|&v| {
-                let v = if relu { v.max(0) } else { v };
-                esca_tensor::requantize_i64(v, q.act, q.weight, q.out)
-            })
-            .collect();
-        out.insert(c, &feats)?;
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::conv::submanifold_conv3d;
+    use crate::engine::{apply_rulebook_flat_q_with, apply_rulebook_flat_with, FlatScratch};
+    use crate::error::SscnError;
+    use crate::gemm::ScalarRef;
+    use crate::weights::ConvWeights;
     use esca_tensor::{Coord3, Extent3};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha12Rng;
@@ -382,7 +273,7 @@ mod tests {
             let input = random_input(seed, 10, 2, 40);
             let w = ConvWeights::seeded(3, 2, 5, seed + 50);
             let rb = Rulebook::build(&input, 3);
-            let via_rb = apply_rulebook(&input, &rb, &w).unwrap();
+            let via_rb = apply_rulebook_flat_with(&input, &rb, &w, false, &ScalarRef).unwrap();
             let direct = submanifold_conv3d(&input, &w).unwrap();
             assert!(via_rb.max_abs_diff(&direct).unwrap() < 1e-4);
         }
@@ -410,11 +301,11 @@ mod tests {
         let rb = Rulebook::build(&a, 3);
         let w = ConvWeights::seeded(3, 1, 2, 1);
         assert!(matches!(
-            apply_rulebook(&b, &rb, &w),
+            apply_rulebook_flat_with(&b, &rb, &w, false, &ScalarRef),
             Err(SscnError::InvalidConfig { .. })
         ));
         let w5 = ConvWeights::seeded(5, 1, 2, 1);
-        assert!(apply_rulebook(&a, &rb, &w5).is_err());
+        assert!(apply_rulebook_flat_with(&a, &rb, &w5, false, &ScalarRef).is_err());
     }
 
     #[test]
@@ -435,7 +326,15 @@ mod tests {
             let qin = quantize_tensor(&input, qw.quant().act);
             let rb = Rulebook::build(&qin, 3);
             for relu in [false, true] {
-                let via_rb = apply_rulebook_q(&qin, &rb, &qw, relu).unwrap();
+                let via_rb = apply_rulebook_flat_q_with(
+                    &qin,
+                    &rb,
+                    &qw,
+                    relu,
+                    &mut FlatScratch::default(),
+                    &ScalarRef,
+                )
+                .unwrap();
                 let golden = submanifold_conv3d_q(&qin, &qw, relu).unwrap();
                 assert!(via_rb.same_content(&golden), "seed {seed} relu {relu}");
             }
@@ -452,7 +351,15 @@ mod tests {
         let b = random_input(32, 8, 2, 12);
         let qb = quantize_tensor(&b, qw.quant().act);
         let rb = Rulebook::build(&qa, 3);
-        assert!(apply_rulebook_q(&qb, &rb, &qw, false).is_err());
+        assert!(apply_rulebook_flat_q_with(
+            &qb,
+            &rb,
+            &qw,
+            false,
+            &mut FlatScratch::default(),
+            &ScalarRef
+        )
+        .is_err());
     }
 
     #[test]
@@ -460,7 +367,7 @@ mod tests {
         let input = random_input(7, 10, 1, 30);
         let rb = Rulebook::build(&input, 5);
         let w = ConvWeights::seeded(5, 1, 3, 8);
-        let via_rb = apply_rulebook(&input, &rb, &w).unwrap();
+        let via_rb = apply_rulebook_flat_with(&input, &rb, &w, false, &ScalarRef).unwrap();
         let direct = submanifold_conv3d(&input, &w).unwrap();
         assert!(via_rb.max_abs_diff(&direct).unwrap() < 1e-4);
     }

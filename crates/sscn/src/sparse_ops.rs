@@ -259,38 +259,6 @@ pub fn concat_channels(a: &SparseTensor<f32>, b: &SparseTensor<f32>) -> Result<S
     Ok(out)
 }
 
-/// Element-wise addition of two tensors defined on the same active set —
-/// the residual connection of modern SSCN blocks (a Sub-Conv never changes
-/// the active set, so residuals always type-check on the submanifold).
-///
-/// # Errors
-///
-/// Returns [`SscnError::ChannelMismatch`] / [`SscnError::InvalidConfig`]
-/// when channels, extents or active sets differ.
-pub fn residual_add(a: &SparseTensor<f32>, b: &SparseTensor<f32>) -> Result<SparseTensor<f32>> {
-    if a.channels() != b.channels() {
-        return Err(SscnError::ChannelMismatch {
-            expected: a.channels(),
-            got: b.channels(),
-        });
-    }
-    if a.extent() != b.extent() || !a.same_active_set(b) {
-        return Err(SscnError::InvalidConfig {
-            reason: "residual add requires identical extents and active sets".into(),
-        });
-    }
-    let mut out = SparseTensor::new(a.extent(), a.channels());
-    let mut buf = vec![0.0f32; a.channels()];
-    for (c, fa) in a.iter() {
-        let fb = b.feature(c).expect("same active set");
-        for ((dst, &x), &y) in buf.iter_mut().zip(fa).zip(fb) {
-            *dst = x + y;
-        }
-        out.insert(c, &buf)?;
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,48 +397,6 @@ mod tests {
         let a = input_with(&[(Coord3::new(1, 1, 1), 1.0)], 4);
         let b = input_with(&[(Coord3::new(0, 0, 0), 2.0)], 4);
         assert!(concat_channels(&a, &b).is_err());
-    }
-
-    #[test]
-    fn residual_add_sums_per_site() {
-        let a = input_with(
-            &[(Coord3::new(1, 1, 1), 2.0), (Coord3::new(2, 2, 2), 3.0)],
-            4,
-        );
-        let b = input_with(
-            &[(Coord3::new(1, 1, 1), 5.0), (Coord3::new(2, 2, 2), -1.0)],
-            4,
-        );
-        let out = residual_add(&a, &b).unwrap();
-        assert_eq!(out.feature(Coord3::new(1, 1, 1)), Some(&[7.0][..]));
-        assert_eq!(out.feature(Coord3::new(2, 2, 2)), Some(&[2.0][..]));
-        assert!(out.same_active_set(&a));
-    }
-
-    #[test]
-    fn residual_add_rejects_mismatches() {
-        let a = input_with(&[(Coord3::new(1, 1, 1), 2.0)], 4);
-        let b = input_with(&[(Coord3::new(0, 0, 0), 1.0)], 4);
-        assert!(residual_add(&a, &b).is_err());
-        let mut c = SparseTensor::<f32>::new(Extent3::cube(4), 2);
-        c.insert(Coord3::new(1, 1, 1), &[1.0, 1.0]).unwrap();
-        assert!(matches!(
-            residual_add(&a, &c),
-            Err(SscnError::ChannelMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn residual_with_subconv_preserves_set() {
-        // x + SubConv(x): the canonical residual block shape.
-        let x = input_with(
-            &[(Coord3::new(1, 1, 1), 1.0), (Coord3::new(1, 1, 2), 0.5)],
-            6,
-        );
-        let w = crate::weights::ConvWeights::seeded(3, 1, 1, 2);
-        let y = crate::conv::submanifold_conv3d(&x, &w).unwrap();
-        let z = residual_add(&x, &y).unwrap();
-        assert!(z.same_active_set(&x));
     }
 
     #[test]

@@ -399,7 +399,9 @@ impl SsUNet {
         })
     }
 
-    /// Restores a model from [`SsUNet::to_json`] output.
+    /// Restores a model from [`SsUNet::to_json`] output. No library path
+    /// calls it; it stays as the validating reader of outside model files
+    /// (checked by `crates/sscn/tests/serde_models.rs`).
     ///
     /// # Errors
     ///
@@ -455,7 +457,9 @@ impl SsUNet {
         Ok(())
     }
 
-    /// Per-site class predictions.
+    /// Per-site class predictions. No library path calls it;
+    /// `tests/unet_on_accelerator.rs` checks that it covers every input
+    /// voxel.
     ///
     /// # Errors
     ///
@@ -481,7 +485,6 @@ impl SsUNet {
 mod tests {
     use super::*;
     use crate::gemm::GemmBackendKind;
-    use esca_telemetry::Registry;
     use esca_tensor::Extent3;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha12Rng;
@@ -523,8 +526,11 @@ mod tests {
         // An executor that drops a site breaks the Sub-Conv contract.
         let dropped = net.forward_with(&input, |_, _, w, x| {
             let y = relu(&conv::submanifold_conv3d(x, w)?);
-            let kept = y.iter().skip(1).map(|(c, f)| (c, f.to_vec()));
-            Ok(SparseTensor::from_entries(y.extent(), y.channels(), kept)?)
+            let mut kept = SparseTensor::new(y.extent(), y.channels());
+            for (c, f) in y.iter().skip(1) {
+                kept.insert(c, f)?;
+            }
+            Ok(kept)
         });
         assert!(matches!(dropped, Err(SscnError::InvalidConfig { .. })));
     }
@@ -648,34 +654,10 @@ mod tests {
         }
         let blocked2 = net.forward_engine(&input, &mut fast).unwrap();
         assert_eq!(blocked.features(), blocked2.features(), "not reproducible");
-        // The cache's metrics snapshot mirrors the live counters.
-        let mut reg = Registry::new();
-        engine.cache().record_metrics(&mut reg);
-        let snap = reg.snapshot();
-        let counter = |name: &str| {
-            snap.counters
-                .iter()
-                .find(|c| c.name == name)
-                .map(|c| c.value)
-        };
-        assert_eq!(
-            counter("esca_rulebook_cache_hits_total"),
-            Some(engine.cache().hits())
-        );
-        assert_eq!(
-            counter("esca_rulebook_cache_misses_total"),
-            Some(engine.cache().misses())
-        );
         // Two full passes per backend: the GEMM work totals (resampling
-        // included) agree across backends and carry each backend's label.
-        let macs = |eng: &FlatEngine, backend: &str| {
-            let mut reg = Registry::new();
-            eng.record_gemm_metrics(&mut reg);
-            reg.counter("esca_flat_gemm_macs_total", &[("backend", backend)])
-        };
+        // included) agree across backends.
         assert!(engine.gemm_macs() > 0);
-        assert_eq!(macs(&engine, "scalar-ref"), Some(engine.gemm_macs()));
-        assert_eq!(macs(&fast, "blocked"), Some(engine.gemm_macs()));
+        assert_eq!(fast.gemm_macs(), engine.gemm_macs());
     }
 
     #[test]

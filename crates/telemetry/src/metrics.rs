@@ -126,36 +126,6 @@ impl Histogram {
     pub fn buckets(&self) -> &[u64] {
         &self.buckets
     }
-
-    /// Approximate percentile (`p` in `[0, 100]`, clamped): walks the
-    /// cumulative bucket counts and returns the *exclusive upper bound*
-    /// of the bucket containing the target rank, clamped into the
-    /// observed `[min, max]` range. `None` when empty.
-    pub fn approx_percentile(&self, p: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let p = if p.is_finite() {
-            p.clamp(0.0, 100.0)
-        } else {
-            0.0
-        };
-        let target = ((p / 100.0) * self.count as f64).ceil() as u64;
-        let target = target.max(1);
-        let mut cum = 0u64;
-        for (idx, n) in self.buckets.iter().enumerate() {
-            cum += n;
-            if cum >= target {
-                let upper = if idx == 0 {
-                    0
-                } else {
-                    1u64.checked_shl(idx as u32).map_or(u64::MAX, |v| v - 1)
-                };
-                return Some(upper.clamp(self.min, self.max));
-            }
-        }
-        Some(self.max)
-    }
 }
 
 /// A metric identity: name plus a canonically sorted label set.
@@ -353,21 +323,6 @@ mod tests {
         merged.merge(&b);
         merged.merge(&a);
         assert_eq!(merged, all, "merge is order-independent and lossless");
-    }
-
-    #[test]
-    fn approx_percentile_brackets_the_data() {
-        let mut h = Histogram::new();
-        for v in 1..=100u64 {
-            h.observe(v);
-        }
-        let p50 = h.approx_percentile(50.0).expect("invariant: non-empty");
-        assert!((32..=127).contains(&p50), "p50 bucket bound, got {p50}");
-        assert_eq!(h.approx_percentile(100.0), Some(100));
-        // NaN and out-of-range inputs are defined, not panics.
-        assert!(h.approx_percentile(f64::NAN).is_some());
-        assert_eq!(h.approx_percentile(-5.0), h.approx_percentile(0.0));
-        assert_eq!(Histogram::new().approx_percentile(50.0), None);
     }
 
     #[test]

@@ -131,15 +131,6 @@ impl ObservabilityHub {
         }
     }
 
-    /// A hub whose flight ring holds at most `capacity` events.
-    pub fn with_flight_capacity(capacity: usize) -> Self {
-        ObservabilityHub {
-            snapshot: Mutex::new(Arc::new(TelemetrySnapshot::default())),
-            health: Mutex::new(Arc::new(HealthReport::default())),
-            flight: FlightRecorder::new(capacity),
-        }
-    }
-
     /// Publishes a new snapshot. The lock is held only for the `Arc`
     /// swap — serialization cost stays with the reader.
     pub fn publish_snapshot(&self, snap: TelemetrySnapshot) {
@@ -420,7 +411,7 @@ mod tests {
     use crate::metrics::Registry;
 
     fn hub_with_data() -> Arc<ObservabilityHub> {
-        let hub = Arc::new(ObservabilityHub::with_flight_capacity(16));
+        let hub = Arc::new(ObservabilityHub::new());
         let mut cycle = Registry::new();
         cycle.counter_add("esca_cycles_total", &[("kind", "pipeline")], 123);
         hub.publish_snapshot(TelemetrySnapshot::from_registries(&cycle, &Registry::new()));
@@ -435,7 +426,7 @@ mod tests {
 
     #[test]
     fn hub_swaps_are_visible_to_readers() {
-        let hub = ObservabilityHub::with_flight_capacity(4);
+        let hub = ObservabilityHub::new();
         assert!(hub.snapshot().cycle.is_empty());
         let mut cycle = Registry::new();
         cycle.counter_add("esca_matches_total", &[], 7);
@@ -485,7 +476,7 @@ mod tests {
 
     #[test]
     fn unhealthy_hub_reports_503() {
-        let hub = Arc::new(ObservabilityHub::with_flight_capacity(4));
+        let hub = Arc::new(ObservabilityHub::new());
         hub.publish_health(HealthReport {
             healthy: false,
             panicked_jobs: 3,

@@ -52,14 +52,10 @@ impl Coord3 {
         }
     }
 
-    /// Manhattan (L1) distance to `other`; useful for neighborhood tests.
-    #[inline]
-    pub fn manhattan(self, other: Coord3) -> u32 {
-        self.x.abs_diff(other.x) + self.y.abs_diff(other.y) + self.z.abs_diff(other.z)
-    }
-
     /// Chebyshev (L∞) distance to `other`. Two voxels are within the same
-    /// K×K×K receptive field iff their Chebyshev distance is ≤ K/2.
+    /// K×K×K receptive field iff their Chebyshev distance is ≤ K/2. No
+    /// library path calls it; `crates/sscn/tests/proptests.rs` counts
+    /// matches by brute force with it.
     #[inline]
     pub fn chebyshev(self, other: Coord3) -> u32 {
         self.x
@@ -295,7 +291,8 @@ impl KernelOffsets {
 
     /// The linear *kernel tap index* of an offset, i.e. its position in
     /// [`KernelOffsets::offsets`]; `None` when the offset is outside the
-    /// kernel support.
+    /// kernel support. No library path calls it; the SDMU's unit tests and
+    /// `crates/tensor/tests/proptests.rs` check tap numbering with it.
     pub fn tap_index(&self, off: Coord3) -> Option<usize> {
         let r = self.radius();
         if off.x.abs() > r || off.y.abs() > r || off.z.abs() > r {
@@ -308,7 +305,9 @@ impl KernelOffsets {
         Some((ux * k + uy) * k + uz)
     }
 
-    /// The column index (0..K²) of an offset's `(dx, dy)` pair.
+    /// The column index (0..K²) of an offset's `(dx, dy)` pair. No library
+    /// path calls it; `crates/tensor/tests/proptests.rs` checks
+    /// [`KernelOffsets::column_offset`] against it.
     pub fn column_index(&self, off: Coord3) -> Option<usize> {
         let r = self.radius();
         if off.x.abs() > r || off.y.abs() > r {
@@ -448,7 +447,6 @@ mod tests {
     fn distances() {
         let a = Coord3::new(0, 0, 0);
         let b = Coord3::new(1, -2, 3);
-        assert_eq!(a.manhattan(b), 6);
         assert_eq!(a.chebyshev(b), 3);
     }
 

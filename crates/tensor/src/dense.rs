@@ -141,12 +141,6 @@ impl<T: Copy> Dense3<T> {
         &self.data
     }
 
-    /// Consumes the tensor, returning the raw storage.
-    #[inline]
-    pub fn into_raw(self) -> Vec<T> {
-        self.data
-    }
-
     /// Iterates `(coord, features)` over every site in raster order.
     pub fn iter(&self) -> impl Iterator<Item = (Coord3, &[T])> {
         let e = self.extent;
@@ -172,7 +166,9 @@ impl Dense3<f32> {
         1.0 - self.nonzero_sites() as f64 / self.extent.volume() as f64
     }
 
-    /// Maximum absolute element difference against `other`.
+    /// Maximum absolute element difference against `other`: with
+    /// [`crate::SparseTensor::max_abs_diff`], the comparison oracle of the
+    /// equivalence tests.
     ///
     /// # Errors
     ///

@@ -1,5 +1,5 @@
 //! Fixed-point arithmetic for the paper's quantization scheme (§IV-A):
-//! **INT8 weights, INT16 activations**, 32-bit accumulation.
+//! **INT8 weights, INT16 activations**, wide integer accumulation.
 //!
 //! Scales are powers of two (`value = raw × 2^−frac_bits`), the standard
 //! choice for FPGA datapaths because requantization reduces to an arithmetic
@@ -22,18 +22,6 @@ pub struct Q8(pub i8);
 )]
 pub struct Q16(pub i16);
 
-/// A 32-bit accumulator for Q16 × Q8 multiply-accumulate chains.
-///
-/// Headroom analysis: `|Q16 × Q8| ≤ 32768 × 128 = 2²²`, so a 32-bit
-/// accumulator absorbs at least 2⁹ = 512 MACs without overflow — far more
-/// than the K³ × IC-group products a single output accumulates between
-/// requantizations in this design. [`Acc32::mac`] saturates as a safety
-/// net regardless.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-pub struct Acc32(pub i32);
-
 impl fmt::Display for Q8 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)
@@ -41,12 +29,6 @@ impl fmt::Display for Q8 {
 }
 
 impl fmt::Display for Q16 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl fmt::Display for Acc32 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)
     }
@@ -63,33 +45,6 @@ impl From<Q16> for i32 {
     #[inline]
     fn from(q: Q16) -> i32 {
         q.0 as i32
-    }
-}
-
-impl Acc32 {
-    /// Zero accumulator.
-    pub const ZERO: Acc32 = Acc32(0);
-
-    /// Saturating multiply-accumulate: `self + a × w`.
-    #[inline]
-    pub fn mac(self, a: Q16, w: Q8) -> Acc32 {
-        Acc32(self.0.saturating_add(a.0 as i32 * w.0 as i32))
-    }
-
-    /// Saturating addition of two accumulators (partial-sum reduction in
-    /// the computing array's adder tree).
-    #[inline]
-    pub fn saturating_add(self, other: Acc32) -> Acc32 {
-        Acc32(self.0.saturating_add(other.0))
-    }
-}
-
-impl std::ops::Add for Acc32 {
-    type Output = Acc32;
-    /// Saturating addition (accumulator hardware clamps on overflow).
-    #[inline]
-    fn add(self, other: Acc32) -> Acc32 {
-        self.saturating_add(other)
     }
 }
 
@@ -139,12 +94,6 @@ impl QuantParams {
         Q16(scaled.clamp(i16::MIN as f32, i16::MAX as f32) as i16)
     }
 
-    /// Dequantizes an INT8 weight back to a real value.
-    #[inline]
-    pub fn dequantize_i8(&self, q: Q8) -> f32 {
-        q.0 as f32 * self.step()
-    }
-
     /// Dequantizes an INT16 activation back to a real value.
     #[inline]
     pub fn dequantize_i16(&self, q: Q16) -> f32 {
@@ -159,20 +108,10 @@ impl QuantParams {
 ///
 /// The binary point of the accumulator sits at
 /// `act_params.frac_bits + w_params.frac_bits`; the shift is the difference
-/// to the output's fractional bits.
-pub fn requantize(
-    acc: Acc32,
-    act_params: QuantParams,
-    w_params: QuantParams,
-    out_params: QuantParams,
-) -> Q16 {
-    requantize_i64(acc.0 as i64, act_params, w_params, out_params)
-}
-
-/// [`requantize`] for a wide (64-bit) accumulator. Convolution golden paths
-/// accumulate in i64 — 27 taps × 128 channels × |Q16×Q8| can exceed 32 bits
-/// — and both the golden model and the accelerator model share this exact
-/// rounding, so their outputs are bit-identical.
+/// to the output's fractional bits. The accumulator is 64 bits wide:
+/// 27 taps × 128 channels × |Q16×Q8| can exceed 32 bits. Both the golden
+/// model and the accelerator model share this exact rounding, so their
+/// outputs are bit-identical.
 pub fn requantize_i64(
     acc: i64,
     act_params: QuantParams,
@@ -232,26 +171,12 @@ mod tests {
     }
 
     #[test]
-    fn mac_accumulates() {
-        let acc = Acc32::ZERO.mac(Q16(100), Q8(3)).mac(Q16(-50), Q8(2));
-        assert_eq!(acc, Acc32(200));
-    }
-
-    #[test]
-    fn mac_saturates_instead_of_wrapping() {
-        let acc = Acc32(i32::MAX).mac(Q16(1000), Q8(100));
-        assert_eq!(acc, Acc32(i32::MAX));
-        let acc = Acc32(i32::MIN).mac(Q16(-1000), Q8(100));
-        assert_eq!(acc, Acc32(i32::MIN));
-    }
-
-    #[test]
     fn requantize_identity_when_scales_cancel() {
         let a = QuantParams::new(8).unwrap();
         let w = QuantParams::new(0).unwrap();
         let o = QuantParams::new(8).unwrap();
         // acc holds act(8 frac) * w(0 frac) => 8 frac bits; output wants 8.
-        assert_eq!(requantize(Acc32(1234), a, w, o), Q16(1234));
+        assert_eq!(requantize_i64(1234, a, w, o), Q16(1234));
     }
 
     #[test]
@@ -260,10 +185,10 @@ mod tests {
         let w = QuantParams::new(4).unwrap();
         let o = QuantParams::new(4).unwrap();
         // shift = 4; 8 >> 4 rounds from 0.5 up to 1.
-        assert_eq!(requantize(Acc32(8), a, w, o), Q16(1));
-        assert_eq!(requantize(Acc32(-8), a, w, o), Q16(-1));
-        assert_eq!(requantize(Acc32(7), a, w, o), Q16(0));
-        assert_eq!(requantize(Acc32(-7), a, w, o), Q16(0));
+        assert_eq!(requantize_i64(8, a, w, o), Q16(1));
+        assert_eq!(requantize_i64(-8, a, w, o), Q16(-1));
+        assert_eq!(requantize_i64(7, a, w, o), Q16(0));
+        assert_eq!(requantize_i64(-7, a, w, o), Q16(0));
     }
 
     #[test]
@@ -271,8 +196,8 @@ mod tests {
         let a = QuantParams::new(0).unwrap();
         let w = QuantParams::new(0).unwrap();
         let o = QuantParams::new(0).unwrap();
-        assert_eq!(requantize(Acc32(1 << 20), a, w, o), Q16(i16::MAX));
-        assert_eq!(requantize(Acc32(-(1 << 20)), a, w, o), Q16(i16::MIN));
+        assert_eq!(requantize_i64(1 << 20, a, w, o), Q16(i16::MAX));
+        assert_eq!(requantize_i64(-(1 << 20), a, w, o), Q16(i16::MIN));
     }
 
     #[test]
@@ -281,7 +206,7 @@ mod tests {
         let w = QuantParams::new(2).unwrap();
         let o = QuantParams::new(6).unwrap();
         // shift = -2: multiply by 4.
-        assert_eq!(requantize(Acc32(3), a, w, o), Q16(12));
+        assert_eq!(requantize_i64(3, a, w, o), Q16(12));
     }
 
     #[test]
@@ -291,11 +216,12 @@ mod tests {
         let acts = [0.5f32, -0.25, 0.75, 0.1];
         let ws = [0.5f32, 0.25, -0.5, 0.9];
         let exact: f32 = acts.iter().zip(&ws).map(|(a, w)| a * w).sum();
-        let mut acc = Acc32::ZERO;
-        for (a, w) in acts.iter().zip(&ws) {
-            acc = acc.mac(ap.quantize_i16(*a), wp.quantize_i8(*w));
-        }
-        let got = acc.0 as f32 * (2.0f32).powi(-(8 + 6));
+        let acc: i64 = acts
+            .iter()
+            .zip(&ws)
+            .map(|(a, w)| i64::from(ap.quantize_i16(*a).0) * i64::from(wp.quantize_i8(*w).0))
+            .sum();
+        let got = acc as f32 * (2.0f32).powi(-(8 + 6));
         // Error bound: n terms × (half-step of act × max|w| + half-step of w × max|a|).
         let bound = acts.len() as f32 * (ap.step() / 2.0 + wp.step() / 2.0);
         assert!((got - exact).abs() <= bound, "got {got}, exact {exact}");

@@ -63,7 +63,7 @@ pub mod tile;
 pub use coord::{Coord3, Extent3, KernelOffsets};
 pub use dense::Dense3;
 pub use error::TensorError;
-pub use fixed::{requantize, requantize_i64, Acc32, QuantParams, Q16, Q8};
+pub use fixed::{requantize_i64, QuantParams, Q16, Q8};
 pub use line::LineRuns;
 pub use mask::OccupancyMask;
 pub use sparse::{ActiveSetFingerprint, SparseTensor};

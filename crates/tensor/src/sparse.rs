@@ -200,25 +200,6 @@ impl<T: Copy> SparseTensor<T> {
         }
     }
 
-    /// Builds a tensor from `(coord, features)` entries, sorting them into
-    /// raster order. Later duplicates overwrite earlier ones.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::OutOfBounds`] or
-    /// [`TensorError::ChannelMismatch`] on a bad entry.
-    pub fn from_entries<I>(extent: Extent3, channels: usize, entries: I) -> Result<Self>
-    where
-        I: IntoIterator<Item = (Coord3, Vec<T>)>,
-    {
-        let mut t = SparseTensor::new(extent, channels);
-        for (c, f) in entries {
-            t.insert(c, &f)?;
-        }
-        t.canonicalize();
-        Ok(t)
-    }
-
     /// Builds a tensor directly from parallel coordinate and flat feature
     /// arrays (`features.len() == coords.len() * channels`, site-major),
     /// **preserving the given storage order**. This is the zero-rehash
@@ -369,15 +350,6 @@ impl<T: Copy> SparseTensor<T> {
             .map(|&i| &self.features[i * self.channels..(i + 1) * self.channels])
     }
 
-    /// Mutable feature vector at `c`, or `None` when inactive.
-    pub fn feature_mut(&mut self, c: Coord3) -> Option<&mut [T]> {
-        let ch = self.channels;
-        self.set
-            .index()
-            .get(&c)
-            .map(|&i| &mut self.features[i * ch..(i + 1) * ch])
-    }
-
     /// Inserts (or overwrites) the feature vector at `c`. A new site
     /// copies a shared active set before adding to it; an overwrite leaves
     /// the set shared.
@@ -517,7 +489,8 @@ impl SparseTensor<f32> {
     /// downstream accumulation, and an empty frame has no work for the
     /// accelerator to do. Corrupted or truncated frames (a transfer
     /// glitch, a buggy voxelizer) fail here with a typed error instead of
-    /// deep inside a convolution.
+    /// deep inside a convolution. No library path calls it; it stays as
+    /// the validating reader of frames from outside the process.
     ///
     /// # Errors
     ///
@@ -569,7 +542,9 @@ impl SparseTensor<f32> {
     }
 
     /// Maximum absolute difference over the union of active sets
-    /// (an inactive site contributes its counterpart's magnitude).
+    /// (an inactive site contributes its counterpart's magnitude). No
+    /// library path calls it; it is the comparison oracle of the
+    /// equivalence suites.
     ///
     /// # Errors
     ///
@@ -690,7 +665,7 @@ mod tests {
     fn same_content_detects_value_change() {
         let t = tiny();
         let mut u = tiny();
-        u.feature_mut(Coord3::new(0, 0, 0)).unwrap()[0] = -1.0;
+        u.insert(Coord3::new(0, 0, 0), &[-1.0, 6.0]).unwrap();
         assert!(!t.same_content(&u));
     }
 
@@ -731,7 +706,7 @@ mod tests {
         let t = tiny();
         let mut u = tiny();
         // Same sites, same order, different values: same fingerprint.
-        u.feature_mut(Coord3::new(0, 0, 0)).unwrap()[0] = 99.0;
+        u.insert(Coord3::new(0, 0, 0), &[99.0, 6.0]).unwrap();
         assert_eq!(t.active_fingerprint(), u.active_fingerprint());
         // Channel count is excluded too (geometry only).
         let q = t.map(|v| v as i32);
@@ -1047,7 +1022,7 @@ mod tests {
         let t = tiny();
         let mut u = t.clone();
         u.insert(Coord3::new(0, 0, 1), &[9.0, 9.0]).unwrap();
-        u.feature_mut(Coord3::new(3, 0, 0)).unwrap()[0] = -1.0;
+        u.insert(Coord3::new(3, 0, 0), &[-1.0, 2.0]).unwrap();
         assert!(Arc::ptr_eq(&t.set, &u.set));
         assert_eq!(u.feature(Coord3::new(0, 0, 1)), Some(&[9.0, 9.0][..]));
         assert_eq!(t.feature(Coord3::new(0, 0, 1)), Some(&[3.0, 4.0][..]));
@@ -1074,22 +1049,5 @@ mod tests {
     fn sparse_tensor_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SparseTensor<f32>>();
-    }
-
-    #[test]
-    fn from_entries_sorts_and_dedups() {
-        let t = SparseTensor::from_entries(
-            Extent3::cube(2),
-            1,
-            vec![
-                (Coord3::new(1, 1, 1), vec![1.0]),
-                (Coord3::new(0, 0, 0), vec![2.0]),
-                (Coord3::new(1, 1, 1), vec![3.0]),
-            ],
-        )
-        .unwrap();
-        assert_eq!(t.nnz(), 2);
-        assert_eq!(t.coords()[0], Coord3::new(0, 0, 0));
-        assert_eq!(t.feature(Coord3::new(1, 1, 1)), Some(&[3.0][..]));
     }
 }

@@ -113,24 +113,6 @@ impl TileGrid {
         }
     }
 
-    /// Creates a tile grid, requiring the extent to divide evenly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidTileShape`] when any axis does not
-    /// divide evenly, which would make Table-I-style tile counts ambiguous.
-    pub fn new_exact(extent: Extent3, shape: TileShape) -> Result<Self> {
-        if !extent.x.is_multiple_of(shape.n)
-            || !extent.y.is_multiple_of(shape.m)
-            || !extent.z.is_multiple_of(shape.l)
-        {
-            return Err(TensorError::InvalidTileShape {
-                reason: format!("tile shape {shape} does not evenly divide extent {extent}"),
-            });
-        }
-        Ok(TileGrid::new(extent, shape))
-    }
-
     /// The grid extent being tiled.
     #[inline]
     pub fn extent(&self) -> Extent3 {
@@ -141,12 +123,6 @@ impl TileGrid {
     #[inline]
     pub fn shape(&self) -> TileShape {
         self.shape
-    }
-
-    /// Number of tiles along each axis.
-    #[inline]
-    pub fn tiles_per_axis(&self) -> (u32, u32, u32) {
-        self.tiles
     }
 
     /// Total tile count (Table I's "All Tiles" column).
@@ -261,11 +237,6 @@ impl TileReport {
         1.0 - self.active_tiles() as f64 / self.total_tiles() as f64
     }
 
-    /// Total active sites across all active tiles.
-    pub fn total_nnz(&self) -> usize {
-        self.active.iter().map(|t| t.nnz).sum()
-    }
-
     /// Mean density (nnz / tile volume) over active tiles; a measure of the
     /// load-imbalance relief the strategy provides.
     pub fn mean_active_density(&self) -> f64 {
@@ -322,7 +293,7 @@ mod tests {
         let r = g.classify(&m);
         assert_eq!(r.total_tiles(), 8);
         assert_eq!(r.active_tiles(), 2);
-        assert_eq!(r.total_nnz(), 3);
+        assert_eq!(r.active().iter().map(|t| t.nnz).sum::<usize>(), 3);
         let first = &r.active()[0];
         assert_eq!(first.origin, Coord3::ORIGIN);
         assert_eq!(first.nnz, 2);
@@ -342,9 +313,7 @@ mod tests {
     #[test]
     fn uneven_extent_gets_partial_tiles() {
         let g = TileGrid::new(Extent3::new(10, 10, 10), TileShape::cube(4));
-        assert_eq!(g.tiles_per_axis(), (3, 3, 3));
-        assert!(TileGrid::new_exact(Extent3::new(10, 10, 10), TileShape::cube(4)).is_err());
-        assert!(TileGrid::new_exact(Extent3::cube(8), TileShape::cube(4)).is_ok());
+        assert_eq!(g.total_tiles(), 27);
     }
 
     #[test]

@@ -48,6 +48,26 @@ fn random_qinput(seed: u64, side: u32, ch: usize, n: usize) -> SparseTensor<Q16>
     )
 }
 
+/// Per-frame totals of the sequential stream: one [`Esca::run_chain`] per
+/// frame, with the weights loaded on frame 0 only.
+fn sequential_stream(
+    esca: &Esca,
+    frames: &[SparseTensor<Q16>],
+    stack: &[(QuantizedWeights, bool)],
+) -> Vec<CycleStats> {
+    frames
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            let opts = LayerOpts {
+                load_weights: i == 0,
+                ..LayerOpts::default()
+            };
+            esca.run_chain(f, stack, opts).unwrap().total
+        })
+        .collect()
+}
+
 /// Default layer options with the tile loop split across `shards` threads.
 fn shards(shards: usize) -> LayerOpts {
     LayerOpts {
@@ -181,7 +201,7 @@ fn streaming_session_matches_sequential_stream_for_all_worker_counts() {
     let stack = stream_stack();
     for cfg in dram_configs() {
         let esca = Esca::new(cfg).unwrap();
-        let seq: Vec<CycleStats> = esca.run_network_stream(&frames, &stack).unwrap();
+        let seq = sequential_stream(&esca, &frames, &stack);
         let seq_outputs: Vec<_> = frames
             .iter()
             .map(|f| {
@@ -193,10 +213,7 @@ fn streaming_session_matches_sequential_stream_for_all_worker_counts() {
         // Frame 0 simulated with its weights resident: the second frame of
         // a stream that repeats it.
         let f0 = &frames[0];
-        let steady = esca
-            .run_network_stream(&[f0.clone(), f0.clone()], &stack)
-            .unwrap()
-            .pop();
+        let steady = sequential_stream(&esca, &[f0.clone(), f0.clone()], &stack).pop();
         for workers in [1usize, 2, 8] {
             let session = StreamingSession::new(esca.clone(), stack.clone(), workers);
             let report = session.run_batch(&frames).unwrap();
@@ -335,7 +352,7 @@ fn streaming_session_with_layer_shards_is_still_exact() {
     let frames: Vec<_> = (0..3).map(|i| random_qinput(700 + i, 16, 2, 130)).collect();
     let stack = stream_stack();
     let esca = Esca::new(EscaConfig::default()).unwrap();
-    let seq = esca.run_network_stream(&frames, &stack).unwrap();
+    let seq = sequential_stream(&esca, &frames, &stack);
     let session = StreamingSession::new(esca, stack, 2).with_layer_shards(4);
     let report = session.run_batch(&frames).unwrap();
     assert_eq!(report.per_frame, seq);

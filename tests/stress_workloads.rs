@@ -43,7 +43,7 @@ fn lidar_sweep_bit_exact_and_thin() {
     assert!(input.nnz() > 1000);
     // LiDAR shells are thin: mean match group far below the dense-surface
     // regime.
-    let mmg = esca_sscn::ops::mean_match_group_size(&input, 3);
+    let mmg = esca_sscn::ops::count_matches(&input, 3) as f64 / input.nnz() as f64;
     assert!(mmg < 8.0, "lidar occupancy unexpectedly dense: {mmg}");
 
     let w = ConvWeights::seeded(3, 1, 16, 71);
