@@ -8,8 +8,9 @@
 //! detection off (so undetected faults corrupt outputs silently), it
 //! records the campaign summary (per-frame outcome, attempts, fault
 //! labels, spent cycles and the fault counters), each frame's
-//! `CycleStats` and an FNV hash of each frame's output — silently
-//! corrupted outputs included.
+//! `CycleStats`, an FNV hash of each frame's output — silently
+//! corrupted outputs included — and the cycle half of the campaign's
+//! telemetry snapshot.
 //!
 //! The rendered JSON must equal `tests/fixtures/chaos_vector.json` byte
 //! for byte. Regenerate (only after an *intentional* change) with
@@ -21,6 +22,7 @@ use esca::streaming::StreamingSession;
 use esca::{CycleStats, Esca, EscaConfig};
 use esca_sscn::quant::{quantize_tensor, QuantizedWeights};
 use esca_sscn::weights::ConvWeights;
+use esca_telemetry::MetricsSnapshot;
 use esca_tensor::{Coord3, Extent3, QuantParams, SparseTensor, Q16};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
@@ -89,6 +91,8 @@ struct CampaignVector {
     summary: CampaignSummary,
     per_frame: Vec<Option<CycleStats>>,
     output_hashes: Vec<Option<String>>,
+    /// The cycle half of the campaign's telemetry snapshot.
+    telemetry_cycle: MetricsSnapshot,
 }
 
 #[derive(Serialize)]
@@ -120,6 +124,7 @@ fn vector() -> ChaosVector {
                     .iter()
                     .map(|o| o.as_ref().map(output_hash))
                     .collect(),
+                telemetry_cycle: report.telemetry.cycle,
             });
         }
     }

@@ -29,8 +29,8 @@
 //! resident. A three-frame `StreamingSession::run_batch` at the default
 //! configuration and at those DRAM settings, with matching reuse off, on,
 //! and on over a cache that already holds frame 0's rulebook, pins the per-frame stats, the weights-resident frame 0
-//! (`steady_frame0`), `weight_load_cycles()` and the two-engine modeled
-//! schedule.
+//! (`steady_frame0`), `weight_load_cycles()`, the two-engine modeled
+//! schedule and the cycle half of the batch's telemetry snapshot.
 //!
 //! The rendered JSON must equal `tests/fixtures/cycle_vector.json` byte
 //! for byte. Regenerate (only after an *intentional* timing change) with
@@ -42,6 +42,7 @@ use esca::telemetry::LayerSpan;
 use esca::{CycleStats, Esca, EscaConfig, LayerOpts, LayerRun, LayerTelemetry};
 use esca_sscn::quant::{submanifold_conv3d_q, LayerQuant, QuantizedWeights};
 use esca_sscn::weights::ConvWeights;
+use esca_telemetry::MetricsSnapshot;
 use esca_tensor::{Coord3, Extent3, SparseTensor, TileShape, Q16};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
@@ -517,6 +518,8 @@ struct BatchVector {
     weight_load_cycles: u64,
     /// `modeled_schedule(2)` as `(frame, engine, start_cycle, cycles)`.
     schedule_2: Vec<(usize, usize, u64, u64)>,
+    /// The cycle half of the batch's telemetry snapshot.
+    telemetry_cycle: MetricsSnapshot,
 }
 
 /// One chain case's per-layer stats.
@@ -687,6 +690,7 @@ fn batches() -> Vec<BatchVector> {
                     .collect(),
                 per_frame: report.per_frame,
                 steady_frame0: report.steady_frame0,
+                telemetry_cycle: report.telemetry.cycle,
             });
         }
     }
