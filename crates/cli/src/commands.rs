@@ -6,7 +6,9 @@ use esca::admission::{
     select_operating_point, AdmissionConfig, Arrival, SloTarget, TenantQuota, DEGRADE_DISABLED,
 };
 use esca::dse::{pareto_front, sweep, DseWorkload, SweepAxes};
-use esca::resilience::{register_panic_dump, unregister_panic_dump, FaultClass, FaultConfig};
+use esca::resilience::{
+    register_panic_dump, unregister_panic_dump, CampaignSummary, FaultClass, FaultConfig,
+};
 use esca::streaming::StreamingSession;
 use esca::{CycleStats, Esca, EscaConfig, LayerTelemetry};
 use esca_bench::{paper, tables, workloads};
@@ -254,18 +256,37 @@ fn self_scrape(server: &MetricsServer) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Shared tail of both `stream` branches: optional self-scrape, flight
-/// dump export, and panic-dump cleanup.
-fn finish_stream_outputs(
+/// The export tail every `stream` branch shares: the campaign summary
+/// (`--json`, `--chaos-out`; resilient branches only), the final
+/// snapshot (`--metrics-out`, `--prom-out`), the optional self-scrape,
+/// the flight dump (`--flight-out`) and panic-dump cleanup.
+fn finish_stream(
+    args: &Args,
+    telemetry: &TelemetrySnapshot,
+    summary: Option<&CampaignSummary>,
     hub: Option<&Arc<ObservabilityHub>>,
     server: Option<&MetricsServer>,
-    scrape: bool,
-    flight_out: Option<&str>,
 ) -> Result<(), CliError> {
-    if let (Some(server), true) = (server, scrape) {
+    if let Some(summary) = summary {
+        let json = serde_json::to_string_pretty(summary).map_err(cmd_err)?;
+        if args.flag("json") {
+            println!("{json}");
+        }
+        if let Some(path) = args.get("chaos-out") {
+            write_text(path, &json)?;
+        }
+    }
+    if let Some(path) = args.get("metrics-out") {
+        let json = serde_json::to_string_pretty(telemetry).map_err(cmd_err)?;
+        write_text(path, &json)?;
+    }
+    if let Some(path) = args.get("prom-out") {
+        write_text(path, &telemetry.to_prometheus_text())?;
+    }
+    if let (Some(server), true) = (server, args.flag("serve-scrape")) {
         self_scrape(server)?;
     }
-    if let (Some(hub), Some(path)) = (hub, flight_out) {
+    if let (Some(hub), Some(path)) = (hub, args.get("flight-out")) {
         write_text(path, &hub.flight().to_json().map_err(cmd_err)?)?;
     }
     for name in STREAM_DUMPS {
@@ -495,28 +516,13 @@ pub fn stream(args: &Args) -> Result<(), CliError> {
                 .count();
             println!("    tenant {id:<3} {done}/{total} frames completed");
         }
-        if args.flag("json") {
-            let json = serde_json::to_string_pretty(&report.summary()).map_err(cmd_err)?;
-            println!("{json}");
-        }
-        if let Some(path) = args.get("chaos-out") {
-            let json = serde_json::to_string_pretty(&report.summary()).map_err(cmd_err)?;
-            write_text(path, &json)?;
-        }
-        if let Some(path) = metrics_out {
-            let json = serde_json::to_string_pretty(&report.telemetry).map_err(cmd_err)?;
-            write_text(path, &json)?;
-        }
-        if let Some(path) = prom_out {
-            write_text(path, &report.telemetry.to_prometheus_text())?;
-        }
-        finish_stream_outputs(
+        return finish_stream(
+            args,
+            &report.telemetry,
+            Some(&report.summary()),
             hub.as_ref(),
             server.as_ref(),
-            args.flag("serve-scrape"),
-            flight_out,
-        )?;
-        return Ok(());
+        );
     }
 
     if args.flag("faults") {
@@ -554,28 +560,13 @@ pub fn stream(args: &Args) -> Result<(), CliError> {
                 );
             }
         }
-        if args.flag("json") {
-            let json = serde_json::to_string_pretty(&report.summary()).map_err(cmd_err)?;
-            println!("{json}");
-        }
-        if let Some(path) = args.get("chaos-out") {
-            let json = serde_json::to_string_pretty(&report.summary()).map_err(cmd_err)?;
-            write_text(path, &json)?;
-        }
-        if let Some(path) = metrics_out {
-            let json = serde_json::to_string_pretty(&report.telemetry).map_err(cmd_err)?;
-            write_text(path, &json)?;
-        }
-        if let Some(path) = prom_out {
-            write_text(path, &report.telemetry.to_prometheus_text())?;
-        }
-        finish_stream_outputs(
+        return finish_stream(
+            args,
+            &report.telemetry,
+            Some(&report.summary()),
             hub.as_ref(),
             server.as_ref(),
-            args.flag("serve-scrape"),
-            flight_out,
-        )?;
-        return Ok(());
+        );
     }
 
     let report = session.run_batch(&frames).map_err(cmd_err)?;
@@ -632,20 +623,7 @@ pub fn stream(args: &Args) -> Result<(), CliError> {
         let trace = report.to_span_trace();
         write_text(path, &trace.to_json().map_err(cmd_err)?)?;
     }
-    if let Some(path) = metrics_out {
-        let json = serde_json::to_string_pretty(&report.telemetry).map_err(cmd_err)?;
-        write_text(path, &json)?;
-    }
-    if let Some(path) = prom_out {
-        write_text(path, &report.telemetry.to_prometheus_text())?;
-    }
-    finish_stream_outputs(
-        hub.as_ref(),
-        server.as_ref(),
-        args.flag("serve-scrape"),
-        flight_out,
-    )?;
-    Ok(())
+    finish_stream(args, &report.telemetry, None, hub.as_ref(), server.as_ref())
 }
 
 /// `esca tables [--only 1|2|3|fig10]`

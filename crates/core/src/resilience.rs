@@ -31,18 +31,17 @@
 
 use crate::accelerator::{Esca, LayerOpts, NetworkRun};
 use crate::admission::{
-    record_admission_into, AdmissionConfig, AdmissionRecord, AdmissionVerdict, Arrival, IngestQueue,
+    record_admission_into, AdmissionConfig, AdmissionOutcome, AdmissionRecord, AdmissionVerdict,
+    Arrival, IngestQueue,
 };
 use crate::config::EscaConfig;
 use crate::error::EscaError;
 use crate::stats::CycleStats;
-use crate::streaming::{
-    fold_frame, record_frame, span_chrome_trace, Arrived, FrameSpanTrace, StreamingSession,
-};
+use crate::streaming::{span_chrome_trace, Arrived, FrameSpanTrace, StreamingSession};
 use esca_sscn::engine::{FlatEngine, RulebookCache};
 use esca_sscn::gemm::GemmBackendKind;
 use esca_sscn::quant::QuantizedWeights;
-use esca_telemetry::{ChromeTrace, FlightEvent, FrameSpanCtx, Registry, TelemetrySnapshot};
+use esca_telemetry::{host, ChromeTrace, FlightEvent, FrameSpanCtx, Registry, TelemetrySnapshot};
 use esca_tensor::{SparseTensor, Q16};
 use serde::Serialize;
 use std::sync::{Arc, Mutex, Once, OnceLock, PoisonError};
@@ -226,6 +225,24 @@ pub struct FaultRecord {
     pub detected: bool,
     /// Human-readable detection mechanism (`"none"` when undetected).
     pub mechanism: &'static str,
+}
+
+impl FaultRecord {
+    /// The record's one-line label, `{class}@attempt{n} {mechanism}`
+    /// (`undetected` in place of the mechanism when it was not caught):
+    /// the form the campaign summary and the flight ring both print.
+    fn label(&self) -> String {
+        let mechanism = if self.detected {
+            self.mechanism
+        } else {
+            "undetected"
+        };
+        format!(
+            "{}@attempt{} {mechanism}",
+            self.event.class().as_str(),
+            self.attempt
+        )
+    }
 }
 
 /// Per-class injection probabilities, evaluated once per frame attempt.
@@ -902,22 +919,7 @@ impl ResilientReport {
                     silent_corruption: fr.silent_corruption,
                     fell_back: fr.fell_back,
                     spent_cycles: fr.spent_cycles,
-                    faults: fr
-                        .injected
-                        .iter()
-                        .map(|rec| {
-                            format!(
-                                "{}@attempt{} {}",
-                                rec.event.class().as_str(),
-                                rec.attempt,
-                                if rec.detected {
-                                    rec.mechanism
-                                } else {
-                                    "undetected"
-                                }
-                            )
-                        })
-                        .collect(),
+                    faults: fr.injected.iter().map(FaultRecord::label).collect(),
                 })
                 .collect(),
         }
@@ -1236,7 +1238,7 @@ fn run_frame_resilient(
 }
 
 // ---------------------------------------------------------------------------
-// The resilient batch runner
+// The cycle batch runner
 // ---------------------------------------------------------------------------
 
 impl StreamingSession {
@@ -1263,17 +1265,7 @@ impl StreamingSession {
         frames: &[SparseTensor<Q16>],
         cfg: &FaultConfig,
     ) -> crate::Result<ResilientReport> {
-        // One burst of one tenant with a queue as deep as the batch:
-        // every frame is admitted.
-        let arrivals: Vec<Arrival> = (0..frames.len())
-            .map(|frame| Arrival {
-                frame,
-                tenant: 0,
-                at_cycle: 0,
-            })
-            .collect();
-        let admission =
-            AdmissionConfig::one_burst(None, BackpressurePolicy::RejectNew, frames.len());
+        let (arrivals, admission) = admit_all(frames.len());
         self.run_batch_ingest(frames, &arrivals, cfg, &admission)
     }
 
@@ -1304,6 +1296,58 @@ impl StreamingSession {
         cfg: &FaultConfig,
         admission: &AdmissionConfig,
     ) -> crate::Result<ResilientReport> {
+        let mut run = self.run_slots(frames, arrivals, cfg, admission)?;
+        // The fault counters and admission series are pure functions of
+        // the seed and the arrivals: cycle domain.
+        let counters = FaultCounters::tally(&run.frames);
+        counters.record_into(&mut run.cycle);
+        record_admission_into(&run.admission, &mut run.cycle);
+        let telemetry = self.publish_done(&run);
+        let (outputs, per_frame) = run
+            .runs
+            .into_iter()
+            .map(|r| r.map(|r| (r.output, r.total)).unzip())
+            .unzip();
+        Ok(ResilientReport {
+            seed: cfg.seed,
+            frames: run.frames,
+            outputs,
+            per_frame,
+            counters,
+            telemetry,
+            workers: self.pool.workers(),
+            clock_mhz: self.esca.config().clock_mhz,
+            frame_spans: run.frame_spans,
+            frame_wall: run.frame_wall,
+            admissions: run.admissions,
+            queue_peak: run.admission.peak_in_system as u64,
+        })
+    }
+
+    /// The one cycle-model batch path behind [`StreamingSession::run_batch`]
+    /// and [`StreamingSession::run_batch_ingest`]: evaluates admission,
+    /// plans each admitted slot's residency and [`LayerOpts`], runs every
+    /// slot's attempts under `cfg` on the pool, publishes each arrival to
+    /// the hub, and folds the runs into the registries and span traces
+    /// in frame order.
+    ///
+    /// Admission verdicts and residency hints are computed sequentially
+    /// on the calling thread before any pool submission, so the admitted
+    /// set, the slot plan and the whole cycle domain are byte-identical
+    /// across `(workers, shards)` splits.
+    ///
+    /// # Errors
+    ///
+    /// [`EscaError::Config`] when `arrivals` is not a permutation of the
+    /// frame indices; [`EscaError::PoolClosed`] when the pool rejects a
+    /// job.
+    pub(crate) fn run_slots(
+        &self,
+        frames: &[SparseTensor<Q16>],
+        arrivals: &[Arrival],
+        cfg: &FaultConfig,
+        admission: &AdmissionConfig,
+    ) -> crate::Result<SlotRun> {
         if cfg.rates.worker_panic > 0.0 {
             quiet_injected_panics();
         }
@@ -1359,7 +1403,7 @@ impl StreamingSession {
                 }
             })
             .collect();
-        let submitted = plan.len();
+        let submitted = plan.len() as u64;
         // Which slot ran each frame (`None`: not admitted).
         let mut slot_of: Vec<Option<usize>> = vec![None; n];
         for (slot, entry) in plan.iter().enumerate() {
@@ -1400,12 +1444,7 @@ impl StreamingSession {
             if let Some(run) = run {
                 record_frame(&mut live_cycle, run);
             }
-            esca_telemetry::host::observe_wall(
-                &mut live_host,
-                "esca_frame_wall_micros",
-                &[],
-                a.wall,
-            );
+            host::observe_wall(&mut live_host, "esca_frame_wall_micros", &[], a.wall);
             hub.record_flight(flight_event(
                 rep,
                 &rec_by_frame[rep.frame].verdict.label(),
@@ -1417,7 +1456,7 @@ impl StreamingSession {
             hub.publish_snapshot(TelemetrySnapshot::from_registries(&live_cycle, &live_host));
             hub.publish_health(self.health_report_admission(
                 "streaming",
-                submitted as u64,
+                submitted,
                 live_done,
                 live_dropped,
                 policy_label,
@@ -1428,6 +1467,18 @@ impl StreamingSession {
         let mut arrived: Vec<Option<crate::Result<Arrived<_>>>> =
             fan.slots.into_iter().map(Some).collect();
 
+        // Two strictly separated registries (DESIGN.md: Observability).
+        // The cycle registry folds completed frames' simulated telemetry
+        // in frame order — every input is deterministic and every merge
+        // is sum/max/bucket-add, so its snapshot is byte-identical for
+        // any worker or shard count. The host registry takes wall-clock
+        // and scheduling facts and is the only place they may land.
+        let mut cycle = Registry::new();
+        let mut host_reg = Registry::new();
+        host_reg.gauge_max("esca_stream_workers", &[], self.pool.workers() as u64);
+        host_reg.gauge_max("esca_stream_queue_depth", &[], submitted);
+        host_reg.counter_add("esca_results_undelivered_total", &[], fan.undelivered);
+
         // Every frame gets exactly one report and, with a hub, exactly one
         // terminal flight event: arrivals recorded theirs live above; a
         // job that died without reporting fails with `WorkerPanic`; a
@@ -1435,14 +1486,29 @@ impl StreamingSession {
         let mut frame_reports = Vec::with_capacity(n);
         let mut runs: Vec<Option<NetworkRun>> = Vec::with_capacity(n);
         let mut frame_wall = vec![Duration::ZERO; n];
-        let mut frame_worker = vec![0usize; n];
+        let mut frame_spans = Vec::new();
         for (idx, rec) in rec_by_frame.iter().enumerate() {
             let slot = slot_of[idx];
             let rep = match slot.and_then(|s| arrived[s].take()) {
                 Some(Ok(a)) => {
                     frame_wall[idx] = a.wall;
-                    frame_worker[idx] = a.worker;
+                    host::observe_wall(&mut host_reg, "esca_frame_wall_micros", &[], a.wall);
+                    let worker = a.worker.to_string();
+                    host_reg.counter_add(
+                        "esca_worker_frames_total",
+                        &[("worker", worker.as_str())],
+                        1,
+                    );
                     let (rep, run) = a.value;
+                    if let Some(run) = &run {
+                        let ctx = FrameSpanCtx {
+                            frame: idx as u64,
+                            attempt: u64::from(rep.attempts.saturating_sub(1)),
+                            worker: a.worker as u64,
+                            shards: self.layer_shards as u64,
+                        };
+                        frame_spans.push(fold_frame(&mut cycle, run, ctx));
+                    }
                     frame_reports.push(rep);
                     runs.push(run);
                     continue;
@@ -1482,64 +1548,106 @@ impl StreamingSession {
             frame_reports.push(rep);
             runs.push(None);
         }
-        let counters = FaultCounters::tally(&frame_reports);
+        Ok(SlotRun {
+            completed: runs.iter().filter(|r| r.is_some()).count() as u64,
+            frames: frame_reports,
+            runs,
+            frame_wall,
+            frame_spans,
+            cycle,
+            host: host_reg,
+            admission: outcome,
+            admissions: rec_by_frame,
+            resident: hints.iter().filter(|&&h| h).count() as u64,
+            submitted,
+            policy: policy_label,
+            depth,
+        })
+    }
 
-        // Cycle domain: frame-order fold of completed frames' stats and
-        // telemetry, plus the fault counters — all deterministic. Host
-        // domain: worker/queue facts only.
-        let mut cycle_reg = Registry::new();
-        let mut host_reg = Registry::new();
-        host_reg.gauge_max("esca_stream_workers", &[], self.pool.workers() as u64);
-        host_reg.gauge_max("esca_stream_queue_depth", &[], submitted as u64);
-        host_reg.counter_add("esca_results_undelivered_total", &[], fan.undelivered);
-        let mut outputs = Vec::with_capacity(n);
-        let mut per_frame = Vec::with_capacity(n);
-        let mut frame_spans = Vec::new();
-        for (idx, run) in runs.into_iter().enumerate() {
-            let Some(run) = run else {
-                outputs.push(None);
-                per_frame.push(None);
-                continue;
-            };
-            let ctx = FrameSpanCtx {
-                frame: idx as u64,
-                attempt: u64::from(frame_reports[idx].attempts.saturating_sub(1)),
-                worker: frame_worker[idx] as u64,
-                shards: self.layer_shards as u64,
-            };
-            frame_spans.push(fold_frame(&mut cycle_reg, &run, ctx));
-            outputs.push(Some(run.output));
-            per_frame.push(Some(run.total));
-        }
-        counters.record_into(&mut cycle_reg);
-        record_admission_into(&outcome, &mut cycle_reg);
-        let telemetry = TelemetrySnapshot::from_registries(&cycle_reg, &host_reg);
+    /// Snapshots a finished [`SlotRun`]'s registries and, with a hub,
+    /// publishes the snapshot and the `"done"` health report.
+    pub(crate) fn publish_done(&self, run: &SlotRun) -> TelemetrySnapshot {
+        let telemetry = TelemetrySnapshot::from_registries(&run.cycle, &run.host);
         if let Some(hub) = &self.hub {
             hub.publish_snapshot(telemetry.clone());
             hub.publish_health(self.health_report_admission(
                 "done",
-                submitted as u64,
-                live_done,
-                (n as u64).saturating_sub(live_done),
-                policy_label,
-                depth,
+                run.submitted,
+                run.completed,
+                (run.frames.len() as u64).saturating_sub(run.completed),
+                run.policy,
+                run.depth,
             ));
         }
-        Ok(ResilientReport {
-            seed: cfg.seed,
-            frames: frame_reports,
-            outputs,
-            per_frame,
-            counters,
-            telemetry,
-            workers: self.pool.workers(),
-            clock_mhz: self.esca.config().clock_mhz,
-            frame_spans,
-            frame_wall,
-            admissions: rec_by_frame,
-            queue_peak: outcome.peak_in_system as u64,
-        })
+        telemetry
     }
+}
+
+/// Records one completed frame's cycle-domain series — its stats, its
+/// telemetry and the `esca_frame_cycles` observation — into `reg`.
+fn record_frame(reg: &mut Registry, run: &NetworkRun) {
+    run.total.record_into(reg);
+    run.telemetry.record_into(reg);
+    reg.observe("esca_frame_cycles", &[], run.total.total_cycles());
+}
+
+/// The frame-order fold of one completed frame: records it into the
+/// cycle registry and returns its span-context trace.
+fn fold_frame(reg: &mut Registry, run: &NetworkRun, ctx: FrameSpanCtx) -> FrameSpanTrace {
+    record_frame(reg, run);
+    FrameSpanTrace {
+        ctx,
+        total_cycles: run.total.total_cycles(),
+        spans: run.telemetry.layer_spans.clone(),
+    }
+}
+
+/// One burst of one tenant with a queue as deep as the batch: every one of
+/// `n` frames is admitted, in frame order.
+pub(crate) fn admit_all(n: usize) -> (Vec<Arrival>, AdmissionConfig) {
+    let arrivals = (0..n)
+        .map(|frame| Arrival {
+            frame,
+            tenant: 0,
+            at_cycle: 0,
+        })
+        .collect();
+    let admission = AdmissionConfig::one_burst(None, BackpressurePolicy::RejectNew, n);
+    (arrivals, admission)
+}
+
+/// What [`StreamingSession::run_slots`] hands back: every frame's fate in
+/// frame order and the two registries its frame-order fold filled. The
+/// calling wrapper adds its own series to the registries, then
+/// [`StreamingSession::publish_done`] snapshots them.
+pub(crate) struct SlotRun {
+    /// One report per input frame, in frame order.
+    pub(crate) frames: Vec<FrameReport>,
+    /// Each frame's completed run (`None`: failed or dropped).
+    pub(crate) runs: Vec<Option<NetworkRun>>,
+    /// Host wall-clock per frame job (zero for frames that never ran).
+    pub(crate) frame_wall: Vec<Duration>,
+    /// Span-context traces of completed frames, in frame order.
+    pub(crate) frame_spans: Vec<FrameSpanTrace>,
+    /// Cycle domain: completed frames' stats and telemetry, folded in
+    /// frame order.
+    pub(crate) cycle: Registry,
+    /// Host domain: pool and queue facts, per-frame wall and worker.
+    pub(crate) host: Registry,
+    /// The ingest queue's verdicts on the arrivals.
+    admission: AdmissionOutcome,
+    /// The admission records, in frame order.
+    admissions: Vec<AdmissionRecord>,
+    /// Slots whose geometry was already resident (the residency hints).
+    pub(crate) resident: u64,
+    /// Frames submitted to the pool.
+    submitted: u64,
+    /// Frames that produced an output.
+    completed: u64,
+    /// Ingest-queue policy label and depth, for `/healthz`.
+    policy: &'static str,
+    depth: u64,
 }
 
 /// Builds one terminal flight-recorder event from a frame's report.
@@ -1564,22 +1672,7 @@ fn flight_event(
             FrameOutcome::Retried { retries } => u64::from(*retries),
             _ => u64::from(rep.attempts.saturating_sub(1)),
         },
-        faults: rep
-            .injected
-            .iter()
-            .map(|rec| {
-                format!(
-                    "{}@attempt{} {}",
-                    rec.event.class().as_str(),
-                    rec.attempt,
-                    if rec.detected {
-                        rec.mechanism
-                    } else {
-                        "undetected"
-                    }
-                )
-            })
-            .collect(),
+        faults: rep.injected.iter().map(FaultRecord::label).collect(),
         fell_back: rep.fell_back,
         silent_corruption: rep.silent_corruption,
         matching_resident,

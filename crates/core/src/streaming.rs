@@ -12,8 +12,11 @@
 //! *modeled* multi-engine deployment throughput derived purely from the
 //! per-frame cycle counts (see [`StreamReport::modeled`]), which is the
 //! number an FPGA with several ESCA instances would actually sustain.
+//!
+//! [`LayerOpts::load_weights`]: crate::LayerOpts::load_weights
 
-use crate::accelerator::{Esca, LayerOpts, NetworkRun};
+use crate::accelerator::Esca;
+use crate::resilience::{admit_all, FaultConfig, FrameOutcome, RecoveryPolicy};
 use crate::stats::CycleStats;
 use crate::telemetry::LayerSpan;
 use crate::Result;
@@ -22,7 +25,7 @@ use esca_sscn::engine::RulebookCache;
 use esca_sscn::gemm::GemmBackendKind;
 use esca_sscn::quant::QuantizedWeights;
 use esca_telemetry::serve::{HealthReport, ObservabilityHub, OperatingPoint};
-use esca_telemetry::{host, ChromeTrace, FlightEvent, FrameSpanCtx, Registry, TelemetrySnapshot};
+use esca_telemetry::{host, ChromeTrace, FrameSpanCtx, TelemetrySnapshot};
 use esca_tensor::{SparseTensor, Q16};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -197,29 +200,6 @@ impl<T> FanOut<Result<T>> {
     }
 }
 
-/// Records one completed frame's cycle-domain series — its stats, its
-/// telemetry and the `esca_frame_cycles` observation — into `reg`.
-pub(crate) fn record_frame(reg: &mut Registry, run: &NetworkRun) {
-    run.total.record_into(reg);
-    run.telemetry.record_into(reg);
-    reg.observe("esca_frame_cycles", &[], run.total.total_cycles());
-}
-
-/// The frame-order fold shared by the cycle runners: records the frame
-/// into the cycle registry and returns its span-context trace.
-pub(crate) fn fold_frame(
-    reg: &mut Registry,
-    run: &NetworkRun,
-    ctx: FrameSpanCtx,
-) -> FrameSpanTrace {
-    record_frame(reg, run);
-    FrameSpanTrace {
-        ctx,
-        total_cycles: run.total.total_cycles(),
-        spans: run.telemetry.layer_spans.clone(),
-    }
-}
-
 impl StreamingSession {
     /// Creates a session over `workers` pool threads. `layers` is the
     /// resident network: `(weights, relu)` per Sub-Conv layer, applied in
@@ -243,6 +223,8 @@ impl StreamingSession {
     /// arrival) and append one terminal [`FlightEvent`] per frame to its
     /// flight ring. Without a hub the batch paths skip all of this —
     /// observability is strictly opt-in on the hot path.
+    ///
+    /// [`FlightEvent`]: esca_telemetry::FlightEvent
     pub fn with_hub(mut self, hub: Arc<ObservabilityHub>) -> Self {
         self.hub = Some(hub);
         self
@@ -265,18 +247,6 @@ impl StreamingSession {
     /// The pinned SLO operating point, if any.
     pub fn operating_point(&self) -> Option<&OperatingPoint> {
         self.operating_point.as_ref()
-    }
-
-    /// A point-in-time health report from the pool counters
-    /// (unbounded-admission paths).
-    pub(crate) fn health_report(
-        &self,
-        phase: &str,
-        submitted: u64,
-        completed: u64,
-        dropped: u64,
-    ) -> HealthReport {
-        self.health_report_admission(phase, submitted, completed, dropped, "unbounded", 0)
     }
 
     /// A point-in-time health report carrying the live admission state
@@ -313,6 +283,8 @@ impl StreamingSession {
     /// layer of the session runs with); results, cycle stats, telemetry
     /// and traces stay bit-identical. Useful when frames are few but
     /// large.
+    ///
+    /// [`LayerOpts::shards`]: crate::LayerOpts::shards
     pub fn with_layer_shards(mut self, shards: usize) -> Self {
         self.layer_shards = shards.max(1);
         self
@@ -419,150 +391,65 @@ impl StreamingSession {
     /// ([`StreamReport::steady_frame0`]) is priced from its per-layer
     /// stats, not simulated again.
     ///
+    /// This is the ingest path ([`StreamingSession::run_batch_ingest`])
+    /// with every frame admitted and fault injection off: no retry, so
+    /// each frame runs exactly once.
+    ///
     /// # Errors
     ///
     /// Propagates the accelerator error of the lowest-indexed failing
     /// frame (deterministic across worker counts), or
-    /// [`crate::EscaError::WorkerPanic`] for a frame whose job died
-    /// without reporting.
+    /// [`crate::EscaError::WorkerPanic`] for a frame that panicked or
+    /// whose job died without reporting.
+    ///
+    /// [`LayerOpts::load_weights`]: crate::LayerOpts::load_weights
     pub fn run_batch(&self, frames: &[SparseTensor<Q16>]) -> Result<StreamReport> {
         // Host-throughput reporting only (StreamReport::wall); never feeds
         // CycleStats. Audited in analyze/allowlist.tsv (L1-wall-clock).
         #[allow(clippy::disallowed_methods)]
         let start = Instant::now();
-        let n = frames.len();
-        // Residency hints are derived sequentially on the calling thread,
-        // before any job is submitted, so they cannot depend on worker
-        // scheduling.
-        let hints = self.residency_hints(frames);
-        let opts = |load_weights: bool, matching_resident: bool| LayerOpts {
-            load_weights,
-            matching_resident,
-            shards: self.layer_shards,
+        let (arrivals, admission) = admit_all(frames.len());
+        let cfg = FaultConfig {
+            recovery: RecoveryPolicy {
+                max_retries: 0,
+                cycle_budget: None,
+            },
+            ..FaultConfig::off(0)
         };
-        let inputs: Vec<(SparseTensor<Q16>, LayerOpts)> = frames
-            .iter()
-            .zip(&hints)
-            .enumerate()
-            .map(|(idx, (frame, &hint))| (frame.clone(), opts(idx == 0, hint)))
-            .collect();
-        let esca = Arc::clone(&self.esca);
-        let layers = Arc::clone(&self.layers);
-        let job = move |(frame, opts): (SparseTensor<Q16>, LayerOpts)| {
-            esca.run_chain(&frame, &layers, opts)
-        };
-
-        // Live exposition (hub attached only): arrivals fold into interim
-        // registries in completion order — legal because the merge rules
-        // are commutative — and each arrival publishes a fresh snapshot
-        // through the hub's Arc swap. The *final* report below is still
-        // built in frame order from scratch, so its cycle half stays
-        // byte-identical across worker/shard splits; the live view is a
-        // monotone prefix of the same data.
-        let mut live_cycle = Registry::new();
-        let mut live_host = Registry::new();
-        let mut completed = 0u64;
-        let backend_label = self.gemm_backend.label();
-        let publish = |slot: usize, a: &Arrived<Result<NetworkRun>>| {
-            let Some(hub) = self.hub.as_ref() else {
-                return;
-            };
-            let event = FlightEvent {
-                worker: a.worker as u64,
-                backend: backend_label.to_string(),
-                wall_micros: a.wall.as_micros() as u64,
-                ..FlightEvent::for_frame(slot as u64)
-            };
-            let Ok(run) = &a.value else {
-                hub.record_flight(FlightEvent {
-                    outcome: "failed".to_string(),
-                    ..event
+        let mut run = self.run_slots(frames, &arrivals, &cfg, &admission)?;
+        let mut outputs = Vec::with_capacity(frames.len());
+        let mut per_frame = Vec::with_capacity(frames.len());
+        let mut per_layer0 = None;
+        for (rep, net) in run.frames.iter().zip(run.runs.drain(..)) {
+            let Some(net) = net else {
+                return Err(match &rep.outcome {
+                    FrameOutcome::Failed { error } => error.clone(),
+                    _ => crate::EscaError::WorkerPanic { frame: rep.frame },
                 });
-                return;
             };
-            completed += 1;
-            record_frame(&mut live_cycle, run);
-            host::observe_wall(&mut live_host, "esca_frame_wall_micros", &[], a.wall);
-            hub.record_flight(FlightEvent {
-                matching_resident: hints[slot],
-                cycles: run.total.total_cycles(),
-                ..event
-            });
-            hub.publish_snapshot(TelemetrySnapshot::from_registries(&live_cycle, &live_host));
-            hub.publish_health(self.health_report("streaming", n as u64, completed, 0));
-        };
-        let fan = self.fan_out(inputs, job, publish)?;
-        let runs = fan
-            .slots
-            .into_iter()
-            .map(|s| s.and_then(|a| a.value.map(|run| (run, a.wall, a.worker))))
-            .collect::<Result<Vec<_>>>()?;
-        let steady_frame0 = runs
-            .first()
-            .map(|(run, _, _)| {
-                self.esca
-                    .weights_resident_total(&run.per_layer, &self.layers)
-            })
+            per_layer0.get_or_insert(net.per_layer);
+            outputs.push(net.output);
+            per_frame.push(net.total);
+        }
+        let steady_frame0 = per_layer0
+            .map(|per_layer| self.esca.weights_resident_total(&per_layer, &self.layers))
             .transpose()?;
-
-        // Two strictly separated registries (DESIGN.md: Observability).
-        // The cycle registry folds per-frame simulated telemetry in frame
-        // order — every input is deterministic and every merge is
-        // sum/max/bucket-add, so the snapshot is byte-identical for any
-        // worker or shard count. The host registry takes wall-clock and
-        // scheduling facts and is the only place they may land.
-        let mut cycle_reg = Registry::new();
-        let mut host_reg = Registry::new();
         // Residency hints are deterministic, so this count is part of the
         // cycle domain.
-        cycle_reg.counter_add(
-            "esca_stream_resident_frames_total",
-            &[],
-            hints.iter().filter(|&&h| h).count() as u64,
-        );
-        host_reg.gauge_max("esca_stream_workers", &[], self.pool.workers() as u64);
-        host_reg.gauge_max("esca_stream_queue_depth", &[], n as u64);
-        host_reg.counter_add("esca_results_undelivered_total", &[], fan.undelivered);
-        let mut outputs = Vec::with_capacity(n);
-        let mut per_frame = Vec::with_capacity(n);
-        let mut frame_wall = Vec::with_capacity(n);
-        let mut frame_spans = Vec::with_capacity(n);
-        for (idx, (run, wall, worker)) in runs.into_iter().enumerate() {
-            let ctx = FrameSpanCtx {
-                frame: idx as u64,
-                attempt: 0,
-                worker: worker as u64,
-                shards: self.layer_shards as u64,
-            };
-            frame_spans.push(fold_frame(&mut cycle_reg, &run, ctx));
-            host::observe_wall(&mut host_reg, "esca_frame_wall_micros", &[], wall);
-            let worker = worker.to_string();
-            host_reg.counter_add(
-                "esca_worker_frames_total",
-                &[("worker", worker.as_str())],
-                1,
-            );
-            outputs.push(run.output);
-            per_frame.push(run.total);
-            frame_wall.push(wall);
-        }
+        run.cycle
+            .counter_add("esca_stream_resident_frames_total", &[], run.resident);
         let wall = start.elapsed();
-        host::record_wall(&mut host_reg, "esca_batch_wall_micros_total", &[], wall);
-        let telemetry = TelemetrySnapshot::from_registries(&cycle_reg, &host_reg);
-        if let Some(hub) = &self.hub {
-            hub.publish_snapshot(telemetry.clone());
-            hub.publish_health(self.health_report("done", n as u64, n as u64, 0));
-        }
+        host::record_wall(&mut run.host, "esca_batch_wall_micros_total", &[], wall);
         Ok(StreamReport {
             outputs,
             per_frame,
-            frame_wall,
+            telemetry: self.publish_done(&run),
+            frame_wall: run.frame_wall,
             wall,
             steady_frame0,
             clock_mhz: self.esca.config().clock_mhz,
             workers: self.pool.workers(),
-            telemetry,
-            frame_spans,
+            frame_spans: run.frame_spans,
         })
     }
 
@@ -701,6 +588,8 @@ pub struct StreamReport {
     /// Per-frame cycle statistics, in frame order — bit-identical to
     /// sequential [`Esca::run_chain`] calls on the same batch with
     /// [`LayerOpts::load_weights`] set on frame 0 only.
+    ///
+    /// [`LayerOpts::load_weights`]: crate::LayerOpts::load_weights
     pub per_frame: Vec<CycleStats>,
     /// Host wall-clock each frame's job took.
     pub frame_wall: Vec<Duration>,
@@ -968,6 +857,7 @@ impl StreamReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accelerator::LayerOpts;
     use crate::config::EscaConfig;
     use esca_sscn::quant::{quantize_tensor, QuantizedWeights};
     use esca_sscn::weights::ConvWeights;
@@ -1384,5 +1274,27 @@ mod tests {
         // The golden path surfaces the mismatch too (wrapped golden-model
         // error rather than the accelerator's own variant).
         assert!(session.run_golden_batch(&bad).is_err());
+
+        // Only frame 2 of 4 bad: the batch reports its error, and the
+        // flight ring shows it failed on its first and only attempt while
+        // the others completed. `run_batch` never retries.
+        let mut frames: Vec<_> = (0..4).map(|i| frame(i + 600)).collect();
+        frames[2] = bad[0].clone();
+        let hub = Arc::new(ObservabilityHub::new());
+        let esca = Esca::new(EscaConfig::default()).unwrap();
+        let session = StreamingSession::new(esca, layers(), 2).with_hub(Arc::clone(&hub));
+        assert!(matches!(
+            session.run_batch(&frames),
+            Err(crate::EscaError::ChannelMismatch { .. })
+        ));
+        let mut events = hub.flight().events();
+        events.sort_by_key(|e| e.frame);
+        assert_eq!(events.len(), 4, "one terminal event per frame");
+        for (i, ev) in events.iter().enumerate() {
+            assert_eq!(ev.frame, i as u64);
+            assert_eq!(ev.outcome, if i == 2 { "failed" } else { "ok" });
+        }
+        assert_eq!(events[2].attempt, 0);
+        assert_eq!(events[2].retries, 0);
     }
 }

@@ -212,10 +212,12 @@ proptest! {
 }
 
 #[test]
-fn three_way_bit_exact_cross_validation() {
-    // Golden direct kernel, the flat kernel over the rulebook under the
-    // scalar reference backend, and the accelerator's layer output: one
-    // integer function.
+fn direct_and_flat_kernels_are_bit_exact() {
+    // Two independent implementations of one integer function: the
+    // golden direct kernel and the flat kernel over the rulebook under
+    // the scalar reference backend. The accelerator's layer output is
+    // checked too, but it is not a third implementation: `run_layer`
+    // takes its output from the same flat `_q` kernel.
     use esca_sscn::engine::{apply_rulebook_flat_q_with, FlatScratch};
     use esca_sscn::gemm::ScalarRef;
     use esca_sscn::quant::{quantize_tensor, submanifold_conv3d_q, QuantizedWeights};

@@ -252,6 +252,56 @@ fn chaos_campaign_flight_dump_has_one_terminal_event_per_frame() {
 }
 
 #[test]
+fn ingest_final_snapshot_keeps_the_host_families_of_the_live_ones() {
+    // Bounded admission rejects 2 of 12 frames and the campaign fails or
+    // retries some of the rest: the final snapshot must still carry one
+    // wall observation and one worker attribution per frame that ran.
+    let frames: Vec<_> = (0..12).map(|i| frame(0xF33 + i)).collect();
+    let cfg = FaultConfig::campaign(0xC4A05);
+    let arrivals: Vec<Arrival> = (0..frames.len())
+        .map(|frame| Arrival {
+            frame,
+            tenant: 0,
+            at_cycle: 0,
+        })
+        .collect();
+    let admission =
+        AdmissionConfig::one_burst(Some(10), BackpressurePolicy::RejectNew, frames.len());
+
+    let hub = Arc::new(ObservabilityHub::new());
+    let esca = Esca::new(EscaConfig::default()).unwrap();
+    let session = StreamingSession::new(esca, stack(), 3).with_hub(Arc::clone(&hub));
+    let report = session
+        .run_batch_ingest(&frames, &arrivals, &cfg, &admission)
+        .unwrap();
+
+    assert_eq!(
+        *hub.snapshot(),
+        report.telemetry,
+        "final publish is the report"
+    );
+    let ran = report.frames.iter().filter(|f| f.attempts > 0).count() as u64;
+    assert_eq!(ran, 10, "admission must run 10 of 12 frames");
+    let host = &report.telemetry.host;
+    let wall = host
+        .histograms
+        .iter()
+        .find(|h| h.name == "esca_frame_wall_micros")
+        .expect("final host snapshot carries the frame wall family");
+    assert_eq!(wall.count, ran);
+    let per_worker: u64 = host
+        .counters
+        .iter()
+        .filter(|c| c.name == "esca_worker_frames_total")
+        .map(|c| c.value)
+        .sum();
+    assert_eq!(
+        per_worker, ran,
+        "every frame that ran attributed to a worker"
+    );
+}
+
+#[test]
 fn ingest_flight_events_partition_across_every_admission_verdict() {
     // One burst covering the full shedding ladder: admitted, degraded,
     // shed{T}, over_quota and rejected all land in the flight ring as
