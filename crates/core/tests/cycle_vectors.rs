@@ -21,7 +21,8 @@
 //! are (3, 3), (9, 3) and (3, 1): the first and last layer share the
 //! array cycles but not the drain. Every chain's per-layer stats are
 //! pinned as well. One traced run with depth-2 FIFOs pins the Chrome
-//! trace export as well.
+//! trace export as well, and so does the same layer run matching-resident
+//! on 1 and on 3 shards (its vector and its compute/drain-only trace).
 //!
 //! The DRAM axis is pinned on its own: one layer shape runs at a starved
 //! 0.05 B/cycle with nothing and with everything hideable under compute,
@@ -529,11 +530,20 @@ struct ChainVector {
     per_layer: Vec<CycleStats>,
 }
 
+/// One traced layer run: its vector and its Chrome trace export.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct TracedVector {
+    vector: CaseVector,
+    chrome: String,
+}
+
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
 struct CycleVector {
     cases: Vec<CaseVector>,
     /// Chrome trace JSON of one traced layer with depth-2 FIFOs.
     traced_chrome: String,
+    /// The same traced layer run matching-resident, on 1 and on 3 shards.
+    traced_resident: Vec<TracedVector>,
     /// Per-layer stats of the first chain case (its `stats` hold their
     /// total).
     chain_per_layer: Vec<CycleStats>,
@@ -734,11 +744,29 @@ fn vector() -> CycleVector {
         .to_chrome_trace(1)
         .to_json()
         .unwrap();
+    let traced_resident = [1, 3]
+        .into_iter()
+        .map(|shards| {
+            let case = Case {
+                resident: true,
+                shards,
+                ..traced
+            };
+            let run = run(&case, cfg);
+            let chrome = run.trace.to_chrome_trace(1).to_json().unwrap();
+            let name = format!("{}_resident_s{shards}", case.name);
+            TracedVector {
+                vector: layer_vector(name, run),
+                chrome,
+            }
+        })
+        .collect();
     let mut chains = chains.into_iter();
     let chain_per_layer = chains.next().map(|c| c.per_layer).unwrap_or_default();
     CycleVector {
         cases,
         traced_chrome,
+        traced_resident,
         chain_per_layer,
         width_chains: chains.collect(),
         dram_cases: dram_cases(),
@@ -763,6 +791,10 @@ fn cycle_model_reproduces_committed_vector() {
     assert_eq!(
         actual.traced_chrome, expected.traced_chrome,
         "traced Chrome export drifted"
+    );
+    assert_eq!(
+        actual.traced_resident, expected.traced_resident,
+        "matching-resident traced layers drifted"
     );
     assert_eq!(
         actual.chain_per_layer, expected.chain_per_layer,
