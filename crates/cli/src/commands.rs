@@ -327,7 +327,7 @@ fn parse_tenants(spec: &str) -> Result<Vec<TenantQuota>, CliError> {
 
 /// `esca stream [--frames 8] [--workers 4] [--layers 3] [--grid 192]
 /// [--seed N] [--engines N] [--shards 1] [--gemm-backend blocked|scalar]
-/// [--reuse-matching] [--static-scene] [--matching-resident] [--json] [--trace-out FILE] [--metrics-out FILE] [--prom-out FILE]
+/// [--reuse-matching] [--static-scene] [--json] [--trace-out FILE] [--metrics-out FILE] [--prom-out FILE]
 /// [--serve ADDR] [--serve-scrape] [--flight-out FILE]
 /// [--faults] [--fault-seed N] [--chaos-out FILE]`
 ///
@@ -340,9 +340,8 @@ fn parse_tenants(spec: &str) -> Result<Vec<TenantQuota>, CliError> {
 /// already resident — seen earlier in the batch, or held by the session's
 /// rulebook cache — goes matching-resident in the cycle model.
 /// `--static-scene` freezes the rotating object so every frame shares one
-/// geometry — the steady-state demo for matching reuse.
-/// `--matching-resident` forces the resident cycle accounting on for
-/// every frame regardless of the cache.
+/// geometry — the steady-state demo for matching reuse: with
+/// `--reuse-matching`, every frame after the first runs matching-resident.
 ///
 /// With `--faults`, the batch runs under the seeded chaos campaign
 /// ([`FaultConfig::campaign`]) on the resilient path instead: per-frame
@@ -390,9 +389,7 @@ pub fn stream(args: &Args) -> Result<(), CliError> {
     } else {
         workloads::streaming_frames(seed, n_frames, grid_side, &stack)
     };
-    let mut cfg = EscaConfig::default();
-    cfg.matching_resident = args.flag("matching-resident");
-    let esca = Esca::new(cfg).map_err(cmd_err)?;
+    let esca = Esca::new(EscaConfig::default()).map_err(cmd_err)?;
     let clock = esca.config().clock_mhz;
     let mut session = StreamingSession::new(esca, stack, workers)
         .with_layer_shards(shards)

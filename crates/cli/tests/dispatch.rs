@@ -35,7 +35,6 @@ fn usage_mentions_every_command() {
         "--prom-out",
         "--reuse-matching",
         "--static-scene",
-        "--matching-resident",
     ] {
         assert!(
             esca_cli::USAGE.contains(flag),

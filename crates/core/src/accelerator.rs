@@ -8,10 +8,13 @@
 //! FIFO backpressure between them — the paper's "SDMU and CC are executed
 //! in pipeline to increase resource utilization" (§III-D). The walk reads
 //! no feature values: it depends only on the active set, the
-//! configuration, the layer's array [`GroupLoop`] and matching residency.
-//! **Layer pricing** then runs for every layer on the walk's counts: the
-//! buffer/DMA model (where capacity errors surface), the DRAM bytes and
-//! stall, and the counters that scale with the channel widths.
+//! configuration and the layer's array [`GroupLoop`], and it records each
+//! stage event once, into the walk's [`LayerTelemetry`]. **Layer
+//! pricing** then runs for every layer on the walk's counts: the stage
+//! counters of [`CycleStats`] and matching residency (see
+//! [`LayerOpts::matching_resident`]), the buffer/DMA model (where
+//! capacity errors surface), the DRAM bytes and stall, and the counters
+//! that scale with the channel widths.
 //!
 //! Sub-Conv keeps the active set, so the layers of a frame that share a
 //! group loop share one walk: [`Esca::run_chain`] ticks each distinct walk
@@ -32,7 +35,7 @@ use crate::error::EscaError;
 use crate::sdmu::{FetchOutcome, MatchGroupDesc, ScanOutcome, TileSdmu};
 use crate::stats::CycleStats;
 use crate::telemetry::{LayerSpan, LayerTelemetry};
-use crate::trace::PipelineTrace;
+use crate::trace::{PipelineTrace, Stage};
 use crate::zero_removing::ZeroRemovingUnit;
 use crate::Result;
 use esca_sscn::engine::{apply_rulebook_flat_q_with, FlatEngine, FlatScratch, RulebookCache};
@@ -56,9 +59,8 @@ pub struct LayerOpts {
     /// pass over the same active set — its rulebook is cache-resident —
     /// so the scan/fetch stages and the zero-removing pre-pass charge
     /// zero cycles; only the computing-array stage runs. Outputs are
-    /// bit-identical to the normal mode; only timing collapses. Also
-    /// enabled globally by
-    /// [`crate::config::EscaConfig::matching_resident`].
+    /// bit-identical to the normal mode; only timing collapses, and only
+    /// in pricing: the tile walk is the same in both modes.
     pub matching_resident: bool,
     /// Host threads the layer's per-tile cycle loops are sharded across
     /// (default 1: the calling thread). An execution detail only: the
@@ -118,17 +120,17 @@ pub struct Esca {
     cfg: EscaConfig,
 }
 
-/// What a tile walk depends on besides the frame's active set and the
-/// configuration: the layer's group loop and matching residency.
-type WalkKey = (GroupLoop, bool);
-
 /// The geometry-only half of a layer's timing pass (see the module doc):
 /// everything the tick loop and zero removing produce, plus the per-tile
 /// site counts the layer pricing's buffer/DMA model needs.
 #[derive(Debug)]
 struct TileWalk {
-    /// Walk counters; the DRAM, buffer, overhead and width fields stay 0.
+    /// Walk counters; the stage, DRAM, buffer, overhead and width fields
+    /// stay 0.
     stats: CycleStats,
+    /// Cycles in which the computing core advanced: the pipeline cycles
+    /// of a matching-resident layer.
+    core_cycles: u64,
     /// FIFO, stage and group-size telemetry; no buffers, no MAC histogram.
     telemetry: LayerTelemetry,
     /// Per active tile, in tile order: its active sites and the active
@@ -143,13 +145,13 @@ struct TileWalk {
 /// One frame's shared state, dropped with the frame: the Sub-Conv
 /// rulebook its first layer builds (shared by every layer), the rulebook
 /// pairs each input site takes part in, the flat kernel's scratch, and
-/// the tile walks ticked so far (one per distinct [`WalkKey`]).
+/// the tile walks ticked so far (one per distinct [`GroupLoop`]).
 #[derive(Default)]
 struct FramePass {
     rulebook: Option<Rulebook>,
     site_pairs: Vec<u32>,
     scratch: FlatScratch,
-    walks: Vec<(WalkKey, TileWalk)>,
+    walks: Vec<(GroupLoop, TileWalk)>,
 }
 
 impl FramePass {
@@ -158,7 +160,7 @@ impl FramePass {
     /// frame already ticked it.
     fn walk(
         &mut self,
-        key: WalkKey,
+        key: GroupLoop,
         tick: impl FnOnce() -> Result<(TileWalk, PipelineTrace)>,
     ) -> Result<(&TileWalk, Option<PipelineTrace>)> {
         if let Some(at) = self.walks.iter().position(|(k, _)| *k == key) {
@@ -167,6 +169,40 @@ impl FramePass {
         let (walk, trace) = tick()?;
         self.walks.push((key, walk));
         Ok((&self.walks[self.walks.len() - 1].1, Some(trace)))
+    }
+}
+
+impl TileWalk {
+    /// The walk's counters as charged to one layer, with its trace: the
+    /// stage counters of [`CycleStats`] come from the walk's telemetry.
+    /// A `resident` layer's matching work product is already on chip, so
+    /// it pays only for the cycles in which the computing core advanced:
+    /// zero removing, the scan and fetch stages, their stalls and FIFO
+    /// traffic, and their trace spans are dropped.
+    fn charge(&self, resident: bool, trace: &mut PipelineTrace) -> (CycleStats, LayerTelemetry) {
+        let mut stats = self.stats.clone();
+        let mut tele = self.telemetry.clone();
+        stats.matching_resident = resident;
+        if resident {
+            tele.scan_busy_cycles = 0;
+            tele.fetch_busy_cycles = 0;
+            tele.stall_fifo_full_cycles = 0;
+            tele.sampled_cycles = 0;
+            tele.fifo_peak.clear();
+            tele.fifo_occupancy_sum.clear();
+            tele.fifo_pushes.clear();
+            stats.pipeline_cycles = self.core_cycles;
+            stats.zero_removing_cycles = 0;
+            stats.scanned_sites = 0;
+            stats.mask_bits_read = 0;
+            trace.retain_stages(|stage| matches!(stage, Stage::Compute | Stage::Drain));
+        }
+        stats.match_cycles = tele.scan_busy_cycles + tele.fetch_busy_cycles;
+        stats.compute_busy_cycles = tele.compute_busy_cycles;
+        stats.stall_cycles = tele.stall_fifo_full_cycles;
+        stats.fifo_pushes = tele.fifo_pushes.iter().sum();
+        stats.peak_fifo_occupancy = tele.fifo_peak.iter().copied().max().unwrap_or(0);
+        (stats, tele)
     }
 }
 
@@ -294,7 +330,8 @@ impl Esca {
     /// charge zero cycles and zero scan-side activity (`scanned_sites`,
     /// `mask_bits_read`, `fifo_pushes` stay 0); only the computing-array
     /// stage, activation reads and DRAM streaming remain. Outputs are
-    /// bit-identical to the normal path.
+    /// bit-identical to the normal path. The tile walk is the same in both
+    /// modes; residency only changes how the walk is priced.
     ///
     /// **Sharding**: before the tile walk ticks, one sequential pass over
     /// the active tiles records each tile's first match-group ordinal (a
@@ -334,7 +371,7 @@ impl Esca {
     /// in `input`'s storage order. Sub-Conv keeps the active set and its
     /// storage order, so the rulebook the frame's first layer builds
     /// serves every later layer, and so does each tile walk: the walk is
-    /// ticked once per distinct [`WalkKey`] and priced for every layer.
+    /// ticked once per distinct [`GroupLoop`] and priced for every layer.
     /// The trace is the walk's when this layer ticked it, else empty.
     fn run_frame_layer(
         &self,
@@ -357,13 +394,12 @@ impl Esca {
             self.cfg.ic_parallel,
             self.cfg.oc_parallel,
         );
-        let key = (
-            group_loop,
-            opts.matching_resident || self.cfg.matching_resident,
-        );
-        let (walk, trace) = frame.walk(key, || self.walk_tiles(input, key, opts.shards))?;
-        let trace = trace.unwrap_or_else(|| PipelineTrace::new(self.cfg.record_trace));
-        let (stats, mut telemetry) = self.price_layer(walk, group_loop, input, weights, opts)?;
+        let (walk, trace) = frame.walk(group_loop, || {
+            self.walk_tiles(input, group_loop, opts.shards)
+        })?;
+        let mut trace = trace.unwrap_or_else(|| PipelineTrace::new(self.cfg.record_trace));
+        let (stats, mut telemetry) =
+            self.price_layer(walk, group_loop, input, weights, opts, &mut trace)?;
 
         let site_pairs = &mut frame.site_pairs;
         let book = frame.rulebook.get_or_insert_with(|| {
@@ -395,14 +431,14 @@ impl Esca {
         })
     }
 
-    /// The tile walk of `input`'s active set under `key` (see the module
-    /// doc): zero removing, encoding, each active tile's halo count and
-    /// the per-tile cycle loops (see [`Esca::run_layer_with`] for the
-    /// sharding), with the trace they record.
+    /// The tile walk of `input`'s active set under `group_loop` (see the
+    /// module doc): zero removing, encoding, each active tile's halo
+    /// count and the per-tile cycle loops (see [`Esca::run_layer_with`]
+    /// for the sharding), with the trace they record.
     fn walk_tiles(
         &self,
         input: &SparseTensor<Q16>,
-        (group_loop, resident): WalkKey,
+        group_loop: GroupLoop,
         shards: usize,
     ) -> Result<(TileWalk, PipelineTrace)> {
         let mut stats = CycleStats::default();
@@ -410,14 +446,10 @@ impl Esca {
         let mut tele = LayerTelemetry::new();
 
         // --- Encoding (index mask + z-line index) and the zero removing
-        // pre-pass's active-tile report it carries. Resident geometry was
-        // already zero-removed on an earlier frame, so the pre-pass charges
-        // nothing (the report itself is still needed to drive the walk).
+        // pre-pass's active-tile report it carries.
         let enc = EncodedFeatureMap::encode(input, self.cfg.tile)?;
         let report = enc.tiles();
-        let zr_cycles = ZeroRemovingUnit::default().cycles(input.nnz(), report);
-        stats.zero_removing_cycles = if resident { 0 } else { zr_cycles };
-        stats.matching_resident = resident;
+        stats.zero_removing_cycles = ZeroRemovingUnit::default().cycles(input.nnz(), report);
         stats.active_tiles = report.active_tiles() as u64;
         stats.total_tiles = report.total_tiles() as u64;
 
@@ -440,23 +472,25 @@ impl Esca {
         debug_assert_eq!(next_group, input.nnz());
 
         // --- Per-tile pipelined execution: one computing core walks a
-        // contiguous run of tiles.
+        // contiguous run of tiles and returns its active cycles.
         let walk = |tiles: &[esca_tensor::TileInfo],
                     groups: &[usize],
                     stats: &mut CycleStats,
                     tele: &mut LayerTelemetry,
                     trace: &mut PipelineTrace| {
             let mut cc = ComputingCore::new(group_loop);
-            for (info, &first) in tiles.iter().zip(groups) {
-                let next = self.run_tile(
-                    &enc, info, &grid, &mut cc, first, resident, stats, tele, trace,
-                );
-                debug_assert_eq!(next, first + info.nnz);
-            }
+            tiles
+                .iter()
+                .zip(groups)
+                .map(|(info, &first)| {
+                    self.run_tile(&enc, info, &grid, &mut cc, first, stats, tele, trace)
+                })
+                .sum::<u64>()
         };
         let shards = shards.min(active.len());
+        let mut core_cycles = 0;
         if shards <= 1 {
-            walk(active, &first_groups, &mut stats, &mut tele, &mut trace);
+            core_cycles = walk(active, &first_groups, &mut stats, &mut tele, &mut trace);
         } else {
             let chunk = active.len().div_ceil(shards);
             let walk = &walk;
@@ -466,12 +500,13 @@ impl Esca {
                     let mut stats = CycleStats::default();
                     let mut tele = LayerTelemetry::new();
                     let mut trace = PipelineTrace::new(self.cfg.record_trace);
-                    walk(tiles, groups, &mut stats, &mut tele, &mut trace);
-                    (stats, tele, trace)
+                    let core_cycles = walk(tiles, groups, &mut stats, &mut tele, &mut trace);
+                    (stats, core_cycles, tele, trace)
                 }
             });
-            for (shard_stats, shard_tele, shard_trace) in run_scoped(jobs)? {
+            for (shard_stats, shard_core_cycles, shard_tele, shard_trace) in run_scoped(jobs)? {
                 stats += &shard_stats;
+                core_cycles += shard_core_cycles;
                 tele.merge(&shard_tele);
                 trace.extend(shard_trace);
             }
@@ -479,6 +514,7 @@ impl Esca {
 
         let walk = TileWalk {
             stats,
+            core_cycles,
             telemetry: tele,
             tile_sites,
             tile_mask_bytes: (grid.shape().volume() as usize).div_ceil(8),
@@ -488,8 +524,9 @@ impl Esca {
     }
 
     /// The per-layer half of the timing pass: `walk`, ticked under
-    /// `group_loop`, priced for one layer of `weights` over `input`. The
-    /// buffer/DMA model streams each active tile's activations (tile +
+    /// `group_loop`, priced for one layer of `weights` over `input` and
+    /// charged to it under its residency ([`TileWalk::charge`], which
+    /// also filters `trace`). The buffer/DMA model streams each active tile's activations (tile +
     /// halo) and masks in and its outputs back, in tile order, so capacity
     /// errors surface per layer in the order a tile walk meets them; then
     /// come the width counters, the DRAM bytes and the DRAM stall.
@@ -500,14 +537,14 @@ impl Esca {
         input: &SparseTensor<Q16>,
         weights: &QuantizedWeights,
         opts: LayerOpts,
+        trace: &mut PipelineTrace,
     ) -> Result<(CycleStats, LayerTelemetry)> {
         // A shared walk is only valid over the active set it was ticked on.
         debug_assert_eq!(
             walk.tile_sites.iter().map(|&(nnz, _)| nnz).sum::<usize>(),
             input.nnz()
         );
-        let mut stats = walk.stats.clone();
-        let mut tele = walk.telemetry.clone();
+        let (mut stats, mut tele) = walk.charge(opts.matching_resident, trace);
         let (in_ch, out_ch) = (weights.in_ch(), weights.out_ch());
 
         let weight_bytes = weight_bytes(weights);
@@ -603,14 +640,9 @@ impl Esca {
     }
 
     /// The per-tile cycle loop: SDMU (scan ∥ fetch) and CC advance each
-    /// cycle, coupled through the FIFO group. Returns the next free match
-    /// group ordinal.
-    ///
-    /// With `resident` set, the matching work product is already on chip:
-    /// the scan/fetch stages still *execute* (they are what produces the
-    /// match stream the core times) but charge no cycles, no stalls and no
-    /// scan-side telemetry — only cycles in which the computing-core stage
-    /// advanced count toward `pipeline_cycles`.
+    /// cycle, coupled through the FIFO group. Each scan, fetch, compute,
+    /// drain and stall event is recorded once, in `tele`. Returns the
+    /// cycles in which the computing core advanced.
     #[allow(clippy::too_many_arguments)]
     fn run_tile(
         &self,
@@ -619,11 +651,10 @@ impl Esca {
         grid: &esca_tensor::TileGrid,
         cc: &mut ComputingCore,
         first_group: usize,
-        resident: bool,
         stats: &mut CycleStats,
         tele: &mut LayerTelemetry,
         trace: &mut PipelineTrace,
-    ) -> usize {
+    ) -> u64 {
         let mut sdmu = TileSdmu::new(
             enc,
             info,
@@ -639,10 +670,7 @@ impl Esca {
         let mut dispatched = 0usize;
         let mut drain_remaining = 0u64;
         let mut cycle = 0u64;
-        // Resident mode: matching-stage spans are not traced, and only
-        // compute-active cycles are charged.
-        let mut match_trace = PipelineTrace::new(false);
-        let mut compute_cycles = 0u64;
+        let mut core_cycles = 0u64;
         // Generous safety bound: each scan line costs its pipeline fill
         // plus one cycle per site, and every site and match a bounded
         // number of cycles more; exceeding this indicates a simulator bug.
@@ -670,17 +698,9 @@ impl Esca {
                 && sdmu.jobs_pending() == 0
                 && sdmu.fifos.is_empty();
             if quiescent {
-                let scan_trace = if resident {
-                    &mut match_trace
-                } else {
-                    &mut *trace
-                };
-                if let Some(span) = sdmu.skip_empty_line(cycle, scan_trace) {
-                    if !resident {
-                        stats.match_cycles += span;
-                        tele.scan_busy_cycles += span;
-                        tele.sample_empty_fifos(sdmu.fifos.columns(), span);
-                    }
+                if let Some(span) = sdmu.skip_empty_line(cycle, trace) {
+                    tele.scan_busy_cycles += span;
+                    tele.sample_empty_fifos(sdmu.fifos.columns(), span);
                     cycle += span;
                     if sdmu.scan_done() {
                         break;
@@ -697,7 +717,6 @@ impl Esca {
                 tele.drain_cycles += 1;
                 idle = false;
             } else if cc.tick() {
-                stats.compute_busy_cycles += 1;
                 tele.compute_busy_cycles += 1;
                 idle = false;
             } else if let Some(desc) = current_desc {
@@ -706,7 +725,6 @@ impl Esca {
                         cc.dispatch(m, cycle, stats, trace);
                         // The dispatch cycle is the first busy cycle.
                         cc.tick();
-                        stats.compute_busy_cycles += 1;
                         tele.compute_busy_cycles += 1;
                         dispatched += 1;
                         idle = false;
@@ -725,28 +743,19 @@ impl Esca {
             }
 
             // After the computing-core stage, `!idle` means the CC advanced
-            // this cycle — the only work a resident tile pays for.
-            let cc_active = !idle;
+            // this cycle.
+            if !idle {
+                core_cycles += 1;
+            }
 
             // --- Fetch stage.
-            let fetch_trace = if resident {
-                &mut match_trace
-            } else {
-                &mut *trace
-            };
-            match sdmu.fetch_step(cycle, fetch_trace) {
+            match sdmu.fetch_step(cycle, trace) {
                 FetchOutcome::Stalled => {
-                    if !resident {
-                        stats.stall_cycles += 1;
-                        tele.stall_fifo_full_cycles += 1;
-                    }
+                    tele.stall_fifo_full_cycles += 1;
                     idle = false;
                 }
                 FetchOutcome::Progress { .. } => {
-                    if !resident {
-                        stats.match_cycles += 1;
-                        tele.fetch_busy_cycles += 1;
-                    }
+                    tele.fetch_busy_cycles += 1;
                     idle = false;
                 }
                 FetchOutcome::Idle => {}
@@ -755,40 +764,24 @@ impl Esca {
             // --- Scan stage (bounded run-ahead keeps the job queue small,
             // like the finite descriptor storage in hardware).
             if sdmu.jobs_pending() < 4 {
-                let scan_trace = if resident {
-                    &mut match_trace
-                } else {
-                    &mut *trace
-                };
-                match sdmu.scan_step(cycle, scan_trace) {
+                match sdmu.scan_step(cycle, trace) {
                     ScanOutcome::Scanned(maybe) => {
                         if let Some(desc) = maybe {
                             tele.observe_group(desc.total_matches);
                             group_queue.push_back(desc);
                         }
-                        if !resident {
-                            stats.match_cycles += 1;
-                            tele.scan_busy_cycles += 1;
-                        }
+                        tele.scan_busy_cycles += 1;
                         idle = false;
                     }
                     ScanOutcome::LineFill => {
-                        if !resident {
-                            stats.match_cycles += 1;
-                            tele.scan_busy_cycles += 1;
-                        }
+                        tele.scan_busy_cycles += 1;
                         idle = false;
                     }
                     ScanOutcome::Done => {}
                 }
             }
 
-            if !resident {
-                tele.sample_fifos(&sdmu.fifos);
-            }
-            if cc_active {
-                compute_cycles += 1;
-            }
+            tele.sample_fifos(&sdmu.fifos);
             cycle += 1;
 
             let done = sdmu.scan_done()
@@ -811,21 +804,13 @@ impl Esca {
             );
         }
 
-        // Resident tiles pay only for the compute-active cycles; the
-        // scan-side activity (site scans, mask reads, FIFO traffic)
-        // happened on the frame that first built the geometry, not this one.
-        stats.pipeline_cycles += if resident { compute_cycles } else { cycle };
+        debug_assert_eq!(sdmu.next_group(), first_group + info.nnz);
+        stats.pipeline_cycles += cycle;
         stats.act_reads += sdmu.act_reads();
-        if !resident {
-            stats.scanned_sites += sdmu.scanned_sites();
-            stats.mask_bits_read += sdmu.mask_bits_read();
-            stats.fifo_pushes += sdmu.fifos.total_pushes();
-            stats.peak_fifo_occupancy = stats
-                .peak_fifo_occupancy
-                .max(sdmu.fifos.peak_occupancy() as u64);
-            tele.record_fifo_totals(&sdmu.fifos);
-        }
-        sdmu.next_group()
+        stats.scanned_sites += sdmu.scanned_sites();
+        stats.mask_bits_read += sdmu.mask_bits_read();
+        tele.record_fifo_totals(&sdmu.fifos);
+        core_cycles
     }
 
     /// Convenience wrapper: quantizes a float input and float weights with
@@ -1174,15 +1159,6 @@ mod tests {
         assert!(resident.stats.pipeline_cycles >= resident.stats.compute_busy_cycles);
         assert_eq!(resident.stats.act_reads, normal.stats.act_reads);
         assert!(resident.stats.dram_bytes_in < normal.stats.dram_bytes_in);
-        // The config-level switch produces the same accounting.
-        let mut cfg = EscaConfig::default();
-        cfg.matching_resident = true;
-        let via_cfg = Esca::new(cfg)
-            .unwrap()
-            .run_layer_opts(&qin, &qw, false, false)
-            .unwrap();
-        assert_eq!(via_cfg.stats, resident.stats);
-        assert!(via_cfg.output.same_content(&resident.output));
     }
 
     #[test]

@@ -46,15 +46,6 @@ pub struct EscaConfig {
     pub dram_overlap: f64,
     /// Whether the weight load overlaps the previous layer's compute.
     pub weight_load_overlap: bool,
-    /// **Matching-resident** mode: the layer's matching metadata (the
-    /// SDMU's rulebook / site maps) is already resident from an earlier
-    /// pass over the same geometry — e.g. every frame after the first of
-    /// a static-scene stream — so the scan/fetch/match pipeline
-    /// stages charge zero cycles and only the computing-array stage runs.
-    /// Mirrors [`EscaConfig::weight_load_overlap`] for the weight path.
-    /// Deserialization defaults to `false`, keeping older configs valid.
-    #[serde(default)]
-    pub matching_resident: bool,
     /// Fixed per-tile overhead (descriptor fetch, address setup), cycles.
     pub per_tile_overhead_cycles: u64,
     /// Fixed per-layer overhead (host handshake, descriptor setup and
@@ -87,7 +78,6 @@ impl Default for EscaConfig {
             dram_bytes_per_cycle: 1.1,
             dram_overlap: 0.35,
             weight_load_overlap: false,
-            matching_resident: false,
             per_tile_overhead_cycles: 24,
             per_layer_overhead_cycles: 20_000,
             pipeline_fill_cycles: 2,

@@ -33,7 +33,7 @@ pub struct CycleStats {
     #[serde(default)]
     pub match_cycles: u64,
     /// Whether any merged layer ran in matching-resident mode (see
-    /// [`crate::config::EscaConfig::matching_resident`]). OR-merged by
+    /// [`crate::accelerator::LayerOpts::matching_resident`]). OR-merged by
     /// `+=`; defaults to `false` for older snapshots.
     #[serde(default)]
     pub matching_resident: bool,

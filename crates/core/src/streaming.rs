@@ -315,7 +315,7 @@ impl StreamingSession {
     /// With reuse on, [`StreamingSession::run_batch`] and
     /// [`StreamingSession::run_batch_ingest`] run a frame
     /// **matching-resident** (see
-    /// [`crate::config::EscaConfig::matching_resident`]) when its geometry
+    /// [`crate::accelerator::LayerOpts::matching_resident`]) when its geometry
     /// is already resident: an earlier frame of the batch has the same
     /// active set, or the session's [`RulebookCache`] holds the frame's
     /// Sub-Conv rulebook for every kernel size in the stack. Outputs never

@@ -242,6 +242,12 @@ impl PipelineTrace {
         &self.spans
     }
 
+    /// Drops every span whose stage `keep` rejects, keeping the rest in
+    /// emission order.
+    pub(crate) fn retain_stages(&mut self, keep: impl Fn(Stage) -> bool) {
+        self.spans.retain(|s| keep(s.stage));
+    }
+
     /// Moves another trace's spans onto the end of this one (shard-merge
     /// for the parallel tile path; spans are tile-local and a new tile
     /// restarts at cycle 0, so concatenation in tile order matches the
