@@ -400,7 +400,8 @@ impl StreamingSession {
     /// Propagates the accelerator error of the lowest-indexed failing
     /// frame (deterministic across worker counts), or
     /// [`crate::EscaError::WorkerPanic`] for a frame that panicked or
-    /// whose job died without reporting.
+    /// whose job died without reporting. An attached hub still receives
+    /// the batch's final snapshot and the `"done"` health report first.
     ///
     /// [`LayerOpts::load_weights`]: crate::LayerOpts::load_weights
     pub fn run_batch(&self, frames: &[SparseTensor<Q16>]) -> Result<StreamReport> {
@@ -417,6 +418,14 @@ impl StreamingSession {
             ..FaultConfig::off(0)
         };
         let mut run = self.run_slots(frames, &arrivals, &cfg, &admission)?;
+        // Residency hints are deterministic, so this count is part of the
+        // cycle domain.
+        run.cycle
+            .counter_add("esca_stream_resident_frames_total", &[], run.resident);
+        let wall = start.elapsed();
+        host::record_wall(&mut run.host, "esca_batch_wall_micros_total", &[], wall);
+        // A failed frame fails the batch, but the hub still sees it end.
+        let telemetry = self.publish_done(&run);
         let mut outputs = Vec::with_capacity(frames.len());
         let mut per_frame = Vec::with_capacity(frames.len());
         let mut per_layer0 = None;
@@ -434,16 +443,10 @@ impl StreamingSession {
         let steady_frame0 = per_layer0
             .map(|per_layer| self.esca.weights_resident_total(&per_layer, &self.layers))
             .transpose()?;
-        // Residency hints are deterministic, so this count is part of the
-        // cycle domain.
-        run.cycle
-            .counter_add("esca_stream_resident_frames_total", &[], run.resident);
-        let wall = start.elapsed();
-        host::record_wall(&mut run.host, "esca_batch_wall_micros_total", &[], wall);
         Ok(StreamReport {
             outputs,
             per_frame,
-            telemetry: self.publish_done(&run),
+            telemetry,
             frame_wall: run.frame_wall,
             wall,
             steady_frame0,
@@ -1296,5 +1299,26 @@ mod tests {
         }
         assert_eq!(events[2].attempt, 0);
         assert_eq!(events[2].retries, 0);
+    }
+
+    #[test]
+    fn a_failed_batch_still_reaches_done_on_the_hub() {
+        let mut frames: Vec<_> = (0..4).map(|i| frame(i + 600)).collect();
+        let mut bad = SparseTensor::<Q16>::new(Extent3::cube(8), 3);
+        bad.insert(Coord3::new(1, 1, 1), &[Q16(1), Q16(2), Q16(3)])
+            .unwrap();
+        frames[2] = bad;
+        let hub = Arc::new(ObservabilityHub::new());
+        let esca = Esca::new(EscaConfig::default()).unwrap();
+        let session = StreamingSession::new(esca, layers(), 2).with_hub(Arc::clone(&hub));
+        assert!(matches!(
+            session.run_batch(&frames),
+            Err(crate::EscaError::ChannelMismatch { .. })
+        ));
+        let health = hub.health();
+        assert_eq!(health.phase, "done");
+        assert_eq!(health.frames_submitted, 4);
+        assert_eq!(health.frames_completed, 3);
+        assert_eq!(health.frames_dropped, 1);
     }
 }
