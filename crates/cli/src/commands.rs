@@ -346,7 +346,8 @@ fn parse_tenants(spec: &str) -> Result<Vec<TenantQuota>, CliError> {
 /// With `--faults`, the batch runs under the seeded chaos campaign
 /// ([`FaultConfig::campaign`]) on the resilient path instead: per-frame
 /// outcomes and fault counters are reported, and `--chaos-out` exports
-/// the replayable campaign summary as JSON.
+/// the replayable campaign summary as JSON (an error on a batch that runs
+/// neither `--faults` nor the ingest queue).
 ///
 /// `--tenants SPEC` and/or `--queue-depth N` switch the batch onto the
 /// bounded ingest queue ([`StreamingSession::run_batch_ingest`]): SPEC
@@ -381,6 +382,13 @@ pub fn stream(args: &Args) -> Result<(), CliError> {
     let gemm_backend: GemmBackendKind = args.get_or("gemm-backend", GemmBackendKind::from_env())?;
     if n_frames == 0 {
         return Err(CliError::Command("--frames must be at least 1".into()));
+    }
+    let resilient =
+        args.flag("faults") || args.get("tenants").is_some() || args.get("queue-depth").is_some();
+    if args.get("chaos-out").is_some() && !resilient {
+        return Err(CliError::Command(
+            "--chaos-out needs --faults, --tenants or --queue-depth".into(),
+        ));
     }
     let stack = workloads::streaming_stack(n_layers);
     let frames = if args.flag("static-scene") {

@@ -44,6 +44,32 @@ fn usage_mentions_every_command() {
 }
 
 #[test]
+fn chaos_out_needs_a_resilient_branch() {
+    let path = std::env::temp_dir().join(format!("esca-cli-chaos-{}.json", std::process::id()));
+    let err = dispatch(&parse(&[
+        "stream",
+        "--frames",
+        "2",
+        "--grid",
+        "48",
+        "--layers",
+        "2",
+        "--chaos-out",
+        path.to_str().unwrap(),
+    ]))
+    .unwrap_err();
+    match err {
+        CliError::Command(m) => {
+            for flag in ["--chaos-out", "--faults", "--tenants", "--queue-depth"] {
+                assert!(m.contains(flag), "{m:?} does not name {flag}");
+            }
+        }
+        other => panic!("unexpected error kind: {other}"),
+    }
+    assert!(!path.exists(), "a rejected run wrote {}", path.display());
+}
+
+#[test]
 fn stream_small_grid_smoke() {
     // Small grid and frame count keep this fast in debug builds.
     dispatch(&parse(&[
