@@ -2,7 +2,7 @@
 //!
 //! The paper uses four block-RAM buffers (Fig. 9): mask, activation,
 //! weight and output. [`BufferModel`] tracks capacity, occupancy peaks and
-//! access counts. DRAM traffic is priced in
+//! write counts. DRAM traffic is priced in
 //! [`crate::accelerator::Esca`] through
 //! [`crate::config::EscaConfig::dram_cycles`].
 
@@ -17,7 +17,6 @@ pub struct BufferModel {
     capacity_bytes: usize,
     occupancy_bytes: usize,
     peak_bytes: usize,
-    reads: u64,
     writes: u64,
 }
 
@@ -29,7 +28,6 @@ impl BufferModel {
             capacity_bytes,
             occupancy_bytes: 0,
             peak_bytes: 0,
-            reads: 0,
             writes: 0,
         }
     }
@@ -56,12 +54,6 @@ impl BufferModel {
     #[inline]
     pub fn peak_bytes(&self) -> usize {
         self.peak_bytes
-    }
-
-    /// Read access count.
-    #[inline]
-    pub fn reads(&self) -> u64 {
-        self.reads
     }
 
     /// Write access count.
@@ -107,14 +99,13 @@ impl BufferModel {
         (self.capacity_bytes as f64 * 8.0 / 36_864.0).ceil()
     }
 
-    /// Point-in-time telemetry view (peak fill, capacity, access counts)
+    /// Point-in-time telemetry view (peak fill, capacity, write count)
     /// for [`crate::telemetry::LayerTelemetry`].
     pub fn telemetry(&self) -> crate::telemetry::BufferTelemetry {
         crate::telemetry::BufferTelemetry {
             name: self.name,
             peak_bytes: self.peak_bytes as u64,
             capacity_bytes: self.capacity_bytes as u64,
-            reads: self.reads,
             writes: self.writes,
         }
     }

@@ -43,8 +43,6 @@ pub struct BufferTelemetry {
     pub peak_bytes: u64,
     /// Configured capacity, bytes.
     pub capacity_bytes: u64,
-    /// Read access count.
-    pub reads: u64,
     /// Write access count.
     pub writes: u64,
 }
@@ -79,7 +77,7 @@ pub struct LayerTelemetry {
     pub match_group_size: Histogram,
     /// Effective MACs per dispatched match (PE-array utilization lens).
     pub match_effective_macs: Histogram,
-    /// Buffer peaks/accesses, one entry per buffer model.
+    /// Buffer peaks and writes, one entry per buffer model.
     pub buffers: Vec<BufferTelemetry>,
     /// Per-layer cycle intervals, appended by the frame driver after
     /// each layer completes (empty inside shard-local accumulators).
@@ -166,7 +164,6 @@ impl LayerTelemetry {
                 Some(mine) => {
                     mine.peak_bytes = mine.peak_bytes.max(b.peak_bytes);
                     mine.capacity_bytes = mine.capacity_bytes.max(b.capacity_bytes);
-                    mine.reads += b.reads;
                     mine.writes += b.writes;
                 }
                 None => self.buffers.push(b.clone()),
@@ -221,7 +218,6 @@ impl LayerTelemetry {
             let labels = [("buffer", b.name)];
             reg.gauge_max("esca_buffer_peak_bytes", &labels, b.peak_bytes);
             reg.gauge_max("esca_buffer_capacity_bytes", &labels, b.capacity_bytes);
-            reg.counter_add("esca_buffer_reads_total", &labels, b.reads);
             reg.counter_add("esca_buffer_writes_total", &labels, b.writes);
         }
     }
@@ -311,7 +307,6 @@ mod tests {
             name: "activation buffer",
             peak_bytes: 100,
             capacity_bytes: 1000,
-            reads: 5,
             writes: 3,
         });
         t
@@ -332,7 +327,7 @@ mod tests {
         assert_eq!(ab.sampled_cycles, 10);
         assert_eq!(ab.match_group_size.count(), 2);
         assert_eq!(ab.buffers.len(), 1);
-        assert_eq!(ab.buffers[0].reads, 10);
+        assert_eq!(ab.buffers[0].writes, 6);
     }
 
     #[test]
