@@ -16,7 +16,8 @@ test:
 # fail; reports go to /tmp so the committed base stays readable) before
 # its absolute gate, plus
 # a smoke run of the matching-reuse engine bench (asserts bit-identity of
-# the flat path and refreshes BENCH_sscn.json) and a seeded smoke chaos
+# the flat path and writes target/esca-reports/BENCH_sscn.json; the
+# committed full-mode BENCH_sscn.json is left alone) and a seeded smoke chaos
 # campaign on the resilient streaming path (replayable summary lands in
 # chaos.json). The backend-equivalence suites re-run once per GEMM
 # backend with ESCA_GEMM_BACKEND pinned, so every env-driven default
