@@ -18,6 +18,16 @@ fn config_roundtrip() {
     assert_eq!(cfg, back);
 }
 
+/// A config saved before `matching_resident` left `EscaConfig` still
+/// reads, with the key ignored: residency is a per-layer option now.
+#[test]
+fn config_with_the_removed_residency_key_still_parses() {
+    let json = serde_json::to_string(&EscaConfig::default()).unwrap();
+    let old = json.replacen('{', "{\"matching_resident\":true,", 1);
+    let back: EscaConfig = serde_json::from_str(&old).unwrap();
+    assert_eq!(back, EscaConfig::default());
+}
+
 /// A config read from JSON is validated like one built in code: zero
 /// tile sides (which `TileShape::new` would refuse, but serde does not)
 /// and a non-finite clock or DRAM bandwidth are typed errors from
