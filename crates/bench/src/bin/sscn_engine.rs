@@ -24,14 +24,13 @@
 //! the session's matching reuse off and on: with reuse on, every frame
 //! after the first goes matching-resident with zero match cycles.
 //!
-//! Results are written machine-readably to `target/esca-reports/
-//! BENCH_sscn.json`. Modes:
+//! Results are written machine-readably to
+//! `target/esca-reports/BENCH_sscn.json`, and in full mode also to
+//! `BENCH_sscn.json` in the working directory. Modes:
 //!
-//! * `--smoke` — 64³ only, small reps: the fast CI/verify variant, which
-//!   writes only that report, so the committed full-mode file stays;
+//! * `--smoke` — 64³ only, small reps: the fast CI/verify variant;
 //! * `--full` (or no flag) — 64³ **and** the ROADMAP-target 192³
-//!   workload, and gates `blocked` flat-cached vs direct ≥ 4.5× on 192³;
-//!   also writes `BENCH_sscn.json` in the working directory.
+//!   workload, and gates `blocked` flat-cached vs direct ≥ 4.5× on 192³.
 
 // A benchmark binary exists to measure wall-clock; exempt from the
 // workspace-wide `disallowed-methods` wall on `Instant::now` (clippy.toml).
@@ -593,17 +592,14 @@ fn main() {
 
     let report = report::write_json("BENCH_sscn", &json).expect("report dir writable");
     println!("wrote {}", report.display());
+
+    // Full mode: BENCH_sscn.json, then the ROADMAP gate (blocked ≥ 4.5x on 192³).
     if !smoke {
         std::fs::write(
             "BENCH_sscn.json",
             serde_json::to_string_pretty(&json).expect("serializable") + "\n",
         )
         .expect("write BENCH_sscn.json");
-        println!("wrote BENCH_sscn.json");
-    }
-
-    // The ROADMAP gate: blocked flat-cached ≥ 4.5x over direct on 192³.
-    if !smoke {
         let target = json
             .grids
             .iter()

@@ -383,11 +383,10 @@ pub fn stream(args: &Args) -> Result<(), CliError> {
     if n_frames == 0 {
         return Err(CliError::Command("--frames must be at least 1".into()));
     }
-    let resilient =
-        args.flag("faults") || args.get("tenants").is_some() || args.get("queue-depth").is_some();
-    if args.get("chaos-out").is_some() && !resilient {
-        return Err(CliError::Command(
-            "--chaos-out needs --faults, --tenants or --queue-depth".into(),
+    let ingest = args.get("tenants").is_some() || args.get("queue-depth").is_some();
+    if args.get("chaos-out").is_some() && !ingest && !args.flag("faults") {
+        return Err(cmd_err(
+            "--chaos-out needs --faults, --tenants or --queue-depth",
         ));
     }
     let stack = workloads::streaming_stack(n_layers);
@@ -449,7 +448,7 @@ pub fn stream(args: &Args) -> Result<(), CliError> {
         _ => None,
     };
 
-    if args.get("tenants").is_some() || args.get("queue-depth").is_some() {
+    if ingest {
         let tenants = match args.get("tenants") {
             Some(spec) => parse_tenants(spec)?,
             None => Vec::new(),
