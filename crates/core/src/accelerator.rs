@@ -524,10 +524,11 @@ impl Esca {
     }
 
     /// The per-layer half of the timing pass: `walk`, ticked under
-    /// `group_loop`, priced for one layer of `weights` over `input` and
-    /// charged to it under its residency ([`TileWalk::charge`], which
-    /// also filters `trace`). The buffer/DMA model streams each active tile's activations (tile +
-    /// halo) and masks in and its outputs back, in tile order, so capacity
+    /// `group_loop`, priced for one layer of `weights` over `input`.
+    /// First the walk is charged under the layer's residency
+    /// ([`TileWalk::charge`], which also filters `trace`). The buffer/DMA
+    /// model then streams each active tile's activations (tile + halo)
+    /// and masks in and its outputs back, in tile order, so capacity
     /// errors surface per layer in the order a tile walk meets them; then
     /// come the width counters, the DRAM bytes and the DRAM stall.
     fn price_layer(
