@@ -8,13 +8,14 @@
 use crate::weights::ConvWeights;
 use crate::Result;
 use esca_tensor::{Coord3, Dense3, SparseTensor};
+use std::collections::HashMap;
 
 /// Submanifold sparse 3-D convolution (Graham et al. \[12\]).
 ///
 /// Computation is restricted to sites where the *centre* activation is
 /// nonzero, and within each such site's K×K×K receptive field only active
-/// neighbors contribute. The output active set equals the input active set
-/// — sparsity does **not** dilate.
+/// neighbors contribute. The output active set is the input active set
+/// (shared, not copied) — sparsity does **not** dilate.
 ///
 /// # Errors
 ///
@@ -28,13 +29,14 @@ pub fn submanifold_conv3d(
     let offsets = weights.offsets();
     let in_ch = weights.in_ch();
     let out_ch = weights.out_ch();
-    let mut out = SparseTensor::new(input.extent(), out_ch);
+    let neighbour = site_rows(input);
+    let mut out = Vec::with_capacity(input.nnz() * out_ch);
     let mut acc = vec![0.0f32; out_ch];
     for (centre, _) in input.iter() {
         acc.copy_from_slice(weights.bias());
         for (tap, &off) in offsets.offsets().iter().enumerate() {
             let q = centre + off;
-            let Some(f) = input.feature(q) else { continue };
+            let Some(f) = neighbour(q) else { continue };
             for (ic, &a) in f.iter().enumerate().take(in_ch) {
                 if a == 0.0 {
                     continue;
@@ -45,10 +47,31 @@ pub fn submanifold_conv3d(
                 }
             }
         }
-        out.insert(centre, &acc)
-            .expect("centre comes from input, in bounds");
+        out.extend_from_slice(&acc);
     }
-    Ok(out)
+    Ok(SparseTensor::from_template(input, out_ch, out)?)
+}
+
+/// `input`'s neighbour lookup for one reference-kernel call: coordinate
+/// to feature row, through a map the call owns and drops.
+/// [`SparseTensor::feature`] would memoize its index on the input's
+/// active set instead, where it stays allocated for as long as any tensor
+/// sharing that set lives: for a network's input frame, as long as the
+/// caller keeps the frame.
+pub(crate) fn site_rows<'a, T: Copy>(
+    input: &'a SparseTensor<T>,
+) -> impl Fn(Coord3) -> Option<&'a [T]> + 'a {
+    let rows: HashMap<Coord3, u32> = input
+        .coords()
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| (c, i as u32))
+        .collect();
+    let ch = input.channels();
+    move |c| {
+        rows.get(&c)
+            .map(|&i| &input.features()[i as usize * ch..(i as usize + 1) * ch])
+    }
 }
 
 /// Traditional dense 3-D convolution with "same" zero padding — the

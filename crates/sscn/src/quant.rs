@@ -6,6 +6,7 @@
 //! accumulation, same shared rounding in
 //! [`esca_tensor::fixed::requantize_i64`]).
 
+use crate::conv::site_rows;
 use crate::error::SscnError;
 use crate::weights::ConvWeights;
 use crate::Result;
@@ -218,12 +219,13 @@ pub fn submanifold_conv3d_q(
     let offsets = KernelOffsets::new(weights.k());
     let q = weights.quant();
     let out_ch = weights.out_ch();
-    let mut out = SparseTensor::new(input.extent(), out_ch);
+    let neighbour = site_rows(input);
+    let mut out = Vec::with_capacity(input.nnz() * out_ch);
     let mut acc = vec![0i64; out_ch];
     for (centre, _) in input.iter() {
         acc.copy_from_slice(weights.bias_acc());
         for (tap, &off) in offsets.offsets().iter().enumerate() {
-            let Some(f) = input.feature(centre + off) else {
+            let Some(f) = neighbour(centre + off) else {
                 continue;
             };
             for (ic, &a) in f.iter().enumerate() {
@@ -236,17 +238,12 @@ pub fn submanifold_conv3d_q(
                 }
             }
         }
-        let feats: Vec<Q16> = acc
-            .iter()
-            .map(|&v| {
-                let v = if relu { v.max(0) } else { v };
-                requantize_i64(v, q.act, q.weight, q.out)
-            })
-            .collect();
-        out.insert(centre, &feats)
-            .expect("centre comes from input, in bounds");
+        out.extend(acc.iter().map(|&v| {
+            let v = if relu { v.max(0) } else { v };
+            requantize_i64(v, q.act, q.weight, q.out)
+        }));
     }
-    Ok(out)
+    Ok(SparseTensor::from_template(input, out_ch, out)?)
 }
 
 #[cfg(test)]
