@@ -52,12 +52,9 @@ pub fn submanifold_conv3d(
     Ok(SparseTensor::from_template(input, out_ch, out)?)
 }
 
-/// `input`'s neighbour lookup for one reference-kernel call: coordinate
-/// to feature row, through a map the call owns and drops.
-/// [`SparseTensor::feature`] would memoize its index on the input's
-/// active set instead, where it stays allocated for as long as any tensor
-/// sharing that set lives: for a network's input frame, as long as the
-/// caller keeps the frame.
+/// A coordinate → feature-row lookup over `input` that the calling kernel
+/// owns and drops. [`SparseTensor::feature`] memoizes its index on the
+/// shared active set instead, where it lives as long as the input does.
 pub(crate) fn site_rows<'a, T: Copy>(
     input: &'a SparseTensor<T>,
 ) -> impl Fn(Coord3) -> Option<&'a [T]> + 'a {
