@@ -174,7 +174,9 @@ impl FramePass {
 
 impl TileWalk {
     /// The walk's counters as charged to one layer, with its trace: the
-    /// stage counters of [`CycleStats`] come from the walk's telemetry.
+    /// stage counters of [`CycleStats`] come from the walk's telemetry,
+    /// and so do `matches` and `match_groups` (the sum and count of its
+    /// match-group size histogram).
     /// A `resident` layer's matching work product is already on chip, so
     /// it pays only for the cycles in which the computing core advanced:
     /// zero removing, the scan and fetch stages, their stalls and FIFO
@@ -197,6 +199,8 @@ impl TileWalk {
             stats.mask_bits_read = 0;
             trace.retain_stages(|stage| matches!(stage, Stage::Compute | Stage::Drain));
         }
+        stats.matches = tele.match_group_size.sum();
+        stats.match_groups = tele.match_group_size.count();
         stats.match_cycles = tele.scan_busy_cycles + tele.fetch_busy_cycles;
         stats.compute_busy_cycles = tele.compute_busy_cycles;
         stats.stall_cycles = tele.stall_fifo_full_cycles;
@@ -723,7 +727,7 @@ impl Esca {
             } else if let Some(desc) = current_desc {
                 if dispatched < desc.total_matches {
                     if let Some(m) = sdmu.fifos.pop_for_group(desc.group) {
-                        cc.dispatch(m, cycle, stats, trace);
+                        cc.dispatch(m, cycle, trace);
                         // The dispatch cycle is the first busy cycle.
                         cc.tick();
                         tele.compute_busy_cycles += 1;
@@ -731,7 +735,7 @@ impl Esca {
                         idle = false;
                     }
                 } else {
-                    drain_remaining = cc.close_group(cycle, stats, trace);
+                    drain_remaining = cc.close_group(cycle, trace);
                     tele.drain_cycles += 1;
                     current_desc = None;
                     idle = false;

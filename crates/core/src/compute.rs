@@ -111,21 +111,16 @@ impl ComputingCore {
         self.group = Some(group);
     }
 
-    /// Dispatches one match into the array: counts it and sets the busy
-    /// counter to the group-iteration cycle count.
+    /// Dispatches one match into the array: sets the busy counter to the
+    /// group-iteration cycle count. (The walk counts matches once, in the
+    /// scan stage's match-group histogram.)
     ///
     /// # Panics
     ///
     /// Panics when the array is busy or the match belongs to a different
     /// group than the open one (controller bug).
     #[inline]
-    pub fn dispatch(
-        &mut self,
-        m: MatchEntry,
-        cycle: u64,
-        stats: &mut CycleStats,
-        trace: &mut PipelineTrace,
-    ) {
+    pub fn dispatch(&mut self, m: MatchEntry, cycle: u64, trace: &mut PipelineTrace) {
         assert!(self.is_free(), "computing core: dispatch while busy");
         assert_eq!(
             self.group,
@@ -133,7 +128,6 @@ impl ComputingCore {
             "computing core: match from a foreign group"
         );
         self.busy = self.group_loop.match_cycles;
-        stats.matches += 1;
         trace.record(
             cycle,
             Stage::Compute,
@@ -162,15 +156,9 @@ impl ComputingCore {
     ///
     /// Panics if no group is open or the array is still busy.
     #[inline]
-    pub fn close_group(
-        &mut self,
-        cycle: u64,
-        stats: &mut CycleStats,
-        trace: &mut PipelineTrace,
-    ) -> u64 {
+    pub fn close_group(&mut self, cycle: u64, trace: &mut PipelineTrace) -> u64 {
         let group = self.group.take().expect("no group to close");
         assert!(self.is_free(), "closing a group while the array is busy");
-        stats.match_groups += 1;
         trace.record(cycle, Stage::Drain, TraceDetail::Group(group));
         self.group_loop.drain_cycles
     }
@@ -196,35 +184,32 @@ mod tests {
     /// Runs one group of `matches` matches through `cc`, dispatching each
     /// match as soon as the array frees up; returns the busy cycles and
     /// the drain length.
-    fn run_group(
-        cc: &mut ComputingCore,
-        group: usize,
-        matches: usize,
-        stats: &mut CycleStats,
-    ) -> (u64, u64) {
+    fn run_group(cc: &mut ComputingCore, group: usize, matches: usize) -> (u64, u64) {
         let mut trace = PipelineTrace::new(false);
         let mut busy = 0;
         cc.open_group(group);
         for cycle in 0..matches {
-            cc.dispatch(mk_match(group, 13), cycle as u64, stats, &mut trace);
+            cc.dispatch(mk_match(group, 13), cycle as u64, &mut trace);
             while cc.tick() {
                 busy += 1;
             }
         }
-        let drain = cc.close_group(busy, stats, &mut trace);
+        let drain = cc.close_group(busy, &mut trace);
         (busy, drain)
     }
 
     #[test]
     fn single_match_group_accounts_matches_groups_and_drain() {
         let mut cc = core(2, 2);
-        let mut stats = CycleStats::default();
-        let (busy, drain) = run_group(&mut cc, 0, 1, &mut stats);
+        let (busy, drain) = run_group(&mut cc, 0, 1);
         assert!(cc.is_free());
         assert_eq!(busy, 1);
         assert_eq!(drain, 1);
-        assert_eq!(stats.matches, 1);
-        assert_eq!(stats.match_groups, 1);
+        let mut stats = CycleStats {
+            matches: 1,
+            match_groups: 1,
+            ..CycleStats::default()
+        };
         count_widths(&mut stats, 2, 2, GroupLoop::new(2, 2, 16, 16), 256);
         assert_eq!(stats.effective_macs, 4);
         assert_eq!(stats.weight_reads, 4);
@@ -236,12 +221,16 @@ mod tests {
         let group_loop = GroupLoop::new(32, 48, 16, 16);
         assert_eq!(group_loop.match_cycles, 2 * 3);
         let mut cc = ComputingCore::new(group_loop);
-        let mut stats = CycleStats::default();
-        let (busy, drain) = run_group(&mut cc, 3, 2, &mut stats);
+        let (busy, drain) = run_group(&mut cc, 3, 2);
         // Two matches of six array cycles each; one drain cycle per OC
         // group.
         assert_eq!(busy, 12);
         assert_eq!(drain, 3);
+        let mut stats = CycleStats {
+            matches: 2,
+            match_groups: 1,
+            ..CycleStats::default()
+        };
         count_widths(&mut stats, 32, 48, group_loop, 256);
         assert_eq!(stats.lane_slots, 12 * 256);
         assert_eq!(stats.effective_macs, 2 * 32 * 48);
@@ -262,12 +251,13 @@ mod tests {
     #[test]
     fn groups_close_and_reopen_in_sequence() {
         let mut cc = core(1, 1);
-        let mut stats = CycleStats::default();
-        for group in 0..3 {
-            run_group(&mut cc, group, 2, &mut stats);
-        }
-        assert_eq!(stats.match_groups, 3);
-        assert_eq!(stats.matches, 6);
+        let busy: u64 = (0..3).map(|group| run_group(&mut cc, group, 2).0).sum();
+        assert_eq!(busy, 6);
+        let mut stats = CycleStats {
+            matches: 6,
+            match_groups: 3,
+            ..CycleStats::default()
+        };
         count_widths(&mut stats, 1, 1, GroupLoop::new(1, 1, 16, 16), 256);
         assert_eq!(stats.out_writes, 3);
     }
@@ -276,10 +266,9 @@ mod tests {
     #[should_panic(expected = "foreign group")]
     fn cross_group_dispatch_panics() {
         let mut cc = core(1, 1);
-        let mut stats = CycleStats::default();
         let mut trace = PipelineTrace::new(false);
         cc.open_group(0);
-        cc.dispatch(mk_match(1, 13), 0, &mut stats, &mut trace);
+        cc.dispatch(mk_match(1, 13), 0, &mut trace);
     }
 
     #[test]

@@ -14,6 +14,7 @@ use crate::weights::ConvWeights;
 use crate::{conv, Result};
 use esca_tensor::{Coord3, Extent3, SparseTensor};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Configuration of an SSCN classifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -198,12 +199,12 @@ impl SscnClassifier {
         // Two Sub-Conv layers per stage, pooling between stages: before
         // every even-indexed layer but the first.
         let (name, w) = &self.subconvs[0];
-        let mut x = exec.subconv(0, name, w, input)?;
+        let mut x = exec.subconv(0, name, w, Cow::Borrowed(input))?;
         for (i, (name, w)) in self.subconvs.iter().enumerate().skip(1) {
             if i % 2 == 0 {
                 x = exec.max_pool(&x, 2)?;
             }
-            x = exec.subconv(i, name, w, &x)?;
+            x = exec.subconv(i, name, w, Cow::Owned(x))?;
         }
         let pooled = global_avg_pool(&x);
         // Head as a plain matvec over the pooled vector.

@@ -51,10 +51,12 @@ use crate::pool::sparse_max_pool;
 use crate::quant::QuantizedWeights;
 use crate::rulebook::Rulebook;
 use crate::sparse_ops::{strided_conv3d, transpose_conv3d, StridedWeights};
+use crate::split::{self, RowSplit};
 use crate::weights::ConvWeights;
 use crate::Result;
 use esca_tensor::{requantize_i64, ActiveSetFingerprint, Coord3, Extent3, SparseTensor, Q16};
 use std::any::{Any, TypeId};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -402,12 +404,7 @@ pub fn apply_rulebook_flat_with(
     relu: bool,
     backend: &dyn GemmBackend,
 ) -> Result<SparseTensor<f32>> {
-    weights.check_input_channels(input.channels())?;
-    if rb.sites() != input.nnz() || rb.k() != weights.k() {
-        return Err(SscnError::InvalidConfig {
-            reason: "rulebook does not match this input/layer".into(),
-        });
-    }
+    check_layer(input, rb, weights)?;
     let in_ch = weights.in_ch();
     let out_ch = weights.out_ch();
     let n = input.nnz();
@@ -437,6 +434,19 @@ pub fn apply_rulebook_flat_with(
         }
     }
     SparseTensor::from_template(input, out_ch, acc).map_err(SscnError::from)
+}
+
+/// The checks of [`apply_rulebook_flat_with`]: the input's channels match
+/// the weights, and the rulebook was built over the input with the
+/// layer's kernel.
+fn check_layer(input: &SparseTensor<f32>, rb: &Rulebook, weights: &ConvWeights) -> Result<()> {
+    weights.check_input_channels(input.channels())?;
+    if rb.sites() != input.nnz() || rb.k() != weights.k() {
+        return Err(SscnError::InvalidConfig {
+            reason: "rulebook does not match this input/layer".into(),
+        });
+    }
+    Ok(())
 }
 
 /// Flat **quantized** Sub-Conv (i64 accumulation, shared requantization)
@@ -501,8 +511,21 @@ pub fn apply_rulebook_flat_q_with(
 }
 
 /// The matching-reuse Sub-Conv executor: a shared [`RulebookCache`], a
-/// selected [`GemmBackend`] and per-engine [`FlatScratch`]. One engine per
-/// thread; many engines share one cache.
+/// selected [`GemmBackend`], per-engine [`FlatScratch`] and a row split
+/// over helper threads. One caller drives an engine at a time; many
+/// engines share one cache.
+///
+/// Row split: an f32 Sub-Conv layer of at least 2²¹ MACs
+/// ([`FlatEngine::subconv`], which every `forward_engine` layer goes
+/// through) has its output rows cut into contiguous chunks that the
+/// caller and the engine's helper threads claim from one counter. The
+/// engine keeps one long-lived helper per core beyond the caller's (at
+/// most three), spawned on its first large layer, parked between layers
+/// and joined when the engine drops. The output is byte-identical to the
+/// serial kernel on every backend and for any thread count. If a helper
+/// dies, the caller recomputes what it left and the engine stays serial.
+/// The quantized entry points never split: they run inside the streaming
+/// pool's workers, which already occupy the cores.
 ///
 /// Backend selection: [`FlatEngine::new`] resolves the process default
 /// ([`GemmBackendKind::from_env`] — the blocked throughput tier unless
@@ -522,6 +545,12 @@ pub struct FlatEngine {
     backend: GemmBackendKind,
     gemm_rows: u64,
     gemm_macs: u64,
+    /// The helper threads, once a large layer has spawned them.
+    split: Option<RowSplit>,
+    /// Helpers to spawn; zero keeps the engine serial.
+    helpers: usize,
+    /// Smallest layer, in MACs, that is split.
+    split_min_macs: u64,
 }
 
 impl Default for FlatEngine {
@@ -552,7 +581,27 @@ impl FlatEngine {
             backend,
             gemm_rows: 0,
             gemm_macs: 0,
+            split: None,
+            helpers: split::default_helpers(),
+            split_min_macs: split::MIN_SPLIT_MACS,
         }
+    }
+
+    /// An engine with a private cache that splits every non-empty layer
+    /// over `helpers` helper threads.
+    #[cfg(test)]
+    pub(crate) fn with_helpers(backend: GemmBackendKind, helpers: usize) -> Self {
+        FlatEngine {
+            helpers,
+            split_min_macs: 0,
+            ..FlatEngine::with_backend(backend)
+        }
+    }
+
+    /// The engine's row split, if its helpers are running.
+    #[cfg(test)]
+    pub(crate) fn row_split(&self) -> Option<&RowSplit> {
+        self.split.as_ref()
     }
 
     /// The engine's geometry cache.
@@ -598,6 +647,10 @@ impl FlatEngine {
     /// [`GemmBackendKind::ScalarRef`]; epsilon-bounded (and still
     /// deterministic) under the blocked tier.
     ///
+    /// A layer of at least 2²¹ MACs runs on the row split (see
+    /// [`FlatEngine`]), which needs its own copy of a borrowed input;
+    /// `forward_engine` hands its layers over by value instead.
+    ///
     /// # Errors
     ///
     /// As [`apply_rulebook_flat_with`].
@@ -607,10 +660,58 @@ impl FlatEngine {
         w: &ConvWeights,
         relu: bool,
     ) -> Result<SparseTensor<f32>> {
-        let rb = self.cache.get_or_build(x, w.k());
-        let out = apply_rulebook_flat_with(x, &rb, w, relu, self.backend.backend())?;
+        self.subconv_cow(Cow::Borrowed(x), w, relu)
+    }
+
+    /// [`FlatEngine::subconv`] over a borrowed or owned input: the row
+    /// split takes an owned input as it is.
+    fn subconv_cow(
+        &mut self,
+        x: Cow<'_, SparseTensor<f32>>,
+        w: &ConvWeights,
+        relu: bool,
+    ) -> Result<SparseTensor<f32>> {
+        let rb = self.cache.get_or_build(&x, w.k());
+        let macs = rb.total_matches() * w.in_ch() as u64 * w.out_ch() as u64;
+        let backend = self.backend;
+        let out = match self.row_split_for(macs) {
+            None => apply_rulebook_flat_with(&x, &rb, w, relu, backend.backend())?,
+            Some(split) => {
+                check_layer(&x, &rb, w)?;
+                let layer = split::Layer {
+                    input: x.into_owned(),
+                    rb: Arc::clone(&rb),
+                    w: w.clone(),
+                    backend,
+                    relu,
+                };
+                let (out, healthy) = split.run(layer)?;
+                if !healthy {
+                    // Dropping the split joins the helpers; the engine
+                    // stays serial.
+                    self.split = None;
+                    self.helpers = 0;
+                }
+                out
+            }
+        };
         self.note_gemm(&rb, w.in_ch(), w.out_ch());
         Ok(out)
+    }
+
+    /// The row split for a layer of `macs` MACs, spawning the helpers on
+    /// first use; `None` runs the layer on the caller alone.
+    fn row_split_for(&mut self, macs: u64) -> Option<&mut RowSplit> {
+        if self.helpers == 0 || macs == 0 || macs < self.split_min_macs {
+            return None;
+        }
+        if self.split.is_none() {
+            self.split = RowSplit::spawn(self.helpers);
+            if self.split.is_none() {
+                self.helpers = 0;
+            }
+        }
+        self.split.as_mut()
     }
 
     /// One quantized Sub-Conv layer, through the cache and the flat
@@ -699,13 +800,15 @@ impl FlatEngine {
 /// resampling and pooling layers default to the direct kernels; a
 /// [`FlatEngine`] runs every layer over its cached geometry instead.
 pub(crate) trait LayerExec {
-    /// One Sub-Conv layer, ReLU included.
+    /// One Sub-Conv layer, ReLU included. The walk hands over the
+    /// layers it owns, so an executor that runs a layer on other threads
+    /// can take the input without copying it.
     fn subconv(
         &mut self,
         index: usize,
         name: &str,
         w: &ConvWeights,
-        x: &SparseTensor<f32>,
+        x: Cow<'_, SparseTensor<f32>>,
     ) -> Result<SparseTensor<f32>>;
 
     /// One strided (downsampling) convolution.
@@ -736,9 +839,9 @@ impl LayerExec for FlatEngine {
         _index: usize,
         _name: &str,
         w: &ConvWeights,
-        x: &SparseTensor<f32>,
+        x: Cow<'_, SparseTensor<f32>>,
     ) -> Result<SparseTensor<f32>> {
-        FlatEngine::subconv(self, x, w, true)
+        self.subconv_cow(x, w, true)
     }
 
     /// Through the cached site map — **bit-identical** to

@@ -22,9 +22,12 @@
 //!   variant **reassociates** float additions, so it is *epsilon-bounded*
 //!   against [`ScalarRef`], not bit-identical — but still a pure function
 //!   of the input, byte-stable across runs, worker counts and shard
-//!   splits. The quantized variant stays **bit-exact**: integer addition
-//!   is associative and the accumulator never overflows (see
-//!   [`Blocked::tap_q`]).
+//!   splits. Each output element gets the same arithmetic wherever its
+//!   rule pair falls in the tap's list, so a tap may be cut into any
+//!   number of calls over disjoint output rows without changing a bit
+//!   (the engine's row split relies on it). The quantized variant stays
+//!   **bit-exact**: integer addition is associative and the accumulator
+//!   never overflows (see [`Blocked::tap_q`]).
 //!
 //! The trait is object-safe and backends are stateless statics, so a
 //! future offload backend (a GPU gather→GEMM→scatter pipeline staged
@@ -183,50 +186,27 @@ impl GemmBackend for ScalarRef {
 /// Exactness: the f32 path reassociates additions (register tiles sum
 /// partial products before meeting the bias-initialized accumulator) and
 /// does **not** skip zero activations, so it is epsilon-bounded against
-/// [`ScalarRef`] rather than bit-identical. The quantized path is
-/// bit-exact — see [`Blocked::tap_q`].
+/// [`ScalarRef`] rather than bit-identical. Its per-element arithmetic
+/// does not depend on how a tap's rules are grouped into calls, so a tap
+/// split at any rule gives the same bits as one call. The quantized path
+/// is bit-exact — see [`Blocked::tap_q`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Blocked;
 
 impl Blocked {
-    /// One rule pair's f32 MACs over a full 8-wide output-channel tile.
+    /// `R` rule pairs' f32 MACs over every output channel: the R×16
+    /// register tile at the heart of the throughput tier (`R` is
+    /// [`F32_ROWS`], or a tap's last `len % 4` pairs). Each weight
+    /// row is loaded once and broadcast against `R` activation rows, so
+    /// the kernel runs `R` independent accumulation chains per lane group.
+    ///
+    /// Every output element gets the same arithmetic whatever `R` is: a
+    /// tile sum over input channels in order, starting from zero, then
+    /// one addition into the accumulator. So a tap's result does not
+    /// depend on how its rules are grouped into calls, which is what lets
+    /// the engine split a layer's rows across threads byte for byte.
     #[inline]
-    fn f32_tile(row: &[f32], w_tap: &[f32], out_ch: usize, oc0: usize, dst: &mut [f32]) {
-        // Two-phase input-channel unroll: independent accumulator tiles
-        // break the fadd dependency chain, then merge once at the end.
-        let mut even = [0.0f32; F32_LANES];
-        let mut odd = [0.0f32; F32_LANES];
-        let mut chunks = row.chunks_exact(2);
-        let mut ic = 0;
-        for pair in &mut chunks {
-            let (a0, a1) = (pair[0], pair[1]);
-            let w0 = &w_tap[ic * out_ch + oc0..ic * out_ch + oc0 + F32_LANES];
-            let w1 = &w_tap[(ic + 1) * out_ch + oc0..(ic + 1) * out_ch + oc0 + F32_LANES];
-            for j in 0..F32_LANES {
-                even[j] += a0 * w0[j];
-                odd[j] += a1 * w1[j];
-            }
-            ic += 2;
-        }
-        if let Some(&a) = chunks.remainder().first() {
-            let w = &w_tap[ic * out_ch + oc0..ic * out_ch + oc0 + F32_LANES];
-            for j in 0..F32_LANES {
-                even[j] += a * w[j];
-            }
-        }
-        let d = &mut dst[oc0..oc0 + F32_LANES];
-        for j in 0..F32_LANES {
-            d[j] += even[j] + odd[j];
-        }
-    }
-
-    /// Four rule pairs' f32 MACs over every full 16-wide output-channel
-    /// tile: the 4×16 register tile at the heart of the throughput tier.
-    /// Each weight row is loaded once and broadcast against four
-    /// activation rows, so the kernel runs four independent accumulation
-    /// chains per lane group.
-    #[inline]
-    fn f32_rows(
+    fn f32_rows<const R: usize>(
         feats: &[f32],
         inputs: &[u32],
         outputs: &[u32],
@@ -235,24 +215,24 @@ impl Blocked {
         out_ch: usize,
         acc: &mut [f32],
     ) {
-        let rows: [&[f32]; F32_ROWS] = core::array::from_fn(|r| {
+        let rows: [&[f32]; R] = core::array::from_fn(|r| {
             let i = inputs[r] as usize;
             &feats[i * in_ch..(i + 1) * in_ch]
         });
         let full = out_ch - out_ch % F32_LANES;
         let mut oc0 = 0;
         while oc0 < full {
-            let mut tiles = [[0.0f32; F32_LANES]; F32_ROWS];
+            let mut tiles = [[0.0f32; F32_LANES]; R];
             for ic in 0..in_ch {
                 let w = &w_tap[ic * out_ch + oc0..ic * out_ch + oc0 + F32_LANES];
-                for r in 0..F32_ROWS {
+                for r in 0..R {
                     let a = rows[r][ic];
                     for j in 0..F32_LANES {
                         tiles[r][j] += a * w[j];
                     }
                 }
             }
-            for r in 0..F32_ROWS {
+            for r in 0..R {
                 let o = outputs[r] as usize;
                 let d = &mut acc[o * out_ch + oc0..o * out_ch + oc0 + F32_LANES];
                 for j in 0..F32_LANES {
@@ -262,7 +242,7 @@ impl Blocked {
             oc0 += F32_LANES;
         }
         if oc0 < out_ch {
-            for r in 0..F32_ROWS {
+            for r in 0..R {
                 let o = outputs[r] as usize;
                 let dst = &mut acc[o * out_ch..(o + 1) * out_ch];
                 Blocked::f32_tail(rows[r], w_tap, out_ch, oc0, dst);
@@ -345,25 +325,17 @@ impl GemmBackend for Blocked {
         out_ch: usize,
         acc: &mut [f32],
     ) {
-        let full = out_ch - out_ch % F32_LANES;
         let mut in_blocks = rules.input.chunks_exact(F32_ROWS);
         let mut out_blocks = rules.output.chunks_exact(F32_ROWS);
         for (inputs, outputs) in (&mut in_blocks).zip(&mut out_blocks) {
-            Blocked::f32_rows(feats, inputs, outputs, w_tap, in_ch, out_ch, acc);
+            Blocked::f32_rows::<F32_ROWS>(feats, inputs, outputs, w_tap, in_ch, out_ch, acc);
         }
-        let rem_in = in_blocks.remainder();
-        let rem_out = out_blocks.remainder();
-        for (&i, &o) in rem_in.iter().zip(rem_out) {
-            let row = &feats[i as usize * in_ch..(i as usize + 1) * in_ch];
-            let dst = &mut acc[o as usize * out_ch..(o as usize + 1) * out_ch];
-            let mut oc0 = 0;
-            while oc0 < full {
-                Blocked::f32_tile(row, w_tap, out_ch, oc0, dst);
-                oc0 += F32_LANES;
-            }
-            if oc0 < out_ch {
-                Blocked::f32_tail(row, w_tap, out_ch, oc0, dst);
-            }
+        let (i, o) = (in_blocks.remainder(), out_blocks.remainder());
+        match i.len() {
+            1 => Blocked::f32_rows::<1>(feats, i, o, w_tap, in_ch, out_ch, acc),
+            2 => Blocked::f32_rows::<2>(feats, i, o, w_tap, in_ch, out_ch, acc),
+            3 => Blocked::f32_rows::<3>(feats, i, o, w_tap, in_ch, out_ch, acc),
+            _ => {}
         }
     }
 
@@ -544,6 +516,49 @@ mod tests {
                     (x - y).abs() <= 1e-4 * x.abs().max(1.0),
                     "({in_ch},{out_ch}): {x} vs {y}"
                 );
+            }
+        }
+    }
+
+    /// A tap's rules cut at any position and run as two calls, the second
+    /// rebased onto its own accumulator rows, give the bits of one call:
+    /// the engine's row split depends on it for every remainder `len % 4`
+    /// and for tail output channels (24 = one full tile plus eight).
+    #[test]
+    fn split_tap_is_bit_identical_to_one_call() {
+        let n = 11;
+        for out_ch in [16usize, 24, 48] {
+            for in_ch in [1usize, 16, 33] {
+                let feats = lcg_f32(n * in_ch, in_ch as u64 * 7 + out_ch as u64);
+                let w_tap = lcg_f32(in_ch * out_ch, out_ch as u64 * 13 + 5);
+                // Outputs ascending (storage order), one pair per output.
+                let pairs: Vec<(u32, u32)> = (0..n as u32)
+                    .filter(|o| o % 5 != 3)
+                    .map(|o| ((o * 7 + 3) % n as u32, o))
+                    .collect();
+                let whole = rules(&pairs);
+                let bias = lcg_f32(n * out_ch, 99);
+                for kind in GemmBackendKind::ALL {
+                    let backend = kind.backend();
+                    let mut want = bias.clone();
+                    backend.tap_f32(&feats, &whole, &w_tap, in_ch, out_ch, &mut want);
+                    for cut in 0..=pairs.len() {
+                        let base = pairs.get(cut).map_or(n, |&(_, o)| o as usize);
+                        let (head, tail) = pairs.split_at(cut);
+                        let rebased: Vec<(u32, u32)> =
+                            tail.iter().map(|&(i, o)| (i, o - base as u32)).collect();
+                        let mut got = bias.clone();
+                        let (lo, hi) = got.split_at_mut(base * out_ch);
+                        backend.tap_f32(&feats, &rules(head), &w_tap, in_ch, out_ch, lo);
+                        backend.tap_f32(&feats, &rules(&rebased), &w_tap, in_ch, out_ch, hi);
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "{kind} ({in_ch},{out_ch}) cut {cut}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -94,16 +94,19 @@ impl BatchNorm {
             });
         }
         let mut out = conv.clone();
-        let taps = (conv.k() * conv.k() * conv.k()) as usize;
-        for tap in 0..taps {
-            for ic in 0..conv.in_ch() {
-                for oc in 0..conv.out_ch() {
-                    out.set_w(tap, ic, oc, conv.w(tap, ic, oc) * self.scale[oc]);
-                }
+        // Tap-major storage ends in the output channel, so the scale
+        // cycles with period `out_ch`.
+        for (row, src) in out
+            .as_mut_slice()
+            .chunks_exact_mut(conv.out_ch())
+            .zip(conv.as_slice().chunks_exact(conv.out_ch()))
+        {
+            for ((v, &w), &s) in row.iter_mut().zip(src).zip(&self.scale) {
+                *v = w * s;
             }
         }
-        for oc in 0..conv.out_ch() {
-            out.bias_mut()[oc] = conv.bias()[oc] * self.scale[oc] + self.shift[oc];
+        for (oc, b) in out.bias_mut().iter_mut().enumerate() {
+            *b = conv.bias()[oc] * self.scale[oc] + self.shift[oc];
         }
         Ok(out)
     }

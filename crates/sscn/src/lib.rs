@@ -73,6 +73,7 @@ pub mod pool;
 pub mod quant;
 pub mod rulebook;
 pub mod sparse_ops;
+mod split;
 pub mod unet;
 pub mod weights;
 

@@ -27,6 +27,7 @@ use crate::weights::ConvWeights;
 use crate::{conv, Result};
 use esca_tensor::{Coord3, SparseTensor};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Configuration of an SS U-Net.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -153,10 +154,10 @@ where
         index: usize,
         name: &str,
         w: &ConvWeights,
-        x: &SparseTensor<f32>,
+        x: Cow<'_, SparseTensor<f32>>,
     ) -> Result<SparseTensor<f32>> {
-        let out = (self.0)(index, name, w, x)?;
-        if out.channels() != w.out_ch() || !out.same_active_set(x) {
+        let out = (self.0)(index, name, w, &x)?;
+        if out.channels() != w.out_ch() || !out.same_active_set(&x) {
             return Err(SscnError::InvalidConfig {
                 reason: format!(
                     "executor for {name} violated the Sub-Conv contract \
@@ -346,17 +347,17 @@ impl SsUNet {
     ) -> Result<SparseTensor<f32>> {
         let cfg = &self.cfg;
         let mut layers = self.subconvs.iter().enumerate();
-        let mut subconv = |exec: &mut E, x: &SparseTensor<f32>| {
+        let mut subconv = |exec: &mut E, x: Cow<'_, SparseTensor<f32>>| {
             let (index, (name, w)) = layers.next().expect("one weight set per Sub-Conv layer");
             exec.subconv(index, name, w, x)
         };
         // Stem.
-        let mut x = subconv(exec, input)?;
+        let mut x = subconv(exec, Cow::Borrowed(input))?;
         // Encoder.
         let mut skips: Vec<SparseTensor<f32>> = Vec::new();
         for l in 0..cfg.levels {
             for _ in 0..cfg.blocks_per_level {
-                x = subconv(exec, &x)?;
+                x = subconv(exec, Cow::Owned(x))?;
             }
             if l < cfg.levels - 1 {
                 let down = exec.strided(&x, &self.downs[l])?;
@@ -369,7 +370,7 @@ impl SsUNet {
             let up = exec.transpose(&x, &self.ups[l], skip.extent(), skip.coords())?;
             x = concat_channels(&skip, &up)?;
             for _ in 0..cfg.blocks_per_level {
-                x = subconv(exec, &x)?;
+                x = subconv(exec, Cow::Owned(x))?;
             }
         }
         debug_assert!(layers.next().is_none(), "all subconvs executed");
@@ -514,6 +515,27 @@ mod tests {
         }
         t.canonicalize();
         t
+    }
+
+    /// `forward_engine` with every layer split over helper threads: still
+    /// bit-exact against [`SsUNet::forward`] under the reference tier, and
+    /// byte-identical to a serial engine under the blocked tier.
+    #[test]
+    fn split_forward_engine_matches_the_reference_and_the_serial_engine() {
+        let net = SsUNet::new(UNetConfig::default()).unwrap();
+        let input = blob_input(3, 20, 1500);
+        let direct = net.forward(&input).unwrap();
+        let mut split = FlatEngine::with_helpers(GemmBackendKind::ScalarRef, 2);
+        let flat = net.forward_engine(&input, &mut split).unwrap();
+        assert_eq!(flat.coords(), direct.coords());
+        assert_eq!(flat.features(), direct.features());
+        let mut split = FlatEngine::with_helpers(GemmBackendKind::Blocked, 1);
+        let mut serial = FlatEngine::with_helpers(GemmBackendKind::Blocked, 0);
+        let a = net.forward_engine(&input, &mut split).unwrap();
+        let b = net.forward_engine(&input, &mut serial).unwrap();
+        let bits =
+            |t: &SparseTensor<f32>| t.features().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a), bits(&b));
     }
 
     #[test]

@@ -14,15 +14,21 @@ use esca_tensor::KernelOffsets;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Weights (and bias) of one K×K×K convolution layer, in f32.
+///
+/// The weight and bias vectors are shared behind [`Arc`]s, so a clone
+/// costs two reference counts and no copy; that is how the flat engine
+/// hands a layer's weights to its helper threads. Mutation copies a
+/// shared vector first.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ConvWeights {
     k: u32,
     in_ch: usize,
     out_ch: usize,
-    data: Vec<f32>,
-    bias: Vec<f32>,
+    data: Arc<Vec<f32>>,
+    bias: Arc<Vec<f32>>,
 }
 
 impl ConvWeights {
@@ -39,8 +45,8 @@ impl ConvWeights {
             k,
             in_ch,
             out_ch,
-            data: vec![0.0; taps * in_ch * out_ch],
-            bias: vec![0.0; out_ch],
+            data: Arc::new(vec![0.0; taps * in_ch * out_ch]),
+            bias: Arc::new(vec![0.0; out_ch]),
         }
     }
 
@@ -51,7 +57,7 @@ impl ConvWeights {
         let fan_in = (k * k * k) as f32 * in_ch as f32;
         let bound = (3.0 / fan_in).sqrt();
         let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0x5eed_5eed);
-        for v in &mut w.data {
+        for v in Arc::make_mut(&mut w.data) {
             *v = (rng.gen::<f32>() * 2.0 - 1.0) * bound;
         }
         w
@@ -110,7 +116,7 @@ impl ConvWeights {
     /// Panics on an out-of-range index.
     pub fn set_w(&mut self, tap: usize, ic: usize, oc: usize, v: f32) {
         let i = self.index(tap, ic, oc);
-        self.data[i] = v;
+        Arc::make_mut(&mut self.data)[i] = v;
     }
 
     #[inline]
@@ -151,13 +157,19 @@ impl ConvWeights {
     /// Mutable bias per output channel.
     #[inline]
     pub fn bias_mut(&mut self) -> &mut [f32] {
-        &mut self.bias
+        Arc::make_mut(&mut self.bias).as_mut_slice()
     }
 
     /// Raw tap-major weight storage.
     #[inline]
     pub fn as_slice(&self) -> &[f32] {
         &self.data
+    }
+
+    /// Mutable raw tap-major weight storage (copied first if shared).
+    #[inline]
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f32] {
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
     /// Largest absolute weight value (drives quantization scale choice).
