@@ -41,7 +41,9 @@ test:
 # change that breaks the API it calls fails here. The cycle-vector,
 # chaos-vector, golden-equivalence and SDMU-vs-rulebook suites re-run in
 # release: that is the build the benchmark measures, and it drops the
-# debug-only address cross-checks inside the cycle model. The pipeline_trace
+# debug-only address cross-checks inside the cycle model. The esca-sscn
+# library tests and gemm_backends re-run in release too, so the vectorized
+# kernels' bit-exactness is checked as optimized code. The pipeline_trace
 # example runs one traced layer end to end through the cycle model and
 # prints its Fig. 7(b) chart.
 # Matches .github/workflows/ci.yml.
@@ -50,6 +52,7 @@ verify:
 	cargo test --workspace -q --locked --offline
 	cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 	cargo test --release -p esca --test cycle_vectors --test chaos_vectors --test golden_equivalence --test sdmu_vs_rulebook --locked --offline
+	cargo test --release -p esca-sscn --lib --test gemm_backends --locked --offline
 	ESCA_GEMM_BACKEND=scalar cargo test -q --locked --offline -p esca-sscn --test gemm_backends -p esca --lib --test chaos_streaming -p esca-suite --test parallel_equivalence --test streaming_determinism --test observability --test snapshot_merge_laws
 	ESCA_GEMM_BACKEND=blocked cargo test -q --locked --offline -p esca-sscn --test gemm_backends -p esca --lib --test chaos_streaming -p esca-suite --test parallel_equivalence --test streaming_determinism --test observability --test snapshot_merge_laws
 	ESCA_GEMM_BACKEND=scalar cargo test -q --locked --offline -p esca-suite --test streaming_determinism --test geometry_plan

@@ -1201,4 +1201,88 @@ mod tests {
         assert_eq!(eng.cache().misses(), m0);
         assert!(eng.cache().hits() >= 2);
     }
+
+    /// A fine geometry whose features look ReLU'd: mostly exact zeros of
+    /// both signs, the rest positive.
+    fn relud_input() -> impl proptest::strategy::Strategy<Value = SparseTensor<f32>> {
+        use proptest::prelude::*;
+        let value = (0u8..9, 0.0f32..2.0).prop_map(|(k, v)| match k {
+            0..=2 => 0.0,
+            3 | 4 => -0.0,
+            _ => v,
+        });
+        let channels = prop::sample::select(vec![1usize, 3, 16]);
+        (4u32..14, channels).prop_flat_map(move |(side, ch)| {
+            let coord = (0..side as i32, 0..side as i32, 0..side as i32)
+                .prop_map(|(x, y, z)| Coord3::new(x, y, z));
+            let site = (coord, prop::collection::vec(value.clone(), ch));
+            prop::collection::vec(site, 0..60).prop_map(move |entries| {
+                let mut t = SparseTensor::new(Extent3::cube(side), ch);
+                for (c, f) in entries {
+                    t.insert(c, &f).unwrap();
+                }
+                t.canonicalize();
+                t
+            })
+        })
+    }
+
+    /// Seeded weights with a seed-chosen sprinkling of ±∞, ±0 and
+    /// negated values.
+    fn odd_weights(kd: u32, in_ch: usize, out_ch: usize, seed: u64) -> StridedWeights {
+        let mut w = StridedWeights::seeded(kd, in_ch, out_ch, seed);
+        let mut s = seed | 1;
+        for v in w.as_mut_slice() {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            *v = match s >> 60 {
+                0 => f32::INFINITY,
+                1 => f32::NEG_INFINITY,
+                2 => 0.0,
+                3 => -0.0,
+                4..=7 => -*v,
+                _ => *v,
+            };
+        }
+        w
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The engine's strided and transpose replays give the direct
+        /// kernels' bits on both backends: ReLU'd inputs full of ±0,
+        /// negative, zero and infinite weights, K_d 2 and 3, and output
+        /// widths with (24) and without (16, 48) tail columns.
+        #[test]
+        fn engine_replays_are_bit_identical_to_direct_kernels(
+            fine in relud_input(),
+            kd in 2u32..=3,
+            out_ch in proptest::sample::select(vec![16usize, 24, 48]),
+            seed in 0u64..1_000,
+        ) {
+            let bits = |t: &SparseTensor<f32>| {
+                t.features().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            let down = odd_weights(kd, fine.channels(), out_ch, seed);
+            let up = odd_weights(kd, out_ch, fine.channels(), seed + 1);
+            let coarse_direct = strided_conv3d(&fine, &down).unwrap();
+            // ReLU keeps ±∞ and drops NaN, as the U-Net's does.
+            let coarse = coarse_direct.map(|v| v.max(0.0));
+            let up_direct = transpose_conv3d(&coarse, &up, fine.extent(), fine.coords()).unwrap();
+            for kind in GemmBackendKind::ALL {
+                let mut eng = FlatEngine::with_backend(kind);
+                let replayed = eng.strided(&fine, &down).unwrap();
+                proptest::prop_assert_eq!(replayed.extent(), coarse_direct.extent());
+                proptest::prop_assert_eq!(replayed.coords(), coarse_direct.coords());
+                proptest::prop_assert_eq!(bits(&replayed), bits(&coarse_direct), "{} strided", kind);
+                let upsampled = eng
+                    .transpose(&coarse, &up, fine.extent(), fine.coords())
+                    .unwrap();
+                proptest::prop_assert_eq!(upsampled.coords(), up_direct.coords());
+                proptest::prop_assert_eq!(bits(&upsampled), bits(&up_direct), "{} transpose", kind);
+            }
+        }
+    }
 }

@@ -22,6 +22,12 @@ pub enum SscnError {
         /// Human-readable reason.
         reason: String,
     },
+    /// A decoded model holds a weight or bias that is not finite (a JSON
+    /// number beyond the `f32` range decodes to ±∞).
+    NonFiniteWeight {
+        /// The layer that holds it.
+        layer: String,
+    },
 }
 
 impl fmt::Display for SscnError {
@@ -32,6 +38,9 @@ impl fmt::Display for SscnError {
             }
             SscnError::Tensor(e) => write!(f, "tensor error: {e}"),
             SscnError::InvalidConfig { reason } => write!(f, "invalid network config: {reason}"),
+            SscnError::NonFiniteWeight { layer } => {
+                write!(f, "non-finite weight or bias in layer {layer}")
+            }
         }
     }
 }

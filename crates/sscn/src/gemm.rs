@@ -17,10 +17,11 @@
 //!   stays provably **bit-identical** to
 //!   [`crate::conv::submanifold_conv3d`] / the `_q` golden kernel.
 //! * [`Blocked`] — a cache-blocked, hand-unrolled microkernel (4-row ×
-//!   16-lane f32 register tiles; i16×16 tiles with i32 inner accumulation
-//!   on the quantized path). The f32
-//!   variant **reassociates** float additions, so it is *epsilon-bounded*
-//!   against [`ScalarRef`], not bit-identical — but still a pure function
+//!   16-lane f32 register tiles updated by fused multiply-add; i16×16
+//!   tiles with i32 inner accumulation on the quantized path). The f32
+//!   variant **reassociates** float additions and fuses each multiply into
+//!   its add, so it is *epsilon-bounded* against [`ScalarRef`], not
+//!   bit-identical — but still a pure function
 //!   of the input, byte-stable across runs, worker counts and shard
 //!   splits. Each output element gets the same arithmetic wherever its
 //!   rule pair falls in the tap's list, so a tap may be cut into any
@@ -184,9 +185,11 @@ impl GemmBackend for ScalarRef {
 /// friendly.
 ///
 /// Exactness: the f32 path reassociates additions (register tiles sum
-/// partial products before meeting the bias-initialized accumulator) and
-/// does **not** skip zero activations, so it is epsilon-bounded against
-/// [`ScalarRef`] rather than bit-identical. Its per-element arithmetic
+/// partial products before meeting the bias-initialized accumulator),
+/// fuses each multiply into its addition (`f32::mul_add`, one rounding;
+/// hardware FMA at the pinned codegen level, correctly rounded everywhere)
+/// and does **not** skip zero activations, so it is epsilon-bounded
+/// against [`ScalarRef`] rather than bit-identical. Its per-element arithmetic
 /// does not depend on how a tap's rules are grouped into calls, so a tap
 /// split at any rule gives the same bits as one call. The quantized path
 /// is bit-exact — see [`Blocked::tap_q`].
@@ -201,8 +204,8 @@ impl Blocked {
     /// the kernel runs `R` independent accumulation chains per lane group.
     ///
     /// Every output element gets the same arithmetic whatever `R` is: a
-    /// tile sum over input channels in order, starting from zero, then
-    /// one addition into the accumulator. So a tap's result does not
+    /// fused multiply-add chain over input channels in order, starting
+    /// from zero, then one addition into the accumulator. So a tap's result does not
     /// depend on how its rules are grouped into calls, which is what lets
     /// the engine split a layer's rows across threads byte for byte.
     #[inline]
@@ -228,7 +231,7 @@ impl Blocked {
                 for r in 0..R {
                     let a = rows[r][ic];
                     for j in 0..F32_LANES {
-                        tiles[r][j] += a * w[j];
+                        tiles[r][j] = a.mul_add(w[j], tiles[r][j]);
                     }
                 }
             }
@@ -256,7 +259,7 @@ impl Blocked {
         for (off, d) in dst[oc0..].iter_mut().enumerate() {
             let mut s = 0.0f32;
             for (ic, &a) in row.iter().enumerate() {
-                s += a * w_tap[ic * out_ch + oc0 + off];
+                s = a.mul_add(w_tap[ic * out_ch + oc0 + off], s);
             }
             *d += s;
         }
@@ -558,6 +561,55 @@ mod tests {
                             "{kind} ({in_ch},{out_ch}) cut {cut}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// Pins the Blocked f32 arithmetic: per output element, a fused
+    /// multiply-add chain over input channels in order starting from zero,
+    /// then one addition into the accumulator. Call lengths 1..=8 run every
+    /// register-tile depth R = 1..=4, as a whole tile and as a remainder;
+    /// `out_ch` 24 runs the tail columns.
+    #[test]
+    fn blocked_f32_is_a_fused_chain_per_element() {
+        for out_ch in [16usize, 24] {
+            for in_ch in [1usize, 16, 33] {
+                let n = 9;
+                // Thirds fill the mantissa, so a product rounds (a fused
+                // chain differs from a multiply then an add); every
+                // seventh value is an exact zero of either sign.
+                let mut feats = lcg_f32(n * in_ch, in_ch as u64 * 3 + out_ch as u64);
+                for (k, v) in feats.iter_mut().enumerate() {
+                    *v = match k % 7 {
+                        2 => 0.0,
+                        5 => -0.0,
+                        _ => *v / 3.0,
+                    };
+                }
+                let w_tap: Vec<f32> = lcg_f32(in_ch * out_ch, out_ch as u64 * 11 + 1)
+                    .iter()
+                    .map(|v| v / 3.0)
+                    .collect();
+                let bias = lcg_f32(n * out_ch, 7);
+                for len in 1..=8u32 {
+                    let pairs: Vec<(u32, u32)> =
+                        (0..len).map(|o| ((o * 5 + 2) % n as u32, o)).collect();
+                    let mut want = bias.clone();
+                    for &(i, o) in &pairs {
+                        let row = &feats[i as usize * in_ch..][..in_ch];
+                        for oc in 0..out_ch {
+                            let s = row
+                                .iter()
+                                .enumerate()
+                                .fold(0.0f32, |s, (ic, &a)| a.mul_add(w_tap[ic * out_ch + oc], s));
+                            want[o as usize * out_ch + oc] += s;
+                        }
+                    }
+                    let mut got = bias.clone();
+                    Blocked.tap_f32(&feats, &rules(&pairs), &w_tap, in_ch, out_ch, &mut got);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "({in_ch},{out_ch}) {len} pairs");
                 }
             }
         }

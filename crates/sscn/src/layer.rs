@@ -158,6 +158,12 @@ impl Linear {
             && self.b.len() == out_ch
     }
 
+    /// Whether every weight and bias is finite (a decoded model's value
+    /// check).
+    pub(crate) fn is_finite(&self) -> bool {
+        self.w.iter().chain(&self.b).all(|v| v.is_finite())
+    }
+
     /// Applies the layer at every active site.
     ///
     /// # Errors

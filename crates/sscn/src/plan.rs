@@ -79,7 +79,10 @@ impl StridedMap {
     /// scatter into the canonical output matrix. **Bit-identical** to
     /// [`crate::sparse_ops::strided_conv3d`] on the geometry the map was
     /// built from (per-output-element addition order is input storage
-    /// order in both).
+    /// order in both), on every backend. Each output row's sixteen-lane
+    /// blocks stay in registers across the input-channel loop, and zero
+    /// activations are masked rather than branched on (see
+    /// `mac_skipping_zeros`).
     ///
     /// # Errors
     ///
@@ -105,6 +108,7 @@ impl StridedMap {
         let in_ch = w.in_ch();
         let out_ch = w.out_ch();
         let mut acc = vec![0.0f32; self.out_coords.len() * out_ch];
+        let mut keep = vec![0u32; in_ch];
         for ((f, &row), &tap) in input
             .features()
             .chunks_exact(in_ch)
@@ -112,14 +116,7 @@ impl StridedMap {
             .zip(&self.taps)
         {
             let dst = &mut acc[row as usize * out_ch..][..out_ch];
-            for (ic, &a) in f.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                for (dst, &wv) in dst.iter_mut().zip(w.oc_slice(tap as usize, ic)) {
-                    *dst += a * wv;
-                }
-            }
+            mac_skipping_zeros(f, &mut keep, w.tap_slice(tap as usize), dst);
         }
         // `out_coords` is already raster-sorted, so no canonicalize pass.
         SparseTensor::from_coord_features(self.out_extent, out_ch, self.out_coords.clone(), acc)
@@ -283,7 +280,8 @@ impl TransposeMap {
     /// [`crate::sparse_ops::transpose_conv3d`] on the geometry the map
     /// was built from — output rows are independent, so computing them in
     /// canonical order reproduces the direct kernel's canonicalized
-    /// output exactly.
+    /// output exactly. The MACs run register-resident and branch-free, as
+    /// in [`StridedMap::apply`].
     ///
     /// # Errors
     ///
@@ -313,6 +311,7 @@ impl TransposeMap {
         let out_ch = w.out_ch();
         let feats = input.features();
         let mut out = vec![0.0f32; self.out_coords.len() * out_ch];
+        let mut keep = vec![0u32; in_ch];
         for ((&row, &tap), dst) in self
             .src
             .iter()
@@ -323,14 +322,7 @@ impl TransposeMap {
                 continue;
             }
             let f = &feats[row as usize * in_ch..][..in_ch];
-            for (ic, &a) in f.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                for (dst, &wv) in dst.iter_mut().zip(w.oc_slice(tap as usize, ic)) {
-                    *dst += a * wv;
-                }
-            }
+            mac_skipping_zeros(f, &mut keep, w.tap_slice(tap as usize), dst);
         }
         SparseTensor::from_coord_features(self.fine_extent, out_ch, self.out_coords.clone(), out)
             .map_err(SscnError::from)
@@ -365,6 +357,52 @@ impl TransposeMap {
     /// Heap bytes retained by the map's index arrays.
     pub fn heap_bytes(&self) -> usize {
         self.src.len() * 4 + self.taps.len() * 4 + self.out_coords.len() * size_of::<Coord3>()
+    }
+}
+
+/// Output-channel block the replays keep in registers: sixteen lanes, two
+/// AVX registers at the pinned x86-64-v3 codegen level.
+const LANES: usize = 16;
+
+/// `dst[oc] += a[ic] · panel[ic · out_ch + oc]` over input channels in
+/// order, one rounded product and one rounded addition per term, leaving
+/// `dst` as if every term with `a[ic] == 0` (either sign) were skipped —
+/// the direct kernels' sparse broadcast — without a branch.
+///
+/// Each full sixteen-lane block of `dst` stays in registers across the
+/// input-channel loop, and a zero activation's product is masked to +0
+/// instead of skipped. That is exact because the callers start `dst` at
+/// +0: round-to-nearest gives −0 only for a sum of two −0s, so an
+/// accumulator is never −0, and adding +0 leaves it unchanged (a NaN
+/// stays the same NaN, ±∞ stays ±∞). Without the mask the result would
+/// differ only for a non-finite weight, where `0 × ∞` is NaN.
+fn mac_skipping_zeros(a: &[f32], keep: &mut [u32], panel: &[f32], dst: &mut [f32]) {
+    let out_ch = dst.len();
+    // The masks go through memory so the compiler cannot turn them back
+    // into a branch on `a[ic]` (it does for a mask computed in the loop).
+    for (m, &a) in keep.iter_mut().zip(a) {
+        *m = u32::from(a != 0.0).wrapping_neg();
+    }
+    let (blocks, tail) = dst.split_at_mut(out_ch - out_ch % LANES);
+    for (b, block) in blocks.chunks_exact_mut(LANES).enumerate() {
+        let oc0 = b * LANES;
+        let mut tile = [0.0f32; LANES];
+        tile.copy_from_slice(block);
+        for ((&a, &m), w) in a.iter().zip(&*keep).zip(panel.chunks_exact(out_ch)) {
+            let w = &w[oc0..oc0 + LANES];
+            for j in 0..LANES {
+                tile[j] += f32::from_bits((a * w[j]).to_bits() & m);
+            }
+        }
+        block.copy_from_slice(&tile);
+    }
+    let oc0 = out_ch - tail.len();
+    for (off, d) in tail.iter_mut().enumerate() {
+        let mut s = *d;
+        for ((&a, &m), w) in a.iter().zip(&*keep).zip(panel.chunks_exact(out_ch)) {
+            s += f32::from_bits((a * w[oc0 + off]).to_bits() & m);
+        }
+        *d = s;
     }
 }
 

@@ -70,6 +70,18 @@ impl StridedWeights {
         (self.kd, self.in_ch, self.out_ch) == (kd, in_ch, out_ch) && len == Some(self.data.len())
     }
 
+    /// Mutable raw weight storage, tap-major (a test hook for weights no
+    /// seed produces).
+    #[cfg(test)]
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f32] {
+        &mut self.data
+    }
+
+    /// Whether every weight is finite (a decoded model's value check).
+    pub(crate) fn is_finite(&self) -> bool {
+        self.data.iter().all(|v| v.is_finite())
+    }
+
     /// Kernel/stride size K_d.
     #[inline]
     pub fn kd(&self) -> u32 {
@@ -107,6 +119,12 @@ impl StridedWeights {
     pub fn oc_slice(&self, tap: usize, ic: usize) -> &[f32] {
         let base = (tap * self.in_ch + ic) * self.out_ch;
         &self.data[base..base + self.out_ch]
+    }
+
+    /// The contiguous `in_ch × out_ch` row-major weight panel of one tap.
+    pub(crate) fn tap_slice(&self, tap: usize) -> &[f32] {
+        let len = self.in_ch * self.out_ch;
+        &self.data[tap * len..(tap + 1) * len]
     }
 }
 

@@ -320,19 +320,21 @@ impl RowSplit {
     }
 
     /// Puts `layer` into a slot no helper holds and makes it current;
-    /// returns the slot's index.
+    /// returns the slot's index. Every other slot no helper holds drops
+    /// its layer, so a slot a late helper once held keeps no old input
+    /// alive until it is reused.
     fn publish(&mut self, layer: Layer) -> usize {
-        let at = match self
-            .slots
-            .iter_mut()
-            .position(|s| Arc::get_mut(s).is_some())
-        {
-            Some(at) => at,
-            None => {
-                self.slots.push(Arc::default());
-                self.slots.len() - 1
+        let mut free = None;
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            if let Some(slot) = Arc::get_mut(slot) {
+                slot.layer = None;
+                free.get_or_insert(i);
             }
-        };
+        }
+        let at = free.unwrap_or_else(|| {
+            self.slots.push(Arc::default());
+            self.slots.len() - 1
+        });
         if let Some(slot) = Arc::get_mut(&mut self.slots[at]) {
             let chunks = layer.chunks();
             layer.chunk_bounds(&mut slot.bounds);
@@ -525,6 +527,39 @@ mod tests {
             drop(held);
             assert_eq!(bits(&out), bits(&want.unwrap()), "{kind}");
         }
+    }
+
+    /// A slot that a late helper held past the end of its layer drops that
+    /// layer at the next publish, though the new layer goes to another
+    /// slot.
+    #[test]
+    fn publish_drops_the_layers_of_released_slots() {
+        let input = shuffled_input(52, 10, 2, 200);
+        let layer = || Layer {
+            rb: Arc::new(Rulebook::build(&input, 3)),
+            input: input.clone(),
+            w: ConvWeights::seeded(3, 2, 16, 11),
+            backend: GemmBackendKind::Blocked,
+            relu: false,
+        };
+        let mut split = RowSplit::spawn(0).unwrap();
+        let mut late = Vec::new();
+        for want in 0..2 {
+            let at = split.publish(layer());
+            assert_eq!(at, want);
+            late.push(Arc::clone(&split.slots[at]));
+            split.finish(at).unwrap();
+        }
+        assert!(
+            late.iter().all(|s| s.layer.is_some()),
+            "held slots keep their layer"
+        );
+        drop(late);
+        assert_eq!(split.publish(layer()), 0);
+        assert!(
+            split.slots[1].layer.is_none(),
+            "a released slot kept its layer"
+        );
     }
 
     /// A helper that dies on waking, or after claiming a chunk, changes no

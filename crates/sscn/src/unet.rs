@@ -408,13 +408,37 @@ impl SsUNet {
     ///
     /// Returns [`SscnError::InvalidConfig`] on malformed input, and on a
     /// model whose layers do not have the count and shapes its
-    /// configuration implies.
+    /// configuration implies; [`SscnError::NonFiniteWeight`] on a weight
+    /// or bias that is not finite.
     pub fn from_json(json: &str) -> Result<Self> {
         let net: SsUNet = serde_json::from_str(json).map_err(|e| SscnError::InvalidConfig {
             reason: format!("deserialize failed: {e}"),
         })?;
         net.check_shapes()?;
+        net.check_finite()?;
         Ok(net)
+    }
+
+    /// Checks that every weight and bias of a decoded model is finite,
+    /// naming the first layer that is not: Sub-Conv layers, then the
+    /// downsampling and upsampling convolutions, then the head.
+    fn check_finite(&self) -> Result<()> {
+        let strided = |prefix: &str, ws: &[StridedWeights]| {
+            let l = ws.iter().position(|w| !w.is_finite())?;
+            Some(format!("{prefix}{l}"))
+        };
+        let first = self
+            .subconvs
+            .iter()
+            .find(|(_, w)| !w.is_finite())
+            .map(|(name, _)| name.clone())
+            .or_else(|| strided("down", &self.downs))
+            .or_else(|| strided("up", &self.ups))
+            .or_else(|| (!self.head.is_finite()).then(|| "head".to_string()));
+        match first {
+            Some(layer) => Err(SscnError::NonFiniteWeight { layer }),
+            None => Ok(()),
+        }
     }
 
     /// Checks a decoded model against its configuration: the layer counts

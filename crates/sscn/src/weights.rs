@@ -76,6 +76,15 @@ impl ConvWeights {
             && self.bias.len() == out_ch
     }
 
+    /// Whether every weight and bias is finite (a decoded model's value
+    /// check).
+    pub(crate) fn is_finite(&self) -> bool {
+        self.data
+            .iter()
+            .chain(self.bias.iter())
+            .all(|v| v.is_finite())
+    }
+
     /// Kernel size K.
     #[inline]
     pub fn k(&self) -> u32 {

@@ -4,6 +4,7 @@ use esca_sscn::quant::{LayerQuant, QuantizedWeights};
 use esca_sscn::rulebook::Rulebook;
 use esca_sscn::unet::{SsUNet, UNetConfig};
 use esca_sscn::weights::ConvWeights;
+use esca_sscn::SscnError;
 use esca_tensor::{Coord3, Extent3, SparseTensor};
 
 #[test]
@@ -109,6 +110,53 @@ fn unet_json_that_does_not_match_its_config_is_rejected_without_panic() {
     }
     // The unmutated JSON still loads.
     assert!(SsUNet::from_json(&serde_json::to_string(&valid).unwrap()).is_ok());
+}
+
+/// A JSON number beyond the `f32` range decodes to ±∞; a model holding
+/// one in any weight or bias is rejected with a typed error naming the
+/// layer.
+#[test]
+fn unet_json_with_a_non_finite_weight_is_rejected() {
+    let net = SsUNet::new(UNetConfig {
+        levels: 2,
+        base_channels: 4,
+        blocks_per_level: 1,
+        classes: 3,
+        ..Default::default()
+    })
+    .unwrap();
+    let valid: serde_json::Value = serde_json::from_str(&net.to_json().unwrap()).unwrap();
+    let names: Vec<&str> = net
+        .subconv_layers()
+        .iter()
+        .map(|(n, _)| n.as_str())
+        .collect();
+    let cases: [(&[&str], &str); 7] = [
+        (&["subconvs", "0", "1", "data", "0"], names[0]),
+        (&["subconvs", "2", "1", "data", "5"], names[2]),
+        (&["subconvs", "1", "1", "bias", "3"], names[1]),
+        (&["downs", "0", "data", "7"], "down0"),
+        (&["ups", "0", "data", "0"], "up0"),
+        (&["head", "w", "2"], "head"),
+        (&["head", "b", "1"], "head"),
+    ];
+    for (path, layer) in cases {
+        for big in ["1e39", "-1e39"] {
+            let mut v = valid.clone();
+            // A sentinel no seeded weight holds, swapped for the literal.
+            *node(&mut v, path) = serde_json::Value::F64(12345.5);
+            let json = serde_json::to_string(&v).unwrap().replace("12345.5", big);
+            assert!(json.contains(big), "{path:?}: sentinel not found");
+            match SsUNet::from_json(&json) {
+                Err(SscnError::NonFiniteWeight { layer: got }) => assert_eq!(got, layer),
+                other => panic!("{path:?} = {big}: {other:?}"),
+            }
+        }
+    }
+    // The largest finite f32 still loads.
+    let mut v = valid.clone();
+    *node(&mut v, &["head", "w", "0"]) = serde_json::Value::F64(f64::from(f32::MAX));
+    assert!(SsUNet::from_json(&serde_json::to_string(&v).unwrap()).is_ok());
 }
 
 #[test]
