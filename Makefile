@@ -105,7 +105,6 @@ examples:
 	cargo run --release --example pipeline_trace
 	cargo run --release --example tile_size_sweep
 	cargo run --release --example performance_model
-	cargo run --release --example classification
 	cargo run --release --example design_space
 	cargo run --release --example segmentation
 

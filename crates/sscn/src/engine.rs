@@ -15,9 +15,8 @@
 //! worker threads.
 //!
 //! The same argument covers every other geometry-determined map the
-//! networks execute — strided and transpose convolutions have fixed
-//! in/out site maps per active set too, and max pooling replays the
-//! strided map of the same set and window — so the cache stores a
+//! network executes — strided and transpose convolutions have fixed
+//! in/out site maps per active set too — so the cache stores a
 //! [`Rulebook`], [`StridedMap`] or [`TransposeMap`] under a hardened key
 //! folding the artifact type, the kernel/stride parameter and (for
 //! transpose) the target set's fingerprint alongside the input
@@ -47,7 +46,6 @@
 use crate::error::SscnError;
 use crate::gemm::{GemmBackend, GemmBackendKind};
 use crate::plan::{StridedMap, TransposeMap};
-use crate::pool::sparse_max_pool;
 use crate::quant::QuantizedWeights;
 use crate::rulebook::Rulebook;
 use crate::sparse_ops::{strided_conv3d, transpose_conv3d, StridedWeights};
@@ -129,8 +127,8 @@ struct CacheInner {
 }
 
 /// A thread-safe cache of geometry artifacts: submanifold rulebooks,
-/// strided-convolution site maps (which max pooling replays too) and
-/// transpose-convolution gather maps, each under a hardened key.
+/// strided-convolution site maps and transpose-convolution gather maps,
+/// each under a hardened key.
 ///
 /// Shared behind an [`Arc`], one cache serves all layers of a network
 /// pass *and* all frames/workers of a streaming batch: the first request
@@ -265,9 +263,9 @@ impl RulebookCache {
     }
 
     /// Returns the coarse site map for `input`'s active set under stride
-    /// (or pooling window) `kd`, building and caching it on first use.
-    /// Strided convolution ([`StridedMap::apply`]) and max pooling
-    /// ([`StridedMap::max_pool`]) over one set and `kd` share this entry.
+    /// `kd`, building and caching it on first use. Every strided
+    /// convolution ([`StridedMap::apply`]) over one set and `kd` shares
+    /// this entry.
     pub fn strided_map<T: Copy>(&self, input: &SparseTensor<T>, kd: u32) -> Arc<StridedMap> {
         self.get_or_insert(input, kd, [0; 2], || Ok(StridedMap::build(input, kd)))
             .expect("strided map build is infallible")
@@ -795,9 +793,8 @@ impl FlatEngine {
     }
 }
 
-/// How a network's one layer walk ([`crate::unet::SsUNet`],
-/// [`crate::classifier::SscnClassifier`]) executes its layers. The
-/// resampling and pooling layers default to the direct kernels; a
+/// How the network's one layer walk ([`crate::unet::SsUNet`]) executes
+/// its layers. The resampling layers default to the direct kernels; a
 /// [`FlatEngine`] runs every layer over its cached geometry instead.
 pub(crate) trait LayerExec {
     /// One Sub-Conv layer, ReLU included. The walk hands over the
@@ -825,11 +822,6 @@ pub(crate) trait LayerExec {
         target: &[Coord3],
     ) -> Result<SparseTensor<f32>> {
         transpose_conv3d(x, w, fine_extent, target)
-    }
-
-    /// One strided max pooling.
-    fn max_pool(&mut self, x: &SparseTensor<f32>, kd: u32) -> Result<SparseTensor<f32>> {
-        Ok(sparse_max_pool(x, kd))
     }
 }
 
@@ -867,13 +859,6 @@ impl LayerExec for FlatEngine {
         let out = map.apply(x, w)?;
         self.note_resample(map.sites(), w);
         Ok(out)
-    }
-
-    /// Through the cached coarse site map, shared with a strided
-    /// convolution over the same set and `kd` — **bit-identical** to
-    /// [`sparse_max_pool`].
-    fn max_pool(&mut self, x: &SparseTensor<f32>, kd: u32) -> Result<SparseTensor<f32>> {
-        self.cache.strided_map(x, kd).max_pool(x)
     }
 }
 
@@ -1153,28 +1138,8 @@ mod tests {
         assert_eq!(cache.len(), 6, "extent must separate same-coord sets");
     }
 
-    /// Max pooling replays the strided convolution's coarse site map: one
-    /// build serves both ops over one set and `kd`.
-    #[test]
-    fn strided_conv_and_max_pool_share_one_site_map() {
-        let fine = random_input(32, 12, 3, 70);
-        let down = StridedWeights::seeded(2, 3, 4, 99);
-        let mut eng = FlatEngine::new();
-        let _ = eng.strided(&fine, &down).unwrap();
-        let pooled = eng.max_pool(&fine, 2).unwrap();
-        assert_eq!((eng.cache().misses(), eng.cache().hits()), (1, 1));
-        assert_eq!(eng.cache().len(), 1);
-        let direct = sparse_max_pool(&fine, 2);
-        assert_eq!(pooled.extent(), direct.extent());
-        assert_eq!(pooled.coords(), direct.coords());
-        let bits =
-            |t: &SparseTensor<f32>| t.features().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&pooled), bits(&direct), "not bitwise equal");
-    }
-
     #[test]
     fn engine_geometry_ops_match_direct_kernels() {
-        use crate::pool::sparse_max_pool;
         use crate::sparse_ops::{strided_conv3d, transpose_conv3d};
         let fine = random_input(31, 12, 2, 60);
         let down = StridedWeights::seeded(2, 2, 4, 97);
@@ -1190,16 +1155,14 @@ mod tests {
         let up_direct = transpose_conv3d(&coarse, &up, fine.extent(), fine.coords()).unwrap();
         assert_eq!(upsampled.coords(), up_direct.coords());
         assert_eq!(upsampled.features(), up_direct.features());
-        let pooled = eng.max_pool(&fine, 2).unwrap();
-        let pooled_direct = sparse_max_pool(&fine, 2);
-        assert_eq!(pooled.coords(), pooled_direct.coords());
-        assert_eq!(pooled.features(), pooled_direct.features());
         // Second pass over the same geometry: every map is a cache hit.
-        let m0 = eng.cache().misses();
+        let (m0, h0) = (eng.cache().misses(), eng.cache().hits());
         let _ = eng.strided(&fine, &down).unwrap();
-        let _ = eng.max_pool(&fine, 2).unwrap();
+        let _ = eng
+            .transpose(&coarse, &up, fine.extent(), fine.coords())
+            .unwrap();
         assert_eq!(eng.cache().misses(), m0);
-        assert!(eng.cache().hits() >= 2);
+        assert_eq!(eng.cache().hits(), h0 + 2);
     }
 
     /// A fine geometry whose features look ReLU'd: mostly exact zeros of

@@ -16,8 +16,6 @@
 //!   transpose (upsample) with exact active-set rules, used by U-Net;
 //! * [`layer`] — batch-norm (foldable), ReLU, linear layers;
 //! * [`unet`] — the configurable SS U-Net;
-//! * [`classifier`] — an SSCN classification network ([`pool`] provides
-//!   its sparse/global pooling reductions);
 //! * [`rulebook`] — the explicit gather/scatter matching structure that
 //!   CPU/GPU library implementations execute (the software counterpart of
 //!   ESCA's SDMU);
@@ -25,9 +23,9 @@
 //!   geometry cache keyed by active-set identity plus flat
 //!   gather → per-tap GEMM → scatter kernels;
 //! * [`plan`] — replayable **geometry maps** for strided/transpose
-//!   convolution (max pooling replays the strided map), stored in the
-//!   engine's per-op cache beside the rulebooks, so a static-scene stream
-//!   does zero matching work after its first frame;
+//!   convolution, stored in the engine's per-op cache beside the
+//!   rulebooks, so a static-scene stream does zero matching work after
+//!   its first frame;
 //! * [`gemm`] — pluggable per-tap GEMM backends behind the flat engine:
 //!   the bit-exact [`gemm::ScalarRef`] reference tier and the
 //!   cache-blocked [`gemm::Blocked`] throughput tier (epsilon-bounded on
@@ -60,7 +58,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod classifier;
 pub mod conv;
 pub mod engine;
 pub mod error;
@@ -69,7 +66,6 @@ pub mod layer;
 pub mod ops;
 pub mod par;
 pub mod plan;
-pub mod pool;
 pub mod quant;
 pub mod rulebook;
 pub mod sparse_ops;

@@ -10,9 +10,7 @@
 //!
 //! * [`StridedMap`] — the in→out site map of
 //!   [`crate::sparse_ops::strided_conv3d`] (which fine site feeds which
-//!   coarse row through which tap). Max pooling shares the strided
-//!   convolution's active-set rule, so [`StridedMap::max_pool`] replays
-//!   the same map as [`crate::pool::sparse_max_pool`];
+//!   coarse row through which tap);
 //! * [`TransposeMap`] — the out→in gather map of
 //!   [`crate::sparse_ops::transpose_conv3d`].
 //!
@@ -43,8 +41,7 @@ pub const NO_SOURCE: u32 = u32::MAX;
 ///
 /// The map depends only on the input's active set and `kd` — never on
 /// feature values or channel counts — so one map serves every layer and
-/// frame that shares the geometry, and max pooling over the same set and
-/// window ([`StridedMap::max_pool`]) as well.
+/// frame that shares the geometry.
 #[derive(Debug, Clone)]
 pub struct StridedMap {
     kd: u32,
@@ -120,41 +117,6 @@ impl StridedMap {
         }
         // `out_coords` is already raster-sorted, so no canonicalize pass.
         SparseTensor::from_coord_features(self.out_extent, out_ch, self.out_coords.clone(), acc)
-            .map_err(SscnError::from)
-    }
-
-    /// Replays the map as a max pooling with window = stride = K_d: first
-    /// touch of an output row copies the feature vector, later touches
-    /// take the per-channel maximum — exactly the occupied/vacant split of
-    /// [`crate::pool::sparse_max_pool`], so the output is
-    /// **bit-identical** on the geometry the map was built from.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SscnError::InvalidConfig`] when the map does not fit the
-    /// input.
-    pub fn max_pool(&self, input: &SparseTensor<f32>) -> Result<SparseTensor<f32>> {
-        if self.rows.len() != input.nnz() || self.in_extent != input.extent() {
-            return Err(SscnError::InvalidConfig {
-                reason: "strided map does not match this input".into(),
-            });
-        }
-        let ch = input.channels();
-        let mut acc = vec![0.0f32; self.out_coords.len() * ch];
-        let mut seen = vec![false; self.out_coords.len()];
-        for (f, &row) in input.features().chunks_exact(ch).zip(&self.rows) {
-            let r = row as usize;
-            let dst = &mut acc[r * ch..][..ch];
-            if seen[r] {
-                for (dst, &v) in dst.iter_mut().zip(f) {
-                    *dst = dst.max(v);
-                }
-            } else {
-                dst.copy_from_slice(f);
-                seen[r] = true;
-            }
-        }
-        SparseTensor::from_coord_features(self.out_extent, ch, self.out_coords.clone(), acc)
             .map_err(SscnError::from)
     }
 
@@ -481,7 +443,6 @@ fn canonical_targets(extent: Extent3, target: &[Coord3]) -> esca_tensor::Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::sparse_max_pool;
     use crate::sparse_ops::{strided_conv3d, transpose_conv3d};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha12Rng;
@@ -536,18 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn max_pool_replay_is_bit_identical_to_direct() {
-        for seed in 0..4 {
-            let input = random_input(seed + 20, 11, 4, 70);
-            let direct = sparse_max_pool(&input, 2);
-            let map = StridedMap::build(&input, 2);
-            let replay = map.max_pool(&input).unwrap();
-            assert_eq!(replay.coords(), direct.coords(), "storage order differs");
-            assert_eq!(replay.features(), direct.features(), "not bitwise equal");
-        }
-    }
-
-    #[test]
     fn transpose_map_keeps_direct_error_contract() {
         let coarse = random_input(30, 4, 1, 6);
         // Mismatched fine extent.
@@ -575,10 +524,6 @@ mod tests {
             map.apply(&a, &w_bad),
             Err(SscnError::ChannelMismatch { .. })
         ));
-        assert!(matches!(
-            map.max_pool(&b),
-            Err(SscnError::InvalidConfig { .. })
-        ));
     }
 
     #[test]
@@ -588,7 +533,5 @@ mod tests {
         let map = StridedMap::build(&t, 2);
         let out = map.apply(&t, &w).unwrap();
         assert!(out.is_empty());
-        let pooled = map.max_pool(&t).unwrap();
-        assert!(pooled.is_empty());
     }
 }

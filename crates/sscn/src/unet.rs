@@ -143,7 +143,7 @@ impl TraceMode {
 /// A caller's Sub-Conv executor closure (the `forward_with` hook), held
 /// to the Sub-Conv contract: the output keeps the input's active set and
 /// has the layer's output channels.
-pub(crate) struct SubConvFn<F>(pub(crate) F);
+struct SubConvFn<F>(F);
 
 impl<F> LayerExec for SubConvFn<F>
 where

@@ -4,9 +4,8 @@
 //! * a 16-frame static-scene stream builds its geometry exactly once —
 //!   every frame after the first replays the cached rulebook with zero
 //!   matching work;
-//! * the same holds for the full networks that carry strided/transpose
-//!   site maps (SS U-Net) and the site maps max pooling replays (SSCN
-//!   classifier);
+//! * the same holds for the full SS U-Net, which also carries
+//!   strided/transpose site maps;
 //! * with matching reuse on, the cycle-domain telemetry snapshot stays
 //!   byte-identical across (workers, shards) splits and GEMM backends,
 //!   with every static frame after the first matching-resident at zero
@@ -24,7 +23,6 @@ use esca::admission::{AdmissionConfig, Arrival};
 use esca::resilience::{BackpressurePolicy, FaultConfig};
 use esca::streaming::StreamingSession;
 use esca::{Esca, EscaConfig};
-use esca_sscn::classifier::{ClassifierConfig, SscnClassifier};
 use esca_sscn::engine::{FlatEngine, RulebookCache};
 use esca_sscn::gemm::GemmBackendKind;
 use esca_sscn::quant::{quantize_tensor, QuantizedWeights};
@@ -123,7 +121,7 @@ fn static_scene_stream_replays_the_plan_for_every_frame_after_the_first() {
 }
 
 #[test]
-fn unet_and_classifier_build_no_geometry_after_the_first_pass() {
+fn unet_builds_no_geometry_after_the_first_pass() {
     // SS U-Net: Sub-Conv rulebooks + strided/transpose site maps.
     let net = SsUNet::new(UNetConfig {
         input_channels: 1,
@@ -154,32 +152,6 @@ fn unet_and_classifier_build_no_geometry_after_the_first_pass() {
         bytes,
         "repeat passes must not grow the cache"
     );
-
-    // SSCN classifier: the same contract over the site maps its max
-    // pooling replays.
-    let net = SscnClassifier::new(ClassifierConfig {
-        input_channels: 1,
-        stages: 2,
-        base_channels: 4,
-        classes: 5,
-        kernel: 3,
-        seed: 3,
-    })
-    .unwrap();
-    let input = geometry(0xB0B, 16, 60, 1);
-    let mut engine = FlatEngine::with_backend(GemmBackendKind::ScalarRef);
-    let first = net.forward_engine(&input, &mut engine).unwrap();
-    let (misses, bytes) = (engine.cache().misses(), engine.cache().bytes());
-    for _ in 1..16 {
-        let again = net.forward_engine(&input, &mut engine).unwrap();
-        assert_eq!(again, first, "classifier replay diverged");
-    }
-    assert_eq!(
-        engine.cache().misses(),
-        misses,
-        "pooling maps must come from the cache, not fresh builds"
-    );
-    assert_eq!(engine.cache().bytes(), bytes);
 }
 
 #[test]
